@@ -38,10 +38,6 @@ class TargetModel:
         if self.surface_points.shape != self.surface_normals.shape:
             raise ValueError("surface points and normals must align")
 
-    @property
-    def bounding_radius(self) -> float:
-        return float(np.max(np.linalg.norm(self.surface_points - self.center, axis=1)))
-
 
 def ellipsoid_target(target_id: str, center, semi_axes, n_surface: int = 400) -> TargetModel:
     """Ellipsoid target sampled with a Fibonacci sphere (deterministic)."""

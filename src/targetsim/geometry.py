@@ -17,10 +17,6 @@ class NonPositiveDepth(ValueError):
     """Point is at or behind the camera plane."""
 
 
-class InvalidConvexWeights(ValueError):
-    """Convex-combination weights are negative or do not sum to one."""
-
-
 @dataclass(frozen=True)
 class CameraIntrinsics:
     fx: float
@@ -35,20 +31,6 @@ class CameraIntrinsics:
             raise ValueError("focal lengths must be positive")
         if not (0 < self.cx < self.width and 0 < self.cy < self.height):
             raise ValueError("principal point must lie inside the image")
-
-    def k_matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
-        )
-
-    def k_inv(self) -> np.ndarray:
-        return np.array(
-            [
-                [1.0 / self.fx, 0.0, -self.cx / self.fx],
-                [0.0, 1.0 / self.fy, -self.cy / self.fy],
-                [0.0, 0.0, 1.0],
-            ]
-        )
 
     def unit_rays(self, pixels: np.ndarray) -> np.ndarray:
         """K^-1 applied to homogeneous pixels, shape (n, 2) -> (n, 3), z = 1."""
@@ -93,34 +75,12 @@ class Pose:
         rt = self.rotation.T
         return Pose(rt, -rt @ self.translation)
 
-    def compose(self, other: "Pose") -> "Pose":
-        """self after other: (self*other)(x) = self(other(x))."""
-        return Pose(
-            self.rotation @ other.rotation,
-            self.rotation @ other.translation + self.translation,
-        )
-
     def transform(self, points: np.ndarray) -> np.ndarray:
         """Apply to one (3,) point or an (n, 3) batch."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
             return self.rotation @ pts + self.translation
         return pts @ self.rotation.T + self.translation
-
-    def rotate(self, vectors: np.ndarray) -> np.ndarray:
-        vecs = np.asarray(vectors, dtype=float)
-        if vecs.ndim == 1:
-            return self.rotation @ vecs
-        return vecs @ self.rotation.T
-
-
-@dataclass(frozen=True)
-class Ray:
-    origin: np.ndarray
-    direction: np.ndarray  # unit length
-
-    def at(self, t: float) -> np.ndarray:
-        return self.origin + t * self.direction
 
 
 def project(point, cam_from_world: Pose, k: CameraIntrinsics):
@@ -150,22 +110,3 @@ def project_points(points: np.ndarray, cam_from_world: Pose, k: CameraIntrinsics
         uv[:, 0] = k.fx * pc[:, 0] / depths + k.cx
         uv[:, 1] = k.fy * pc[:, 1] / depths + k.cy
     return uv, depths
-
-
-def back_project_ray(pixel, world_from_cam: Pose, k: CameraIntrinsics) -> Ray:
-    """Ray through a pixel; origin is the camera position in world frame."""
-    d = k.unit_rays(np.asarray(pixel, dtype=float).reshape(1, 2))[0]
-    d /= np.linalg.norm(d)
-    return Ray(origin=world_from_cam.translation.copy(), direction=world_from_cam.rotate(d))
-
-
-def convex_ray_direction(corners, alphas, k: CameraIntrinsics) -> np.ndarray:
-    """Camera-frame direction from a convex combination of four corner rays.
-
-    Un-normalized: sum_i alpha_i * K^-1 [u_i, v_i, 1]^T.
-    """
-    a = np.asarray(alphas, dtype=float)
-    if a.shape != (4,) or np.any(a < 0) or abs(a.sum() - 1.0) > 1e-12:
-        raise InvalidConvexWeights(f"weights {a!r} are not convex")
-    rays = k.unit_rays(np.asarray(corners, dtype=float).reshape(4, 2))
-    return a @ rays

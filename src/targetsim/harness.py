@@ -18,11 +18,11 @@ import numpy as np
 
 from .detector import DetectorConfig, detect, ellipsoid_target, visible_bbox
 from .geometry import CameraIntrinsics, Pose
-from .mission import MissionConfig, MissionEvent, MissionExecutive, MissionMode
-from .points_filter import FilterConfig, FilterEvent, PointsFilter, on_image_edge
+from .mission import MissionConfig, MissionExecutive, MissionMode
+from .points_filter import FilterConfig, PointsFilter, on_image_edge
 from .tracker import BoxTracker, TrackerConfig, hungarian_assign, iou
 from .uav import UavConfig, UavState, camera_pose, step, waypoint_reached
-from .view_planner import PlannerConfig
+from .view_planner import PlannerConfig, polygon_contains
 
 log = logging.getLogger("targetsim")
 
@@ -49,19 +49,6 @@ class Scenario:
     frame_rate: float = 10.0
     max_sim_time: float = 3600.0
     match_dist: float = 2.0
-
-
-def _point_in_convex_polygon(point, polygon) -> bool:
-    poly = np.asarray(polygon, dtype=float)
-    p = np.asarray(point, dtype=float)
-    signs = []
-    n = len(poly)
-    for i in range(n):
-        edge = poly[(i + 1) % n] - poly[i]
-        rel = p - poly[i]
-        signs.append(np.sign(edge[0] * rel[1] - edge[1] * rel[0]))
-    nonzero = [s for s in signs if s != 0]
-    return all(s >= 0 for s in nonzero) or all(s <= 0 for s in nonzero)
 
 
 def _build_config(cls, data: dict, section: str):
@@ -128,7 +115,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ScenarioInvalid(f"world.targets[{i}]: {exc}") from exc
-        if not _point_in_convex_polygon(target.center[:2], planner.survey_polygon):
+        if not polygon_contains(planner.survey_polygon, target.center[:2]):
             raise ScenarioInvalid(
                 f"world.targets[{i}]: center outside the survey polygon"
             )
@@ -161,12 +148,9 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 
 def scenario_to_dict(s: Scenario) -> dict:
-    def section(cfg) -> dict:
-        return dataclasses.asdict(cfg)
-
-    planner = section(s.planner)
+    planner = dataclasses.asdict(s.planner)
     planner["survey_polygon"] = [list(v) for v in s.planner.survey_polygon]
-    uav = section(s.uav)
+    uav = dataclasses.asdict(s.uav)
     if uav.get("start_position") is not None:
         uav["start_position"] = list(uav["start_position"])
     return {
@@ -186,41 +170,35 @@ def scenario_to_dict(s: Scenario) -> dict:
                 for t in s.targets
             ]
         },
-        "camera": section(s.camera),
-        "detector": section(s.detector),
-        "tracker": section(s.tracker),
-        "filter": section(s.filter),
+        "camera": dataclasses.asdict(s.camera),
+        "detector": dataclasses.asdict(s.detector),
+        "tracker": dataclasses.asdict(s.tracker),
+        "filter": dataclasses.asdict(s.filter),
         "planner": planner,
         "uav": uav,
-        "mission": section(s.mission),
+        "mission": dataclasses.asdict(s.mission),
     }
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
 def load_scenario(path) -> Scenario:
+    """Parse a scenario file; NaN, Infinity and overflowing numbers are invalid."""
     try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        data = json.loads(
+            Path(path).read_text(), parse_float=_finite_float, parse_constant=_finite_float
+        )
+    except (OSError, ValueError) as exc:
         raise ScenarioInvalid(f"cannot read scenario: {exc}") from exc
     return scenario_from_dict(data)
 
 
 # -- trace records -----------------------------------------------------------
-
-
-def _event_dict(ev) -> dict:
-    if isinstance(ev, FilterEvent):
-        out = {"type": ev.kind, "target": ev.target_id}
-        if ev.bbox is not None:
-            out["bbox"] = list(ev.bbox)
-        return out
-    if isinstance(ev, MissionEvent):
-        out = {"type": ev.kind}
-        if ev.target_id is not None:
-            out["target"] = ev.target_id
-        if ev.mode is not None:
-            out["mode"] = ev.mode
-        return out
-    raise TypeError(f"unknown event {ev!r}")
 
 
 def _make_record(t, frame, uav, detections, boxes, flt, mission, events) -> dict:
@@ -251,7 +229,7 @@ def _make_record(t, frame, uav, detections, boxes, flt, mission, events) -> dict
         "tracks": [{"id": b.track_id, "bbox": b.bbox.tolist()} for b in boxes],
         "targets": targets,
         "mode": mission.mode.value,
-        "events": [_event_dict(e) for e in events],
+        "events": [e.to_dict() for e in events],
     }
 
 
@@ -370,20 +348,13 @@ def compute_metrics(records: list[dict], scenario: Scenario) -> StageMetrics:
                     credited["generation"].add(best)
                 else:
                     counts["generation"][1] += 1
-            elif kind in ("converging", "converged"):
+            elif kind in ("converging", "converged", "mapped"):
                 match = _match_event_target(record, ev["target"], scenario)
                 if match is not None:
                     counts[kind][0] += 1
                     credited[kind].add(match)
                 else:
                     counts[kind][1] += 1
-            elif kind == "mapped":
-                match = _match_event_target(record, ev["target"], scenario)
-                if match is not None:
-                    counts["mapped"][0] += 1
-                    credited["mapped"].add(match)
-                else:
-                    counts["mapped"][1] += 1
 
     n_true = len(scenario.targets)
     for stage in ("generation", "converging", "converged", "mapped"):

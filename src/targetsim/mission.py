@@ -17,12 +17,12 @@ import numpy as np
 
 from .bounding_cylinder import BoundingCylinder, fit_bounding_cylinder
 from .detector import TargetModel
-from .points_filter import FilterEvent, PointsFilter, TargetState, check_already_mapped
+from .points_filter import Event, PointsFilter, TargetState, check_already_mapped
 from .view_planner import PlannerConfig, Waypoint, estimation_circle, lawnmower, mapping_circles
 
 
 class UnknownTarget(KeyError):
-    """Perception event for a target id never seen in the state cache."""
+    """Converging or converged event for a target id the filter does not hold."""
 
 
 class MissionMode(str, enum.Enum):
@@ -36,13 +36,6 @@ class MissionConfig:
     serve_queued_converging: bool = False  # start orbits from the queue, not on re-detection
     voxel_size: float = 0.1  # downsample spacing of mapped clouds (m)
     mapping_range_margin: float = 2.0  # cylinder slack when gathering mapped surfaces (m)
-
-
-@dataclass(frozen=True)
-class MissionEvent:
-    kind: str  # mode_change | mapped | estimation_failed | duplicate_dropped
-    target_id: int | None = None
-    mode: str | None = None
 
 
 def scan_wedge_mask(
@@ -150,7 +143,6 @@ class MissionExecutive:
         self.active_target: int | None = None
         self.converged_queue: list[int] = []
         self.converging_queue: list[int] = []
-        self.state_cache: dict[int, str] = {}
         self.mapped_centers: list[np.ndarray] = []
         self.mapped_true_ids: set[str] = set()
 
@@ -199,36 +191,24 @@ class MissionExecutive:
             return []  # survey finished; loiter
         if self.mode is MissionMode.ESTIMATION:
             # full orbit without convergence: the target failed verification
-            target_id = self.active_target
-            events = [
-                self.filter.deregister(target_id),
-                MissionEvent("estimation_failed", target_id=target_id),
-            ]
-            self.state_cache.pop(target_id, None)
-            self._drop_from_queues(target_id)
-            return events + self._choose_next(uav_position)
+            return self._fail_verification(self.active_target, uav_position)
         return self._complete_mapping() + self._choose_next(uav_position)
 
     # -- perception events -------------------------------------------------
 
     def on_perception(
-        self, events: list[FilterEvent], updated_ids: list[int], uav_position: np.ndarray
+        self, events: list[Event], updated_ids: list[int], uav_position: np.ndarray
     ) -> list:
         out: list = []
         for ev in events:
-            if ev.kind == "spawned":
-                self.state_cache[ev.target_id] = TargetState.TRACKING.value
-                continue
-            if ev.target_id not in self.state_cache:
+            if ev.kind in ("converging", "converged") and self.filter.get(ev.target_id) is None:
                 raise UnknownTarget(ev.target_id)
             if ev.kind == "converging":
-                self.state_cache[ev.target_id] = TargetState.CONVERGING.value
                 if self.mode is MissionMode.SEARCH:
                     out += self._start_estimation(ev.target_id, uav_position)
                 elif ev.target_id not in self.converging_queue:
                     self.converging_queue.append(ev.target_id)
             elif ev.kind == "converged":
-                self.state_cache[ev.target_id] = TargetState.CONVERGED.value
                 self._drop_from_queues(ev.target_id, converged=False)
                 if ev.target_id not in self.converged_queue:
                     self.converged_queue.append(ev.target_id)
@@ -238,7 +218,6 @@ class MissionExecutive:
                 ):
                     out += self._choose_next(uav_position)
             elif ev.kind == "deregistered":
-                self.state_cache.pop(ev.target_id, None)
                 self._drop_from_queues(ev.target_id)
                 if (
                     self.mode is MissionMode.ESTIMATION
@@ -269,6 +248,11 @@ class MissionExecutive:
         if converged and target_id in self.converged_queue:
             self.converged_queue.remove(target_id)
 
+    def _fail_verification(self, target_id: int, uav_position: np.ndarray) -> list:
+        events = [self.filter.deregister(target_id), Event("estimation_failed", target_id)]
+        self._drop_from_queues(target_id)
+        return events + self._choose_next(uav_position)
+
     def _start_estimation(self, target_id: int, uav_position: np.ndarray) -> list:
         target = self.filter.get(target_id)
         if target is None:
@@ -283,7 +267,7 @@ class MissionExecutive:
             self.planner_cfg.waypoint_spacing,
         )
         self._cursor = 0
-        return [MissionEvent("mode_change", target_id=target_id, mode=self.mode.value)]
+        return [Event("mode_change", target_id, self.mode.value)]
 
     def _start_mapping(self, target_id: int, uav_position: np.ndarray) -> list:
         target = self.filter.get(target_id)
@@ -291,18 +275,14 @@ class MissionExecutive:
             cyl = fit_bounding_cylinder(target.points)
         except ValueError:
             # collapsed cloud: treat like a failed verification
-            self.state_cache.pop(target_id, None)
-            return [
-                self.filter.deregister(target_id),
-                MissionEvent("estimation_failed", target_id=target_id),
-            ] + self._choose_next(uav_position)
+            return self._fail_verification(target_id, uav_position)
         self._cylinder = cyl
         self.mode = MissionMode.MAPPING
         self.active_target = target_id
         self._plan = mapping_circles(cyl, self.planner_cfg, uav_position)
         self._mapping_plan = self._plan
         self._cursor = 0
-        return [MissionEvent("mode_change", target_id=target_id, mode=self.mode.value)]
+        return [Event("mode_change", target_id, self.mode.value)]
 
     def _choose_next(self, uav_position: np.ndarray) -> list:
         """Pick the next activity: pending mappings first, then (optionally)
@@ -317,8 +297,7 @@ class MissionExecutive:
                 target.centroid(), self.mapped_centers, self.filter.cfg.already_mapped_dist
             ):
                 events.append(self.filter.deregister(target_id))
-                events.append(MissionEvent("duplicate_dropped", target_id=target_id))
-                self.state_cache.pop(target_id, None)
+                events.append(Event("duplicate_dropped", target_id))
                 continue
             return events + self._start_mapping(target_id, uav_position)
         if self.cfg.serve_queued_converging:
@@ -332,7 +311,7 @@ class MissionExecutive:
         self.active_target = None
         self._plan = self.search_waypoints
         self._cursor = self.search_cursor
-        events.append(MissionEvent("mode_change", mode=self.mode.value))
+        events.append(Event("mode_change", mode=self.mode.value))
         return events
 
     def _complete_mapping(self) -> list:
@@ -350,5 +329,4 @@ class MissionExecutive:
         self.filter.mark_mapped(target_id, down)
         self.mapped_centers.append(self._cylinder.center)
         self.mapped_true_ids |= true_ids
-        self.state_cache[target_id] = TargetState.MAPPED.value
-        return [MissionEvent("mapped", target_id=target_id, mode=self.mode.value)]
+        return [Event("mapped", target_id, self.mode.value)]

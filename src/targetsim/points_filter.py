@@ -141,10 +141,24 @@ class PointTarget:
 
 
 @dataclass(frozen=True)
-class FilterEvent:
-    kind: str  # spawned | converging | converged | deregistered
-    target_id: int
+class Event:
+    """A filter (spawned | converging | converged | deregistered) or mission
+    (mode_change | mapped | estimation_failed | duplicate_dropped) event."""
+
+    kind: str
+    target_id: int | None = None
+    mode: str | None = None
     bbox: tuple | None = None  # tracked box that triggered a spawn
+
+    def to_dict(self) -> dict:
+        out = {"type": self.kind}
+        if self.target_id is not None:
+            out["target"] = self.target_id
+        if self.mode is not None:
+            out["mode"] = self.mode
+        if self.bbox is not None:
+            out["bbox"] = list(self.bbox)
+        return out
 
 
 def enlarge_bbox(bbox: np.ndarray, frac: float, k: CameraIntrinsics) -> np.ndarray:
@@ -362,9 +376,9 @@ class PointsFilter:
                 return t
         return None
 
-    def deregister(self, target_id: int) -> FilterEvent:
+    def deregister(self, target_id: int) -> Event:
         self.targets = [t for t in self.targets if t.target_id != target_id]
-        return FilterEvent("deregistered", target_id)
+        return Event("deregistered", target_id)
 
     def mark_mapped(self, target_id: int, cloud: np.ndarray) -> None:
         target = self.get(target_id)
@@ -381,7 +395,7 @@ class PointsFilter:
         boxes: list[TrackedBox],
         camera_pose: Pose,
         rng: np.random.Generator,
-    ) -> tuple[list[FilterEvent], list[int]]:
+    ) -> tuple[list[Event], list[int]]:
         """Associate, update, spawn, and age targets for one cycle.
 
         camera_pose maps camera coordinates to world coordinates. An empty
@@ -390,7 +404,7 @@ class PointsFilter:
         """
         cfg = self.cfg
         cam_from_world = camera_pose.inverse()
-        events: list[FilterEvent] = []
+        events: list[Event] = []
         updated: list[int] = []
 
         gated = [
@@ -432,13 +446,13 @@ class PointsFilter:
                     # the convergence streak counts only converging-state
                     # updates, so the refinement orbit must confirm it
                     target.kld_streak = 0
-                    events.append(FilterEvent("converging", target.target_id))
+                    events.append(Event("converging", target.target_id))
             if (
                 target.state is TargetState.CONVERGING
                 and target.kld_streak >= cfg.kld_streak_needed
             ):
                 target.state = TargetState.CONVERGED
-                events.append(FilterEvent("converged", target.target_id))
+                events.append(Event("converged", target.target_id))
 
         for box_idx in unmatched:
             bbox = gated_boxes[box_idx]
@@ -458,7 +472,7 @@ class PointsFilter:
             self.targets.append(target)
             refreshed.add(target.target_id)
             events.append(
-                FilterEvent("spawned", target.target_id, bbox=tuple(bbox.tolist()))
+                Event("spawned", target.target_id, bbox=tuple(bbox.tolist()))
             )
 
         survivors: list[PointTarget] = []
@@ -471,7 +485,7 @@ class PointsFilter:
                 continue
             target.miss_counter += 1
             if target.miss_counter >= cfg.max_missed_updates:
-                events.append(FilterEvent("deregistered", target.target_id))
+                events.append(Event("deregistered", target.target_id))
             else:
                 survivors.append(target)
         self.targets = survivors

@@ -59,6 +59,8 @@ class PlannerConfig:
             raise ValueError("standoff must be positive")
         if not 0.0 < self.estimation_view_angle < np.pi / 2.0:
             raise ValueError("estimation_view_angle must be in (0, pi/2)")
+        if len(self.survey_polygon) < 3:
+            raise EmptyPolygon(f"survey_polygon has {len(self.survey_polygon)} vertices, needs >= 3")
 
 
 def _lane_span(polygon: np.ndarray, y: float) -> tuple[float, float] | None:
@@ -77,6 +79,13 @@ def _lane_span(polygon: np.ndarray, y: float) -> tuple[float, float] | None:
     if not xs:
         return None
     return min(xs), max(xs)
+
+
+def polygon_contains(polygon, point) -> bool:
+    """Whether a 2D point lies in a convex polygon, boundary included."""
+    x, y = (float(c) for c in point)
+    span = _lane_span(np.asarray(polygon, dtype=float).reshape(-1, 2), y)
+    return span is not None and bool(span[0] <= x <= span[1])
 
 
 def lawnmower(polygon, lane_spacing: float, altitude: float) -> list[Waypoint]:

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the verdict lines
 alongside the pytest report.
 """
 
+import hashlib
 import itertools
 import time
 from contextlib import contextmanager
@@ -32,6 +33,10 @@ from tests.test_view_planner import in_some_wedge, wall_points
 
 K = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=480)
 
+# sha256 (first 16 hex) of the nominal scenario's trace.jsonl. A change that
+# moves it on purpose re-baselines it here and says why.
+NOMINAL_TRACE_DIGEST = "3384f4105341b8dd"
+
 
 @contextmanager
 def verdict(n, label):
@@ -43,14 +48,22 @@ def verdict(n, label):
     print(f"ACCEPTANCE {n}: PASS - {label}")
 
 
-@pytest.fixture(scope="module")
-def noisy_result(tmp_path_factory):
-    scenario = load_scenario("scenarios/five_targets_noisy.json")
-    out = tmp_path_factory.mktemp("noisy_a")
+def timed_run(scenario_path, out):
+    scenario = load_scenario(scenario_path)
     start = time.perf_counter()
     result = run(scenario, out_dir=out)
     result.wall_time = time.perf_counter() - start
     return scenario, result
+
+
+@pytest.fixture(scope="module")
+def nominal_result(tmp_path_factory):
+    return timed_run("scenarios/nominal_single_target.json", tmp_path_factory.mktemp("nominal"))
+
+
+@pytest.fixture(scope="module")
+def noisy_result(tmp_path_factory):
+    return timed_run("scenarios/five_targets_noisy.json", tmp_path_factory.mktemp("noisy_a"))
 
 
 def event_error(result, kind, scenario):
@@ -68,19 +81,16 @@ def event_error(result, kind, scenario):
     return errs
 
 
-def test_criterion_1_nominal_closed_loop(tmp_path):
+def test_criterion_1_nominal_closed_loop(nominal_result):
     with verdict(1, "nominal run: mapped, centroid < 0.5 m, all stages 100%, < 30 s"):
-        scenario = load_scenario("scenarios/nominal_single_target.json")
-        start = time.perf_counter()
-        result = run(scenario, out_dir=tmp_path)
-        wall = time.perf_counter() - start
+        scenario, result = nominal_result
         assert result.completed and result.mapped_true_ids == {"rock_a"}
         errs = event_error(result, "converged", scenario)
         assert len(errs) == 1 and errs[0] < 0.5
         for stage, score in result.metrics.to_dict().items():
             assert score["precision"] == 1.0, stage
             assert score["recall"] == 1.0, stage
-        assert wall < 30.0
+        assert result.wall_time < 30.0
 
 
 def test_criterion_2_five_targets_noisy(noisy_result):
@@ -290,3 +300,9 @@ def test_criterion_9_determinism(noisy_result, tmp_path):
             other = tmp_path / cloud.name
             assert other.exists()
             assert cloud.read_bytes() == other.read_bytes()
+
+
+def test_nominal_trace_digest_pinned(nominal_result):
+    _, result = nominal_result
+    digest = hashlib.sha256(result.trace_path.read_bytes()).hexdigest()[:16]
+    assert digest == NOMINAL_TRACE_DIGEST

@@ -1,8 +1,8 @@
 """Projection / back-projection math checks.
 
-The round-trip and containment tests are the load-bearing ones: every
-later stage (point generation, association, resampling weights) assumes
-project and back_project_ray are exact inverses along a ray.
+The round-trip tests are the load-bearing ones: every later stage (point
+generation, association, resampling weights) assumes that project and the
+pixel rays of CameraIntrinsics.unit_rays are exact inverses along a ray.
 """
 
 import numpy as np
@@ -10,16 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from targetsim.geometry import (
-    CameraIntrinsics,
-    InvalidConvexWeights,
-    NonPositiveDepth,
-    Pose,
-    back_project_ray,
-    convex_ray_direction,
-    project,
-    project_points,
-)
+from targetsim.geometry import CameraIntrinsics, NonPositiveDepth, Pose, project, project_points
 
 K = CameraIntrinsics(fx=100.0, fy=100.0, cx=320.0, cy=240.0, width=640, height=480)
 
@@ -60,8 +51,8 @@ class TestProject:
             project(np.array([1.0, 1.0, 0.0]), Pose.identity(), K)
 
     def test_round_trip_through_back_projection(self):
-        # project, then walk the back-projected ray out to the returned
-        # depth along the camera z axis: must recover the world point.
+        # project, then walk the pixel's K^-1 ray out to the returned depth
+        # (its z component is 1): must recover the world point.
         rng = np.random.default_rng(11)
         hits = 0
         for _ in range(200):
@@ -72,10 +63,10 @@ class TestProject:
             )
             point = world_from_cam.transform(p_cam)
             pixel, depth = project(point, cam_from_world, K)
-            ray = back_project_ray(pixel, world_from_cam, K)
-            # the ray is unit-length; the point sits at range depth * |K^-1 l|
-            scale = depth * np.linalg.norm(K.unit_rays(pixel.reshape(1, 2))[0])
-            np.testing.assert_allclose(ray.at(scale), point, atol=1e-9)
+            unit_ray = K.unit_rays(pixel)[0]
+            np.testing.assert_allclose(
+                world_from_cam.transform(depth * unit_ray), point, atol=1e-9
+            )
             hits += 1
         assert hits == 200
 
@@ -96,27 +87,34 @@ class TestProject:
 
 
 class TestBackProjectRay:
+    """A pixel's ray as generate_points builds it: world_from_cam applied to
+    t * K.unit_rays(pixel), t being the camera-frame depth."""
+
     def test_origin_is_camera_position(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             world_from_cam = random_pose(rng)
-            ray = back_project_ray((100.0, 100.0), world_from_cam, K)
-            assert np.array_equal(ray.origin, world_from_cam.translation)
-            np.testing.assert_allclose(ray.at(0.0), world_from_cam.translation)
+            ray = K.unit_rays(np.array([[100.0, 100.0]]))[0]
+            np.testing.assert_allclose(
+                world_from_cam.transform(0.0 * ray), world_from_cam.translation
+            )
 
     def test_principal_point_identity_pose_points_forward(self):
-        ray = back_project_ray((K.cx, K.cy), Pose.identity(), K)
-        np.testing.assert_allclose(ray.direction, [0.0, 0.0, 1.0], atol=1e-15)
+        ray = K.unit_rays(np.array([[K.cx, K.cy]]))[0]
+        np.testing.assert_array_equal(ray, [0.0, 0.0, 1.0])
 
     def test_projective_consistency_along_ray(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             world_from_cam = random_pose(rng)
             pixel = np.array([rng.uniform(0, K.width), rng.uniform(0, K.height)])
-            ray = back_project_ray(pixel, world_from_cam, K)
+            ray = K.unit_rays(pixel)[0]
             for t in (1.0, 10.0, 100.0):
-                reprojected, _ = project(ray.at(t), world_from_cam.inverse(), K)
+                reprojected, depth = project(
+                    world_from_cam.transform(t * ray), world_from_cam.inverse(), K
+                )
                 np.testing.assert_allclose(reprojected, pixel, atol=1e-6)
+                assert depth == pytest.approx(t)
 
     @given(
         u=st.floats(0, 640), v=st.floats(0, 480),
@@ -124,41 +122,9 @@ class TestBackProjectRay:
     )
     @settings(max_examples=200, deadline=None)
     def test_ray_points_reproject_hypothesis(self, u, v, t):
-        ray = back_project_ray((u, v), Pose.identity(), K)
-        reprojected, _ = project(ray.at(t), Pose.identity(), K)
+        ray = K.unit_rays(np.array([[u, v]]))[0]
+        reprojected, _ = project(t * ray, Pose.identity(), K)
         np.testing.assert_allclose(reprojected, [u, v], atol=1e-6)
-
-
-class TestConvexRayDirection:
-    CORNERS = np.array([[300.0, 220.0], [340.0, 220.0], [340.0, 260.0], [300.0, 260.0]])
-
-    def test_vertex_weight_returns_corner_ray(self):
-        d = convex_ray_direction(self.CORNERS, (1.0, 0.0, 0.0, 0.0), K)
-        np.testing.assert_array_equal(d, K.unit_rays(self.CORNERS[:1])[0])
-
-    def test_symmetric_box_mean_is_forward(self):
-        # box centered on the principal point, fx == fy
-        d = convex_ray_direction(self.CORNERS, (0.25, 0.25, 0.25, 0.25), K)
-        np.testing.assert_allclose(d[:2], [0.0, 0.0], atol=1e-15)
-        assert d[2] == 1.0
-
-    def test_rejects_invalid_weights(self):
-        with pytest.raises(InvalidConvexWeights):
-            convex_ray_direction(self.CORNERS, (0.5, 0.5, 0.5, -0.5), K)
-        with pytest.raises(InvalidConvexWeights):
-            convex_ray_direction(self.CORNERS, (0.3, 0.3, 0.3, 0.3), K)
-
-    def test_direction_projects_inside_box(self):
-        # containment oracle: any convex combination of corner rays must
-        # reproject into the closed source box
-        rng = np.random.default_rng(13)
-        corners = np.array([[100.0, 50.0], [400.0, 50.0], [400.0, 300.0], [100.0, 300.0]])
-        for _ in range(10_000):
-            alphas = rng.dirichlet(np.ones(4))
-            d = convex_ray_direction(corners, alphas, K)
-            pixel, _ = project(d, Pose.identity(), K)
-            assert 100.0 - 1e-9 <= pixel[0] <= 400.0 + 1e-9
-            assert 50.0 - 1e-9 <= pixel[1] <= 300.0 + 1e-9
 
 
 class TestPose:
@@ -170,15 +136,6 @@ class TestPose:
         r = np.diag([1.0, 1.0, -1.0])
         with pytest.raises(ValueError):
             Pose(r, np.zeros(3))
-
-    def test_compose_preserves_orthonormality(self):
-        rng = np.random.default_rng(17)
-        pose = Pose.identity()
-        for _ in range(100):
-            pose = pose.compose(random_pose(rng))
-            r = pose.rotation
-            np.testing.assert_allclose(r @ r.T, np.eye(3), atol=1e-9)
-            np.testing.assert_allclose(np.linalg.det(r), 1.0, atol=1e-9)
 
     def test_inverse_round_trip(self):
         rng = np.random.default_rng(19)

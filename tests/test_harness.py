@@ -18,6 +18,8 @@ from targetsim.harness import (
     scenario_to_dict,
     write_cloud,
 )
+from targetsim.points_filter import Event
+
 BASE = {
     "name": "unit",
     "seed": 3,
@@ -48,6 +50,32 @@ def scenario(**overrides) -> Scenario:
     return scenario_from_dict(data)
 
 
+def two_vertex_polygon() -> dict:
+    data = copy.deepcopy(BASE)
+    data["world"]["targets"] = []
+    data["planner"]["survey_polygon"] = [[0.0, 0.0], [60.0, 60.0]]
+    return data
+
+
+def bad_scenario_texts() -> dict[str, str]:
+    """Scenario files that `validate` once accepted and `run` crashed on."""
+    nan_rate = copy.deepcopy(BASE)
+    nan_rate["frame_rate"] = float("nan")  # json.dumps writes NaN
+    nan_fx = copy.deepcopy(BASE)
+    nan_fx["camera"]["fx"] = float("nan")
+    overflow = json.dumps(BASE).replace('"frame_rate": 10.0', '"frame_rate": 1e999')
+    assert "1e999" in overflow
+    return {
+        "nan_frame_rate": json.dumps(nan_rate),
+        "nan_fx": json.dumps(nan_fx),
+        "overflow_frame_rate": overflow,
+        "two_vertex_polygon": json.dumps(two_vertex_polygon()),
+    }
+
+
+BAD_SCENARIO_TEXTS = bad_scenario_texts()
+
+
 class TestScenarioSchema:
     def test_valid_scenario_loads(self):
         s = scenario()
@@ -71,6 +99,8 @@ class TestScenarioSchema:
         data["camera"]["fx"] = -1.0
         with pytest.raises(ScenarioInvalid):
             scenario_from_dict(data)
+        with pytest.raises(ScenarioInvalid, match="survey_polygon has 2 vertices"):
+            scenario_from_dict(two_vertex_polygon())
 
     def test_target_outside_polygon_rejected(self):
         data = copy.deepcopy(BASE)
@@ -113,6 +143,10 @@ class TestScenarioSchema:
         bad.write_text("{not json")
         with pytest.raises(ScenarioInvalid):
             load_scenario(bad)
+        for text in BAD_SCENARIO_TEXTS.values():
+            bad.write_text(text)
+            with pytest.raises(ScenarioInvalid):
+                load_scenario(bad)
 
 
 class TestRun:
@@ -189,6 +223,26 @@ class TestRun:
         assert (tmp_path / "a" / "cloud_1.xyz").read_bytes() == (
             tmp_path / "b" / "cloud_1.xyz"
         ).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "event, expected",
+    [
+        (Event("spawned", 3, bbox=(1.0, 2.0, 3.0, 4.0)),
+         {"type": "spawned", "target": 3, "bbox": [1.0, 2.0, 3.0, 4.0]}),
+        (Event("converging", 3), {"type": "converging", "target": 3}),
+        (Event("converged", 3), {"type": "converged", "target": 3}),
+        (Event("deregistered", 3), {"type": "deregistered", "target": 3}),
+        (Event("mode_change", 3, "estimation"),
+         {"type": "mode_change", "target": 3, "mode": "estimation"}),
+        (Event("mode_change", mode="search"), {"type": "mode_change", "mode": "search"}),
+        (Event("mapped", 3, "mapping"), {"type": "mapped", "target": 3, "mode": "mapping"}),
+        (Event("estimation_failed", 3), {"type": "estimation_failed", "target": 3}),
+        (Event("duplicate_dropped", 3), {"type": "duplicate_dropped", "target": 3}),
+    ],
+)
+def test_event_to_dict_trace_format(event, expected):
+    assert event.to_dict() == expected
 
 
 class TestMetricsCounting:
@@ -299,6 +353,14 @@ class TestCli:
         path = tmp_path / "s.json"
         path.write_text(json.dumps(data))
         assert cli_main(["run", str(path), "--metrics-only", "--out", str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize("name", sorted(BAD_SCENARIO_TEXTS))
+    def test_bad_numbers_and_short_polygon_exit_2(self, tmp_path, capsys, name):
+        path = tmp_path / "s.json"
+        path.write_text(BAD_SCENARIO_TEXTS[name])
+        assert cli_main(["validate", str(path)]) == 2
+        assert cli_main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.count("invalid scenario") == 2
 
     def test_replay_missing_file_exit_2(self, tmp_path):
         assert cli_main(["replay-metrics", str(tmp_path / "nope.jsonl")]) == 2

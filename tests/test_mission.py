@@ -8,7 +8,6 @@ from targetsim.detector import ellipsoid_target
 from targetsim.geometry import CameraIntrinsics, Pose
 from targetsim.mission import (
     MissionConfig,
-    MissionEvent,
     MissionExecutive,
     MissionMode,
     UnknownTarget,
@@ -16,8 +15,8 @@ from targetsim.mission import (
     synthesize_mapped_cloud,
 )
 from targetsim.points_filter import (
+    Event,
     FilterConfig,
-    FilterEvent,
     PointsFilter,
     PointTarget,
     TargetState,
@@ -61,9 +60,9 @@ def inject_target(flt, target_id, center, state, spread=0.2, n=100, seed=0):
 
 
 def spawn_then(flt, mission, target_id, center, *kinds):
-    """Register a target in the caches, then deliver lifecycle events."""
+    """Register a target in the filter, then deliver lifecycle events."""
     inject_target(flt, target_id, center, TargetState.TRACKING, seed=target_id)
-    events = [FilterEvent("spawned", target_id)]
+    events = [Event("spawned", target_id)]
     mission.on_perception(events, [], UAV_POS)
     out = []
     for kind in kinds:
@@ -72,7 +71,7 @@ def spawn_then(flt, mission, target_id, center, *kinds):
             target.state = TargetState.CONVERGING
         elif kind == "converged":
             target.state = TargetState.CONVERGED
-        out += mission.on_perception([FilterEvent(kind, target_id)], [], UAV_POS)
+        out += mission.on_perception([Event(kind, target_id)], [], UAV_POS)
     return out
 
 
@@ -115,8 +114,8 @@ class TestTransitions:
         events = finish_plan(mission)
         assert mission.mode is MissionMode.SEARCH
         assert flt.get(1) is None  # failed verification
-        assert any(e.kind == "deregistered" for e in events if isinstance(e, FilterEvent))
-        assert any(e.kind == "estimation_failed" for e in events if isinstance(e, MissionEvent))
+        assert any(e.kind == "deregistered" for e in events)
+        assert any(e.kind == "estimation_failed" for e in events)
         assert mission.search_cursor == cursor_before  # resumes where it left
 
     def test_converged_during_estimation_starts_mapping(self):
@@ -135,7 +134,7 @@ class TestTransitions:
         events = finish_plan(mission)
         assert mission.mode is MissionMode.SEARCH
         assert flt.get(1).state is TargetState.MAPPED
-        assert any(isinstance(e, MissionEvent) and e.kind == "mapped" for e in events)
+        assert any(e.kind == "mapped" for e in events)
         assert mission.mapped_true_ids == {"rock"}
         assert 1 in clouds and len(clouds[1]) > 0
         assert flt.get(1).mapped_cloud is not None
@@ -143,15 +142,17 @@ class TestTransitions:
     def test_deregistration_during_estimation_resumes_search(self):
         mission, flt, _ = make_mission()
         spawn_then(flt, mission, 1, [50.0, 40.0, 1.0], "converging")
-        flt.deregister(1)
-        mission.on_perception([FilterEvent("deregistered", 1)], [], UAV_POS)
+        flt.deregister(1)  # the filter no longer holds the id the event names
+        mission.on_perception([Event("deregistered", 1)], [], UAV_POS)
         assert mission.mode is MissionMode.SEARCH
         assert mission.active_target is None
 
     def test_unknown_target_event_raises(self):
         mission, _, _ = make_mission()
         with pytest.raises(UnknownTarget):
-            mission.on_perception([FilterEvent("converging", 99)], [], UAV_POS)
+            mission.on_perception([Event("converging", 99)], [], UAV_POS)
+        with pytest.raises(UnknownTarget):
+            mission.on_perception([Event("converged", 99)], [], UAV_POS)
 
 
 class TestPrioritiesAndQueue:
@@ -169,7 +170,7 @@ class TestPrioritiesAndQueue:
         assert mission.converged_queue == [2]
         # now the active target converges: both get mapped before search
         flt.get(1).state = TargetState.CONVERGED
-        mission.on_perception([FilterEvent("converged", 1)], [], UAV_POS)
+        mission.on_perception([Event("converged", 1)], [], UAV_POS)
         assert mission.mode is MissionMode.MAPPING
         first_mapped = mission.active_target
         finish_plan(mission)
@@ -188,7 +189,7 @@ class TestPrioritiesAndQueue:
         assert mission.converging_queue == [2]
         # active target deregisters; waiting target is NOT served yet
         flt.deregister(1)
-        mission.on_perception([FilterEvent("deregistered", 1)], [], UAV_POS)
+        mission.on_perception([Event("deregistered", 1)], [], UAV_POS)
         assert mission.mode is MissionMode.SEARCH
         # a tick with target 2 updated (re-detected) pulls it into estimation
         mission.on_perception([], [2], UAV_POS)
@@ -200,7 +201,7 @@ class TestPrioritiesAndQueue:
         spawn_then(flt, mission, 1, [50.0, 40.0, 1.0], "converging")
         spawn_then(flt, mission, 2, [20.0, 70.0, 1.0], "converging")
         flt.deregister(1)
-        mission.on_perception([FilterEvent("deregistered", 1)], [], UAV_POS)
+        mission.on_perception([Event("deregistered", 1)], [], UAV_POS)
         # with the flag, the queued converging target is served immediately
         assert mission.mode is MissionMode.ESTIMATION
         assert mission.active_target == 2
@@ -215,9 +216,7 @@ class TestPrioritiesAndQueue:
         events = spawn_then(flt, mission, 2, [50.2, 40.1, 1.0], "converging", "converged")
         assert mission.mode is MissionMode.SEARCH  # no second mapping
         assert flt.get(2) is None  # duplicate deregistered
-        assert any(
-            isinstance(e, MissionEvent) and e.kind == "duplicate_dropped" for e in events
-        )
+        assert any(e.kind == "duplicate_dropped" for e in events)
 
     def test_search_cursor_monotone(self):
         mission, flt, _ = make_mission()

@@ -11,9 +11,11 @@ from targetsim.view_planner import (
     estimation_circle,
     lawnmower,
     mapping_circles,
+    polygon_contains,
 )
 
 SQUARE = [(0.0, 0.0), (100.0, 0.0), (100.0, 100.0), (0.0, 100.0)]
+TRIANGLE = [(0.0, 0.0), (60.0, 0.0), (30.0, 60.0)]
 
 
 def wall_points(cyl: BoundingCylinder, n_angle=36, n_height=12):
@@ -66,6 +68,8 @@ class TestLawnmower:
     def test_empty_polygon_raises(self):
         with pytest.raises(EmptyPolygon):
             lawnmower([(0.0, 0.0), (1.0, 1.0)], 10.0, 30.0)
+        with pytest.raises(EmptyPolygon):
+            PlannerConfig(survey_polygon=((0.0, 0.0), (1.0, 1.0)))
 
     def test_footprint_coverage_of_polygon(self):
         # coverage oracle: sweeping the scan annulus along the lane path
@@ -89,13 +93,31 @@ class TestLawnmower:
         assert covered.mean() >= 0.99
 
     def test_triangle_lanes_follow_shape(self):
-        tri = [(0.0, 0.0), (60.0, 0.0), (30.0, 60.0)]
-        wps = lawnmower(tri, 15.0, 25.0)
+        wps = lawnmower(TRIANGLE, 15.0, 25.0)
         for wp in wps:
             x, y = wp.position[0], wp.position[1]
             # inside the triangle (with an epsilon for edge lanes)
             assert y >= -1e-9 and y <= 60.0 + 1e-9
             assert x >= y / 2.0 - 1e-6 and x <= 60.0 - y / 2.0 + 1e-6
+
+
+@pytest.mark.parametrize(
+    "polygon, point, inside",
+    [
+        (SQUARE, (50.0, 50.0), True),
+        (SQUARE, (100.0, 40.0), True),  # on an edge
+        (SQUARE, (0.0, 100.0), True),  # on a vertex
+        (SQUARE, (100.5, 50.0), False),
+        (SQUARE, (50.0, -0.5), False),
+        (TRIANGLE, (30.0, 20.0), True),
+        (TRIANGLE, (15.0, 30.0), True),  # on the slanted edge x = y / 2
+        (TRIANGLE, (30.0, 60.0), True),  # on the apex
+        (TRIANGLE, (5.0, 30.0), False),  # left of the slanted edge
+        (TRIANGLE, (30.0, 61.0), False),  # above the apex
+    ],
+)
+def test_polygon_contains(polygon, point, inside):
+    assert polygon_contains(polygon, point) is inside
 
 
 class TestEstimationCircle:
