@@ -15,7 +15,6 @@ import sys
 
 from .harness import (
     ScenarioInvalid,
-    StageMetrics,
     compute_metrics,
     load_scenario,
     read_trace,
@@ -27,12 +26,12 @@ EXIT_INVALID = 2
 EXIT_INCOMPLETE = 3
 
 
-def _print_metrics(metrics: StageMetrics) -> None:
+def _print_metrics(metrics: dict) -> None:
     def fmt(value) -> str:
         return "N/A" if value is None else f"{100.0 * value:.1f}%"
 
     print(f"{'stage':<12}{'precision':>12}{'recall':>10}")
-    for stage, score in metrics.to_dict().items():
+    for stage, score in metrics.items():
         print(f"{stage:<12}{fmt(score['precision']):>12}{fmt(score['recall']):>10}")
 
 

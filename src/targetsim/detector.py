@@ -45,6 +45,8 @@ def ellipsoid_target(target_id: str, center, semi_axes, n_surface: int = 400) ->
     axes = np.asarray(semi_axes, dtype=float)
     if np.any(axes <= 0):
         raise ValueError("semi-axes must be positive")
+    if n_surface < 1:
+        raise ValueError("n_surface must be >= 1")
     i = np.arange(n_surface, dtype=float)
     golden = np.pi * (3.0 - np.sqrt(5.0))
     z = 1.0 - 2.0 * (i + 0.5) / n_surface

@@ -50,115 +50,88 @@ class Scenario:
     max_sim_time: float = 3600.0
     match_dist: float = 2.0
 
-
-def _build_config(cls, data: dict, section: str):
-    if not isinstance(data, dict):
-        raise ScenarioInvalid(f"{section}: expected an object")
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - allowed
-    if unknown:
-        raise ScenarioInvalid(f"{section}: unknown keys {sorted(unknown)}")
-    try:
-        return cls(**data)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioInvalid(f"{section}: {exc}") from exc
+    def __post_init__(self):
+        if self.frame_rate <= 0 or self.max_sim_time <= 0 or self.match_dist <= 0:
+            raise ValueError("frame_rate, max_sim_time, and match_dist must be positive")
 
 
+# The config sections in build order: planner precedes filter, whose
+# max_depth defaults from the search altitude.
+_SECTIONS = {
+    "camera": CameraIntrinsics,
+    "planner": PlannerConfig,
+    "filter": FilterConfig,
+    "detector": DetectorConfig,
+    "tracker": TrackerConfig,
+    "uav": UavConfig,
+    "mission": MissionConfig,
+}
+# Top-level values, each cast to the type of its default on Scenario.
+_SCALARS = {
+    f.name: type(f.default)
+    for f in dataclasses.fields(Scenario)
+    if f.default is not dataclasses.MISSING
+}
 _TARGET_KEYS = {"id", "center", "semi_axes", "n_surface"}
 
 
 def scenario_from_dict(data: dict) -> Scenario:
+    """Build a Scenario from its JSON form; any bad value raises ScenarioInvalid."""
     if not isinstance(data, dict):
         raise ScenarioInvalid("scenario must be a JSON object")
-    top_allowed = {
-        "name", "seed", "frame_rate", "max_sim_time", "match_dist", "world",
-        "camera", "detector", "tracker", "filter", "planner", "uav", "mission",
-    }
-    unknown = set(data) - top_allowed
+    unknown = set(data) - {*_SCALARS, *_SECTIONS, "world"}
     if unknown:
         raise ScenarioInvalid(f"unknown top-level keys {sorted(unknown)}")
-    if "camera" not in data or "world" not in data:
-        raise ScenarioInvalid("scenario needs 'camera' and 'world' sections")
 
-    camera = _build_config(CameraIntrinsics, data["camera"], "camera")
-    planner_data = dict(data.get("planner", {}))
-    if "survey_polygon" in planner_data:
-        planner_data["survey_polygon"] = tuple(
-            tuple(float(c) for c in v) for v in planner_data["survey_polygon"]
-        )
-    planner = _build_config(PlannerConfig, planner_data, "planner")
-    filter_data = dict(data.get("filter", {}))
-    if "max_depth" not in filter_data:
-        filter_data["max_depth"] = planner.search_altitude + 20.0
-    filter_cfg = _build_config(FilterConfig, filter_data, "filter")
-    detector = _build_config(DetectorConfig, data.get("detector", {}), "detector")
-    tracker = _build_config(TrackerConfig, data.get("tracker", {}), "tracker")
-    uav_data = dict(data.get("uav", {}))
-    if uav_data.get("start_position") is not None:
-        uav_data["start_position"] = tuple(float(c) for c in uav_data["start_position"])
-    uav = _build_config(UavConfig, uav_data, "uav")
-    mission = _build_config(MissionConfig, data.get("mission", {}), "mission")
+    where = "scenario"  # the part being converted, named in the error
+    try:
+        fields = {}
+        for where, cast in _SCALARS.items():
+            if where in data:
+                fields[where] = cast(data[where])
+        for where, cls in _SECTIONS.items():
+            kwargs = {**data.get(where, {})}
+            if where == "planner" and "survey_polygon" in kwargs:
+                polygon = kwargs["survey_polygon"]
+                kwargs["survey_polygon"] = tuple(tuple(float(c) for c in v) for v in polygon)
+            elif where == "filter":
+                kwargs.setdefault("max_depth", fields["planner"].search_altitude + 20.0)
+            elif where == "uav" and kwargs.get("start_position") is not None:
+                kwargs["start_position"] = tuple(float(c) for c in kwargs["start_position"])
+            fields[where] = cls(**kwargs)
 
-    world = data["world"]
-    if not isinstance(world, dict) or set(world) - {"targets"}:
-        raise ScenarioInvalid("world: expected an object with a 'targets' list")
-    targets = []
-    for i, entry in enumerate(world.get("targets", [])):
-        if not isinstance(entry, dict) or set(entry) - _TARGET_KEYS:
-            raise ScenarioInvalid(f"world.targets[{i}]: unknown keys")
-        try:
+        where = "world"
+        world = data.get("world")
+        if not isinstance(world, dict) or set(world) - {"targets"}:
+            raise ValueError("expected an object with a 'targets' list")
+        targets = []
+        for i, entry in enumerate(world.get("targets", [])):
+            where = f"world.targets[{i}]"
+            if not isinstance(entry, dict) or set(entry) - _TARGET_KEYS:
+                raise ValueError(f"expected an object with keys among {sorted(_TARGET_KEYS)}")
             target = ellipsoid_target(
                 str(entry["id"]),
                 entry["center"],
                 entry["semi_axes"],
                 int(entry.get("n_surface", 400)),
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ScenarioInvalid(f"world.targets[{i}]: {exc}") from exc
-        if not polygon_contains(planner.survey_polygon, target.center[:2]):
-            raise ScenarioInvalid(
-                f"world.targets[{i}]: center outside the survey polygon"
-            )
-        targets.append(target)
-    ids = [t.id for t in targets]
-    if len(set(ids)) != len(ids):
-        raise ScenarioInvalid("world.targets: duplicate ids")
+            if not polygon_contains(fields["planner"].survey_polygon, target.center[:2]):
+                raise ValueError("center outside the survey polygon")
+            targets.append(target)
+        where = "world.targets"
+        if len({t.id for t in targets}) != len(targets):
+            raise ValueError("duplicate ids")
 
-    try:
-        scenario = Scenario(
-            camera=camera,
-            detector=detector,
-            tracker=tracker,
-            filter=filter_cfg,
-            planner=planner,
-            uav=uav,
-            mission=mission,
-            targets=tuple(targets),
-            name=str(data.get("name", "scenario")),
-            seed=int(data.get("seed", 0)),
-            frame_rate=float(data.get("frame_rate", 10.0)),
-            max_sim_time=float(data.get("max_sim_time", 3600.0)),
-            match_dist=float(data.get("match_dist", 2.0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ScenarioInvalid(str(exc)) from exc
-    if scenario.frame_rate <= 0 or scenario.max_sim_time <= 0 or scenario.match_dist <= 0:
-        raise ScenarioInvalid("frame_rate, max_sim_time, and match_dist must be positive")
-    return scenario
+        where = "scenario"
+        return Scenario(targets=tuple(targets), **fields)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ScenarioInvalid(f"{where}: {exc}") from exc
 
 
 def scenario_to_dict(s: Scenario) -> dict:
-    planner = dataclasses.asdict(s.planner)
-    planner["survey_polygon"] = [list(v) for v in s.planner.survey_polygon]
-    uav = dataclasses.asdict(s.uav)
-    if uav.get("start_position") is not None:
-        uav["start_position"] = list(uav["start_position"])
     return {
-        "name": s.name,
-        "seed": s.seed,
-        "frame_rate": s.frame_rate,
-        "max_sim_time": s.max_sim_time,
-        "match_dist": s.match_dist,
+        **{name: getattr(s, name) for name in _SCALARS},
+        **{name: dataclasses.asdict(getattr(s, name)) for name in _SECTIONS},
         "world": {
             "targets": [
                 {
@@ -170,13 +143,6 @@ def scenario_to_dict(s: Scenario) -> dict:
                 for t in s.targets
             ]
         },
-        "camera": dataclasses.asdict(s.camera),
-        "detector": dataclasses.asdict(s.detector),
-        "tracker": dataclasses.asdict(s.tracker),
-        "filter": dataclasses.asdict(s.filter),
-        "planner": planner,
-        "uav": uav,
-        "mission": dataclasses.asdict(s.mission),
     }
 
 
@@ -187,11 +153,19 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _finite_int(text: str) -> int:
+    _finite_float(text)  # an integer too large for a float is rejected like 1e999
+    return int(text)
+
+
 def load_scenario(path) -> Scenario:
-    """Parse a scenario file; NaN, Infinity and overflowing numbers are invalid."""
+    """Parse a scenario file; NaN, Infinity and numbers too large for a float are invalid."""
     try:
         data = json.loads(
-            Path(path).read_text(), parse_float=_finite_float, parse_constant=_finite_float
+            Path(path).read_text(),
+            parse_float=_finite_float,
+            parse_int=_finite_int,
+            parse_constant=_finite_float,
         )
     except (OSError, ValueError) as exc:
         raise ScenarioInvalid(f"cannot read scenario: {exc}") from exc
@@ -236,39 +210,6 @@ def _make_record(t, frame, uav, detections, boxes, flt, mission, events) -> dict
 # -- metrics -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StageScore:
-    tp: int = 0
-    fp: int = 0
-    fn: int = 0
-
-    @property
-    def precision(self) -> float | None:
-        return self.tp / (self.tp + self.fp) if self.tp + self.fp else None
-
-    @property
-    def recall(self) -> float | None:
-        return self.tp / (self.tp + self.fn) if self.tp + self.fn else None
-
-    def to_dict(self) -> dict:
-        return {
-            "tp": self.tp, "fp": self.fp, "fn": self.fn,
-            "precision": self.precision, "recall": self.recall,
-        }
-
-
-@dataclass(frozen=True)
-class StageMetrics:
-    detection: StageScore
-    generation: StageScore
-    converging: StageScore
-    converged: StageScore
-    mapped: StageScore
-
-    def to_dict(self) -> dict:
-        return {stage: getattr(self, stage).to_dict() for stage in STAGES}
-
-
 def _true_boxes_for_frame(record, scenario: Scenario):
     """Non-edge projected boxes of every visible true target."""
     pos = np.asarray(record["uav"]["true"]["position"])
@@ -299,18 +240,22 @@ def _match_event_target(record, target_id: int, scenario: Scenario) -> str | Non
     return None
 
 
-def compute_metrics(records: list[dict], scenario: Scenario) -> StageMetrics:
+def compute_metrics(records: list[dict], scenario: Scenario) -> dict:
     """Per-stage precision/recall against scenario ground truth.
 
-    Detection is counted per frame outside the mapping mode; the other
-    stages are counted per lifecycle event over the whole run, credited to
-    a true target when the estimate is within match_dist.
+    Returns {stage: {"tp", "fp", "fn", "precision", "recall"}} over STAGES;
+    precision or recall is None when its denominator is 0. Detection is
+    counted per frame outside the mapping mode; the other stages are
+    counted per lifecycle event over the whole run, credited to a true
+    target when the estimate is within match_dist (a spawn: its box
+    overlaps the target's by IoU > 0.5).
     """
     margin = scenario.filter.edge_margin_px
     counts = {stage: [0, 0, 0] for stage in STAGES}  # tp, fp, fn
-    credited = {stage: set() for stage in ("generation", "converging", "converged", "mapped")}
+    credited = {stage: set() for stage in STAGES[1:]}
 
     for record in records:
+        true_boxes = None
         if record["mode"] != MissionMode.MAPPING.value:
             true_boxes = _true_boxes_for_frame(record, scenario)
             dets = [
@@ -319,53 +264,44 @@ def compute_metrics(records: list[dict], scenario: Scenario) -> StageMetrics:
                 if not on_image_edge(np.asarray(d["bbox"]), scenario.camera, margin)
             ]
             expected = list(true_boxes.values())
-            if dets and expected:
-                m = np.array([[iou(d, e) for e in expected] for d in dets])
-                pairs, unmatched_d, unmatched_e = hungarian_assign(m, maximize=True)
-                for di, ei in pairs:
-                    if m[di, ei] > DETECTION_IOU_MIN:
-                        counts["detection"][0] += 1
-                    else:
-                        unmatched_d.append(di)
-                        unmatched_e.append(ei)
-                counts["detection"][1] += len(unmatched_d)
-                counts["detection"][2] += len(unmatched_e)
-            else:
-                counts["detection"][1] += len(dets)
-                counts["detection"][2] += len(expected)
+            m = np.array([[iou(d, e) for e in expected] for d in dets])
+            m = m.reshape(len(dets), len(expected))
+            pairs, _, _ = hungarian_assign(m, maximize=True)
+            tp = sum(1 for di, ei in pairs if m[di, ei] > DETECTION_IOU_MIN)
+            counts["detection"][0] += tp
+            counts["detection"][1] += len(dets) - tp
+            counts["detection"][2] += len(expected) - tp
 
         for ev in record["events"]:
-            kind = ev["type"]
-            if kind == "spawned":
-                true_boxes = _true_boxes_for_frame(record, scenario)
+            stage = "generation" if ev["type"] == "spawned" else ev["type"]
+            if stage not in credited:
+                continue
+            if stage == "generation":
+                if true_boxes is None:
+                    true_boxes = _true_boxes_for_frame(record, scenario)
                 bbox = np.asarray(ev["bbox"])
-                scores = {
-                    tid: iou(bbox, tb) for tid, tb in true_boxes.items()
-                }
-                best = max(scores, key=scores.get, default=None)
-                if best is not None and scores[best] > DETECTION_IOU_MIN:
-                    counts["generation"][0] += 1
-                    credited["generation"].add(best)
-                else:
-                    counts["generation"][1] += 1
-            elif kind in ("converging", "converged", "mapped"):
+                scores = {tid: iou(bbox, tb) for tid, tb in true_boxes.items()}
+                match = max(scores, key=scores.get, default=None)
+                if match is not None and scores[match] <= DETECTION_IOU_MIN:
+                    match = None
+            else:
                 match = _match_event_target(record, ev["target"], scenario)
-                if match is not None:
-                    counts[kind][0] += 1
-                    credited[kind].add(match)
-                else:
-                    counts[kind][1] += 1
+            if match is None:
+                counts[stage][1] += 1
+            else:
+                counts[stage][0] += 1
+                credited[stage].add(match)
 
-    n_true = len(scenario.targets)
-    for stage in ("generation", "converging", "converged", "mapped"):
-        counts[stage][2] = n_true - len(credited[stage])
-
-    return StageMetrics(
-        **{
-            stage: StageScore(tp=c[0], fp=c[1], fn=c[2])
-            for stage, c in counts.items()
+    for stage, ids in credited.items():
+        counts[stage][2] = len(scenario.targets) - len(ids)
+    return {
+        stage: {
+            "tp": tp, "fp": fp, "fn": fn,
+            "precision": tp / (tp + fp) if tp + fp else None,
+            "recall": tp / (tp + fn) if tp + fn else None,
         }
-    )
+        for stage, (tp, fp, fn) in counts.items()
+    }
 
 
 # -- simulation loop ---------------------------------------------------------
@@ -376,7 +312,7 @@ class RunResult:
     completed: bool
     frames: int
     sim_time: float
-    metrics: StageMetrics
+    metrics: dict
     records: list
     mapped_true_ids: set
     trace_path: Path | None = None
@@ -473,11 +409,8 @@ def run(scenario: Scenario, out_dir=None, write_trace: bool = True) -> RunResult
             if trace_fh is not None:
                 trace_fh.write(_json_line({"type": "frame", "record": record}) + "\n")
 
-            if all_true_ids and mission.mapped_true_ids >= all_true_ids:
-                completed = True
-                break
-            if mission.idle():
-                completed = not all_true_ids or mission.mapped_true_ids >= all_true_ids
+            if (all_true_ids and mission.mapped_true_ids >= all_true_ids) or mission.idle():
+                completed = mission.mapped_true_ids >= all_true_ids
                 break
         sim_time = frame * dt
         if not completed:
@@ -504,7 +437,7 @@ def run(scenario: Scenario, out_dir=None, write_trace: bool = True) -> RunResult
                         "frames": frame,
                         "sim_time": sim_time,
                         "mapped_true_ids": sorted(result.mapped_true_ids),
-                        "metrics": metrics.to_dict(),
+                        "metrics": metrics,
                     }
                 )
                 + "\n"

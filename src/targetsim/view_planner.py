@@ -146,6 +146,15 @@ def _circle_loop(
     return waypoints
 
 
+def _start_angle(center, position) -> float:
+    """Bearing of `position` from `center` in the xy-plane; 0 when it is
+    unknown or on the center."""
+    if position is None:
+        return 0.0
+    offset = np.asarray(position, dtype=float)[:2] - center[:2]
+    return float(np.arctan2(offset[1], offset[0])) if np.linalg.norm(offset) > 1e-9 else 0.0
+
+
 def estimation_circle(
     center: np.ndarray,
     search_altitude: float,
@@ -163,9 +172,7 @@ def estimation_circle(
     if dz <= 0:
         raise TargetAboveSearchPlane(f"center z {c[2]} >= altitude {search_altitude}")
     radius = dz / np.tan(view_angle)
-    cur = np.asarray(current_position, dtype=float).reshape(3)
-    offset = cur[:2] - c[:2]
-    start_angle = float(np.arctan2(offset[1], offset[0])) if np.linalg.norm(offset) > 1e-9 else 0.0
+    start_angle = _start_angle(c, current_position)
     return _circle_loop(c[:2], radius, search_altitude, start_angle, waypoint_spacing)
 
 
@@ -187,12 +194,7 @@ def mapping_circles(
     r_c = cyl.radius + cfg.standoff
     z = cyl.z_bottom + cfg.standoff * np.tan(gamma_l)
     dz = cfg.standoff * (np.tan(gamma_l) - np.tan(gamma_u))
-
-    if current_position is not None:
-        offset = np.asarray(current_position, dtype=float)[:2] - cyl.center[:2]
-        start_angle = float(np.arctan2(offset[1], offset[0])) if np.linalg.norm(offset) > 1e-9 else 0.0
-    else:
-        start_angle = 0.0
+    start_angle = _start_angle(cyl.center, current_position)
 
     waypoints: list[Waypoint] = []
     while True:

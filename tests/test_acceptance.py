@@ -87,7 +87,7 @@ def test_criterion_1_nominal_closed_loop(nominal_result):
         assert result.completed and result.mapped_true_ids == {"rock_a"}
         errs = event_error(result, "converged", scenario)
         assert len(errs) == 1 and errs[0] < 0.5
-        for stage, score in result.metrics.to_dict().items():
+        for stage, score in result.metrics.items():
             assert score["precision"] == 1.0, stage
             assert score["recall"] == 1.0, stage
         assert result.wall_time < 30.0
@@ -98,7 +98,7 @@ def test_criterion_2_five_targets_noisy(noisy_result):
         scenario, result = noisy_result
         assert result.completed
         assert result.mapped_true_ids == {t.id for t in scenario.targets}
-        m = result.metrics.to_dict()
+        m = result.metrics
         assert m["converged"]["precision"] == 1.0
         assert m["mapped"]["precision"] == 1.0
         assert m["mapped"]["recall"] == 1.0

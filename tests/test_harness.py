@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from targetsim.cli import main as cli_main
 from targetsim.harness import (
@@ -57,19 +59,32 @@ def two_vertex_polygon() -> dict:
     return data
 
 
+def with_leaf(path, value) -> dict:
+    """A copy of BASE with the value at key path `path` replaced."""
+    data = copy.deepcopy(BASE)
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
+
+
 def bad_scenario_texts() -> dict[str, str]:
-    """Scenario files that `validate` once accepted and `run` crashed on."""
-    nan_rate = copy.deepcopy(BASE)
-    nan_rate["frame_rate"] = float("nan")  # json.dumps writes NaN
-    nan_fx = copy.deepcopy(BASE)
-    nan_fx["camera"]["fx"] = float("nan")
+    """Scenario files that `validate` once accepted or crashed on, and `run` crashed on."""
     overflow = json.dumps(BASE).replace('"frame_rate": 10.0', '"frame_rate": 1e999')
-    assert "1e999" in overflow
+    huge_rate = json.dumps(BASE).replace('"frame_rate": 10.0', '"frame_rate": 1' + "0" * 400)
+    huge_fx = json.dumps(BASE).replace('"fx": 600.0', '"fx": 6' + "0" * 400)
+    assert "1e999" in overflow and "0" * 400 in huge_rate and "0" * 400 in huge_fx
     return {
-        "nan_frame_rate": json.dumps(nan_rate),
-        "nan_fx": json.dumps(nan_fx),
+        "nan_frame_rate": json.dumps(with_leaf(("frame_rate",), float("nan"))),  # writes NaN
+        "nan_fx": json.dumps(with_leaf(("camera", "fx"), float("nan"))),
         "overflow_frame_rate": overflow,
+        "huge_int_frame_rate": huge_rate,
+        "huge_int_fx": huge_fx,
         "two_vertex_polygon": json.dumps(two_vertex_polygon()),
+        "polygon_of_scalars": json.dumps(with_leaf(("planner", "survey_polygon"), [1, 2, 3])),
+        "scalar_start_position": json.dumps(with_leaf(("uav", "start_position"), 5)),
+        "zero_n_surface": json.dumps(with_leaf(("world", "targets", 0, "n_surface"), 0)),
     }
 
 
@@ -149,6 +164,35 @@ class TestScenarioSchema:
                 load_scenario(bad)
 
 
+def leaf_paths(node, path=()) -> list[tuple]:
+    """Key paths of a JSON value's scalars and empty containers."""
+    if isinstance(node, (dict, list)) and node:
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        return [leaf for key, child in items for leaf in leaf_paths(child, path + (key,))]
+    return [path]
+
+
+# Small integers and short strings: an n_surface of at most 10^4 points
+# keeps every drawn scenario cheap to build.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10_000, 10_000) | st.floats(-1e4, 1e4)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(path=st.sampled_from(leaf_paths(BASE)), value=JSON_VALUES)
+def test_any_leaf_value_loads_or_raises_scenario_invalid(path, value):
+    try:
+        loaded = scenario_from_dict(with_leaf(path, value))
+    except ScenarioInvalid:
+        return
+    assert isinstance(loaded, Scenario)
+
+
 class TestRun:
     def test_zero_targets_completes_with_na_metrics(self):
         data = copy.deepcopy(BASE)
@@ -157,7 +201,7 @@ class TestRun:
         s = scenario_from_dict(data)
         result = run(s, out_dir=None, write_trace=False)
         assert result.completed
-        m = result.metrics.to_dict()
+        m = result.metrics
         for stage in ("generation", "converging", "converged", "mapped"):
             assert m[stage]["precision"] is None
             assert m[stage]["recall"] is None
@@ -166,7 +210,7 @@ class TestRun:
         result = run(scenario(), out_dir=None, write_trace=False)
         assert result.completed
         assert result.mapped_true_ids == {"rock"}
-        m = result.metrics.to_dict()
+        m = result.metrics
         for stage in ("detection", "generation", "converging", "converged", "mapped"):
             assert m[stage]["precision"] == 1.0
             assert m[stage]["recall"] == 1.0
@@ -186,7 +230,7 @@ class TestRun:
         assert len(replay_records) == len(result.records)
         # metrics recomputed from the persisted trace equal the online ones
         replay_metrics = compute_metrics(replay_records, replay_scenario)
-        assert replay_metrics.to_dict() == result.metrics.to_dict()
+        assert replay_metrics == result.metrics
         clouds = list(tmp_path.glob("cloud_*.xyz"))
         assert len(clouds) == 1
 
@@ -283,7 +327,7 @@ class TestMetricsCounting:
             records.append(self.make_record(s, cam_x, [], t=0.1 * (i + 48)))
         for i in range(6):
             records.append(self.make_record(s, cam_x, [spurious], t=0.1 * (i + 55)))
-        m = compute_metrics(records, s).to_dict()["detection"]
+        m = compute_metrics(records, s)["detection"]
         assert m["tp"] == 47 and m["fp"] == 6 and m["fn"] == 13
         assert m["precision"] == pytest.approx(0.887, abs=5e-4)
         assert m["recall"] == pytest.approx(0.783, abs=5e-4)
@@ -300,9 +344,19 @@ class TestMetricsCounting:
         rec = self.make_record(s, cam_x, [], t=1.2)
         rec["events"] = [{"type": "spawned", "target": 99, "bbox": [10.0, 10.0, 40.0, 40.0]}]
         records.append(rec)
-        m = compute_metrics(records, s).to_dict()["generation"]
+        m = compute_metrics(records, s)["generation"]
         assert m["tp"] == 11 and m["fp"] == 1
         assert m["precision"] == pytest.approx(11.0 / 12.0)
+
+    def test_spawn_in_mapping_mode_scored_for_generation_only(self):
+        s = scenario()
+        tb = self.true_box(s, 15.0)
+        rec = self.make_record(s, 15.0, [tb, [100.0, 100.0, 150.0, 150.0]])
+        rec["mode"] = "mapping"
+        rec["events"] = [{"type": "spawned", "target": 1, "bbox": list(tb)}]
+        m = compute_metrics([rec], s)
+        assert (m["generation"]["tp"], m["generation"]["fp"]) == (1, 0)
+        assert (m["detection"]["tp"], m["detection"]["fp"], m["detection"]["fn"]) == (0, 0, 0)
 
     def test_edge_boxes_excluded_from_detection_counts(self):
         s = scenario()
@@ -310,7 +364,7 @@ class TestMetricsCounting:
         # camera far from the target: no true boxes; the only detection
         # touches the edge and must be ignored
         records[0]["uav"]["true"]["position"] = [0.0, 50.0, 30.0]
-        m = compute_metrics(records, s).to_dict()["detection"]
+        m = compute_metrics(records, s)["detection"]
         assert m["tp"] == 0 and m["fp"] == 0
 
 
