@@ -38,11 +38,11 @@ def _print_metrics(metrics: dict) -> None:
 def _cmd_run(args) -> int:
     try:
         scenario = load_scenario(args.scenario)
-    except ScenarioInvalid as exc:
+        if args.seed is not None:
+            scenario = dataclasses.replace(scenario, seed=args.seed)
+    except ValueError as exc:  # ScenarioInvalid, or a --seed that Scenario rejects
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    if args.seed is not None:
-        scenario = dataclasses.replace(scenario, seed=args.seed)
     result = run(scenario, out_dir=args.out, write_trace=not args.metrics_only)
     print(
         f"{scenario.name}: {'completed' if result.completed else 'INCOMPLETE'} "

@@ -37,6 +37,8 @@ class TargetModel:
         )
         if self.surface_points.shape != self.surface_normals.shape:
             raise ValueError("surface points and normals must align")
+        if not len(self.surface_points):
+            raise ValueError("a target needs at least one surface point")
 
 
 def ellipsoid_target(target_id: str, center, semi_axes, n_surface: int = 400) -> TargetModel:
@@ -45,8 +47,6 @@ def ellipsoid_target(target_id: str, center, semi_axes, n_surface: int = 400) ->
     axes = np.asarray(semi_axes, dtype=float)
     if np.any(axes <= 0):
         raise ValueError("semi-axes must be positive")
-    if n_surface < 1:
-        raise ValueError("n_surface must be >= 1")
     i = np.arange(n_surface, dtype=float)
     golden = np.pi * (3.0 - np.sqrt(5.0))
     z = 1.0 - 2.0 * (i + 0.5) / n_surface
@@ -89,36 +89,65 @@ class DetectorConfig:
             raise ValueError("pixel noise sigma must be >= 0")
 
 
+@dataclass(frozen=True)
+class Surfaces:
+    """Every target's surface points in one array, so that a frame projects
+    all true targets with one call. Target i owns the rows from starts[i]
+    up to the next start."""
+
+    points: np.ndarray  # (sum of n_surface, 3) world frame
+    starts: np.ndarray  # (n_targets,) first row of each target
+
+    @classmethod
+    def of(cls, targets) -> "Surfaces":
+        sizes = np.array([len(t.surface_points) for t in targets], dtype=np.intp)
+        points = np.concatenate([t.surface_points for t in targets] or [np.empty((0, 3))])
+        return cls(points, np.cumsum(sizes) - sizes)
+
+
+def visible_bboxes(
+    surfaces: Surfaces, cam_from_world: Pose, k: CameraIntrinsics
+) -> list[np.ndarray | None]:
+    """Tight projected bbox of each target's surface, or None.
+
+    A target counts as visible only when its whole projected extent lies
+    inside the image; partially visible targets yield None. Min and max
+    are exact, so each box equals the one projecting that target alone.
+    """
+    starts = surfaces.starts
+    if not len(starts):
+        return []
+    uv, depths = project_points(surfaces.points, cam_from_world, k)
+    behind = np.logical_or.reduceat(depths <= 0, starts)
+    lo = np.minimum.reduceat(uv, starts, axis=0)
+    hi = np.maximum.reduceat(uv, starts, axis=0)
+    hidden = (
+        behind
+        | (lo[:, 0] < 0) | (lo[:, 1] < 0)
+        | (hi[:, 0] > k.width) | (hi[:, 1] > k.height)
+    )
+    boxes = np.concatenate([lo, hi], axis=1)
+    return [None if h else box for h, box in zip(hidden, boxes)]
+
+
 def visible_bbox(
     target: TargetModel, cam_from_world: Pose, k: CameraIntrinsics
 ) -> np.ndarray | None:
-    """Tight projected bbox of the target's surface, or None.
-
-    A target counts as visible only when its whole projected extent lies
-    inside the image; partially visible targets yield None.
-    """
-    uv, depths = project_points(target.surface_points, cam_from_world, k)
-    if np.any(depths <= 0):
-        return None
-    u_min, v_min = uv.min(axis=0)
-    u_max, v_max = uv.max(axis=0)
-    if u_min < 0 or v_min < 0 or u_max > k.width or v_max > k.height:
-        return None
-    return np.array([u_min, v_min, u_max, v_max])
+    """visible_bboxes for one target."""
+    return visible_bboxes(Surfaces.of([target]), cam_from_world, k)[0]
 
 
 def detect(
     cam_from_world: Pose,
     k: CameraIntrinsics,
-    targets: list[TargetModel],
+    surfaces: Surfaces,
     cfg: DetectorConfig,
     rng: np.random.Generator,
     frame_id: int = 0,
 ) -> list[Detection]:
     """One simulated detector inference on the current camera view."""
     detections: list[Detection] = []
-    for target in targets:
-        bbox = visible_bbox(target, cam_from_world, k)
+    for bbox in visible_bboxes(surfaces, cam_from_world, k):
         if bbox is None:
             continue
         if cfg.fn_rate > 0 and rng.random() < cfg.fn_rate:

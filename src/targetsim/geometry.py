@@ -11,6 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 
 ORTHONORMAL_TOL = 1e-9
+_EYE = np.eye(3)
+# Per-entry bound on |r @ r.T - I|: np.allclose's atol plus its default
+# rtol (1e-5) times |I|, so the diagonal gets the looser bound.
+_GRAM_TOL = ORTHONORMAL_TOL + 1e-5 * _EYE
 
 
 class NonPositiveDepth(ValueError):
@@ -52,7 +56,7 @@ class Pose:
     def __post_init__(self):
         r = np.asarray(self.rotation, dtype=float).reshape(3, 3)
         t = np.asarray(self.translation, dtype=float).reshape(3)
-        if not np.allclose(r @ r.T, np.eye(3), atol=ORTHONORMAL_TOL):
+        if not (np.abs(r @ r.T - _EYE) <= _GRAM_TOL).all():
             raise ValueError("rotation is not orthonormal")
         if abs(np.linalg.det(r) - 1.0) > 1e-6:
             raise ValueError("rotation determinant is not +1")

@@ -11,12 +11,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .detector import DetectorConfig, detect, ellipsoid_target, visible_bbox
+from .detector import DetectorConfig, Surfaces, detect, ellipsoid_target, visible_bboxes
+from .detector import visible_bbox  # noqa: F401  perfbench/tracer.py wraps harness.visible_bbox
 from .geometry import CameraIntrinsics, Pose
 from .mission import MissionConfig, MissionExecutive, MissionMode
 from .points_filter import FilterConfig, PointsFilter, on_image_edge
@@ -49,10 +51,15 @@ class Scenario:
     frame_rate: float = 10.0
     max_sim_time: float = 3600.0
     match_dist: float = 2.0
+    # the targets' surface points stacked once, for one projection per frame
+    surfaces: Surfaces = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.frame_rate <= 0 or self.max_sim_time <= 0 or self.match_dist <= 0:
             raise ValueError("frame_rate, max_sim_time, and match_dist must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "surfaces", Surfaces.of(self.targets))
 
 
 # The config sections in build order: planner precedes filter, whose
@@ -73,6 +80,21 @@ _SCALARS = {
     if f.default is not dataclasses.MISSING
 }
 _TARGET_KEYS = {"id", "center", "semi_axes", "n_surface"}
+
+
+def _check_json_types(cls, kwargs: dict) -> None:
+    """Raise TypeError for a value whose type its field's annotation does not
+    allow. An int passes for a float; a bool is not a number. Values are not
+    cast, so the header serialises them as written."""
+    hints = typing.get_type_hints(cls)
+    for name, value in kwargs.items():
+        if name not in hints:
+            continue  # the dataclass itself reports an unknown field
+        expected = typing.get_args(hints[name]) or (hints[name],)  # X | None -> (X, NoneType)
+        allowed = expected + (int,) if float in expected else expected
+        if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
+            names = " or ".join(t.__name__ for t in expected)
+            raise TypeError(f"{name} must be {names}, got {type(value).__name__}")
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -98,6 +120,7 @@ def scenario_from_dict(data: dict) -> Scenario:
                 kwargs.setdefault("max_depth", fields["planner"].search_altitude + 20.0)
             elif where == "uav" and kwargs.get("start_position") is not None:
                 kwargs["start_position"] = tuple(float(c) for c in kwargs["start_position"])
+            _check_json_types(cls, kwargs)
             fields[where] = cls(**kwargs)
 
         where = "world"
@@ -178,7 +201,7 @@ def load_scenario(path) -> Scenario:
 def _make_record(t, frame, uav, detections, boxes, flt, mission, events) -> dict:
     targets = []
     for tgt in flt.targets:
-        summary = tgt.summary()
+        summary = tgt.summary
         targets.append(
             {
                 "id": tgt.target_id,
@@ -217,13 +240,12 @@ def _true_boxes_for_frame(record, scenario: Scenario):
     cam = camera_pose(Pose.from_yaw(yaw, pos), scenario.planner.cam_depression)
     cam_from_world = cam.inverse()
     margin = scenario.filter.edge_margin_px
-    boxes = {}
-    for target in scenario.targets:
-        bbox = visible_bbox(target, cam_from_world, scenario.camera)
-        if bbox is None or on_image_edge(bbox, scenario.camera, margin):
-            continue
-        boxes[target.id] = bbox
-    return boxes
+    bboxes = visible_bboxes(scenario.surfaces, cam_from_world, scenario.camera)
+    return {
+        target.id: bbox
+        for target, bbox in zip(scenario.targets, bboxes)
+        if bbox is not None and not on_image_edge(bbox, scenario.camera, margin)
+    }
 
 
 def _match_event_target(record, target_id: int, scenario: Scenario) -> str | None:
@@ -394,7 +416,7 @@ def run(scenario: Scenario, out_dir=None, write_trace: bool = True) -> RunResult
             est_cam = camera_pose(uav.est_body_pose(), scenario.planner.cam_depression)
 
             detections = detect(
-                true_cam.inverse(), k, list(scenario.targets), scenario.detector, rng, frame
+                true_cam.inverse(), k, scenario.surfaces, scenario.detector, rng, frame
             )
             boxes = tracker.step(detections)
             filter_events, updated = flt.tick(boxes, est_cam, rng)

@@ -260,7 +260,7 @@ class MissionExecutive:
         self.mode = MissionMode.ESTIMATION
         self.active_target = target_id
         self._plan = estimation_circle(
-            target.centroid(),
+            target.summary.mean,
             self.planner_cfg.search_altitude,
             self.planner_cfg.estimation_view_angle,
             uav_position,
@@ -294,7 +294,7 @@ class MissionExecutive:
             if target is None or target.state is not TargetState.CONVERGED:
                 continue
             if check_already_mapped(
-                target.centroid(), self.mapped_centers, self.filter.cfg.already_mapped_dist
+                target.summary.mean, self.mapped_centers, self.filter.cfg.already_mapped_dist
             ):
                 events.append(self.filter.deregister(target_id))
                 events.append(Event("duplicate_dropped", target_id))

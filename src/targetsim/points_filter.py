@@ -12,7 +12,7 @@ it as converged.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -124,7 +124,7 @@ class FilterConfig:
 @dataclass
 class PointTarget:
     target_id: int
-    points: np.ndarray  # (m, 3)
+    points: np.ndarray  # (m, 3); assign through set_points
     state: TargetState
     last_keyframe: Pose
     kld_streak: int = 0
@@ -132,12 +132,14 @@ class PointTarget:
     mapped_cloud: np.ndarray | None = None
     last_kld: float | None = None
     last_entropy: float | None = None
+    summary: GaussianSummary = field(init=False, repr=False)  # of points
 
-    def summary(self) -> GaussianSummary:
-        return GaussianSummary.from_points(self.points)
+    def __post_init__(self):
+        self.set_points(self.points)
 
-    def centroid(self) -> np.ndarray:
-        return self.points.mean(axis=0)
+    def set_points(self, points: np.ndarray) -> None:
+        self.points = points
+        self.summary = GaussianSummary.from_points(points)
 
 
 @dataclass(frozen=True)
@@ -387,7 +389,7 @@ class PointsFilter:
         target.state = TargetState.MAPPED
         target.mapped_cloud = np.asarray(cloud, dtype=float).reshape(-1, 3)
         if target.mapped_cloud.size:
-            target.points = target.mapped_cloud
+            target.set_points(target.mapped_cloud)
         target.miss_counter = 0
 
     def tick(
@@ -429,11 +431,11 @@ class PointsFilter:
                 )
             except AllZeroWeights:
                 continue  # counts as a missed update
-            target.points = new_points
+            target.set_points(new_points)
             target.last_keyframe = camera_pose
             target.last_kld = kld
             target.kld_streak = target.kld_streak + 1 if kld < cfg.kld_threshold else 0
-            entropy = differential_entropy(target.summary())
+            entropy = differential_entropy(target.summary)
             target.last_entropy = entropy
             target.miss_counter = 0
             refreshed.add(target.target_id)
@@ -467,7 +469,7 @@ class PointsFilter:
                 state=TargetState.TRACKING,
                 last_keyframe=camera_pose,
             )
-            target.last_entropy = differential_entropy(target.summary())
+            target.last_entropy = differential_entropy(target.summary)
             self._next_id += 1
             self.targets.append(target)
             refreshed.add(target.target_id)

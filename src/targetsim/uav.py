@@ -34,6 +34,8 @@ class UavConfig:
             raise ValueError("kinematic limits and dt must be positive")
         if self.pose_noise_sigma < 0:
             raise ValueError("pose noise sigma must be >= 0")
+        if self.start_position is not None and len(self.start_position) != 3:
+            raise ValueError(f"start_position needs 3 coordinates, got {len(self.start_position)}")
 
 
 @dataclass(frozen=True)

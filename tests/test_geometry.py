@@ -15,8 +15,8 @@ from targetsim.geometry import CameraIntrinsics, NonPositiveDepth, Pose, project
 K = CameraIntrinsics(fx=100.0, fy=100.0, cx=320.0, cy=240.0, width=640, height=480)
 
 
-def random_rotation(rng):
-    q = rng.normal(size=4)
+def quaternion_rotation(q):
+    q = np.asarray(q, dtype=float)
     q /= np.linalg.norm(q)
     w, x, y, z = q
     return np.array(
@@ -26,6 +26,23 @@ def random_rotation(rng):
             [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
         ]
     )
+
+
+def random_rotation(rng):
+    return quaternion_rotation(rng.normal(size=4))
+
+
+def old_pose_check(r) -> bool:
+    """Pose's orthonormality and determinant check as np.allclose wrote it."""
+    return bool(np.allclose(r @ r.T, np.eye(3), atol=1e-9)) and abs(np.linalg.det(r) - 1.0) <= 1e-6
+
+
+def pose_accepts(r) -> bool:
+    try:
+        Pose(r, np.zeros(3))
+    except ValueError:
+        return False
+    return True
 
 
 def random_pose(rng):
@@ -147,3 +164,28 @@ class TestPose:
     def test_from_yaw(self):
         pose = Pose.from_yaw(np.pi / 2.0, [1.0, 2.0, 3.0])
         np.testing.assert_allclose(pose.transform([1.0, 0.0, 0.0]), [1.0, 3.0, 3.0], atol=1e-12)
+
+    def test_diagonal_rtol_band_accepted(self):
+        # np.allclose's default rtol loosens the diagonal of r @ r.T to
+        # 1e-5 + 1e-9; the off-diagonal keeps atol 1e-9
+        r = quaternion_rotation([0.9, 0.1, -0.3, 0.2])
+        assert pose_accepts(np.diag([1 + 3e-6, 1 - 3e-6, 1.0]) @ r)
+        assert not pose_accepts(np.diag([1 + 6e-6, 1 - 6e-6, 1.0]) @ r)
+
+    @given(
+        q=st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda q: np.linalg.norm(q) > 0.1),
+        band=st.floats(-1e-5, 1e-5),
+        tilt=st.floats(-2e-6, 2e-6),
+        off=st.floats(-3e-9, 3e-9),
+        reflect=st.booleans(),
+    )
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    def test_check_matches_allclose_and_det(self, q, band, tilt, off, reflect):
+        # rows scaled by 1 + band and 1 - band straddle the diagonal rtol
+        # bound while keeping det near 1; tilt straddles the det bound, off
+        # the off-diagonal atol bound; some rotations are reflected
+        r = np.diag([1.0 + band, 1.0 - band, 1.0 + tilt]) @ quaternion_rotation(q)
+        r[0, 1] += off
+        if reflect:
+            r = -r
+        assert pose_accepts(r) == old_pose_check(r)

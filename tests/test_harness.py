@@ -85,6 +85,11 @@ def bad_scenario_texts() -> dict[str, str]:
         "polygon_of_scalars": json.dumps(with_leaf(("planner", "survey_polygon"), [1, 2, 3])),
         "scalar_start_position": json.dumps(with_leaf(("uav", "start_position"), 5)),
         "zero_n_surface": json.dumps(with_leaf(("world", "targets", 0, "n_surface"), 0)),
+        "negative_seed": json.dumps(with_leaf(("seed",), -1)),
+        "two_coordinate_start_position": json.dumps(
+            with_leaf(("uav", "start_position"), [1.0, 2.0])
+        ),
+        "string_lane_spacing": json.dumps(with_leaf(("planner", "lane_spacing"), "20")),
     }
 
 
@@ -138,6 +143,21 @@ class TestScenarioSchema:
         data["max_sim_time"] = -1.0
         with pytest.raises(ScenarioInvalid):
             scenario_from_dict(data)
+
+    def test_section_field_types_checked_not_cast(self):
+        # an int passes for a float and is serialised as written
+        s = scenario_from_dict(with_leaf(("planner", "lane_spacing"), 20))
+        assert type(scenario_to_dict(s)["planner"]["lane_spacing"]) is int
+        scenario_from_dict(with_leaf(("filter", "min_points_in_box"), None))  # int | None
+        for path, value in (
+            (("mission", "voxel_size"), True),  # a bool is not a number
+            (("filter", "m"), 1000.0),
+            (("filter", "entropy_below"), 1),
+            (("filter", "min_points_in_box"), "5"),
+            (("camera", "width"), "640"),
+        ):
+            with pytest.raises(ScenarioInvalid, match=path[-1]):
+                scenario_from_dict(with_leaf(path, value))
 
     def test_max_depth_defaults_from_altitude(self):
         data = copy.deepcopy(BASE)
@@ -415,6 +435,12 @@ class TestCli:
         assert cli_main(["validate", str(path)]) == 2
         assert cli_main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.count("invalid scenario") == 2
+
+    def test_negative_seed_override_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(BASE))
+        assert cli_main(["run", str(path), "--out", str(tmp_path / "o"), "--seed", "-1"]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
 
     def test_replay_missing_file_exit_2(self, tmp_path):
         assert cli_main(["replay-metrics", str(tmp_path / "nope.jsonl")]) == 2

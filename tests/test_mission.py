@@ -124,7 +124,7 @@ class TestTransitions:
         assert mission.mode is MissionMode.MAPPING
         assert any(e.kind == "mode_change" and e.mode == "mapping" for e in events)
         wp = mission.current_waypoint()
-        r = np.linalg.norm(wp.position[:2] - flt.get(1).centroid()[:2])
+        r = np.linalg.norm(wp.position[:2] - flt.get(1).summary.mean[:2])
         assert r == pytest.approx(mission._cylinder.radius + PLANNER.standoff, abs=1e-6)
 
     def test_mapping_completion_marks_mapped_and_resumes(self):

@@ -286,7 +286,7 @@ class TestUpdatePoints:
             kinds += [e.kind for e in events]
             assert flt.targets[0].points.shape == (flt.cfg.m, 3)
         assert kinds[:2] == ["spawned", "converging"]
-        err = np.linalg.norm(flt.targets[0].centroid() - true_center)
+        err = np.linalg.norm(flt.targets[0].summary.mean - true_center)
         assert err < 0.5
 
 
@@ -415,6 +415,30 @@ class TestTickLifecycle:
             _, updated = flt.tick([TrackedBox(1, bbox, 5, 0)], cam, rng)
             assert updated == []
         assert flt.targets[0].miss_counter == 5
+
+
+    def test_cached_summary_equals_fresh_fit(self):
+        # the summary is refitted only where the points change: spawn,
+        # keyframe update and mark_mapped
+        def assert_fresh(target):
+            fresh = GaussianSummary.from_points(target.points)
+            np.testing.assert_array_equal(target.summary.mean, fresh.mean)
+            np.testing.assert_array_equal(target.summary.covariance, fresh.covariance)
+
+        rng = np.random.default_rng(15)
+        flt = PointsFilter(K, FilterConfig(max_depth=50.0))
+        bbox = np.array([280.0, 200.0, 360.0, 280.0])
+        flt.tick([TrackedBox(1, bbox, 5, 0)], self.overhead_cam(0.0), rng)
+        target = flt.targets[0]
+        assert_fresh(target)
+        spawned = target.points
+        _, updated = flt.tick([TrackedBox(1, bbox, 5, 0)], self.overhead_cam(1.0), rng)
+        assert updated == [target.target_id] and target.points is not spawned
+        assert_fresh(target)
+        cloud = rng.normal(size=(50, 3))
+        flt.mark_mapped(target.target_id, cloud)
+        np.testing.assert_array_equal(target.points, cloud)
+        assert_fresh(target)
 
 
 class TestCheckAlreadyMapped:
