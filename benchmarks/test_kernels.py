@@ -5,13 +5,15 @@
 This directory is outside the tier-1 `testpaths`, so the plain test run
 does not collect it. Inputs are sized like the benchmark workloads: five
 400-point true targets (survey5) and 4,000-point clouds, about seven live
-at once (clutter1), seen by the survey camera at 30 m.
+at once (clutter1), seen by the survey camera at 30 m. The batched true-box
+case projects survey5's five targets from 1,024 survey poses, two metric
+chunks' worth.
 """
 
 import numpy as np
 import pytest
 
-from targetsim.detector import Surfaces, ellipsoid_target, visible_bboxes
+from targetsim.detector import Surfaces, ellipsoid_target, visible_bboxes, visible_boxes
 from targetsim.geometry import CameraIntrinsics, Pose, project_points
 from targetsim.points_filter import (
     FilterConfig,
@@ -47,6 +49,25 @@ def surfaces():
 
 
 @pytest.fixture(scope="module")
+def survey5():
+    """survey5's five true targets and 1,024 cam-from-world poses flown over
+    its 200 m square at the search altitude, each along a lane (yaw 0 or pi)."""
+    targets = [
+        ellipsoid_target("rock_a", [45.0, 32.0, 1.0], [1.0, 1.0, 1.0]),
+        ellipsoid_target("rock_b", [150.0, 55.0, 1.2], [1.2, 1.0, 1.2]),
+        ellipsoid_target("rock_c", [80.0, 105.0, 0.9], [0.9, 1.1, 0.9]),
+        ellipsoid_target("rock_d", [170.0, 148.0, 1.0], [1.0, 0.9, 1.0]),
+        ellipsoid_target("rock_e", [60.0, 178.0, 1.1], [1.1, 1.1, 1.1]),
+    ]
+    rng = np.random.default_rng(2)
+    n = 1024
+    positions = np.column_stack([rng.uniform(0.0, 200.0, (n, 2)), np.full(n, 30.0)])
+    body = Pose.from_yaw(np.pi * rng.integers(0, 2, n), positions)
+    cams = camera_pose(body, np.deg2rad(60.0)).inverse()
+    return Surfaces.of(targets), cams
+
+
+@pytest.fixture(scope="module")
 def clouds():
     rng = np.random.default_rng(0)
     return [
@@ -61,12 +82,20 @@ def clouds():
 
 
 def test_project_points(benchmark, clouds):
-    benchmark(project_points, clouds[0].points, CAM_FROM_WORLD, K)
+    benchmark(
+        project_points, clouds[0].points, CAM_FROM_WORLD.rotation, CAM_FROM_WORLD.translation, K
+    )
 
 
 def test_visible_bboxes(benchmark, surfaces):
     boxes = benchmark(visible_bboxes, surfaces, CAM_FROM_WORLD, K)
     assert len(boxes) == 5
+
+
+def test_visible_boxes_batched(benchmark, survey5):
+    surfaces, cams = survey5
+    boxes, visible = benchmark(visible_boxes, surfaces, cams.rotation, cams.translation, K)
+    assert boxes.shape == (1024, 5, 4) and 0 < visible.sum() < visible.size
 
 
 def test_update_points(benchmark, clouds):

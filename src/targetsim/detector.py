@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, Pose, project_points
+from .geometry import CameraIntrinsics, Pose, project_points, transform_points
 
 FP_BOX_MIN_PX = 8.0
 
@@ -105,29 +105,87 @@ class Surfaces:
         return cls(points, np.cumsum(sizes) - sizes)
 
 
+# A target whose first surface point lies behind the camera or projects
+# this far past an image edge is hidden; the margin keeps the cull exact
+# whatever the rounding.
+_CULL_MARGIN_PX = 1.0
+# Views are projected in parts of about this many points at most (~70
+# bytes each while projected), so a large batch of views needs little
+# memory beyond its inputs.
+_PROJECTED_POINTS_MAX = 1 << 12
+
+
+def visible_boxes(
+    surfaces: Surfaces, rotations: np.ndarray, translations: np.ndarray, k: CameraIntrinsics
+) -> tuple[np.ndarray, np.ndarray]:
+    """Tight projected bbox of each target's surface in each of F views.
+
+    rotations (F, 3, 3) and translations (F, 3) are cam-from-world. Returns
+    boxes (F, n_targets, 4) as (u_min, v_min, u_max, v_max) and the visible
+    mask (F, n_targets); boxes of hidden targets are NaN. A target counts as
+    visible only when its whole projected extent lies inside the image.
+
+    A target is hidden when any one of its points is behind the camera or
+    off the image, so each target's first point is tested in every view
+    first, and only the views where it is not clearly out project the whole
+    surface: one projection for each run of adjacent targets kept in the
+    same views. Min and max are exact, so each box equals the one
+    projecting that target alone in that view.
+    """
+    starts = surfaces.starts
+    boxes = np.empty((len(rotations), len(starts), 4))
+    visible = np.zeros(boxes.shape[:2], dtype=bool)
+    if not boxes.size:
+        return boxes, visible
+    # A first point p (camera frame) is clearly out where n . p < 0 for a
+    # row n: behind the camera, or more than the margin past an image edge
+    # (for z > 0, u < -margin is fx x + (cx + margin) z < 0, and so on).
+    m = _CULL_MARGIN_PX
+    out_of_view = np.array([
+        [0.0, 0.0, 1.0],
+        [k.fx, 0.0, k.cx + m], [-k.fx, 0.0, k.width + m - k.cx],
+        [0.0, k.fy, k.cy + m], [0.0, -k.fy, k.height + m - k.cy],
+    ])
+    first_cam = transform_points(rotations, translations, surfaces.points[starts])
+    kept = ~(first_cam @ out_of_view.T < 0).any(axis=-1)
+    columns = kept.T.tolist()
+    runs: list[list[int]] = []  # [first, last] of adjacent targets kept in the same views
+    for i, column in enumerate(columns):
+        if not any(column):
+            continue
+        if runs and runs[-1][1] == i - 1 and columns[i - 1] == column:
+            runs[-1][1] = i
+        else:
+            runs.append([i, i])
+    bounds = [*starts.tolist(), len(surfaces.points)]
+    for first, last in runs:
+        views = np.flatnonzero(kept[:, first])
+        points = surfaces.points[bounds[first]:bounds[last + 1]]
+        segments = starts[first:last + 1] - bounds[first]
+        step = max(1, _PROJECTED_POINTS_MAX // len(points))
+        for part in (views[i:i + step] for i in range(0, len(views), step)):
+            uv, depths = project_points(points, rotations[part], translations[part], k)
+            lo = np.minimum.reduceat(uv, segments, axis=1)
+            hi = np.maximum.reduceat(uv, segments, axis=1)
+            visible[part, first:last + 1] = ~(
+                np.logical_or.reduceat(depths <= 0, segments, axis=1)
+                | (lo[..., 0] < 0) | (lo[..., 1] < 0)
+                | (hi[..., 0] > k.width) | (hi[..., 1] > k.height)
+            )
+            boxes[part, first:last + 1, :2] = lo
+            boxes[part, first:last + 1, 2:] = hi
+    boxes[~visible] = np.nan
+    return boxes, visible
+
+
 def visible_bboxes(
     surfaces: Surfaces, cam_from_world: Pose, k: CameraIntrinsics
 ) -> list[np.ndarray | None]:
-    """Tight projected bbox of each target's surface, or None.
-
-    A target counts as visible only when its whole projected extent lies
-    inside the image; partially visible targets yield None. Min and max
-    are exact, so each box equals the one projecting that target alone.
-    """
-    starts = surfaces.starts
-    if not len(starts):
-        return []
-    uv, depths = project_points(surfaces.points, cam_from_world, k)
-    behind = np.logical_or.reduceat(depths <= 0, starts)
-    lo = np.minimum.reduceat(uv, starts, axis=0)
-    hi = np.maximum.reduceat(uv, starts, axis=0)
-    hidden = (
-        behind
-        | (lo[:, 0] < 0) | (lo[:, 1] < 0)
-        | (hi[:, 0] > k.width) | (hi[:, 1] > k.height)
+    """visible_boxes in one view, with None for each hidden target."""
+    boxes, visible = visible_boxes(
+        surfaces, cam_from_world.rotation[None], cam_from_world.translation[None], k
     )
-    boxes = np.concatenate([lo, hi], axis=1)
-    return [None if h else box for h, box in zip(hidden, boxes)]
+    return [box if seen else None for box, seen in zip(boxes[0], visible[0])]
 
 
 def visible_bbox(

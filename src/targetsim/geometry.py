@@ -46,20 +46,38 @@ class CameraIntrinsics:
         return out
 
 
+def check_rotations(r: np.ndarray) -> None:
+    """Raise ValueError unless every 3x3 matrix of r, shape (..., 3, 3), is a
+    rotation: |r r^T - I| <= _GRAM_TOL per entry and |det r - 1| <= 1e-6."""
+    if not (np.abs(r @ r.swapaxes(-1, -2) - _EYE) <= _GRAM_TOL).all():
+        raise ValueError("rotation is not orthonormal")
+    if (np.abs(np.linalg.det(r) - 1.0) > 1e-6).any():
+        raise ValueError("rotation determinant is not +1")
+
+
+def transform_points(rotation: np.ndarray, translation: np.ndarray, points: np.ndarray):
+    """rotation @ x + translation for each row x of points (n, 3). A stack
+    of F transforms, (F, 3, 3) and (F, 3), gives (F, n, 3)."""
+    return points @ rotation.swapaxes(-1, -2) + translation[..., None, :]
+
+
 @dataclass(frozen=True)
 class Pose:
-    """Rigid transform: x_out = rotation @ x_in + translation."""
+    """Rigid transform: x_out = rotation @ x_in + translation.
+
+    With leading axes, a stack of transforms: rotation (F, 3, 3) and
+    translation (F, 3). Every method works on a stack as on one transform.
+    """
 
     rotation: np.ndarray
     translation: np.ndarray
 
     def __post_init__(self):
-        r = np.asarray(self.rotation, dtype=float).reshape(3, 3)
-        t = np.asarray(self.translation, dtype=float).reshape(3)
-        if not (np.abs(r @ r.T - _EYE) <= _GRAM_TOL).all():
-            raise ValueError("rotation is not orthonormal")
-        if abs(np.linalg.det(r) - 1.0) > 1e-6:
-            raise ValueError("rotation determinant is not +1")
+        r = np.asarray(self.rotation, dtype=float)
+        lead = r.shape[:-2] if r.ndim > 2 else ()
+        r = r.reshape(lead + (3, 3))
+        t = np.asarray(self.translation, dtype=float).reshape(lead + (3,))
+        check_rotations(r)
         r.flags.writeable = False
         t.flags.writeable = False
         object.__setattr__(self, "rotation", r)
@@ -70,21 +88,26 @@ class Pose:
         return cls(np.eye(3), np.zeros(3))
 
     @classmethod
-    def from_yaw(cls, yaw: float, translation) -> "Pose":
+    def from_yaw(cls, yaw, translation) -> "Pose":
+        """Rotation about world z by yaw; an array of yaws gives a stack."""
         c, s = np.cos(yaw), np.sin(yaw)
-        r = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        r = np.zeros(np.shape(yaw) + (3, 3))
+        r[..., 0, 0] = r[..., 1, 1] = c
+        r[..., 0, 1] = -s
+        r[..., 1, 0] = s
+        r[..., 2, 2] = 1.0
         return cls(r, np.asarray(translation, dtype=float))
 
     def inverse(self) -> "Pose":
-        rt = self.rotation.T
-        return Pose(rt, -rt @ self.translation)
+        rt = self.rotation.swapaxes(-1, -2)
+        return Pose(rt, (-rt @ self.translation[..., None])[..., 0])
 
     def transform(self, points: np.ndarray) -> np.ndarray:
         """Apply to one (3,) point or an (n, 3) batch."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
             return self.rotation @ pts + self.translation
-        return pts @ self.rotation.T + self.translation
+        return transform_points(self.rotation, self.translation, pts)
 
 
 def project(point, cam_from_world: Pose, k: CameraIntrinsics):
@@ -101,16 +124,20 @@ def project(point, cam_from_world: Pose, k: CameraIntrinsics):
     return np.array([u, v]), depth
 
 
-def project_points(points: np.ndarray, cam_from_world: Pose, k: CameraIntrinsics):
-    """Batch projection without behind-camera checks.
+def project_points(
+    points: np.ndarray, rotation: np.ndarray, translation: np.ndarray, k: CameraIntrinsics
+):
+    """Batch projection without behind-camera checks, through the
+    cam-from-world transform (rotation, translation).
 
-    Returns (pixels (n, 2), depths (n,)). Pixels of non-positive-depth
-    points are garbage; callers must mask on depth.
+    Returns (pixels (n, 2), depths (n,)); a stack of F transforms gives
+    (F, n, 2) and (F, n). Pixels of non-positive-depth points are garbage;
+    callers must mask on depth.
     """
-    pc = cam_from_world.transform(np.asarray(points, dtype=float).reshape(-1, 3))
-    depths = pc[:, 2]
+    pc = transform_points(rotation, translation, np.asarray(points, dtype=float).reshape(-1, 3))
+    depths = pc[..., 2]
     with np.errstate(divide="ignore", invalid="ignore"):
-        uv = np.empty((pc.shape[0], 2))
-        uv[:, 0] = k.fx * pc[:, 0] / depths + k.cx
-        uv[:, 1] = k.fy * pc[:, 1] / depths + k.cy
+        uv = np.empty(pc.shape[:-1] + (2,))
+        uv[..., 0] = k.fx * pc[..., 0] / depths + k.cx
+        uv[..., 1] = k.fy * pc[..., 1] / depths + k.cy
     return uv, depths

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .detector import DetectorConfig, Surfaces, detect, ellipsoid_target, visible_bboxes
+from .detector import DetectorConfig, Surfaces, detect, ellipsoid_target, visible_boxes
 from .detector import visible_bbox  # noqa: F401  perfbench/tracer.py wraps harness.visible_bbox
 from .geometry import CameraIntrinsics, Pose
 from .mission import MissionConfig, MissionExecutive, MissionMode
@@ -140,6 +140,12 @@ def scenario_from_dict(data: dict) -> Scenario:
             )
             if not polygon_contains(fields["planner"].survey_polygon, target.center[:2]):
                 raise ValueError("center outside the survey polygon")
+            top = target.center[2] + target.semi_axes[2]
+            if top >= fields["planner"].search_altitude:
+                raise ValueError(
+                    f"top at z {top} reaches the search altitude "
+                    f"{fields['planner'].search_altitude}"
+                )
             targets.append(target)
         where = "world.targets"
         if len({t.id for t in targets}) != len(targets):
@@ -233,19 +239,46 @@ def _make_record(t, frame, uav, detections, boxes, flt, mission, events) -> dict
 # -- metrics -----------------------------------------------------------------
 
 
-def _true_boxes_for_frame(record, scenario: Scenario):
-    """Non-edge projected boxes of every visible true target."""
-    pos = np.asarray(record["uav"]["true"]["position"])
-    yaw = record["uav"]["true"]["yaw"]
-    cam = camera_pose(Pose.from_yaw(yaw, pos), scenario.planner.cam_depression)
-    cam_from_world = cam.inverse()
+def _true_boxes_for_frames(records, scenario: Scenario) -> list[dict]:
+    """Non-edge projected boxes of every visible true target, one dict per
+    record, each seen from the record's true camera pose."""
+    yaws = np.array([r["uav"]["true"]["yaw"] for r in records], dtype=float)
+    positions = np.array([r["uav"]["true"]["position"] for r in records], dtype=float)
+    body = Pose.from_yaw(yaws, positions.reshape(-1, 3))
+    cams = camera_pose(body, scenario.planner.cam_depression).inverse()
+    k = scenario.camera
+    boxes, visible = visible_boxes(scenario.surfaces, cams.rotation, cams.translation, k)
     margin = scenario.filter.edge_margin_px
-    bboxes = visible_bboxes(scenario.surfaces, cam_from_world, scenario.camera)
-    return {
-        target.id: bbox
-        for target, bbox in zip(scenario.targets, bboxes)
-        if bbox is not None and not on_image_edge(bbox, scenario.camera, margin)
-    }
+    out = [{} for _ in records]
+    for frame, i in zip(*np.nonzero(visible)):
+        if not on_image_edge(boxes[frame, i], k, margin):
+            out[frame][scenario.targets[i].id] = boxes[frame, i]
+    return out
+
+
+def _true_boxes_for_frame(record, scenario: Scenario) -> dict:
+    """_true_boxes_for_frames for one record."""
+    return _true_boxes_for_frames([record], scenario)[0]
+
+
+# compute_metrics projects the true targets of this many records at a time
+METRICS_CHUNK = 512
+
+
+def _with_true_boxes(records, scenario: Scenario):
+    """Yield each record with its true boxes, or None when scoring does not
+    need them: a record outside the mapping mode scores detections, one
+    with a spawn scores generation."""
+    for first in range(0, len(records), METRICS_CHUNK):
+        chunk = records[first:first + METRICS_CHUNK]
+        needed = [
+            r["mode"] != MissionMode.MAPPING.value
+            or any(ev["type"] == "spawned" for ev in r["events"])
+            for r in chunk
+        ]
+        boxes = iter(_true_boxes_for_frames([r for r, n in zip(chunk, needed) if n], scenario))
+        for record, need in zip(chunk, needed):
+            yield record, next(boxes) if need else None
 
 
 def _match_event_target(record, target_id: int, scenario: Scenario) -> str | None:
@@ -276,10 +309,8 @@ def compute_metrics(records: list[dict], scenario: Scenario) -> dict:
     counts = {stage: [0, 0, 0] for stage in STAGES}  # tp, fp, fn
     credited = {stage: set() for stage in STAGES[1:]}
 
-    for record in records:
-        true_boxes = None
+    for record, true_boxes in _with_true_boxes(records, scenario):
         if record["mode"] != MissionMode.MAPPING.value:
-            true_boxes = _true_boxes_for_frame(record, scenario)
             dets = [
                 np.asarray(d["bbox"])
                 for d in record["detections"]
@@ -299,8 +330,6 @@ def compute_metrics(records: list[dict], scenario: Scenario) -> dict:
             if stage not in credited:
                 continue
             if stage == "generation":
-                if true_boxes is None:
-                    true_boxes = _true_boxes_for_frame(record, scenario)
                 bbox = np.asarray(ev["bbox"])
                 scores = {tid: iou(bbox, tb) for tid, tb in true_boxes.items()}
                 match = max(scores, key=scores.get, default=None)

@@ -18,7 +18,14 @@ import numpy as np
 from .bounding_cylinder import BoundingCylinder, fit_bounding_cylinder
 from .detector import TargetModel
 from .points_filter import Event, PointsFilter, TargetState, check_already_mapped
-from .view_planner import PlannerConfig, Waypoint, estimation_circle, lawnmower, mapping_circles
+from .view_planner import (
+    PlannerConfig,
+    TargetAboveSearchPlane,
+    Waypoint,
+    estimation_circle,
+    lawnmower,
+    mapping_circles,
+)
 
 
 class UnknownTarget(KeyError):
@@ -257,15 +264,20 @@ class MissionExecutive:
         target = self.filter.get(target_id)
         if target is None:
             return []
+        try:
+            plan = estimation_circle(
+                target.summary.mean,
+                self.planner_cfg.search_altitude,
+                self.planner_cfg.estimation_view_angle,
+                uav_position,
+                self.planner_cfg.waypoint_spacing,
+            )
+        except TargetAboveSearchPlane:
+            # no orbit can look down on the cloud: treat like a failed verification
+            return self._fail_verification(target_id, uav_position)
         self.mode = MissionMode.ESTIMATION
         self.active_target = target_id
-        self._plan = estimation_circle(
-            target.summary.mean,
-            self.planner_cfg.search_altitude,
-            self.planner_cfg.estimation_view_angle,
-            uav_position,
-            self.planner_cfg.waypoint_spacing,
-        )
+        self._plan = plan
         self._cursor = 0
         return [Event("mode_change", target_id, self.mode.value)]
 

@@ -144,8 +144,9 @@ class PointTarget:
 
 @dataclass(frozen=True)
 class Event:
-    """A filter (spawned | converging | converged | deregistered) or mission
-    (mode_change | mapped | estimation_failed | duplicate_dropped) event."""
+    """A filter (spawned | spawn_failed | update_failed | converging |
+    converged | deregistered) or mission (mode_change | mapped |
+    estimation_failed | duplicate_dropped) event."""
 
     kind: str
     target_id: int | None = None
@@ -264,7 +265,9 @@ def projection_count_costs(
     """cost[i, j] = number of target j's points projecting inside box i."""
     costs = np.zeros((len(boxes), len(targets)))
     for j, target in enumerate(targets):
-        uv, depths = project_points(target.points, cam_from_world, k)
+        uv, depths = project_points(
+            target.points, cam_from_world.rotation, cam_from_world.translation, k
+        )
         valid = depths > 0
         for i, b in enumerate(boxes):
             inside = (
@@ -330,7 +333,7 @@ def update_points(
     """
     noise = np.sqrt(cfg.update_noise_var) * rng.standard_normal(points.shape)
     perturbed = points + noise
-    uv, depths = project_points(perturbed, cam_from_world, k)
+    uv, depths = project_points(perturbed, cam_from_world.rotation, cam_from_world.translation, k)
     weights = mixture_weights(uv, bbox, cfg.w_gauss, cfg.w_uniform)
     off_image = (
         (depths <= 0)
@@ -430,6 +433,7 @@ class PointsFilter:
                     target.points, gated_boxes[box_idx], cam_from_world, self.k, cfg, rng
                 )
             except AllZeroWeights:
+                events.append(Event("update_failed", target.target_id))
                 continue  # counts as a missed update
             target.set_points(new_points)
             target.last_keyframe = camera_pose
@@ -462,6 +466,7 @@ class PointsFilter:
             try:
                 points = generate_points(enlarged, camera_pose, self.k, cfg, rng)
             except DegenerateBox:
+                events.append(Event("spawn_failed", bbox=tuple(bbox.tolist())))
                 continue
             target = PointTarget(
                 target_id=self._next_id,

@@ -176,7 +176,10 @@ def test_criterion_4_generation_oracle():
                           [bbox[2], bbox[3]], [bbox[0], bbox[3]]])
             )[:, 2].max()
             pts = generate_points(bbox, world_from_cam, K, cfg, rng)
-            uv, depths = project_points(pts, world_from_cam.inverse(), K)
+            cam_from_world = world_from_cam.inverse()
+            uv, depths = project_points(
+                pts, cam_from_world.rotation, cam_from_world.translation, K
+            )
             ok = (
                 (depths > 0)
                 & (depths <= cfg.max_depth * corner_scale + 1e-9)

@@ -11,6 +11,7 @@ from targetsim.detector import (
     ellipsoid_target,
     visible_bbox,
     visible_bboxes,
+    visible_boxes,
 )
 from targetsim.geometry import CameraIntrinsics, Pose, project, project_points
 
@@ -148,7 +149,9 @@ def test_fp_fn_rates_match_config():
 def reference_bbox(target, cam_from_world, k):
     """visible_bbox as it was before the stacked projection: one target's
     own projection and its own min/max."""
-    uv, depths = project_points(target.surface_points, cam_from_world, k)
+    uv, depths = project_points(
+        target.surface_points, cam_from_world.rotation, cam_from_world.translation, k
+    )
     if np.any(depths <= 0):
         return None
     u_min, v_min = uv.min(axis=0)
@@ -159,7 +162,9 @@ def reference_bbox(target, cam_from_world, k):
 
 
 def view_kind(target, cam_from_world, k) -> str:
-    uv, depths = project_points(target.surface_points, cam_from_world, k)
+    uv, depths = project_points(
+        target.surface_points, cam_from_world.rotation, cam_from_world.translation, k
+    )
     if np.any(depths <= 0):
         return "behind"
     inside = np.all((uv >= 0) & (uv <= [k.width, k.height]), axis=1)
@@ -196,3 +201,81 @@ def test_stacked_boxes_equal_per_target_loop():
                 assert got is None if want is None else np.array_equal(got, want)
     assert min(kinds[k] for k in ("behind", "partial", "off_image", "visible")) >= 20, kinds
     assert visible_bboxes(Surfaces.of([]), down_cam_from_world(30.0), K) == []
+
+
+def pinned_cam_from_world(rotation, point, pixel, depth, k) -> Pose:
+    """The cam-from-world pose with the given rotation that puts the world
+    point at the pixel and depth."""
+    in_cam = depth * np.array([(pixel[0] - k.cx) / k.fx, (pixel[1] - k.cy) / k.fy, 1.0])
+    return Pose(rotation, in_cam - rotation @ point)
+
+
+def test_batched_boxes_equal_per_pose_loop():
+    # F random poses in one call, plus poses that pin one target's first
+    # point around the cull's 1 px margin and the image edge on all four
+    # sides, and around depth 0
+    targets = [
+        ellipsoid_target("a", [0.0, 0.0, 1.0], [1.0, 1.0, 1.0], n_surface=1),
+        ellipsoid_target("b", [4.0, -3.0, 1.0], [1.2, 0.8, 1.0], n_surface=37),
+        ellipsoid_target("c", [-6.0, 5.0, 0.5], [0.5, 2.0, 0.7], n_surface=400),
+        ellipsoid_target("d", [15.0, 0.0, 1.0], [1.0, 1.0, 1.0], n_surface=123),
+        ellipsoid_target("e", [0.0, 0.0, 45.0], [3.0, 3.0, 3.0], n_surface=50),
+    ]
+    surfaces = Surfaces.of(targets)
+    rng = np.random.default_rng(6)
+    poses = []
+    for _ in range(200):
+        body = Pose.from_yaw(
+            rng.uniform(-np.pi, np.pi), [*rng.uniform(-25.0, 25.0, 2), rng.uniform(2.0, 60.0)]
+        )
+        pitch = rng.uniform(0.2, np.pi / 2.0)
+        s, c = np.sin(pitch), np.cos(pitch)
+        mount = np.array([[0.0, -s, c], [-1.0, 0.0, 0.0], [0.0, -c, -s]])
+        poses.append(Pose(body.rotation @ mount, body.translation).inverse())
+    offsets = (-1.5, -1.0 - 1e-9, -1.0 + 1e-9, -0.5, -1e-9, 0.0, 1e-9, 0.5)
+    pinned = []
+    for target in targets:
+        first = target.surface_points[0]
+        rotation = poses[len(pinned)].rotation
+        for d in offsets:
+            for pixel in ((d, K.cy), (K.width - d, K.cy), (K.cx, d), (K.cx, K.height - d)):
+                pinned.append(pinned_cam_from_world(rotation, first, pixel, 20.0, K))
+        for depth in (-1e-9, -1e-15, 0.0, 1e-15, 1e-9):
+            pinned.append(pinned_cam_from_world(rotation, first, (K.cx, K.cy), depth, K))
+    poses += pinned
+    boxes, visible = visible_boxes(
+        surfaces,
+        np.stack([p.rotation for p in poses]),
+        np.stack([p.translation for p in poses]),
+        K,
+    )
+    assert boxes.shape == (len(poses), len(targets), 4)
+    assert visible.shape == (len(poses), len(targets))
+    kinds = Counter()
+    for f, cam_from_world in enumerate(poses):
+        for i, target in enumerate(targets):
+            kinds[view_kind(target, cam_from_world, K)] += 1
+            want = reference_bbox(target, cam_from_world, K)
+            assert visible[f, i] == (want is not None)
+            if want is None:
+                assert np.isnan(boxes[f, i]).all()
+            else:
+                assert np.array_equal(boxes[f, i], want)
+    assert min(kinds[k] for k in ("behind", "partial", "off_image", "visible")) >= 20, kinds
+    # a view repeated 30 times keeps adjacent targets in the same views, so
+    # they share one projection, split into parts of at most ~4k points
+    for f in range(0, 200, 10):
+        many = visible_boxes(
+            surfaces,
+            np.repeat(poses[f].rotation[None], 30, axis=0),
+            np.repeat(poses[f].translation[None], 30, axis=0),
+            K,
+        )
+        assert np.array_equal(many[1], np.repeat(visible[f:f + 1], 30, axis=0))
+        assert np.array_equal(many[0], np.repeat(boxes[f:f + 1], 30, axis=0), equal_nan=True)
+    # target a is one point, so where it is pinned decides: hidden past the
+    # cull line and between it and the edge, visible just inside the edge
+    a_pinned = visible[200:200 + 4 * len(offsets), 0].reshape(len(offsets), 4)
+    assert not a_pinned[:5].any() and a_pinned[6:].all()
+    empty = visible_boxes(Surfaces.of([]), np.stack([DOWN.rotation]), np.zeros((1, 3)), K)
+    assert empty[0].shape == (1, 0, 4) and empty[1].shape == (1, 0)

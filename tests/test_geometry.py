@@ -10,7 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from targetsim.geometry import CameraIntrinsics, NonPositiveDepth, Pose, project, project_points
+from targetsim.geometry import (
+    CameraIntrinsics,
+    NonPositiveDepth,
+    Pose,
+    check_rotations,
+    project,
+    project_points,
+)
 
 K = CameraIntrinsics(fx=100.0, fy=100.0, cx=320.0, cy=240.0, width=640, height=480)
 
@@ -96,7 +103,7 @@ class TestProject:
                 [rng.uniform(-2, 2, 20), rng.uniform(-2, 2, 20), rng.uniform(1, 50, 20)]
             )
         )
-        uv, depths = project_points(pts, cam_from_world, K)
+        uv, depths = project_points(pts, cam_from_world.rotation, cam_from_world.translation, K)
         for i in range(20):
             pixel, depth = project(pts[i], cam_from_world, K)
             np.testing.assert_allclose(uv[i], pixel, atol=1e-10)
@@ -164,6 +171,35 @@ class TestPose:
     def test_from_yaw(self):
         pose = Pose.from_yaw(np.pi / 2.0, [1.0, 2.0, 3.0])
         np.testing.assert_allclose(pose.transform([1.0, 0.0, 0.0]), [1.0, 3.0, 3.0], atol=1e-12)
+
+    def test_check_rotations_rejects_one_bad_matrix_in_a_stack(self):
+        rng = np.random.default_rng(23)
+        stack = np.stack([random_rotation(rng) for _ in range(8)])
+        check_rotations(stack)
+        Pose(stack, rng.uniform(-5, 5, size=(8, 3)))
+        for bad in (np.diag([1.0, 1.0, 1.0 + 1e-4]), np.diag([1.0, 1.0, -1.0])):
+            broken = stack.copy()
+            broken[5] = bad @ broken[5]
+            with pytest.raises(ValueError):
+                check_rotations(broken)
+            with pytest.raises(ValueError):
+                Pose(broken, np.zeros((8, 3)))
+
+    def test_stacked_pose_equals_each_pose(self):
+        rng = np.random.default_rng(29)
+        yaws = rng.uniform(-np.pi, np.pi, 16)
+        positions = rng.uniform(-50, 50, size=(16, 3))
+        stacked = Pose.from_yaw(yaws, positions).inverse()
+        pts = rng.uniform(-10, 10, size=(7, 3))
+        moved = stacked.transform(pts)
+        uv, depths = project_points(pts, stacked.rotation, stacked.translation, K)
+        for i, (yaw, position) in enumerate(zip(yaws, positions)):
+            one = Pose.from_yaw(float(yaw), position).inverse()
+            assert np.array_equal(stacked.rotation[i], one.rotation)
+            assert np.array_equal(stacked.translation[i], one.translation)
+            assert np.array_equal(moved[i], one.transform(pts))
+            one_uv, one_depths = project_points(pts, one.rotation, one.translation, K)
+            assert np.array_equal(uv[i], one_uv) and np.array_equal(depths[i], one_depths)
 
     def test_diagonal_rtol_band_accepted(self):
         # np.allclose's default rtol loosens the diagonal of r @ r.T to

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from targetsim import harness
 from targetsim.cli import main as cli_main
+from targetsim.geometry import Pose
 from targetsim.harness import (
     Scenario,
     ScenarioInvalid,
@@ -20,7 +22,8 @@ from targetsim.harness import (
     scenario_to_dict,
     write_cloud,
 )
-from targetsim.points_filter import Event
+from targetsim.points_filter import Event, on_image_edge
+from targetsim.uav import camera_pose
 
 BASE = {
     "name": "unit",
@@ -90,6 +93,9 @@ def bad_scenario_texts() -> dict[str, str]:
             with_leaf(("uav", "start_position"), [1.0, 2.0])
         ),
         "string_lane_spacing": json.dumps(with_leaf(("planner", "lane_spacing"), "20")),
+        "target_top_above_altitude": json.dumps(
+            with_leaf(("world", "targets", 0, "center"), [40.0, 28.0, 29.5])
+        ),
     }
 
 
@@ -386,6 +392,49 @@ class TestMetricsCounting:
         records[0]["uav"]["true"]["position"] = [0.0, 50.0, 30.0]
         m = compute_metrics(records, s)["detection"]
         assert m["tp"] == 0 and m["fp"] == 0
+
+
+def per_record_true_boxes(record, s) -> dict:
+    """Each true target projected on its own from the record's true pose,
+    one record at a time, as compute_metrics once did."""
+    body = Pose.from_yaw(record["uav"]["true"]["yaw"], record["uav"]["true"]["position"])
+    cam_from_world = camera_pose(body, s.planner.cam_depression).inverse()
+    boxes = {}
+    for target in s.targets:
+        pc = target.surface_points @ cam_from_world.rotation.T + cam_from_world.translation
+        if (pc[:, 2] <= 0).any():
+            continue
+        k = s.camera
+        uv = [k.fx, k.fy] * pc[:, :2] / pc[:, 2:] + [k.cx, k.cy]
+        box = np.concatenate([uv.min(axis=0), uv.max(axis=0)])
+        inside = box[0] >= 0 and box[1] >= 0 and box[2] <= k.width and box[3] <= k.height
+        if inside and not on_image_edge(box, k, s.filter.edge_margin_px):
+            boxes[target.id] = box
+    return boxes
+
+
+def test_batched_metrics_equal_per_record_fold(monkeypatch):
+    s = scenario()
+    records = run(s, out_dir=None, write_trace=False).records
+    assert {r["mode"] for r in records} >= {"search", "estimation", "mapping"}
+    assert len(records) > 2 * harness.METRICS_CHUNK
+    chunk = harness.METRICS_CHUNK
+    batched = [
+        boxes
+        for first in range(0, len(records), chunk)
+        for boxes in harness._true_boxes_for_frames(records[first:first + chunk], s)
+    ]
+    reference = [per_record_true_boxes(r, s) for r in records]
+    assert sum(map(len, reference)) > 100
+    for got, want in zip(batched, reference, strict=True):
+        assert got.keys() == want.keys()
+        assert all(np.array_equal(got[tid], want[tid]) for tid in want)
+    metrics = compute_metrics(records, s)
+    monkeypatch.setattr(
+        harness, "_true_boxes_for_frames",
+        lambda chunk, scen: [per_record_true_boxes(r, scen) for r in chunk],
+    )
+    assert compute_metrics(records, s) == metrics
 
 
 class TestWriteCloud:

@@ -147,6 +147,16 @@ class TestTransitions:
         assert mission.mode is MissionMode.SEARCH
         assert mission.active_target is None
 
+    def test_cloud_above_search_plane_fails_verification(self):
+        # the cloud's mean sits above the 30 m search altitude, where no
+        # estimation orbit can look down on it
+        mission, flt, _ = make_mission()
+        events = spawn_then(flt, mission, 1, [50.0, 40.0, 31.0], "converging")
+        assert [e.kind for e in events[:2]] == ["deregistered", "estimation_failed"]
+        assert flt.get(1) is None
+        assert mission.mode is MissionMode.SEARCH
+        assert mission.active_target is None
+
     def test_unknown_target_event_raises(self):
         mission, _, _ = make_mission()
         with pytest.raises(UnknownTarget):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
 
+from targetsim import points_filter
 from targetsim.detector import ellipsoid_target, visible_bbox
 from targetsim.geometry import CameraIntrinsics, Pose, project
 from targetsim.points_filter import (
@@ -416,6 +417,31 @@ class TestTickLifecycle:
             assert updated == []
         assert flt.targets[0].miss_counter == 5
 
+    def test_failed_update_emits_event(self, monkeypatch):
+        def no_support(*args):
+            raise AllZeroWeights("weights sum to zero")
+
+        rng = np.random.default_rng(16)
+        flt = PointsFilter(K, FilterConfig(max_depth=50.0))
+        bbox = np.array([280.0, 200.0, 360.0, 280.0])
+        flt.tick([TrackedBox(1, bbox, 5, 0)], self.overhead_cam(0.0), rng)
+        target = flt.targets[0]
+        monkeypatch.setattr(points_filter, "update_points", no_support)
+        events, updated = flt.tick([TrackedBox(1, bbox, 5, 0)], self.overhead_cam(1.0), rng)
+        assert [e.to_dict() for e in events] == [
+            {"type": "update_failed", "target": target.target_id}
+        ]
+        assert updated == [] and target.miss_counter == 1
+
+    def test_zero_area_box_emits_spawn_failed(self):
+        rng = np.random.default_rng(17)
+        flt = PointsFilter(K, FilterConfig(max_depth=50.0))
+        flat = np.array([300.0, 200.0, 300.0, 260.0])
+        events, _ = flt.tick([TrackedBox(1, flat, 5, 0)], self.overhead_cam(), rng)
+        assert [e.to_dict() for e in events] == [
+            {"type": "spawn_failed", "bbox": [300.0, 200.0, 300.0, 260.0]}
+        ]
+        assert flt.targets == []
 
     def test_cached_summary_equals_fresh_fit(self):
         # the summary is refitted only where the points change: spawn,
