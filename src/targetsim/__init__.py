@@ -2,7 +2,7 @@
 
 from .bounding_cylinder import BoundingCylinder, fit_bounding_cylinder
 from .detector import Detection, DetectorConfig, TargetModel, detect, ellipsoid_target
-from .geometry import CameraIntrinsics, Pose, project
+from .geometry import CameraIntrinsics, Pose
 from .harness import Scenario, load_scenario, run, scenario_from_dict
 from .mission import MissionConfig, MissionExecutive, MissionMode
 from .points_filter import (

@@ -67,7 +67,6 @@ def ellipsoid_target(target_id: str, center, semi_axes, n_surface: int = 400) ->
 class Detection:
     bbox: np.ndarray  # (u_min, v_min, u_max, v_max)
     score: float
-    frame_id: int
 
     def __post_init__(self):
         b = np.asarray(self.bbox, dtype=float).reshape(4)
@@ -201,7 +200,6 @@ def detect(
     surfaces: Surfaces,
     cfg: DetectorConfig,
     rng: np.random.Generator,
-    frame_id: int = 0,
 ) -> list[Detection]:
     """One simulated detector inference on the current camera view."""
     detections: list[Detection] = []
@@ -218,12 +216,12 @@ def detect(
         v_lo, v_hi = np.clip([v_lo, v_hi], 0.0, k.height)
         if u_lo >= u_hi or v_lo >= v_hi:
             continue
-        detections.append(Detection(np.array([u_lo, v_lo, u_hi, v_hi]), 1.0, frame_id))
+        detections.append(Detection(np.array([u_lo, v_lo, u_hi, v_hi]), 1.0))
     if cfg.fp_rate > 0 and rng.random() < cfg.fp_rate:
         w = rng.uniform(FP_BOX_MIN_PX, k.width / 3.0)
         h = rng.uniform(FP_BOX_MIN_PX, k.height / 3.0)
         u0 = rng.uniform(0.0, k.width - w)
         v0 = rng.uniform(0.0, k.height - h)
         score = rng.uniform(0.3, 0.9)
-        detections.append(Detection(np.array([u0, v0, u0 + w, v0 + h]), score, frame_id))
+        detections.append(Detection(np.array([u0, v0, u0 + w, v0 + h]), score))
     return detections

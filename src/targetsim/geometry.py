@@ -17,10 +17,6 @@ _EYE = np.eye(3)
 _GRAM_TOL = ORTHONORMAL_TOL + 1e-5 * _EYE
 
 
-class NonPositiveDepth(ValueError):
-    """Point is at or behind the camera plane."""
-
-
 @dataclass(frozen=True)
 class CameraIntrinsics:
     fx: float
@@ -84,10 +80,6 @@ class Pose:
         object.__setattr__(self, "translation", t)
 
     @classmethod
-    def identity(cls) -> "Pose":
-        return cls(np.eye(3), np.zeros(3))
-
-    @classmethod
     def from_yaw(cls, yaw, translation) -> "Pose":
         """Rotation about world z by yaw; an array of yaws gives a stack."""
         c, s = np.cos(yaw), np.sin(yaw)
@@ -108,20 +100,6 @@ class Pose:
         if pts.ndim == 1:
             return self.rotation @ pts + self.translation
         return transform_points(self.rotation, self.translation, pts)
-
-
-def project(point, cam_from_world: Pose, k: CameraIntrinsics):
-    """Project a world point; returns ((u, v), depth).
-
-    Raises NonPositiveDepth when the point is at or behind the camera plane.
-    """
-    pc = cam_from_world.transform(np.asarray(point, dtype=float))
-    depth = pc[2]
-    if depth <= 0.0:
-        raise NonPositiveDepth(f"depth {depth} <= 0")
-    u = k.fx * pc[0] / depth + k.cx
-    v = k.fy * pc[1] / depth + k.cy
-    return np.array([u, v]), depth
 
 
 def project_points(

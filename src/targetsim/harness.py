@@ -317,10 +317,11 @@ def compute_metrics(records: list[dict], scenario: Scenario) -> dict:
                 if not on_image_edge(np.asarray(d["bbox"]), scenario.camera, margin)
             ]
             expected = list(true_boxes.values())
-            m = np.array([[iou(d, e) for e in expected] for d in dets])
-            m = m.reshape(len(dets), len(expected))
-            pairs, _, _ = hungarian_assign(m, maximize=True)
-            tp = sum(1 for di, ei in pairs if m[di, ei] > DETECTION_IOU_MIN)
+            tp = 0
+            if dets and expected:
+                m = np.array([[iou(d, e) for e in expected] for d in dets])
+                pairs, _, _ = hungarian_assign(m, maximize=True)
+                tp = sum(1 for di, ei in pairs if m[di, ei] > DETECTION_IOU_MIN)
             counts["detection"][0] += tp
             counts["detection"][1] += len(dets) - tp
             counts["detection"][2] += len(expected) - tp
@@ -444,9 +445,7 @@ def run(scenario: Scenario, out_dir=None, write_trace: bool = True) -> RunResult
             true_cam = camera_pose(uav.body_pose(), scenario.planner.cam_depression)
             est_cam = camera_pose(uav.est_body_pose(), scenario.planner.cam_depression)
 
-            detections = detect(
-                true_cam.inverse(), k, scenario.surfaces, scenario.detector, rng, frame
-            )
+            detections = detect(true_cam.inverse(), k, scenario.surfaces, scenario.detector, rng)
             boxes = tracker.step(detections)
             filter_events, updated = flt.tick(boxes, est_cam, rng)
             events += filter_events

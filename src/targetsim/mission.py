@@ -11,6 +11,7 @@ search resumes, while merely-converging targets wait to be re-encountered
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,10 @@ def scan_wedge_mask(
     return (angle >= lo - 1e-9) & (angle <= hi + 1e-9)
 
 
+# (dx, dy, dz) of a grid cell's 27 neighbours, itself included
+_NEIGHBOUR_CELLS = tuple(itertools.product((-1, 0, 1), repeat=3))
+
+
 def min_distance_downsample(points: np.ndarray, radius: float) -> np.ndarray:
     """Greedy thinning: keep a point only if no kept point is within radius."""
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
@@ -69,22 +74,11 @@ def min_distance_downsample(points: np.ndarray, radius: float) -> np.ndarray:
     r2 = radius * radius
     for i in range(pts.shape[0]):
         cx, cy, cz = cells[i]
-        clash = False
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dz in (-1, 0, 1):
-                    for j in grid.get((cx + dx, cy + dy, cz + dz), ()):
-                        d = pts[i] - pts[j]
-                        if d @ d < r2:
-                            clash = True
-                            break
-                    if clash:
-                        break
-                if clash:
-                    break
-            if clash:
-                break
-        if not clash:
+        if not any(
+            (d := pts[i] - pts[j]) @ d < r2
+            for dx, dy, dz in _NEIGHBOUR_CELLS
+            for j in grid.get((cx + dx, cy + dy, cz + dz), ())
+        ):
             grid.setdefault((cx, cy, cz), []).append(i)
             kept.append(i)
     return pts[kept]
@@ -160,7 +154,6 @@ class MissionExecutive:
         self._plan: list[Waypoint] = self.search_waypoints
         self._cursor = 0
         self._cylinder: BoundingCylinder | None = None
-        self._mapping_plan: list[Waypoint] = []
 
     # -- plan following --------------------------------------------------
 
@@ -292,7 +285,6 @@ class MissionExecutive:
         self.mode = MissionMode.MAPPING
         self.active_target = target_id
         self._plan = mapping_circles(cyl, self.planner_cfg, uav_position)
-        self._mapping_plan = self._plan
         self._cursor = 0
         return [Event("mode_change", target_id, self.mode.value)]
 
@@ -330,7 +322,7 @@ class MissionExecutive:
         target_id = self.active_target
         dense, down, true_ids = synthesize_mapped_cloud(
             self._cylinder,
-            self._mapping_plan,
+            self._plan,
             self.world,
             self.planner_cfg.cam_depression,
             self.planner_cfg.scan_fov,

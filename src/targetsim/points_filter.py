@@ -44,16 +44,8 @@ class TargetState(str, enum.Enum):
 
 @dataclass(frozen=True)
 class GaussianSummary:
-    mean: np.ndarray
-    covariance: np.ndarray
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float).reshape(_K_DIM)
-        cov = np.asarray(self.covariance, dtype=float).reshape(_K_DIM, _K_DIM)
-        if not np.allclose(cov, cov.T, atol=1e-12):
-            raise ValueError("covariance must be symmetric")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance", (cov + cov.T) / 2.0)
+    mean: np.ndarray  # (3,)
+    covariance: np.ndarray  # (3, 3), symmetric
 
     @classmethod
     def from_points(cls, points: np.ndarray) -> "GaussianSummary":
@@ -129,7 +121,6 @@ class PointTarget:
     last_keyframe: Pose
     kld_streak: int = 0
     miss_counter: int = 0
-    mapped_cloud: np.ndarray | None = None
     last_kld: float | None = None
     last_entropy: float | None = None
     summary: GaussianSummary = field(init=False, repr=False)  # of points
@@ -390,10 +381,9 @@ class PointsFilter:
         if target is None:
             raise KeyError(f"unknown target {target_id}")
         target.state = TargetState.MAPPED
-        target.mapped_cloud = np.asarray(cloud, dtype=float).reshape(-1, 3)
-        if target.mapped_cloud.size:
-            target.set_points(target.mapped_cloud)
-        target.miss_counter = 0
+        cloud = np.asarray(cloud, dtype=float).reshape(-1, 3)
+        if cloud.size:
+            target.set_points(cloud)
 
     def tick(
         self,

@@ -23,10 +23,6 @@ class TargetAboveSearchPlane(ValueError):
     """Orbit center at or above the search altitude."""
 
 
-class InvalidScanGeometry(ValueError):
-    """Upper scanning ray does not descend."""
-
-
 @dataclass(frozen=True)
 class Waypoint:
     position: np.ndarray
@@ -55,8 +51,9 @@ class PlannerConfig:
             raise ValueError("cam_depression must be in (0, pi/2]")
         if not 0.0 < self.scan_fov < 2.0 * self.cam_depression:
             raise ValueError("scan_fov must be in (0, 2 * cam_depression)")
-        if self.standoff <= 0:
-            raise ValueError("standoff must be positive")
+        for name in ("standoff", "lane_spacing", "waypoint_spacing"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if not 0.0 < self.estimation_view_angle < np.pi / 2.0:
             raise ValueError("estimation_view_angle must be in (0, pi/2)")
         if len(self.survey_polygon) < 3:
@@ -92,12 +89,9 @@ def lawnmower(polygon, lane_spacing: float, altitude: float) -> list[Waypoint]:
     """Serpentine lanes over a convex polygon at a fixed altitude.
 
     Lane lines run along x; yaw points along the direction of travel.
+    PlannerConfig ensures >= 3 vertices and a positive lane spacing.
     """
     poly = np.asarray(polygon, dtype=float).reshape(-1, 2)
-    if poly.shape[0] < 3:
-        raise EmptyPolygon(f"{poly.shape[0]} vertices")
-    if lane_spacing <= 0:
-        raise ValueError("lane spacing must be positive")
     y_min, y_max = poly[:, 1].min(), poly[:, 1].max()
     extent = y_max - y_min
     if extent < lane_spacing:
@@ -189,8 +183,6 @@ def mapping_circles(
     """
     gamma_l = cfg.cam_depression + cfg.scan_fov / 2.0
     gamma_u = cfg.cam_depression - cfg.scan_fov / 2.0
-    if gamma_u <= 0:
-        raise InvalidScanGeometry("upper scanning ray must descend")
     r_c = cyl.radius + cfg.standoff
     z = cyl.z_bottom + cfg.standoff * np.tan(gamma_l)
     dz = cfg.standoff * (np.tan(gamma_l) - np.tan(gamma_u))

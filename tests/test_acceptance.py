@@ -36,6 +36,10 @@ K = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=4
 # sha256 (first 16 hex) of the nominal scenario's trace.jsonl. A change that
 # moves it on purpose re-baselines it here and says why.
 NOMINAL_TRACE_DIGEST = "3384f4105341b8dd"
+# The same for the five-target scenario (seed 12): its trace, and its
+# cloud files sorted by name and concatenated.
+NOISY_TRACE_DIGEST = "f8192b854177f057"
+NOISY_CLOUDS_DIGEST = "18816b25abd2654d"
 
 
 @contextmanager
@@ -123,9 +127,9 @@ def test_criterion_3_fp_robustness():
 
             # (a) an FP shorter than the registration gate never registers
             short = int(rng.integers(1, t_hit))
-            for frame in range(short):
+            for _ in range(short):
                 jittered = fp + rng.normal(0, 0.3, 4)
-                assert tracker.step([Detection(jittered, 0.5, frame)]) == []
+                assert tracker.step([Detection(jittered, 0.5)]) == []
             for frame in range(short, short + t_missing + 2):
                 assert tracker.step([]) == []
             assert tracker.track_count == 0
@@ -142,7 +146,7 @@ def test_criterion_3_fp_robustness():
                 x = 0.1 * frame  # the camera keeps moving along its lane
                 cam = camera_pose(Pose.from_yaw(0.0, [x, 0.0, 30.0]), np.deg2rad(60.0))
                 if frame < persist:
-                    dets = [Detection(fp + rng.normal(0, 0.3, 4), 0.5, frame)]
+                    dets = [Detection(fp + rng.normal(0, 0.3, 4), 0.5)]
                 else:
                     dets = []
                 boxes = tracker.step(dets)
@@ -305,7 +309,17 @@ def test_criterion_9_determinism(noisy_result, tmp_path):
             assert cloud.read_bytes() == other.read_bytes()
 
 
+def sha16(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
 def test_nominal_trace_digest_pinned(nominal_result):
     _, result = nominal_result
-    digest = hashlib.sha256(result.trace_path.read_bytes()).hexdigest()[:16]
-    assert digest == NOMINAL_TRACE_DIGEST
+    assert sha16(result.trace_path.read_bytes()) == NOMINAL_TRACE_DIGEST
+
+
+def test_noisy_trace_and_clouds_digests_pinned(noisy_result):
+    _, result = noisy_result
+    clouds = sorted(result.trace_path.parent.glob("cloud_*.xyz"))
+    assert sha16(result.trace_path.read_bytes()) == NOISY_TRACE_DIGEST
+    assert sha16(b"".join(p.read_bytes() for p in clouds)) == NOISY_CLOUDS_DIGEST

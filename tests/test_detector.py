@@ -13,7 +13,9 @@ from targetsim.detector import (
     visible_bboxes,
     visible_boxes,
 )
-from targetsim.geometry import CameraIntrinsics, Pose, project, project_points
+from targetsim.geometry import CameraIntrinsics, Pose, project_points
+
+from tests.test_geometry import project
 
 K = CameraIntrinsics(fx=380.0, fy=380.0, cx=320.0, cy=240.0, width=640, height=480)
 
@@ -52,8 +54,8 @@ def test_total_suppression_with_fn_one():
     target = ellipsoid_target("t", [0.0, 0.0, 1.0], [1.0, 1.0, 1.0])
     cfg = DetectorConfig(fn_rate=1.0)
     rng = np.random.default_rng(1)
-    for frame in range(50):
-        assert detect(down_cam_from_world(30.0), K, Surfaces.of([target]), cfg, rng, frame) == []
+    for _ in range(50):
+        assert detect(down_cam_from_world(30.0), K, Surfaces.of([target]), cfg, rng) == []
 
 
 def test_box_is_projection_hull_of_surface_points():
@@ -102,8 +104,8 @@ def test_noisy_box_contains_projected_center():
     target = ellipsoid_target("t", [1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
     cam_from_world = down_cam_from_world(30.0)
     center_px, _ = project(target.center, cam_from_world, K)
-    for frame in range(200):
-        dets = detect(cam_from_world, K, Surfaces.of([target]), DetectorConfig(), rng, frame)
+    for _ in range(200):
+        dets = detect(cam_from_world, K, Surfaces.of([target]), DetectorConfig(), rng)
         (det,) = dets
         assert det.bbox[0] <= center_px[0] <= det.bbox[2]
         assert det.bbox[1] <= center_px[1] <= det.bbox[3]
@@ -118,7 +120,7 @@ def test_determinism_byte_for_byte():
         rng = np.random.default_rng(seed)
         out = []
         for frame in range(100):
-            for d in detect(cam_from_world, K, Surfaces.of([target]), cfg, rng, frame):
+            for d in detect(cam_from_world, K, Surfaces.of([target]), cfg, rng):
                 out.append((frame, d.bbox.tobytes(), d.score))
         return out
 
@@ -136,8 +138,8 @@ def test_fp_fn_rates_match_config():
     rng = np.random.default_rng(99)
     n_fp = 0
     n_fn = 0
-    for frame in range(n):
-        dets = detect(cam_from_world, K, Surfaces.of([target]), cfg, rng, frame)
+    for _ in range(n):
+        dets = detect(cam_from_world, K, Surfaces.of([target]), cfg, rng)
         true_dets = [d for d in dets if d.score == 1.0]
         n_fn += 1 - len(true_dets)
         n_fp += len(dets) - len(true_dets)

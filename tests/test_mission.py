@@ -5,7 +5,7 @@ import pytest
 
 from targetsim.bounding_cylinder import BoundingCylinder
 from targetsim.detector import ellipsoid_target
-from targetsim.geometry import CameraIntrinsics, Pose
+from targetsim.geometry import CameraIntrinsics
 from targetsim.mission import (
     MissionConfig,
     MissionExecutive,
@@ -22,6 +22,8 @@ from targetsim.points_filter import (
     TargetState,
 )
 from targetsim.view_planner import PlannerConfig, mapping_circles
+
+from tests.test_geometry import IDENTITY
 
 K = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=480)
 PLANNER = PlannerConfig(
@@ -52,7 +54,7 @@ def inject_target(flt, target_id, center, state, spread=0.2, n=100, seed=0):
         target_id=target_id,
         points=points,
         state=state,
-        last_keyframe=Pose.identity(),
+        last_keyframe=IDENTITY,
     )
     flt.targets.append(target)
     flt._next_id = max(flt._next_id, target_id + 1)
@@ -137,7 +139,9 @@ class TestTransitions:
         assert any(e.kind == "mapped" for e in events)
         assert mission.mapped_true_ids == {"rock"}
         assert 1 in clouds and len(clouds[1]) > 0
-        assert flt.get(1).mapped_cloud is not None
+        np.testing.assert_array_equal(
+            flt.get(1).points, min_distance_downsample(clouds[1], MissionConfig().voxel_size)
+        )
 
     def test_deregistration_during_estimation_resumes_search(self):
         mission, flt, _ = make_mission()

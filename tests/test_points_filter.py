@@ -6,7 +6,7 @@ from scipy.stats import multivariate_normal
 
 from targetsim import points_filter
 from targetsim.detector import ellipsoid_target, visible_bbox
-from targetsim.geometry import CameraIntrinsics, Pose, project
+from targetsim.geometry import CameraIntrinsics, Pose
 from targetsim.points_filter import (
     AllZeroWeights,
     DegenerateBox,
@@ -30,6 +30,8 @@ from targetsim.points_filter import (
 from targetsim.tracker import TrackedBox
 from targetsim.uav import camera_pose
 
+from tests.test_geometry import IDENTITY, project
+
 K = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=480)
 
 DE_IDENTITY = 1.5 + 1.5 * np.log(2.0 * np.pi)  # = 4.2568155996...
@@ -38,6 +40,20 @@ DE_IDENTITY = 1.5 + 1.5 * np.log(2.0 * np.pi)  # = 4.2568155996...
 def random_psd(rng, scale=1.0):
     a = rng.normal(size=(3, 3))
     return a @ a.T * scale + 1e-3 * np.eye(3)
+
+
+class TestGaussianSummary:
+    @pytest.mark.parametrize("m", [400, 1000, 4000])
+    def test_from_points_covariance_exactly_symmetric(self, m):
+        # trace records and the entropy and KL tests read the covariance as
+        # from_points builds it, without symmetrising it first
+        rng = np.random.default_rng(m)
+        for _ in range(100):
+            spread = 10.0 ** rng.uniform(-4.0, 1.0, size=3)  # 1e-4 m to 10 m per axis
+            mix = np.linalg.qr(rng.normal(size=(3, 3)))[0]  # correlate the axes
+            points = rng.uniform(-100.0, 100.0, size=3) + (rng.normal(size=(m, 3)) * spread) @ mix
+            cov = GaussianSummary.from_points(points).covariance
+            assert cov.shape == (3, 3) and np.array_equal(cov, cov.T)
 
 
 class TestDifferentialEntropy:
@@ -154,8 +170,8 @@ class TestGeneratePoints:
         # so the honest bound for m=1000 is 5% of the box dimension.
         rng = np.random.default_rng(0)
         bbox = np.array([100.0, 80.0, 300.0, 240.0])
-        pts = generate_points(bbox, Pose.identity(), K, self.CFG, rng)
-        uv = np.array([project(p, Pose.identity(), K)[0] for p in pts])
+        pts = generate_points(bbox, IDENTITY, K, self.CFG, rng)
+        uv = np.array([project(p, IDENTITY, K)[0] for p in pts])
         w, h = bbox[2] - bbox[0], bbox[3] - bbox[1]
         assert uv[:, 0].min() <= bbox[0] + 0.05 * w
         assert uv[:, 0].max() >= bbox[2] - 0.05 * w
@@ -165,7 +181,7 @@ class TestGeneratePoints:
     def test_degenerate_box_raises(self):
         with pytest.raises(DegenerateBox):
             generate_points(
-                np.array([10.0, 10.0, 10.0, 50.0]), Pose.identity(), K, self.CFG,
+                np.array([10.0, 10.0, 10.0, 50.0]), IDENTITY, K, self.CFG,
                 np.random.default_rng(0),
             )
 
@@ -232,8 +248,8 @@ class TestUpdatePoints:
             m=200, max_depth=50.0, update_noise_var=1e-12, w_gauss=0.0, w_uniform=1.0
         )
         bbox = np.array([200.0, 150.0, 400.0, 330.0])
-        points = generate_points(bbox, Pose.identity(), K, cfg, rng)
-        new_points, kld = update_points(points, bbox, Pose.identity(), K, cfg, rng)
+        points = generate_points(bbox, IDENTITY, K, cfg, rng)
+        new_points, kld = update_points(points, bbox, IDENTITY, K, cfg, rng)
         # equal uniform weights: systematic resampling keeps every point
         np.testing.assert_allclose(new_points, points, atol=1e-5)
         assert kld == pytest.approx(0.0, abs=1e-9)
@@ -245,11 +261,11 @@ class TestUpdatePoints:
         cfg = FilterConfig(m=500, max_depth=50.0, w_gauss=0.0, w_uniform=1.0)
         wide = np.array([100.0, 100.0, 500.0, 400.0])
         narrow = np.array([250.0, 200.0, 350.0, 300.0])
-        points = generate_points(wide, Pose.identity(), K, cfg, rng)
-        new_points, _ = update_points(points, narrow, Pose.identity(), K, cfg, rng)
+        points = generate_points(wide, IDENTITY, K, cfg, rng)
+        new_points, _ = update_points(points, narrow, IDENTITY, K, cfg, rng)
         assert new_points.shape == (500, 3)
         for p in new_points:
-            pixel, depth = project(p, Pose.identity(), K)
+            pixel, depth = project(p, IDENTITY, K)
             assert depth > 0
             assert narrow[0] <= pixel[0] <= narrow[2]
             assert narrow[1] <= pixel[1] <= narrow[3]
@@ -259,7 +275,7 @@ class TestUpdatePoints:
         points = np.tile([0.0, 0.0, -10.0], (50, 1))  # behind an identity camera
         with pytest.raises(AllZeroWeights):
             update_points(
-                points, np.array([300.0, 220.0, 340.0, 260.0]), Pose.identity(), K,
+                points, np.array([300.0, 220.0, 340.0, 260.0]), IDENTITY, K,
                 cfg, np.random.default_rng(0),
             )
 
@@ -301,9 +317,9 @@ class TestAssociate:
         rng = np.random.default_rng(5)
         cfg = FilterConfig(m=300, max_depth=50.0)
         bbox = np.array([200.0, 150.0, 400.0, 330.0])
-        pts = generate_points(bbox, Pose.identity(), K, cfg, rng)
+        pts = generate_points(bbox, IDENTITY, K, cfg, rng)
         pairs, unmatched = associate(
-            [bbox], [self.make_target(pts)], Pose.identity(), K, cfg.min_points_in_box
+            [bbox], [self.make_target(pts)], IDENTITY, K, cfg.min_points_in_box
         )
         assert pairs == [(0, 0)] and unmatched == []
 
@@ -312,10 +328,10 @@ class TestAssociate:
         rng = np.random.default_rng(6)
         cfg = FilterConfig(m=1000, max_depth=50.0)
         source = np.array([100.0, 100.0, 500.0, 400.0])
-        pts = generate_points(source, Pose.identity(), K, cfg, rng)
+        pts = generate_points(source, IDENTITY, K, cfg, rng)
         tiny = np.array([110.0, 110.0, 130.0, 130.0])
         pairs, unmatched = associate(
-            [tiny], [self.make_target(pts)], Pose.identity(), K, cfg.min_points_in_box
+            [tiny], [self.make_target(pts)], IDENTITY, K, cfg.min_points_in_box
         )
         assert pairs == [] and unmatched == [0]
 
@@ -326,13 +342,13 @@ class TestAssociate:
         cfg = FilterConfig(m=1000, max_depth=50.0)
         box_a = np.array([100.0, 100.0, 250.0, 220.0])
         box_b = np.array([400.0, 260.0, 550.0, 400.0])
-        cloud_a = generate_points(box_a, Pose.identity(), K, cfg, rng)
-        cloud_b = generate_points(box_b, Pose.identity(), K, cfg, rng)
+        cloud_a = generate_points(box_a, IDENTITY, K, cfg, rng)
+        cloud_b = generate_points(box_b, IDENTITY, K, cfg, rng)
         targets = [self.make_target(cloud_b), self.make_target(cloud_a)]
         from targetsim.points_filter import projection_count_costs
 
-        costs = projection_count_costs([box_a, box_b], targets, Pose.identity(), K)
-        pairs, _ = associate([box_a, box_b], targets, Pose.identity(), K, 100)
+        costs = projection_count_costs([box_a, box_b], targets, IDENTITY, K)
+        pairs, _ = associate([box_a, box_b], targets, IDENTITY, K, 100)
         total = sum(costs[i, j] for i, j in pairs)
         assert total == brute_force_best(costs, maximize=True)
         assert sorted(pairs) == [(0, 1), (1, 0)]

@@ -25,8 +25,8 @@ def brute_force_best(cost: np.ndarray, maximize: bool):
     return best
 
 
-def det(bbox, frame=0):
-    return Detection(np.asarray(bbox, dtype=float), 1.0, frame)
+def det(bbox):
+    return Detection(np.asarray(bbox, dtype=float), 1.0)
 
 
 class TestIou:

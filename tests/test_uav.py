@@ -117,7 +117,9 @@ class TestCameraMount:
         np.testing.assert_allclose(view, [np.cos(gamma), 0.0, -np.sin(gamma)], atol=1e-12)
 
     def test_point_on_axis_projects_to_principal_point(self):
-        from targetsim.geometry import CameraIntrinsics, project
+        from targetsim.geometry import CameraIntrinsics
+
+        from tests.test_geometry import project
 
         k = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=480)
         gamma = np.deg2rad(60.0)

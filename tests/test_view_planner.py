@@ -67,8 +67,6 @@ class TestLawnmower:
 
     def test_empty_polygon_raises(self):
         with pytest.raises(EmptyPolygon):
-            lawnmower([(0.0, 0.0), (1.0, 1.0)], 10.0, 30.0)
-        with pytest.raises(EmptyPolygon):
             PlannerConfig(survey_polygon=((0.0, 0.0), (1.0, 1.0)))
 
     def test_footprint_coverage_of_polygon(self):
