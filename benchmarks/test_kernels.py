@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from targetsim.detector import Surfaces, ellipsoid_target, visible_bboxes, visible_boxes
-from targetsim.geometry import CameraIntrinsics, Pose, project_points
+from targetsim.geometry import CameraIntrinsics, project_points
 from targetsim.points_filter import (
     FilterConfig,
     PointTarget,
@@ -27,8 +27,10 @@ from targetsim.tracker import hungarian_assign
 from targetsim.uav import camera_pose
 
 K = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=480)
-WORLD_FROM_CAM = camera_pose(Pose.from_yaw(0.0, [0.0, 0.0, 30.0]), np.deg2rad(60.0))
+DEPRESSION = np.deg2rad(60.0)
+WORLD_FROM_CAM = camera_pose(0.0, [0.0, 0.0, 30.0], DEPRESSION)
 CAM_FROM_WORLD = WORLD_FROM_CAM.inverse()
+VIEW = (CAM_FROM_WORLD.rotation, CAM_FROM_WORLD.translation)
 CFG = FilterConfig(m=4000, max_depth=50.0)
 BOXES = [
     np.array([280.0, 200.0, 360.0, 280.0]),
@@ -62,8 +64,7 @@ def survey5():
     rng = np.random.default_rng(2)
     n = 1024
     positions = np.column_stack([rng.uniform(0.0, 200.0, (n, 2)), np.full(n, 30.0)])
-    body = Pose.from_yaw(np.pi * rng.integers(0, 2, n), positions)
-    cams = camera_pose(body, np.deg2rad(60.0)).inverse()
+    cams = camera_pose(np.pi * rng.integers(0, 2, n), positions, DEPRESSION).inverse()
     return Surfaces.of(targets), cams
 
 
@@ -73,22 +74,36 @@ def clouds():
     return [
         PointTarget(
             target_id=i + 1,
-            points=generate_points(BOXES[i % len(BOXES)], WORLD_FROM_CAM, K, CFG, rng),
+            points=generate_points(
+                BOXES[i % len(BOXES)], WORLD_FROM_CAM.rotation, WORLD_FROM_CAM.translation,
+                K, CFG, rng,
+            ),
             state=TargetState.TRACKING,
-            last_keyframe=WORLD_FROM_CAM,
+            last_keyframe=(WORLD_FROM_CAM.rotation, WORLD_FROM_CAM.translation),
         )
         for i in range(7)
     ]
 
 
+def camera_pair():
+    """One frame's cameras as the run builds them: the (true, estimated)
+    world-from-camera stack and its inverse."""
+    cams = camera_pose([0.3, 0.3], [[10.0, 20.0, 30.0], [10.1, 19.9, 30.0]], DEPRESSION)
+    return cams, cams.inverse()
+
+
+def test_camera_pair(benchmark):
+    cams, views = benchmark(camera_pair)
+    assert cams.rotation.shape == views.rotation.shape == (2, 3, 3)
+
+
 def test_project_points(benchmark, clouds):
-    benchmark(
-        project_points, clouds[0].points, CAM_FROM_WORLD.rotation, CAM_FROM_WORLD.translation, K
-    )
+    uv, depths = benchmark(project_points, clouds[0].points, *VIEW, K)
+    assert uv.shape == (4000, 2) and depths.shape == (4000,)
 
 
 def test_visible_bboxes(benchmark, surfaces):
-    boxes = benchmark(visible_bboxes, surfaces, CAM_FROM_WORLD, K)
+    boxes = benchmark(visible_bboxes, surfaces, *VIEW, K)
     assert len(boxes) == 5
 
 
@@ -100,14 +115,14 @@ def test_visible_boxes_batched(benchmark, survey5):
 
 def test_update_points(benchmark, clouds):
     rng = np.random.default_rng(1)
-    benchmark(update_points, clouds[0].points, BOXES[0], CAM_FROM_WORLD, K, CFG, rng)
+    benchmark(update_points, clouds[0].points, BOXES[0], *VIEW, K, CFG, rng)
 
 
 def test_projection_count_costs(benchmark, clouds):
-    costs = benchmark(projection_count_costs, BOXES, clouds, CAM_FROM_WORLD, K)
+    costs = benchmark(projection_count_costs, BOXES, clouds, *VIEW, K)
     assert costs.shape == (len(BOXES), len(clouds))
 
 
 def test_hungarian_assign(benchmark, clouds):
-    costs = projection_count_costs(BOXES, clouds, CAM_FROM_WORLD, K)
+    costs = projection_count_costs(BOXES, clouds, *VIEW, K)
     benchmark(hungarian_assign, costs, maximize=True)

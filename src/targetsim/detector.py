@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, Pose, project_points, transform_points
+from .geometry import CameraIntrinsics, Pose, project_points, transform_rows
 
 FP_BOX_MIN_PX = 8.0
 
@@ -128,8 +128,9 @@ def visible_boxes(
     off the image, so each target's first point is tested in every view
     first, and only the views where it is not clearly out project the whole
     surface: one projection for each run of adjacent targets kept in the
-    same views. Min and max are exact, so each box equals the one
-    projecting that target alone in that view.
+    same views; when no target is kept in any view, nothing is projected.
+    Min and max are exact, so each box equals the one projecting that
+    target alone in that view.
     """
     starts = surfaces.starts
     boxes = np.empty((len(rotations), len(starts), 4))
@@ -145,8 +146,11 @@ def visible_boxes(
         [k.fx, 0.0, k.cx + m], [-k.fx, 0.0, k.width + m - k.cx],
         [0.0, k.fy, k.cy + m], [0.0, -k.fy, k.height + m - k.cy],
     ])
-    first_cam = transform_points(rotations, translations, surfaces.points[starts])
-    kept = ~(first_cam @ out_of_view.T < 0).any(axis=-1)
+    first_cam = transform_rows(rotations, translations, surfaces.points[starts])  # (F, 3, n)
+    kept = ~(out_of_view @ first_cam < 0).any(axis=-2)
+    if not kept.any():  # the common survey frame: nothing to project
+        boxes.fill(np.nan)
+        return boxes, visible
     columns = kept.T.tolist()
     runs: list[list[int]] = []  # [first, last] of adjacent targets kept in the same views
     for i, column in enumerate(columns):
@@ -178,12 +182,11 @@ def visible_boxes(
 
 
 def visible_bboxes(
-    surfaces: Surfaces, cam_from_world: Pose, k: CameraIntrinsics
+    surfaces: Surfaces, rotation: np.ndarray, translation: np.ndarray, k: CameraIntrinsics
 ) -> list[np.ndarray | None]:
-    """visible_boxes in one view, with None for each hidden target."""
-    boxes, visible = visible_boxes(
-        surfaces, cam_from_world.rotation[None], cam_from_world.translation[None], k
-    )
+    """visible_boxes in one cam-from-world view, with None for each hidden
+    target."""
+    boxes, visible = visible_boxes(surfaces, rotation[None], translation[None], k)
     return [box if seen else None for box, seen in zip(boxes[0], visible[0])]
 
 
@@ -191,19 +194,23 @@ def visible_bbox(
     target: TargetModel, cam_from_world: Pose, k: CameraIntrinsics
 ) -> np.ndarray | None:
     """visible_bboxes for one target."""
-    return visible_bboxes(Surfaces.of([target]), cam_from_world, k)[0]
+    return visible_bboxes(
+        Surfaces.of([target]), cam_from_world.rotation, cam_from_world.translation, k
+    )[0]
 
 
 def detect(
-    cam_from_world: Pose,
+    rotation: np.ndarray,
+    translation: np.ndarray,
     k: CameraIntrinsics,
     surfaces: Surfaces,
     cfg: DetectorConfig,
     rng: np.random.Generator,
 ) -> list[Detection]:
-    """One simulated detector inference on the current camera view."""
+    """One simulated detector inference on the current camera view, given
+    by its cam-from-world rotation and translation."""
     detections: list[Detection] = []
-    for bbox in visible_bboxes(surfaces, cam_from_world, k):
+    for bbox in visible_bboxes(surfaces, rotation, translation, k):
         if bbox is None:
             continue
         if cfg.fn_rate > 0 and rng.random() < cfg.fn_rate:

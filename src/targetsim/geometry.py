@@ -51,10 +51,34 @@ def check_rotations(r: np.ndarray) -> None:
         raise ValueError("rotation determinant is not +1")
 
 
+def transform_rows(rotation: np.ndarray, translation: np.ndarray, points: np.ndarray):
+    """rotation @ points.T + translation as (..., 3, n) rows, for points
+    (n, 3): the one place the rigid transform is computed. The translation
+    is added along contiguous rows, which costs less than broadcasting it
+    over an inner axis of length 3."""
+    rows = rotation @ points.T
+    rows += translation[..., None]
+    return rows
+
+
 def transform_points(rotation: np.ndarray, translation: np.ndarray, points: np.ndarray):
     """rotation @ x + translation for each row x of points (n, 3). A stack
-    of F transforms, (F, 3, 3) and (F, 3), gives (F, n, 3)."""
-    return points @ rotation.swapaxes(-1, -2) + translation[..., None, :]
+    of F transforms, (F, 3, 3) and (F, 3), gives (F, n, 3). The result is
+    C-ordered: numpy's pairwise sums depend on the memory layout, and a
+    cloud's summary is a sum over its points."""
+    return np.ascontiguousarray(transform_rows(rotation, translation, points).swapaxes(-1, -2))
+
+
+def yaw_rotation(yaw) -> np.ndarray:
+    """Rotation about world z by yaw, (3, 3); an array of yaws gives a stack."""
+    yaw = np.asarray(yaw, dtype=float)
+    c, s = np.cos(yaw), np.sin(yaw)
+    r = np.zeros(yaw.shape + (3, 3))
+    r[..., 0, 0] = r[..., 1, 1] = c
+    r[..., 0, 1] = -s
+    r[..., 1, 0] = s
+    r[..., 2, 2] = 1.0
+    return r
 
 
 @dataclass(frozen=True)
@@ -82,17 +106,16 @@ class Pose:
     @classmethod
     def from_yaw(cls, yaw, translation) -> "Pose":
         """Rotation about world z by yaw; an array of yaws gives a stack."""
-        c, s = np.cos(yaw), np.sin(yaw)
-        r = np.zeros(np.shape(yaw) + (3, 3))
-        r[..., 0, 0] = r[..., 1, 1] = c
-        r[..., 0, 1] = -s
-        r[..., 1, 0] = s
-        r[..., 2, 2] = 1.0
-        return cls(r, np.asarray(translation, dtype=float))
+        return cls(yaw_rotation(yaw), translation)
 
     def inverse(self) -> "Pose":
         rt = self.rotation.swapaxes(-1, -2)
         return Pose(rt, (-rt @ self.translation[..., None])[..., 0])
+
+    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Transform i of a stack as (rotation, translation) views of the
+        checked arrays, the form project_points takes."""
+        return self.rotation[i], self.translation[i]
 
     def transform(self, points: np.ndarray) -> np.ndarray:
         """Apply to one (3,) point or an (n, 3) batch."""
@@ -112,10 +135,10 @@ def project_points(
     (F, n, 2) and (F, n). Pixels of non-positive-depth points are garbage;
     callers must mask on depth.
     """
-    pc = transform_points(rotation, translation, np.asarray(points, dtype=float).reshape(-1, 3))
-    depths = pc[..., 2]
+    pc = transform_rows(rotation, translation, np.asarray(points, dtype=float).reshape(-1, 3))
+    x, y, depths = pc[..., 0, :], pc[..., 1, :], pc[..., 2, :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        uv = np.empty(pc.shape[:-1] + (2,))
-        uv[..., 0] = k.fx * pc[..., 0] / depths + k.cx
-        uv[..., 1] = k.fy * pc[..., 1] / depths + k.cy
-    return uv, depths
+        uv = np.empty(depths.shape + (2,))
+        uv[..., 0] = k.fx * x / depths + k.cx
+        uv[..., 1] = k.fy * y / depths + k.cy
+    return uv, np.ascontiguousarray(depths)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .detector import DetectorConfig, Surfaces, detect, ellipsoid_target, visible_boxes
 from .detector import visible_bbox  # noqa: F401  perfbench/tracer.py wraps harness.visible_bbox
-from .geometry import CameraIntrinsics, Pose
+from .geometry import CameraIntrinsics
 from .mission import MissionConfig, MissionExecutive, MissionMode
 from .points_filter import FilterConfig, PointsFilter, on_image_edge
 from .tracker import BoxTracker, TrackerConfig, hungarian_assign, iou
@@ -244,8 +244,7 @@ def _true_boxes_for_frames(records, scenario: Scenario) -> list[dict]:
     record, each seen from the record's true camera pose."""
     yaws = np.array([r["uav"]["true"]["yaw"] for r in records], dtype=float)
     positions = np.array([r["uav"]["true"]["position"] for r in records], dtype=float)
-    body = Pose.from_yaw(yaws, positions.reshape(-1, 3))
-    cams = camera_pose(body, scenario.planner.cam_depression).inverse()
+    cams = camera_pose(yaws, positions.reshape(-1, 3), scenario.planner.cam_depression).inverse()
     k = scenario.camera
     boxes, visible = visible_boxes(scenario.surfaces, cams.rotation, cams.translation, k)
     margin = scenario.filter.edge_margin_px
@@ -442,12 +441,16 @@ def run(scenario: Scenario, out_dir=None, write_trace: bool = True) -> RunResult
                 if waypoint_reached(uav, wp):
                     events += mission.on_waypoint_reached(uav.est_position)
 
-            true_cam = camera_pose(uav.body_pose(), scenario.planner.cam_depression)
-            est_cam = camera_pose(uav.est_body_pose(), scenario.planner.cam_depression)
+            # world-from-camera of the true and the estimated state, one stack
+            cams = camera_pose(
+                [uav.yaw, uav.est_yaw], [uav.position, uav.est_position],
+                scenario.planner.cam_depression,
+            )
+            views = cams.inverse()
 
-            detections = detect(true_cam.inverse(), k, scenario.surfaces, scenario.detector, rng)
+            detections = detect(*views.row(0), k, scenario.surfaces, scenario.detector, rng)
             boxes = tracker.step(detections)
-            filter_events, updated = flt.tick(boxes, est_cam, rng)
+            filter_events, updated = flt.tick(boxes, cams.row(1), views.row(1), rng)
             events += filter_events
             events += mission.on_perception(filter_events, updated, uav.est_position)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, Pose, project_points
+from .geometry import CameraIntrinsics, project_points, transform_points
 from .tracker import TrackedBox, hungarian_assign
 
 _DET_FLOOR = 1e-18
@@ -118,7 +118,7 @@ class PointTarget:
     target_id: int
     points: np.ndarray  # (m, 3); assign through set_points
     state: TargetState
-    last_keyframe: Pose
+    last_keyframe: tuple  # world-from-camera (rotation, translation) of the last update
     kld_streak: int = 0
     miss_counter: int = 0
     last_kld: float | None = None
@@ -189,12 +189,15 @@ def on_image_edge(bbox: np.ndarray, k: CameraIntrinsics, margin: float) -> bool:
 
 def generate_points(
     bbox: np.ndarray,
-    world_from_cam: Pose,
+    rotation: np.ndarray,
+    translation: np.ndarray,
     k: CameraIntrinsics,
     cfg: FilterConfig,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Sample m points inside the viewing cone of an (enlarged) box.
+    """Sample m points inside the viewing cone of an (enlarged) box, seen
+    by the camera whose world-from-camera transform is (rotation,
+    translation).
 
     Directions are convex combinations of the four corner rays; depths are
     uniform in (0, max_depth].
@@ -207,7 +210,7 @@ def generate_points(
     corner_rays = k.unit_rays(bbox_corners(b)).T  # (3, 4)
     delta = cfg.max_depth * rng.uniform(size=cfg.m)
     points_cam = (corner_rays @ a_bar) * delta
-    return world_from_cam.transform(points_cam.T)
+    return transform_points(rotation, translation, points_cam.T)
 
 
 def mixture_weights(
@@ -250,32 +253,29 @@ def systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.nda
 def projection_count_costs(
     boxes: list[np.ndarray],
     targets: list[PointTarget],
-    cam_from_world: Pose,
+    rotation: np.ndarray,
+    translation: np.ndarray,
     k: CameraIntrinsics,
 ) -> np.ndarray:
-    """cost[i, j] = number of target j's points projecting inside box i."""
+    """cost[i, j] = number of target j's points in front of the camera
+    (cam-from-world rotation and translation) projecting inside the closed
+    box i."""
+    u_lo, v_lo, u_hi, v_hi = np.reshape(boxes, (-1, 4)).T[..., None]  # each (n_boxes, 1)
     costs = np.zeros((len(boxes), len(targets)))
     for j, target in enumerate(targets):
-        uv, depths = project_points(
-            target.points, cam_from_world.rotation, cam_from_world.translation, k
-        )
-        valid = depths > 0
-        for i, b in enumerate(boxes):
-            inside = (
-                valid
-                & (uv[:, 0] >= b[0])
-                & (uv[:, 0] <= b[2])
-                & (uv[:, 1] >= b[1])
-                & (uv[:, 1] <= b[3])
-            )
-            costs[i, j] = int(inside.sum())
+        uv, depths = project_points(target.points, rotation, translation, k)
+        u, v = uv.T.copy()  # contiguous rows compare about twice as fast as columns
+        inside = (depths > 0) & (u >= u_lo) & (u <= u_hi) & (v >= v_lo) & (v <= v_hi)
+        # per row: count_nonzero over an axis goes through a slower sum
+        costs[:, j] = [np.count_nonzero(row) for row in inside]
     return costs
 
 
 def associate(
     boxes: list[np.ndarray],
     targets: list[PointTarget],
-    cam_from_world: Pose,
+    rotation: np.ndarray,
+    translation: np.ndarray,
     k: CameraIntrinsics,
     min_points: int,
 ):
@@ -287,7 +287,7 @@ def associate(
     """
     if not boxes or not targets:
         return [], list(range(len(boxes)))
-    costs = projection_count_costs(boxes, targets, cam_from_world, k)
+    costs = projection_count_costs(boxes, targets, rotation, translation, k)
     raw_pairs, unmatched_boxes, _ = hungarian_assign(costs, maximize=True)
     pairs = []
     for box_idx, target_idx in raw_pairs:
@@ -298,10 +298,12 @@ def associate(
     return pairs, sorted(unmatched_boxes)
 
 
-def pose_delta(a: Pose, b: Pose) -> tuple[float, float]:
-    """(translation distance, rotation angle) between two poses."""
-    dt = float(np.linalg.norm(a.translation - b.translation))
-    r = a.rotation.T @ b.rotation
+def pose_delta(a: tuple, b: tuple) -> tuple[float, float]:
+    """(translation distance, rotation angle) between two (rotation,
+    translation) transforms."""
+    (ra, ta), (rb, tb) = a, b
+    dt = float(np.linalg.norm(ta - tb))
+    r = ra.T @ rb
     cos_angle = np.clip((np.trace(r) - 1.0) / 2.0, -1.0, 1.0)
     return dt, float(np.arccos(cos_angle))
 
@@ -309,12 +311,14 @@ def pose_delta(a: Pose, b: Pose) -> tuple[float, float]:
 def update_points(
     points: np.ndarray,
     bbox: np.ndarray,
-    cam_from_world: Pose,
+    rotation: np.ndarray,
+    translation: np.ndarray,
     k: CameraIntrinsics,
     cfg: FilterConfig,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, float]:
-    """One importance-resampling update against a tracked box.
+    """One importance-resampling update against a box tracked by the
+    camera whose cam-from-world transform is (rotation, translation).
 
     Perturbs the cloud with isotropic Gaussian noise, weights the perturbed
     projections against the box, and resamples m points from the perturbed
@@ -324,7 +328,7 @@ def update_points(
     """
     noise = np.sqrt(cfg.update_noise_var) * rng.standard_normal(points.shape)
     perturbed = points + noise
-    uv, depths = project_points(perturbed, cam_from_world.rotation, cam_from_world.translation, k)
+    uv, depths = project_points(perturbed, rotation, translation, k)
     weights = mixture_weights(uv, bbox, cfg.w_gauss, cfg.w_uniform)
     off_image = (
         (depths <= 0)
@@ -388,17 +392,18 @@ class PointsFilter:
     def tick(
         self,
         boxes: list[TrackedBox],
-        camera_pose: Pose,
+        world_from_cam: tuple,
+        cam_from_world: tuple,
         rng: np.random.Generator,
     ) -> tuple[list[Event], list[int]]:
         """Associate, update, spawn, and age targets for one cycle.
 
-        camera_pose maps camera coordinates to world coordinates. An empty
-        box list behaves as a deregistration-only timer tick. Returns
-        (events, ids updated this tick).
+        world_from_cam and cam_from_world are the frame's camera transform
+        and its inverse, each a (rotation, translation) pair as Pose.row
+        gives it. An empty box list behaves as a deregistration-only timer
+        tick. Returns (events, ids updated this tick).
         """
         cfg = self.cfg
-        cam_from_world = camera_pose.inverse()
         events: list[Event] = []
         updated: list[int] = []
 
@@ -407,7 +412,7 @@ class PointsFilter:
         ]
         gated_boxes = [np.asarray(b.bbox, dtype=float) for b in gated]
         pairs, unmatched = associate(
-            gated_boxes, self.targets, cam_from_world, self.k, cfg.min_points_in_box
+            gated_boxes, self.targets, *cam_from_world, self.k, cfg.min_points_in_box
         )
 
         refreshed: set[int] = set()
@@ -415,18 +420,18 @@ class PointsFilter:
             target = self.targets[target_idx]
             if target.state is TargetState.MAPPED:
                 continue  # box consumed, nothing to update
-            dt, dr = pose_delta(camera_pose, target.last_keyframe)
+            dt, dr = pose_delta(world_from_cam, target.last_keyframe)
             if dt <= cfg.keyframe_min_translation and dr <= cfg.keyframe_min_rotation:
                 continue  # not a keyframe yet
             try:
                 new_points, kld = update_points(
-                    target.points, gated_boxes[box_idx], cam_from_world, self.k, cfg, rng
+                    target.points, gated_boxes[box_idx], *cam_from_world, self.k, cfg, rng
                 )
             except AllZeroWeights:
                 events.append(Event("update_failed", target.target_id))
                 continue  # counts as a missed update
             target.set_points(new_points)
-            target.last_keyframe = camera_pose
+            target.last_keyframe = world_from_cam
             target.last_kld = kld
             target.kld_streak = target.kld_streak + 1 if kld < cfg.kld_threshold else 0
             entropy = differential_entropy(target.summary)
@@ -454,7 +459,7 @@ class PointsFilter:
             bbox = gated_boxes[box_idx]
             enlarged = enlarge_bbox(bbox, cfg.enlarge_frac, self.k)
             try:
-                points = generate_points(enlarged, camera_pose, self.k, cfg, rng)
+                points = generate_points(enlarged, *world_from_cam, self.k, cfg, rng)
             except DegenerateBox:
                 events.append(Event("spawn_failed", bbox=tuple(bbox.tolist())))
                 continue
@@ -462,7 +467,7 @@ class PointsFilter:
                 target_id=self._next_id,
                 points=points,
                 state=TargetState.TRACKING,
-                last_keyframe=camera_pose,
+                last_keyframe=world_from_cam,
             )
             target.last_entropy = differential_entropy(target.summary)
             self._next_id += 1

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Pose
+from .geometry import Pose, yaw_rotation
 from .view_planner import Waypoint
 
 REACH_DIST = 0.2  # meters
@@ -57,12 +57,6 @@ class UavState:
     def at_rest(cls, position, yaw: float = 0.0) -> "UavState":
         p = np.asarray(position, dtype=float)
         return cls(position=p, yaw=yaw, velocity=np.zeros(3), est_position=p.copy(), est_yaw=yaw)
-
-    def body_pose(self) -> Pose:
-        return Pose.from_yaw(self.yaw, self.position)
-
-    def est_body_pose(self) -> Pose:
-        return Pose.from_yaw(self.est_yaw, self.est_position)
 
 
 def wrap_angle(a: float) -> float:
@@ -125,6 +119,7 @@ def camera_mount(depression: float) -> np.ndarray:
     return np.array([[0.0, -s, c], [-1.0, 0.0, 0.0], [0.0, -c, -s]])
 
 
-def camera_pose(body: Pose, depression: float) -> Pose:
-    """World-from-camera pose for a level body with the fixed mount."""
-    return Pose(body.rotation @ camera_mount(depression), body.translation)
+def camera_pose(yaw, position, depression: float) -> Pose:
+    """World-from-camera pose of a level body at yaw and position, with the
+    fixed mount. Arrays of yaws (F,) and positions (F, 3) give a stack."""
+    return Pose(yaw_rotation(yaw) @ camera_mount(depression), position)

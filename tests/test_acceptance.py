@@ -14,7 +14,7 @@ import pytest
 
 from targetsim.bounding_cylinder import BoundingCylinder, fit_bounding_cylinder
 from targetsim.detector import Detection
-from targetsim.geometry import CameraIntrinsics, Pose, project_points
+from targetsim.geometry import CameraIntrinsics, project_points
 from targetsim.harness import load_scenario, run
 from targetsim.points_filter import (
     FilterConfig,
@@ -28,7 +28,7 @@ from targetsim.tracker import BoxTracker, TrackerConfig, hungarian_assign
 from targetsim.uav import camera_pose
 from targetsim.view_planner import PlannerConfig, mapping_circles
 
-from tests.test_geometry import random_pose
+from tests.test_geometry import random_pose, rt
 from tests.test_view_planner import in_some_wedge, wall_points
 
 K = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=480)
@@ -144,13 +144,13 @@ def test_criterion_3_fp_robustness():
             tick = 0
             for frame in range(persist + grace + t_missing + 5):
                 x = 0.1 * frame  # the camera keeps moving along its lane
-                cam = camera_pose(Pose.from_yaw(0.0, [x, 0.0, 30.0]), np.deg2rad(60.0))
+                cam = camera_pose(0.0, [x, 0.0, 30.0], np.deg2rad(60.0))
                 if frame < persist:
                     dets = [Detection(fp + rng.normal(0, 0.3, 4), 0.5)]
                 else:
                     dets = []
                 boxes = tracker.step(dets)
-                events, updated = flt.tick(boxes, cam, rng)
+                events, updated = flt.tick(boxes, rt(cam), rt(cam.inverse()), rng)
                 tick += 1
                 if updated or any(e.kind == "spawned" for e in events):
                     last_update_tick = tick
@@ -179,7 +179,7 @@ def test_criterion_4_generation_oracle():
                 np.array([[bbox[0], bbox[1]], [bbox[2], bbox[1]],
                           [bbox[2], bbox[3]], [bbox[0], bbox[3]]])
             )[:, 2].max()
-            pts = generate_points(bbox, world_from_cam, K, cfg, rng)
+            pts = generate_points(bbox, *rt(world_from_cam), K, cfg, rng)
             cam_from_world = world_from_cam.inverse()
             uv, depths = project_points(
                 pts, cam_from_world.rotation, cam_from_world.translation, K

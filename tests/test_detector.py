@@ -4,6 +4,7 @@ from collections import Counter
 
 import numpy as np
 
+from targetsim import detector
 from targetsim.detector import (
     DetectorConfig,
     Surfaces,
@@ -15,7 +16,7 @@ from targetsim.detector import (
 )
 from targetsim.geometry import CameraIntrinsics, Pose, project_points
 
-from tests.test_geometry import project
+from tests.test_geometry import project, rt
 
 K = CameraIntrinsics(fx=380.0, fy=380.0, cx=320.0, cy=240.0, width=640, height=480)
 
@@ -31,6 +32,9 @@ def down_cam_from_world(altitude: float) -> Pose:
     return world_from_cam.inverse()
 
 
+DOWN_30 = rt(down_cam_from_world(30.0))
+
+
 def test_ellipsoid_surface_on_surface():
     target = ellipsoid_target("t", [1.0, 2.0, 3.0], [2.0, 1.0, 0.5], n_surface=500)
     rel = (target.surface_points - target.center) / target.semi_axes
@@ -42,7 +46,7 @@ def test_centered_sphere_box_centered_on_principal_point():
     target = ellipsoid_target("t", [0.0, 0.0, 1.0], [1.0, 1.0, 1.0])
     cfg = DetectorConfig()
     surfaces = Surfaces.of([target])
-    dets = detect(down_cam_from_world(30.0), K, surfaces, cfg, np.random.default_rng(0))
+    dets = detect(*DOWN_30, K, surfaces, cfg, np.random.default_rng(0))
     assert len(dets) == 1
     b = dets[0].bbox
     # centered up to the discrete surface sampling of the silhouette
@@ -55,7 +59,7 @@ def test_total_suppression_with_fn_one():
     cfg = DetectorConfig(fn_rate=1.0)
     rng = np.random.default_rng(1)
     for _ in range(50):
-        assert detect(down_cam_from_world(30.0), K, Surfaces.of([target]), cfg, rng) == []
+        assert detect(*DOWN_30, K, Surfaces.of([target]), cfg, rng) == []
 
 
 def test_box_is_projection_hull_of_surface_points():
@@ -64,7 +68,7 @@ def test_box_is_projection_hull_of_surface_points():
     target = ellipsoid_target("t", [3.0, -2.0, 1.0], [1.0, 0.8, 1.2], n_surface=300)
     cam_from_world = down_cam_from_world(25.0)
     surfaces = Surfaces.of([target])
-    dets = detect(cam_from_world, K, surfaces, DetectorConfig(), np.random.default_rng(0))
+    dets = detect(*rt(cam_from_world), K, surfaces, DetectorConfig(), np.random.default_rng(0))
     assert len(dets) == 1
     us, vs = [], []
     for p in target.surface_points:
@@ -83,7 +87,7 @@ def test_partially_visible_target_not_detected():
         target = ellipsoid_target("t", [x, 0.0, 1.0], [1.0, 1.0, 1.0])
         bbox = visible_bbox(target, cam_from_world, K)
         surfaces = Surfaces.of([target])
-        dets = detect(cam_from_world, K, surfaces, DetectorConfig(), np.random.default_rng(0))
+        dets = detect(*rt(cam_from_world), K, surfaces, DetectorConfig(), np.random.default_rng(0))
         if bbox is None:
             assert dets == []
         else:
@@ -105,7 +109,7 @@ def test_noisy_box_contains_projected_center():
     cam_from_world = down_cam_from_world(30.0)
     center_px, _ = project(target.center, cam_from_world, K)
     for _ in range(200):
-        dets = detect(cam_from_world, K, Surfaces.of([target]), DetectorConfig(), rng)
+        dets = detect(*rt(cam_from_world), K, Surfaces.of([target]), DetectorConfig(), rng)
         (det,) = dets
         assert det.bbox[0] <= center_px[0] <= det.bbox[2]
         assert det.bbox[1] <= center_px[1] <= det.bbox[3]
@@ -120,7 +124,7 @@ def test_determinism_byte_for_byte():
         rng = np.random.default_rng(seed)
         out = []
         for frame in range(100):
-            for d in detect(cam_from_world, K, Surfaces.of([target]), cfg, rng):
+            for d in detect(*rt(cam_from_world), K, Surfaces.of([target]), cfg, rng):
                 out.append((frame, d.bbox.tobytes(), d.score))
         return out
 
@@ -139,7 +143,7 @@ def test_fp_fn_rates_match_config():
     n_fp = 0
     n_fn = 0
     for _ in range(n):
-        dets = detect(cam_from_world, K, Surfaces.of([target]), cfg, rng)
+        dets = detect(*rt(cam_from_world), K, Surfaces.of([target]), cfg, rng)
         true_dets = [d for d in dets if d.score == 1.0]
         n_fn += 1 - len(true_dets)
         n_fp += len(dets) - len(true_dets)
@@ -194,7 +198,7 @@ def test_stacked_boxes_equal_per_target_loop():
         s, c = np.sin(pitch), np.cos(pitch)
         mount = np.array([[0.0, -s, c], [-1.0, 0.0, 0.0], [0.0, -c, -s]])
         cam_from_world = Pose(body.rotation @ mount, body.translation).inverse()
-        stacked = visible_bboxes(surfaces, cam_from_world, K)
+        stacked = visible_bboxes(surfaces, *rt(cam_from_world), K)
         assert len(stacked) == len(targets)
         for target, box in zip(targets, stacked):
             kinds[view_kind(target, cam_from_world, K)] += 1
@@ -202,7 +206,7 @@ def test_stacked_boxes_equal_per_target_loop():
             for got in (box, visible_bbox(target, cam_from_world, K)):
                 assert got is None if want is None else np.array_equal(got, want)
     assert min(kinds[k] for k in ("behind", "partial", "off_image", "visible")) >= 20, kinds
-    assert visible_bboxes(Surfaces.of([]), down_cam_from_world(30.0), K) == []
+    assert visible_bboxes(Surfaces.of([]), *DOWN_30, K) == []
 
 
 def pinned_cam_from_world(rotation, point, pixel, depth, k) -> Pose:
@@ -281,3 +285,47 @@ def test_batched_boxes_equal_per_pose_loop():
     assert not a_pinned[:5].any() and a_pinned[6:].all()
     empty = visible_boxes(Surfaces.of([]), np.stack([DOWN.rotation]), np.zeros((1, 3)), K)
     assert empty[0].shape == (1, 0, 4) and empty[1].shape == (1, 0)
+
+
+def test_all_culled_views_equal_full_path(monkeypatch):
+    # views where no target's first point survives the cull return before
+    # projecting; the same views batched with one view that keeps a target
+    # go through the full path, and both equal the per-target reference
+    targets = [
+        ellipsoid_target("a", [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]),
+        ellipsoid_target("b", [6.0, -4.0, 1.0], [1.2, 0.8, 1.0], n_surface=37),
+    ]
+    surfaces = Surfaces.of(targets)
+    rng = np.random.default_rng(8)
+    culled = []
+    while len(culled) < 40:
+        yaw = rng.uniform(-np.pi, np.pi)
+        world_from_cam = Pose(
+            Pose.from_yaw(yaw, np.zeros(3)).rotation @ DOWN.rotation,
+            [*rng.uniform(-400.0, 400.0, 2), rng.uniform(-60.0, 60.0)],
+        )
+        view = world_from_cam.inverse()
+        if all(view_kind(t, view, K) in ("behind", "off_image") for t in targets):
+            culled.append(view)
+    kinds = Counter(view_kind(t, v, K) for v in culled for t in targets)
+    assert kinds["behind"] and kinds["off_image"], kinds
+    rotations = np.stack([v.rotation for v in culled])
+    translations = np.stack([v.translation for v in culled])
+    projected = []
+    monkeypatch.setattr(
+        detector, "project_points", lambda *a: projected.append(1) or project_points(*a)
+    )
+    early = visible_boxes(surfaces, rotations, translations, K)
+    assert not projected  # every view was culled: nothing was projected
+    kept = down_cam_from_world(30.0)
+    full = visible_boxes(
+        surfaces, np.concatenate([rotations, kept.rotation[None]]),
+        np.concatenate([translations, kept.translation[None]]), K,
+    )
+    assert projected and full[1][-1].all()
+    assert np.array_equal(early[1], full[1][:-1]) and not early[1].any()
+    assert np.array_equal(early[0], full[0][:-1], equal_nan=True)
+    assert early[0].shape == (len(culled), len(targets), 4) and np.isnan(early[0]).all()
+    for view in culled:
+        assert [reference_bbox(t, view, K) for t in targets] == [None, None]
+        assert visible_bboxes(surfaces, *rt(view), K) == [None, None]

@@ -10,10 +10,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from targetsim.geometry import CameraIntrinsics, Pose, check_rotations, project_points
+from targetsim.geometry import (
+    CameraIntrinsics,
+    Pose,
+    check_rotations,
+    project_points,
+    transform_points,
+)
 
 K = CameraIntrinsics(fx=100.0, fy=100.0, cx=320.0, cy=240.0, width=640, height=480)
 IDENTITY = Pose(np.eye(3), np.zeros(3))
+
+
+def rt(pose: Pose) -> tuple:
+    """A pose as the (rotation, translation) arrays the kernels take."""
+    return pose.rotation, pose.translation
 
 
 class NonPositiveDepth(ValueError):
@@ -120,6 +131,68 @@ class TestProject:
             pixel, depth = project(pts[i], cam_from_world, K)
             np.testing.assert_allclose(uv[i], pixel, atol=1e-10)
             np.testing.assert_allclose(depths[i], depth, atol=1e-12)
+
+
+def reference_projection(points, rotation, translation, k):
+    """project_points as it was before the (3, n) kernel: points @ R^T + t
+    over (..., n, 3), then the pinhole."""
+    pc = points @ rotation.swapaxes(-1, -2) + translation[..., None, :]
+    depths = pc[..., 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        uv = np.empty(pc.shape[:-1] + (2,))
+        uv[..., 0] = k.fx * pc[..., 0] / depths + k.cx
+        uv[..., 1] = k.fy * pc[..., 1] / depths + k.cy
+    return pc, uv, depths
+
+
+class TestKernelLayout:
+    @given(
+        n=st.integers(1, 5000),
+        views=st.one_of(st.none(), st.integers(1, 8)),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-3, 1.0, 30.0, 1e4]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_projection_equals_reference(self, n, views, seed, scale):
+        # bit-equal pixels, depths and transformed points, in the shapes and
+        # C-order layout of the reference; points near the origin lie both
+        # in front of and behind the cameras
+        rng = np.random.default_rng(seed)
+        if views is None:
+            rotation, translation = random_rotation(rng), rng.uniform(-50, 50, 3)
+        else:
+            rotation = np.stack([random_rotation(rng) for _ in range(views)])
+            translation = rng.uniform(-50, 50, (views, 3))
+        points = rng.normal(size=(n, 3)) * scale
+        want_pc, want_uv, want_depths = reference_projection(points, rotation, translation, K)
+        uv, depths = project_points(points, rotation, translation, K)
+        moved = transform_points(rotation, translation, points)
+        for got, want in ((uv, want_uv), (depths, want_depths), (moved, want_pc)):
+            assert got.shape == want.shape and got.flags.c_contiguous
+            assert np.array_equal(got, want, equal_nan=True)
+
+    def test_depth_zero_and_behind_equal_reference(self):
+        # at depth 0 the pixels are inf or nan, behind the camera finite
+        # garbage; either way they equal the reference's bit for bit
+        points = np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 0.0], [-1.0, 3.0, -0.0],
+                           [2.0, -1.0, -5.0], [1.0, 1.0, 4.0]])
+        stacked = (np.stack([np.eye(3)] * 3), np.zeros((3, 3)))
+        for rotation, translation in (rt(IDENTITY), stacked):
+            _, want_uv, want_depths = reference_projection(points, rotation, translation, K)
+            uv, depths = project_points(points, rotation, translation, K)
+            assert np.array_equal(uv, want_uv, equal_nan=True)
+            assert np.array_equal(depths, want_depths)
+        assert np.isinf(uv[..., 0, 0]).all() and np.isnan(uv[..., 1, :]).all()
+
+    def test_pose_transform_keeps_layout(self):
+        rng = np.random.default_rng(41)
+        pose = random_pose(rng)
+        points = rng.normal(size=(4000, 3))
+        # generate_points hands transform_points an F-order view
+        for batch in (points, np.asfortranarray(points)):
+            moved = pose.transform(batch)
+            assert moved.shape == (4000, 3) and moved.flags.c_contiguous
+            assert np.array_equal(moved, points @ pose.rotation.T + pose.translation)
 
 
 class TestBackProjectRay:

@@ -10,9 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from targetsim import harness
+from targetsim import geometry, harness
 from targetsim.cli import main as cli_main
-from targetsim.geometry import Pose
 from targetsim.harness import (
     Scenario,
     ScenarioInvalid,
@@ -402,8 +401,8 @@ class TestMetricsCounting:
 def per_record_true_boxes(record, s) -> dict:
     """Each true target projected on its own from the record's true pose,
     one record at a time, as compute_metrics once did."""
-    body = Pose.from_yaw(record["uav"]["true"]["yaw"], record["uav"]["true"]["position"])
-    cam_from_world = camera_pose(body, s.planner.cam_depression).inverse()
+    true = record["uav"]["true"]
+    cam_from_world = camera_pose(true["yaw"], true["position"], s.planner.cam_depression).inverse()
     boxes = {}
     for target in s.targets:
         pc = target.surface_points @ cam_from_world.rotation.T + cam_from_world.translation
@@ -509,6 +508,32 @@ class TestCli:
         a = (tmp_path / "a" / "trace.jsonl").read_text().splitlines()
         b = (tmp_path / "b" / "trace.jsonl").read_text().splitlines()
         assert a[1] != b[1]  # different seeds diverge from the first frame
+
+
+def test_two_checked_poses_per_frame(monkeypatch):
+    # the run builds one (true, estimated) camera stack and its inverse per
+    # frame, and compute_metrics one of each per METRICS_CHUNK records;
+    # every Pose runs check_rotations
+    path = Path(__file__).resolve().parents[1] / "scenarios" / "nominal_single_target.json"
+    data = json.loads(path.read_text())
+    data["max_sim_time"] = 100.0  # 1,000 frames: the first spawn and its keyframe updates
+    s = scenario_from_dict(data)
+    counts = {"poses": 0, "checks": 0}
+
+    def counted(original, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(geometry.Pose, "__init__", counted(geometry.Pose.__init__, "poses"))
+    monkeypatch.setattr(geometry, "check_rotations", counted(geometry.check_rotations, "checks"))
+    result = run(s, out_dir=None, write_trace=False)
+    events = [ev["type"] for r in result.records for ev in r["events"]]
+    assert result.frames == 1000 and "spawned" in events and "converging" in events
+    chunks = -(-result.frames // harness.METRICS_CHUNK)
+    assert counts["poses"] <= 2 * result.frames + 2 * chunks
+    assert counts["checks"] == counts["poses"]
 
 
 def test_tracer_finds_every_entry_point():

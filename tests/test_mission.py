@@ -23,7 +23,7 @@ from targetsim.points_filter import (
 )
 from targetsim.view_planner import PlannerConfig, mapping_circles
 
-from tests.test_geometry import IDENTITY
+from tests.test_geometry import IDENTITY, rt
 
 K = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=480)
 PLANNER = PlannerConfig(
@@ -54,7 +54,7 @@ def inject_target(flt, target_id, center, state, spread=0.2, n=100, seed=0):
         target_id=target_id,
         points=points,
         state=state,
-        last_keyframe=IDENTITY,
+        last_keyframe=rt(IDENTITY),
     )
     flt.targets.append(target)
     flt._next_id = max(flt._next_id, target_id + 1)

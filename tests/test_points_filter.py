@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
 from targetsim import points_filter
 from targetsim.detector import ellipsoid_target, visible_bbox
-from targetsim.geometry import CameraIntrinsics, Pose
+from targetsim.geometry import CameraIntrinsics, Pose, project_points
 from targetsim.points_filter import (
     AllZeroWeights,
     DegenerateBox,
@@ -24,13 +26,14 @@ from targetsim.points_filter import (
     mixture_weights,
     on_image_edge,
     pose_delta,
+    projection_count_costs,
     systematic_resample,
     update_points,
 )
 from targetsim.tracker import TrackedBox
 from targetsim.uav import camera_pose
 
-from tests.test_geometry import IDENTITY, project
+from tests.test_geometry import IDENTITY, project, rt
 
 K = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=480)
 
@@ -109,6 +112,27 @@ class TestKlDivergence:
             b = GaussianSummary(rng.normal(size=3), random_psd(rng, rng.uniform(0.1, 5)))
             assert kl_divergence(a, b) >= 0.0
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        log_scales=st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6),
+        shift=st.floats(-1e3, 1e3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_non_negative_and_zero_on_identical_hypothesis(self, seed, log_scales, shift):
+        # covariances with eigenvalues in [1e-3, 1e3] and any orientation
+        rng = np.random.default_rng(seed)
+
+        def summary(log_scale):
+            q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+            cov = q @ np.diag(10.0 ** np.asarray(log_scale)) @ q.T
+            return GaussianSummary(rng.normal(size=3) * 10.0 + shift, (cov + cov.T) / 2.0)
+
+        a, b = summary(log_scales[:3]), summary(log_scales[3:])
+        for n0, n1 in ((a, b), (b, a), (a, a), (b, b)):
+            assert kl_divergence(n0, n1) >= 0.0
+        assert kl_divergence(a, a) == pytest.approx(0.0, abs=1e-9)
+        assert kl_divergence(b, b) == pytest.approx(0.0, abs=1e-9)
+
     def test_singular_covariance_raises(self):
         good = GaussianSummary(np.zeros(3), np.eye(3))
         bad = GaussianSummary(np.zeros(3), np.zeros((3, 3)))
@@ -131,7 +155,7 @@ class TestGeneratePoints:
             world_from_cam = random_pose(rng)
             u0, v0 = rng.uniform(10, 400), rng.uniform(10, 300)
             bbox = np.array([u0, v0, u0 + rng.uniform(10, 200), v0 + rng.uniform(10, 150)])
-            pts = generate_points(bbox, world_from_cam, K, self.CFG, rng)
+            pts = generate_points(bbox, *rt(world_from_cam), K, self.CFG, rng)
             assert pts.shape == (self.CFG.m, 3)
             corner_scale = K.unit_rays(
                 np.array([[bbox[0], bbox[1]], [bbox[2], bbox[1]],
@@ -160,7 +184,7 @@ class TestGeneratePoints:
         cfg = FilterConfig(m=1, max_depth=50.0)
         bbox = np.array([100.0, 80.0, 200.0, 160.0])
         world_from_cam = Pose.from_yaw(0.3, [5.0, -2.0, 20.0])
-        pts = generate_points(bbox, world_from_cam, K, cfg, StubRng())
+        pts = generate_points(bbox, *rt(world_from_cam), K, cfg, StubRng())
         expected = world_from_cam.transform(K.unit_rays(np.array([[100.0, 80.0]]))[0] * 50.0)
         np.testing.assert_allclose(pts[0], expected, atol=1e-9)
 
@@ -170,7 +194,7 @@ class TestGeneratePoints:
         # so the honest bound for m=1000 is 5% of the box dimension.
         rng = np.random.default_rng(0)
         bbox = np.array([100.0, 80.0, 300.0, 240.0])
-        pts = generate_points(bbox, IDENTITY, K, self.CFG, rng)
+        pts = generate_points(bbox, *rt(IDENTITY), K, self.CFG, rng)
         uv = np.array([project(p, IDENTITY, K)[0] for p in pts])
         w, h = bbox[2] - bbox[0], bbox[3] - bbox[1]
         assert uv[:, 0].min() <= bbox[0] + 0.05 * w
@@ -181,7 +205,7 @@ class TestGeneratePoints:
     def test_degenerate_box_raises(self):
         with pytest.raises(DegenerateBox):
             generate_points(
-                np.array([10.0, 10.0, 10.0, 50.0]), IDENTITY, K, self.CFG,
+                np.array([10.0, 10.0, 10.0, 50.0]), *rt(IDENTITY), K, self.CFG,
                 np.random.default_rng(0),
             )
 
@@ -233,6 +257,29 @@ class TestSystematicResample:
         with pytest.raises(AllZeroWeights):
             systematic_resample(np.zeros(10), np.random.default_rng(0))
 
+    @given(
+        weights=st.lists(
+            st.one_of(st.just(0.0), st.floats(0.0, 1e6), st.floats(0.0, 1e-300)),
+            min_size=1, max_size=300,
+        ),
+        draw=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    # ten equal weights sum to 0.9999999999999999, so a draw just under 1
+    # lands past the last cumulative weight unless it is clamped to 1
+    @example(weights=[0.1] * 10, draw=float(np.nextafter(1.0, 0.0)))
+    @settings(max_examples=300, deadline=None)
+    def test_sorted_in_range_or_all_zero_hypothesis(self, weights, draw):
+        w = np.array(weights)
+        rng = type("Rng", (), {"random": lambda self: draw})()  # the one offset draw
+        if w.sum() == 0.0:
+            with pytest.raises(AllZeroWeights):
+                systematic_resample(w, rng)
+            return
+        idx = systematic_resample(w, rng)
+        assert idx.shape == (len(w),)
+        assert (idx >= 0).all() and (idx < len(w)).all()
+        assert (np.diff(idx) >= 0).all()
+
     def test_proportionality(self):
         # a point with half the total mass gets about half the slots
         w = np.ones(100)
@@ -248,8 +295,8 @@ class TestUpdatePoints:
             m=200, max_depth=50.0, update_noise_var=1e-12, w_gauss=0.0, w_uniform=1.0
         )
         bbox = np.array([200.0, 150.0, 400.0, 330.0])
-        points = generate_points(bbox, IDENTITY, K, cfg, rng)
-        new_points, kld = update_points(points, bbox, IDENTITY, K, cfg, rng)
+        points = generate_points(bbox, *rt(IDENTITY), K, cfg, rng)
+        new_points, kld = update_points(points, bbox, *rt(IDENTITY), K, cfg, rng)
         # equal uniform weights: systematic resampling keeps every point
         np.testing.assert_allclose(new_points, points, atol=1e-5)
         assert kld == pytest.approx(0.0, abs=1e-9)
@@ -261,8 +308,8 @@ class TestUpdatePoints:
         cfg = FilterConfig(m=500, max_depth=50.0, w_gauss=0.0, w_uniform=1.0)
         wide = np.array([100.0, 100.0, 500.0, 400.0])
         narrow = np.array([250.0, 200.0, 350.0, 300.0])
-        points = generate_points(wide, IDENTITY, K, cfg, rng)
-        new_points, _ = update_points(points, narrow, IDENTITY, K, cfg, rng)
+        points = generate_points(wide, *rt(IDENTITY), K, cfg, rng)
+        new_points, _ = update_points(points, narrow, *rt(IDENTITY), K, cfg, rng)
         assert new_points.shape == (500, 3)
         for p in new_points:
             pixel, depth = project(p, IDENTITY, K)
@@ -275,7 +322,7 @@ class TestUpdatePoints:
         points = np.tile([0.0, 0.0, -10.0], (50, 1))  # behind an identity camera
         with pytest.raises(AllZeroWeights):
             update_points(
-                points, np.array([300.0, 220.0, 340.0, 260.0]), IDENTITY, K,
+                points, np.array([300.0, 220.0, 340.0, 260.0]), *rt(IDENTITY), K,
                 cfg, np.random.default_rng(0),
             )
 
@@ -296,10 +343,11 @@ class TestUpdatePoints:
             )
             pos[2] = alt
             yaw = np.arctan2(true_center[1] - pos[1], true_center[0] - pos[0])
-            cam = camera_pose(Pose.from_yaw(yaw, pos), np.deg2rad(60.0))
-            bbox = visible_bbox(target, cam.inverse(), K)
+            cam = camera_pose(yaw, pos, np.deg2rad(60.0))
+            view = cam.inverse()
+            bbox = visible_bbox(target, view, K)
             assert bbox is not None
-            events, _ = flt.tick([TrackedBox(1, bbox, 5, 0)], cam, rng)
+            events, _ = flt.tick([TrackedBox(1, bbox, 5, 0)], rt(cam), rt(view), rng)
             kinds += [e.kind for e in events]
             assert flt.targets[0].points.shape == (flt.cfg.m, 3)
         assert kinds[:2] == ["spawned", "converging"]
@@ -317,9 +365,9 @@ class TestAssociate:
         rng = np.random.default_rng(5)
         cfg = FilterConfig(m=300, max_depth=50.0)
         bbox = np.array([200.0, 150.0, 400.0, 330.0])
-        pts = generate_points(bbox, IDENTITY, K, cfg, rng)
+        pts = generate_points(bbox, *rt(IDENTITY), K, cfg, rng)
         pairs, unmatched = associate(
-            [bbox], [self.make_target(pts)], IDENTITY, K, cfg.min_points_in_box
+            [bbox], [self.make_target(pts)], *rt(IDENTITY), K, cfg.min_points_in_box
         )
         assert pairs == [(0, 0)] and unmatched == []
 
@@ -328,10 +376,10 @@ class TestAssociate:
         rng = np.random.default_rng(6)
         cfg = FilterConfig(m=1000, max_depth=50.0)
         source = np.array([100.0, 100.0, 500.0, 400.0])
-        pts = generate_points(source, IDENTITY, K, cfg, rng)
+        pts = generate_points(source, *rt(IDENTITY), K, cfg, rng)
         tiny = np.array([110.0, 110.0, 130.0, 130.0])
         pairs, unmatched = associate(
-            [tiny], [self.make_target(pts)], IDENTITY, K, cfg.min_points_in_box
+            [tiny], [self.make_target(pts)], *rt(IDENTITY), K, cfg.min_points_in_box
         )
         assert pairs == [] and unmatched == [0]
 
@@ -342,21 +390,75 @@ class TestAssociate:
         cfg = FilterConfig(m=1000, max_depth=50.0)
         box_a = np.array([100.0, 100.0, 250.0, 220.0])
         box_b = np.array([400.0, 260.0, 550.0, 400.0])
-        cloud_a = generate_points(box_a, IDENTITY, K, cfg, rng)
-        cloud_b = generate_points(box_b, IDENTITY, K, cfg, rng)
+        cloud_a = generate_points(box_a, *rt(IDENTITY), K, cfg, rng)
+        cloud_b = generate_points(box_b, *rt(IDENTITY), K, cfg, rng)
         targets = [self.make_target(cloud_b), self.make_target(cloud_a)]
-        from targetsim.points_filter import projection_count_costs
-
-        costs = projection_count_costs([box_a, box_b], targets, IDENTITY, K)
-        pairs, _ = associate([box_a, box_b], targets, IDENTITY, K, 100)
+        costs = projection_count_costs([box_a, box_b], targets, *rt(IDENTITY), K)
+        pairs, _ = associate([box_a, box_b], targets, *rt(IDENTITY), K, 100)
         total = sum(costs[i, j] for i, j in pairs)
         assert total == brute_force_best(costs, maximize=True)
         assert sorted(pairs) == [(0, 1), (1, 0)]
 
 
+def per_box_counts(boxes, targets, rotation, translation, k):
+    """projection_count_costs as it was before the vectorised counts: one
+    Python loop over the boxes for each target."""
+    costs = np.zeros((len(boxes), len(targets)))
+    for j, target in enumerate(targets):
+        uv, depths = project_points(target.points, rotation, translation, k)
+        valid = depths > 0
+        for i, b in enumerate(boxes):
+            inside = (
+                valid
+                & (uv[:, 0] >= b[0]) & (uv[:, 0] <= b[2])
+                & (uv[:, 1] >= b[1]) & (uv[:, 1] <= b[3])
+            )
+            costs[i, j] = int(inside.sum())
+    return costs
+
+
+class TestProjectionCounts:
+    def test_vectorised_counts_equal_per_box_loop(self):
+        # boxes whose edges are projected pixels of the clouds themselves,
+        # so points lie exactly on each edge; points at depth 0 and behind
+        # the camera, where the behind ones mirror in-box points
+        rng = np.random.default_rng(43)
+        cfg = FilterConfig(m=600, max_depth=50.0)
+        for _ in range(30):
+            world_from_cam = Pose.from_yaw(rng.uniform(-np.pi, np.pi), rng.uniform(-20, 20, 3))
+            cam_from_world = world_from_cam.inverse()
+            clouds = []
+            for _ in range(int(rng.integers(1, 5))):
+                u0, v0 = rng.uniform(10, 400), rng.uniform(10, 300)
+                box = [u0, v0, u0 + rng.uniform(5, 200), v0 + rng.uniform(5, 150)]
+                cam_pts = world_from_cam.inverse().transform(
+                    generate_points(np.array(box), *rt(world_from_cam), K, cfg, rng)
+                )
+                cam_pts[:20] *= -1.0  # behind the camera, same pixels
+                cam_pts[20:25, 2] = 0.0  # depth 0
+                clouds.append(world_from_cam.transform(cam_pts))
+            targets = [type("T", (), {"points": c})() for c in clouds]
+            boxes, sources = [], rng.integers(len(clouds), size=int(rng.integers(1, 6)))
+            for j in sources:
+                uv, depths = project_points(clouds[j], *rt(cam_from_world), K)
+                front = uv[depths > 0]
+                a, b = front[rng.choice(len(front), 2, replace=False)]
+                boxes.append(np.array([*np.minimum(a, b), *np.maximum(a, b)]))
+            got = projection_count_costs(boxes, targets, *rt(cam_from_world), K)
+            want = per_box_counts(boxes, targets, *rt(cam_from_world), K)
+            assert np.array_equal(got, want) and got.shape == (len(boxes), len(targets))
+            # the two points on the box's edges count
+            assert (got[np.arange(len(boxes)), sources] >= 2).all()
+        no_boxes = projection_count_costs([], targets, *rt(cam_from_world), K)
+        assert no_boxes.shape == (0, len(targets))
+
+
 class TestTickLifecycle:
     def overhead_cam(self, x=0.0):
-        return camera_pose(Pose.from_yaw(0.0, [x, 0.0, 30.0]), np.deg2rad(60.0))
+        """tick's camera arguments: the world-from-camera and cam-from-world
+        rows of a checked stack, as the run loop passes them."""
+        cams = camera_pose([0.0], [[x, 0.0, 30.0]], np.deg2rad(60.0))
+        return cams.row(0), cams.inverse().row(0)
 
     def test_fp_starvation_deregisters_without_converging(self):
         # a target that stops receiving boxes dies after the grace period
@@ -364,12 +466,12 @@ class TestTickLifecycle:
         cfg = FilterConfig(max_depth=50.0, max_missed_updates=10)
         flt = PointsFilter(K, cfg)
         bbox = np.array([300.0, 220.0, 330.0, 250.0])
-        events, _ = flt.tick([TrackedBox(1, bbox, 5, 0)], self.overhead_cam(0.0), rng)
+        events, _ = flt.tick([TrackedBox(1, bbox, 5, 0)], *self.overhead_cam(0.0), rng)
         assert [e.kind for e in events] == ["spawned"]
-        events, _ = flt.tick([TrackedBox(1, bbox, 5, 0)], self.overhead_cam(1.0), rng)
+        events, _ = flt.tick([TrackedBox(1, bbox, 5, 0)], *self.overhead_cam(1.0), rng)
         kinds = []
         for _ in range(10):
-            events, _ = flt.tick([], self.overhead_cam(2.0), rng)
+            events, _ = flt.tick([], *self.overhead_cam(2.0), rng)
             kinds += [e.kind for e in events]
         assert kinds == ["deregistered"]
         assert flt.targets == []
@@ -381,12 +483,12 @@ class TestTickLifecycle:
         flt = PointsFilter(K, cfg)
         cam = self.overhead_cam()
         bbox = np.array([280.0, 200.0, 360.0, 280.0])
-        flt.tick([TrackedBox(1, bbox, 5, 0)], cam, rng)
+        flt.tick([TrackedBox(1, bbox, 5, 0)], *cam, rng)
         target = flt.targets[0]
         flt.mark_mapped(target.target_id, target.points)
         before = target.points.copy()
         for x in (1.0, 2.0, 3.0):
-            events, updated = flt.tick([TrackedBox(1, bbox, 5, 0)], self.overhead_cam(x), rng)
+            events, updated = flt.tick([TrackedBox(1, bbox, 5, 0)], *self.overhead_cam(x), rng)
             assert events == [] and updated == []
         assert target.state is TargetState.MAPPED
         np.testing.assert_array_equal(target.points, before)
@@ -398,8 +500,8 @@ class TestTickLifecycle:
         cam = self.overhead_cam()
         a = np.array([100.0, 100.0, 160.0, 160.0])
         b = np.array([480.0, 300.0, 540.0, 360.0])
-        flt.tick([TrackedBox(1, a, 5, 0)], cam, rng)
-        events, _ = flt.tick([TrackedBox(1, a, 5, 0), TrackedBox(2, b, 5, 0)], cam, rng)
+        flt.tick([TrackedBox(1, a, 5, 0)], *cam, rng)
+        events, _ = flt.tick([TrackedBox(1, a, 5, 0), TrackedBox(2, b, 5, 0)], *cam, rng)
         spawned = [e for e in events if e.kind == "spawned"]
         assert len(spawned) == 1
         assert len(flt.targets) == 2
@@ -408,7 +510,7 @@ class TestTickLifecycle:
         rng = np.random.default_rng(13)
         flt = PointsFilter(K, FilterConfig(max_depth=50.0))
         edge_box = np.array([0.0, 100.0, 60.0, 160.0])
-        events, _ = flt.tick([TrackedBox(1, edge_box, 5, 0)], self.overhead_cam(), rng)
+        events, _ = flt.tick([TrackedBox(1, edge_box, 5, 0)], *self.overhead_cam(), rng)
         assert events == [] and flt.targets == []
 
     def test_entropy_direction_flag(self):
@@ -418,8 +520,8 @@ class TestTickLifecycle:
         cfg = FilterConfig(max_depth=50.0, entropy_below=False, entropy_converging=3.0)
         flt = PointsFilter(K, cfg)
         bbox = np.array([280.0, 200.0, 360.0, 280.0])
-        flt.tick([TrackedBox(1, bbox, 5, 0)], self.overhead_cam(0.0), rng)
-        events, _ = flt.tick([TrackedBox(1, bbox, 5, 0)], self.overhead_cam(1.0), rng)
+        flt.tick([TrackedBox(1, bbox, 5, 0)], *self.overhead_cam(0.0), rng)
+        events, _ = flt.tick([TrackedBox(1, bbox, 5, 0)], *self.overhead_cam(1.0), rng)
         assert [e.kind for e in events] == ["converging"]
 
     def test_keyframe_gate_blocks_stationary_updates(self):
@@ -427,9 +529,9 @@ class TestTickLifecycle:
         flt = PointsFilter(K, FilterConfig(max_depth=50.0))
         cam = self.overhead_cam()
         bbox = np.array([280.0, 200.0, 360.0, 280.0])
-        flt.tick([TrackedBox(1, bbox, 5, 0)], cam, rng)
+        flt.tick([TrackedBox(1, bbox, 5, 0)], *cam, rng)
         for _ in range(5):  # same pose: no keyframe, counts as missed
-            _, updated = flt.tick([TrackedBox(1, bbox, 5, 0)], cam, rng)
+            _, updated = flt.tick([TrackedBox(1, bbox, 5, 0)], *cam, rng)
             assert updated == []
         assert flt.targets[0].miss_counter == 5
 
@@ -440,10 +542,10 @@ class TestTickLifecycle:
         rng = np.random.default_rng(16)
         flt = PointsFilter(K, FilterConfig(max_depth=50.0))
         bbox = np.array([280.0, 200.0, 360.0, 280.0])
-        flt.tick([TrackedBox(1, bbox, 5, 0)], self.overhead_cam(0.0), rng)
+        flt.tick([TrackedBox(1, bbox, 5, 0)], *self.overhead_cam(0.0), rng)
         target = flt.targets[0]
         monkeypatch.setattr(points_filter, "update_points", no_support)
-        events, updated = flt.tick([TrackedBox(1, bbox, 5, 0)], self.overhead_cam(1.0), rng)
+        events, updated = flt.tick([TrackedBox(1, bbox, 5, 0)], *self.overhead_cam(1.0), rng)
         assert [e.to_dict() for e in events] == [
             {"type": "update_failed", "target": target.target_id}
         ]
@@ -453,7 +555,7 @@ class TestTickLifecycle:
         rng = np.random.default_rng(17)
         flt = PointsFilter(K, FilterConfig(max_depth=50.0))
         flat = np.array([300.0, 200.0, 300.0, 260.0])
-        events, _ = flt.tick([TrackedBox(1, flat, 5, 0)], self.overhead_cam(), rng)
+        events, _ = flt.tick([TrackedBox(1, flat, 5, 0)], *self.overhead_cam(), rng)
         assert [e.to_dict() for e in events] == [
             {"type": "spawn_failed", "bbox": [300.0, 200.0, 300.0, 260.0]}
         ]
@@ -470,11 +572,11 @@ class TestTickLifecycle:
         rng = np.random.default_rng(15)
         flt = PointsFilter(K, FilterConfig(max_depth=50.0))
         bbox = np.array([280.0, 200.0, 360.0, 280.0])
-        flt.tick([TrackedBox(1, bbox, 5, 0)], self.overhead_cam(0.0), rng)
+        flt.tick([TrackedBox(1, bbox, 5, 0)], *self.overhead_cam(0.0), rng)
         target = flt.targets[0]
         assert_fresh(target)
         spawned = target.points
-        _, updated = flt.tick([TrackedBox(1, bbox, 5, 0)], self.overhead_cam(1.0), rng)
+        _, updated = flt.tick([TrackedBox(1, bbox, 5, 0)], *self.overhead_cam(1.0), rng)
         assert updated == [target.target_id] and target.points is not spawned
         assert_fresh(target)
         cloud = rng.normal(size=(50, 3))
@@ -511,7 +613,7 @@ class TestHelpers:
     def test_pose_delta(self):
         a = Pose.from_yaw(0.0, [0.0, 0.0, 0.0])
         b = Pose.from_yaw(0.25, [3.0, 4.0, 0.0])
-        dt, dr = pose_delta(a, b)
+        dt, dr = pose_delta(rt(a), rt(b))
         assert dt == pytest.approx(5.0)
         assert dr == pytest.approx(0.25, abs=1e-12)
 

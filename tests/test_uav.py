@@ -111,8 +111,7 @@ class TestCameraMount:
 
     def test_view_axis_depressed_by_gamma(self):
         gamma = np.deg2rad(60.0)
-        body = Pose.from_yaw(0.0, [0.0, 0.0, 30.0])
-        cam = camera_pose(body, gamma)
+        cam = camera_pose(0.0, [0.0, 0.0, 30.0], gamma)
         view = cam.rotation[:, 2]  # camera z in world
         np.testing.assert_allclose(view, [np.cos(gamma), 0.0, -np.sin(gamma)], atol=1e-12)
 
@@ -123,13 +122,36 @@ class TestCameraMount:
 
         k = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=480)
         gamma = np.deg2rad(60.0)
-        body = Pose.from_yaw(0.7, [5.0, -3.0, 30.0])
-        cam = camera_pose(body, gamma)
+        cam = camera_pose(0.7, [5.0, -3.0, 30.0], gamma)
         ahead = cam.translation + 20.0 * cam.rotation[:, 2]
         pixel, depth = project(ahead, cam.inverse(), k)
         np.testing.assert_allclose(pixel, [320.0, 240.0], atol=1e-9)
         assert depth == pytest.approx(20.0)
 
     def test_image_right_matches_world_right_of_travel(self):
-        cam = camera_pose(Pose.from_yaw(0.0, np.zeros(3)), np.deg2rad(60.0))
+        cam = camera_pose(0.0, np.zeros(3), np.deg2rad(60.0))
         np.testing.assert_allclose(cam.rotation[:, 0], [0.0, -1.0, 0.0], atol=1e-12)
+
+
+def test_camera_stack_equals_per_state_chain():
+    # the run's per-frame (true, estimated) stack against the chain each
+    # state used to build alone: body pose, then mount, then inverse
+    rng = np.random.default_rng(31)
+    for _ in range(250):
+        yaws = rng.uniform(-np.pi, np.pi, 2)
+        positions = np.stack([rng.uniform(-200.0, 200.0, 3), np.zeros(3)])
+        positions[1] = positions[0] + rng.normal(0.0, 0.3, 3)
+        gamma = rng.uniform(0.2, np.pi / 2.0)
+        assert yaws[0] != yaws[1] and not np.array_equal(positions[0], positions[1])
+        cams = camera_pose(yaws, positions, gamma)
+        views = cams.inverse()
+        for i in range(2):
+            body = Pose.from_yaw(float(yaws[i]), positions[i])
+            chain = Pose(body.rotation @ camera_mount(gamma), body.translation)
+            inverse = chain.inverse()
+            assert np.array_equal(cams.rotation[i], chain.rotation)
+            assert np.array_equal(cams.translation[i], chain.translation)
+            assert np.array_equal(views.rotation[i], inverse.rotation)
+            assert np.array_equal(views.translation[i], inverse.translation)
+            one = camera_pose(float(yaws[i]), positions[i], gamma)
+            assert np.array_equal(one.rotation, chain.rotation)
