@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from targetsim.detector import Surfaces, ellipsoid_target, visible_bboxes, visible_boxes
-from targetsim.geometry import CameraIntrinsics, project_points
+from targetsim.geometry import CameraIntrinsics, CameraStack, project_points
 from targetsim.points_filter import (
     FilterConfig,
     PointTarget,
@@ -88,13 +88,15 @@ def clouds():
 def camera_pair():
     """One frame's cameras as the run builds them: the (true, estimated)
     world-from-camera stack and its inverse."""
-    cams = camera_pose([0.3, 0.3], [[10.0, 20.0, 30.0], [10.1, 19.9, 30.0]], DEPRESSION)
-    return cams, cams.inverse()
+    return CameraStack(
+        camera_pose([0.3, 0.3], [[10.0, 20.0, 30.0], [10.1, 19.9, 30.0]], DEPRESSION)
+    )
 
 
 def test_camera_pair(benchmark):
-    cams, views = benchmark(camera_pair)
-    assert cams.rotation.shape == views.rotation.shape == (2, 3, 3)
+    cameras = benchmark(camera_pair)
+    assert cameras.world_from_cam.rotation.shape == cameras.cam_from_world.rotation.shape
+    assert cameras.cam_from_world.rotation.shape == (2, 3, 3)
 
 
 def test_project_points(benchmark, clouds):

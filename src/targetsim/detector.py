@@ -128,9 +128,8 @@ def visible_boxes(
     off the image, so each target's first point is tested in every view
     first, and only the views where it is not clearly out project the whole
     surface: one projection for each run of adjacent targets kept in the
-    same views; when no target is kept in any view, nothing is projected.
-    Min and max are exact, so each box equals the one projecting that
-    target alone in that view.
+    same views. Min and max are exact, so each box equals the one
+    projecting that target alone in that view.
     """
     starts = surfaces.starts
     boxes = np.empty((len(rotations), len(starts), 4))
@@ -148,9 +147,6 @@ def visible_boxes(
     ])
     first_cam = transform_rows(rotations, translations, surfaces.points[starts])  # (F, 3, n)
     kept = ~(out_of_view @ first_cam < 0).any(axis=-2)
-    if not kept.any():  # the common survey frame: nothing to project
-        boxes.fill(np.nan)
-        return boxes, visible
     columns = kept.T.tolist()
     runs: list[list[int]] = []  # [first, last] of adjacent targets kept in the same views
     for i, column in enumerate(columns):

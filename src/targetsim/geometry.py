@@ -103,19 +103,9 @@ class Pose:
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
 
-    @classmethod
-    def from_yaw(cls, yaw, translation) -> "Pose":
-        """Rotation about world z by yaw; an array of yaws gives a stack."""
-        return cls(yaw_rotation(yaw), translation)
-
     def inverse(self) -> "Pose":
         rt = self.rotation.swapaxes(-1, -2)
         return Pose(rt, (-rt @ self.translation[..., None])[..., 0])
-
-    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Transform i of a stack as (rotation, translation) views of the
-        checked arrays, the form project_points takes."""
-        return self.rotation[i], self.translation[i]
 
     def transform(self, points: np.ndarray) -> np.ndarray:
         """Apply to one (3,) point or an (n, 3) batch."""
@@ -123,6 +113,16 @@ class Pose:
         if pts.ndim == 1:
             return self.rotation @ pts + self.translation
         return transform_points(self.rotation, self.translation, pts)
+
+
+class CameraStack:
+    """A stack of world-from-camera Poses and its inverse, the cam-from-world
+    views. Both are built here from the one stack, so row i of each is the
+    same camera."""
+
+    def __init__(self, world_from_cam: Pose):
+        self.world_from_cam = world_from_cam
+        self.cam_from_world = world_from_cam.inverse()
 
 
 def project_points(

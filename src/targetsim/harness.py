@@ -19,7 +19,7 @@ import numpy as np
 
 from .detector import DetectorConfig, Surfaces, detect, ellipsoid_target, visible_boxes
 from .detector import visible_bbox  # noqa: F401  perfbench/tracer.py wraps harness.visible_bbox
-from .geometry import CameraIntrinsics
+from .geometry import CameraIntrinsics, CameraStack
 from .mission import MissionConfig, MissionExecutive, MissionMode
 from .points_filter import FilterConfig, PointsFilter, on_image_edge
 from .tracker import BoxTracker, TrackerConfig, hungarian_assign, iou
@@ -441,16 +441,19 @@ def run(scenario: Scenario, out_dir=None, write_trace: bool = True) -> RunResult
                 if waypoint_reached(uav, wp):
                     events += mission.on_waypoint_reached(uav.est_position)
 
-            # world-from-camera of the true and the estimated state, one stack
-            cams = camera_pose(
+            # the cameras of the true (row 0) and the estimated (row 1) state
+            cameras = CameraStack(camera_pose(
                 [uav.yaw, uav.est_yaw], [uav.position, uav.est_position],
                 scenario.planner.cam_depression,
-            )
-            views = cams.inverse()
+            ))
+            views = cameras.cam_from_world
 
-            detections = detect(*views.row(0), k, scenario.surfaces, scenario.detector, rng)
+            detections = detect(
+                views.rotation[0], views.translation[0], k, scenario.surfaces,
+                scenario.detector, rng,
+            )
             boxes = tracker.step(detections)
-            filter_events, updated = flt.tick(boxes, cams.row(1), views.row(1), rng)
+            filter_events, updated = flt.tick(boxes, cameras, 1, rng)
             events += filter_events
             events += mission.on_perception(filter_events, updated, uav.est_position)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, project_points, transform_points
+from .geometry import CameraIntrinsics, CameraStack, project_points, transform_points
 from .tracker import TrackedBox, hungarian_assign
 
 _DET_FLOOR = 1e-18
@@ -392,17 +392,18 @@ class PointsFilter:
     def tick(
         self,
         boxes: list[TrackedBox],
-        world_from_cam: tuple,
-        cam_from_world: tuple,
+        cameras: CameraStack,
+        i: int,
         rng: np.random.Generator,
     ) -> tuple[list[Event], list[int]]:
-        """Associate, update, spawn, and age targets for one cycle.
-
-        world_from_cam and cam_from_world are the frame's camera transform
-        and its inverse, each a (rotation, translation) pair as Pose.row
-        gives it. An empty box list behaves as a deregistration-only timer
-        tick. Returns (events, ids updated this tick).
+        """Associate, update, spawn, and age targets for one cycle, seen
+        from camera i of the frame's stack. An empty box list behaves as a
+        deregistration-only timer tick. Returns (events, ids updated this
+        tick).
         """
+        cams, views = cameras.world_from_cam, cameras.cam_from_world
+        world_from_cam = cams.rotation[i], cams.translation[i]
+        cam_from_world = views.rotation[i], views.translation[i]
         cfg = self.cfg
         events: list[Event] = []
         updated: list[int] = []

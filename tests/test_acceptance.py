@@ -14,7 +14,7 @@ import pytest
 
 from targetsim.bounding_cylinder import BoundingCylinder, fit_bounding_cylinder
 from targetsim.detector import Detection
-from targetsim.geometry import CameraIntrinsics, project_points
+from targetsim.geometry import CameraIntrinsics, CameraStack, project_points
 from targetsim.harness import load_scenario, run
 from targetsim.points_filter import (
     FilterConfig,
@@ -144,13 +144,13 @@ def test_criterion_3_fp_robustness():
             tick = 0
             for frame in range(persist + grace + t_missing + 5):
                 x = 0.1 * frame  # the camera keeps moving along its lane
-                cam = camera_pose(0.0, [x, 0.0, 30.0], np.deg2rad(60.0))
+                cameras = CameraStack(camera_pose([0.0], [[x, 0.0, 30.0]], np.deg2rad(60.0)))
                 if frame < persist:
                     dets = [Detection(fp + rng.normal(0, 0.3, 4), 0.5)]
                 else:
                     dets = []
                 boxes = tracker.step(dets)
-                events, updated = flt.tick(boxes, rt(cam), rt(cam.inverse()), rng)
+                events, updated = flt.tick(boxes, cameras, 0, rng)
                 tick += 1
                 if updated or any(e.kind == "spawned" for e in events):
                     last_update_tick = tick

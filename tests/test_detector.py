@@ -4,7 +4,6 @@ from collections import Counter
 
 import numpy as np
 
-from targetsim import detector
 from targetsim.detector import (
     DetectorConfig,
     Surfaces,
@@ -16,7 +15,7 @@ from targetsim.detector import (
 )
 from targetsim.geometry import CameraIntrinsics, Pose, project_points
 
-from tests.test_geometry import project, rt
+from tests.test_geometry import from_yaw, project, rt
 
 K = CameraIntrinsics(fx=380.0, fy=380.0, cx=320.0, cy=240.0, width=640, height=480)
 
@@ -191,7 +190,7 @@ def test_stacked_boxes_equal_per_target_loop():
     rng = np.random.default_rng(5)
     kinds = Counter()
     for _ in range(300):
-        body = Pose.from_yaw(
+        body = from_yaw(
             rng.uniform(-np.pi, np.pi), [*rng.uniform(-25.0, 25.0, 2), rng.uniform(2.0, 60.0)]
         )
         pitch = rng.uniform(0.2, np.pi / 2.0)
@@ -231,7 +230,7 @@ def test_batched_boxes_equal_per_pose_loop():
     rng = np.random.default_rng(6)
     poses = []
     for _ in range(200):
-        body = Pose.from_yaw(
+        body = from_yaw(
             rng.uniform(-np.pi, np.pi), [*rng.uniform(-25.0, 25.0, 2), rng.uniform(2.0, 60.0)]
         )
         pitch = rng.uniform(0.2, np.pi / 2.0)
@@ -285,47 +284,3 @@ def test_batched_boxes_equal_per_pose_loop():
     assert not a_pinned[:5].any() and a_pinned[6:].all()
     empty = visible_boxes(Surfaces.of([]), np.stack([DOWN.rotation]), np.zeros((1, 3)), K)
     assert empty[0].shape == (1, 0, 4) and empty[1].shape == (1, 0)
-
-
-def test_all_culled_views_equal_full_path(monkeypatch):
-    # views where no target's first point survives the cull return before
-    # projecting; the same views batched with one view that keeps a target
-    # go through the full path, and both equal the per-target reference
-    targets = [
-        ellipsoid_target("a", [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]),
-        ellipsoid_target("b", [6.0, -4.0, 1.0], [1.2, 0.8, 1.0], n_surface=37),
-    ]
-    surfaces = Surfaces.of(targets)
-    rng = np.random.default_rng(8)
-    culled = []
-    while len(culled) < 40:
-        yaw = rng.uniform(-np.pi, np.pi)
-        world_from_cam = Pose(
-            Pose.from_yaw(yaw, np.zeros(3)).rotation @ DOWN.rotation,
-            [*rng.uniform(-400.0, 400.0, 2), rng.uniform(-60.0, 60.0)],
-        )
-        view = world_from_cam.inverse()
-        if all(view_kind(t, view, K) in ("behind", "off_image") for t in targets):
-            culled.append(view)
-    kinds = Counter(view_kind(t, v, K) for v in culled for t in targets)
-    assert kinds["behind"] and kinds["off_image"], kinds
-    rotations = np.stack([v.rotation for v in culled])
-    translations = np.stack([v.translation for v in culled])
-    projected = []
-    monkeypatch.setattr(
-        detector, "project_points", lambda *a: projected.append(1) or project_points(*a)
-    )
-    early = visible_boxes(surfaces, rotations, translations, K)
-    assert not projected  # every view was culled: nothing was projected
-    kept = down_cam_from_world(30.0)
-    full = visible_boxes(
-        surfaces, np.concatenate([rotations, kept.rotation[None]]),
-        np.concatenate([translations, kept.translation[None]]), K,
-    )
-    assert projected and full[1][-1].all()
-    assert np.array_equal(early[1], full[1][:-1]) and not early[1].any()
-    assert np.array_equal(early[0], full[0][:-1], equal_nan=True)
-    assert early[0].shape == (len(culled), len(targets), 4) and np.isnan(early[0]).all()
-    for view in culled:
-        assert [reference_bbox(t, view, K) for t in targets] == [None, None]
-        assert visible_bboxes(surfaces, *rt(view), K) == [None, None]

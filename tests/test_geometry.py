@@ -16,10 +16,16 @@ from targetsim.geometry import (
     check_rotations,
     project_points,
     transform_points,
+    yaw_rotation,
 )
 
 K = CameraIntrinsics(fx=100.0, fy=100.0, cx=320.0, cy=240.0, width=640, height=480)
 IDENTITY = Pose(np.eye(3), np.zeros(3))
+
+
+def from_yaw(yaw, translation) -> Pose:
+    """Rotation about world z by yaw; an array of yaws gives a stack."""
+    return Pose(yaw_rotation(yaw), translation)
 
 
 def rt(pose: Pose) -> tuple:
@@ -254,7 +260,7 @@ class TestPose:
             np.testing.assert_allclose(pose.inverse().transform(pose.transform(p)), p, atol=1e-10)
 
     def test_from_yaw(self):
-        pose = Pose.from_yaw(np.pi / 2.0, [1.0, 2.0, 3.0])
+        pose = from_yaw(np.pi / 2.0, [1.0, 2.0, 3.0])
         np.testing.assert_allclose(pose.transform([1.0, 0.0, 0.0]), [1.0, 3.0, 3.0], atol=1e-12)
 
     def test_check_rotations_rejects_one_bad_matrix_in_a_stack(self):
@@ -274,12 +280,12 @@ class TestPose:
         rng = np.random.default_rng(29)
         yaws = rng.uniform(-np.pi, np.pi, 16)
         positions = rng.uniform(-50, 50, size=(16, 3))
-        stacked = Pose.from_yaw(yaws, positions).inverse()
+        stacked = from_yaw(yaws, positions).inverse()
         pts = rng.uniform(-10, 10, size=(7, 3))
         moved = stacked.transform(pts)
         uv, depths = project_points(pts, stacked.rotation, stacked.translation, K)
         for i, (yaw, position) in enumerate(zip(yaws, positions)):
-            one = Pose.from_yaw(float(yaw), position).inverse()
+            one = from_yaw(float(yaw), position).inverse()
             assert np.array_equal(stacked.rotation[i], one.rotation)
             assert np.array_equal(stacked.translation[i], one.translation)
             assert np.array_equal(moved[i], one.transform(pts))

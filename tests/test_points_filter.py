@@ -8,7 +8,7 @@ from scipy.stats import multivariate_normal
 
 from targetsim import points_filter
 from targetsim.detector import ellipsoid_target, visible_bbox
-from targetsim.geometry import CameraIntrinsics, Pose, project_points
+from targetsim.geometry import CameraIntrinsics, CameraStack, Pose, project_points
 from targetsim.points_filter import (
     AllZeroWeights,
     DegenerateBox,
@@ -33,7 +33,7 @@ from targetsim.points_filter import (
 from targetsim.tracker import TrackedBox
 from targetsim.uav import camera_pose
 
-from tests.test_geometry import IDENTITY, project, rt
+from tests.test_geometry import IDENTITY, from_yaw, project, rt
 
 K = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=480)
 
@@ -183,7 +183,7 @@ class TestGeneratePoints:
 
         cfg = FilterConfig(m=1, max_depth=50.0)
         bbox = np.array([100.0, 80.0, 200.0, 160.0])
-        world_from_cam = Pose.from_yaw(0.3, [5.0, -2.0, 20.0])
+        world_from_cam = from_yaw(0.3, [5.0, -2.0, 20.0])
         pts = generate_points(bbox, *rt(world_from_cam), K, cfg, StubRng())
         expected = world_from_cam.transform(K.unit_rays(np.array([[100.0, 80.0]]))[0] * 50.0)
         np.testing.assert_allclose(pts[0], expected, atol=1e-9)
@@ -343,11 +343,10 @@ class TestUpdatePoints:
             )
             pos[2] = alt
             yaw = np.arctan2(true_center[1] - pos[1], true_center[0] - pos[0])
-            cam = camera_pose(yaw, pos, np.deg2rad(60.0))
-            view = cam.inverse()
-            bbox = visible_bbox(target, view, K)
+            bbox = visible_bbox(target, camera_pose(yaw, pos, np.deg2rad(60.0)).inverse(), K)
             assert bbox is not None
-            events, _ = flt.tick([TrackedBox(1, bbox, 5, 0)], rt(cam), rt(view), rng)
+            cameras = CameraStack(camera_pose([yaw], [pos], np.deg2rad(60.0)))
+            events, _ = flt.tick([TrackedBox(1, bbox, 5, 0)], cameras, 0, rng)
             kinds += [e.kind for e in events]
             assert flt.targets[0].points.shape == (flt.cfg.m, 3)
         assert kinds[:2] == ["spawned", "converging"]
@@ -425,7 +424,7 @@ class TestProjectionCounts:
         rng = np.random.default_rng(43)
         cfg = FilterConfig(m=600, max_depth=50.0)
         for _ in range(30):
-            world_from_cam = Pose.from_yaw(rng.uniform(-np.pi, np.pi), rng.uniform(-20, 20, 3))
+            world_from_cam = from_yaw(rng.uniform(-np.pi, np.pi), rng.uniform(-20, 20, 3))
             cam_from_world = world_from_cam.inverse()
             clouds = []
             for _ in range(int(rng.integers(1, 5))):
@@ -455,10 +454,8 @@ class TestProjectionCounts:
 
 class TestTickLifecycle:
     def overhead_cam(self, x=0.0):
-        """tick's camera arguments: the world-from-camera and cam-from-world
-        rows of a checked stack, as the run loop passes them."""
-        cams = camera_pose([0.0], [[x, 0.0, 30.0]], np.deg2rad(60.0))
-        return cams.row(0), cams.inverse().row(0)
+        """tick's camera arguments: a one-camera stack and its row."""
+        return CameraStack(camera_pose([0.0], [[x, 0.0, 30.0]], np.deg2rad(60.0))), 0
 
     def test_fp_starvation_deregisters_without_converging(self):
         # a target that stops receiving boxes dies after the grace period
@@ -476,6 +473,33 @@ class TestTickLifecycle:
         assert kinds == ["deregistered"]
         assert flt.targets == []
         assert "converging" not in kinds
+
+    def test_tick_takes_both_transforms_from_row_i(self):
+        # row 1 of a stack whose row 0 is another camera ticks as that
+        # camera alone: the spawn, the association and the update all read
+        # row 1, and the keyframe is row 1 of the world-from-camera stack
+        bbox = np.array([280.0, 200.0, 360.0, 280.0])
+        runs = []
+        for camera_at in (
+            lambda x: (CameraStack(camera_pose(
+                [2.0, 0.0], [[40.0, -30.0, 50.0], [x, 0.0, 30.0]], np.deg2rad(60.0)
+            )), 1),
+            self.overhead_cam,
+        ):
+            rng = np.random.default_rng(18)
+            flt = PointsFilter(K, FilterConfig(max_depth=50.0))
+            spawned, _ = flt.tick([TrackedBox(1, bbox, 5, 0)], *camera_at(0.0), rng)
+            spawn_points = flt.targets[0].points.copy()
+            cameras, i = camera_at(1.0)
+            events, updated = flt.tick([TrackedBox(1, bbox, 5, 0)], cameras, i, rng)
+            target = flt.targets[0]
+            assert [e.kind for e in spawned] == ["spawned"] and updated == [target.target_id]
+            assert np.array_equal(target.last_keyframe[0], cameras.world_from_cam.rotation[i])
+            assert np.array_equal(target.last_keyframe[1], cameras.world_from_cam.translation[i])
+            runs.append((spawn_points, target.points, [e.to_dict() for e in events]))
+        stacked, alone = runs
+        assert np.array_equal(stacked[0], alone[0]) and np.array_equal(stacked[1], alone[1])
+        assert stacked[2] == alone[2] and len(flt.targets) == 1
 
     def test_mapped_target_consumes_box_without_update(self):
         rng = np.random.default_rng(10)
@@ -611,8 +635,8 @@ class TestHelpers:
         assert not on_image_edge(np.array([50.0, 50.0, 90.0, 90.0]), K, 1.0)
 
     def test_pose_delta(self):
-        a = Pose.from_yaw(0.0, [0.0, 0.0, 0.0])
-        b = Pose.from_yaw(0.25, [3.0, 4.0, 0.0])
+        a = from_yaw(0.0, [0.0, 0.0, 0.0])
+        b = from_yaw(0.25, [3.0, 4.0, 0.0])
         dt, dr = pose_delta(rt(a), rt(b))
         assert dt == pytest.approx(5.0)
         assert dr == pytest.approx(0.25, abs=1e-12)

@@ -13,6 +13,8 @@ from targetsim.uav import (
     waypoint_reached,
     wrap_angle,
 )
+
+from tests.test_geometry import from_yaw
 from targetsim.view_planner import Waypoint
 
 CFG = UavConfig(v_max=1.0, a_max=1.0, yaw_rate_max=1.0, dt=0.1)
@@ -146,7 +148,7 @@ def test_camera_stack_equals_per_state_chain():
         cams = camera_pose(yaws, positions, gamma)
         views = cams.inverse()
         for i in range(2):
-            body = Pose.from_yaw(float(yaws[i]), positions[i])
+            body = from_yaw(float(yaws[i]), positions[i])
             chain = Pose(body.rotation @ camera_mount(gamma), body.translation)
             inverse = chain.inverse()
             assert np.array_equal(cams.rotation[i], chain.rotation)
