@@ -117,7 +117,8 @@ def test_visible_boxes_batched(benchmark, survey5):
 
 def test_update_points(benchmark, clouds):
     rng = np.random.default_rng(1)
-    benchmark(update_points, clouds[0].points, BOXES[0], *VIEW, K, CFG, rng)
+    new_points = benchmark(update_points, clouds[0].points, BOXES[0], *VIEW, K, CFG, rng)
+    assert new_points.shape == clouds[0].points.shape
 
 
 def test_projection_count_costs(benchmark, clouds):

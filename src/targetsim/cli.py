@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import os
 import sys
@@ -43,7 +42,7 @@ def _cmd_run(args) -> int:
     except ValueError as exc:  # ScenarioInvalid, or a --seed that Scenario rejects
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    result = run(scenario, out_dir=args.out, write_trace=not args.metrics_only)
+    result = run(scenario, out_dir=None if args.metrics_only else args.out)
     print(
         f"{scenario.name}: {'completed' if result.completed else 'INCOMPLETE'} "
         f"after {result.sim_time:.1f}s simulated ({result.frames} frames), "
@@ -69,12 +68,13 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_replay_metrics(args) -> int:
-    try:
+    try:  # a malformed trace fails in either call; ScenarioInvalid is a ValueError
         scenario, records, _ = read_trace(args.trace)
-    except (OSError, json.JSONDecodeError, ScenarioInvalid, KeyError) as exc:
+        metrics = compute_metrics(records, scenario)
+    except (OSError, LookupError, TypeError, ValueError) as exc:
         print(f"invalid trace: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    _print_metrics(compute_metrics(records, scenario))
+    _print_metrics(metrics)
     return EXIT_OK
 
 

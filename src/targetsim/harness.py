@@ -73,19 +73,18 @@ _SECTIONS = {
     "uav": UavConfig,
     "mission": MissionConfig,
 }
-# Top-level values, each cast to the type of its default on Scenario.
-_SCALARS = {
-    f.name: type(f.default)
-    for f in dataclasses.fields(Scenario)
-    if f.default is not dataclasses.MISSING
-}
+# The top-level values: the fields of Scenario that have a default.
+_SCALARS = tuple(
+    f.name for f in dataclasses.fields(Scenario) if f.default is not dataclasses.MISSING
+)
 _TARGET_KEYS = {"id", "center", "semi_axes", "n_surface"}
 
 
 def _check_json_types(cls, kwargs: dict) -> None:
-    """Raise TypeError for a value whose type its field's annotation does not
-    allow. An int passes for a float; a bool is not a number. Values are not
-    cast, so the header serialises them as written."""
+    """Raise TypeError for a value whose type its field's (or, for a function,
+    its parameter's) annotation does not allow. An int passes for a float; a
+    bool is not a number. Values are not cast, so the header serialises them
+    as written."""
     hints = typing.get_type_hints(cls)
     for name, value in kwargs.items():
         if name not in hints:
@@ -95,6 +94,15 @@ def _check_json_types(cls, kwargs: dict) -> None:
         if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
             names = " or ".join(t.__name__ for t in expected)
             raise TypeError(f"{name} must be {names}, got {type(value).__name__}")
+
+
+def _coordinates(values, name: str) -> tuple:
+    """A list of numbers as a tuple of floats; a string or a bool is not a number."""
+    values = tuple(values)
+    for c in values:
+        if isinstance(c, bool) or not isinstance(c, (int, float)):
+            raise TypeError(f"{name} must hold numbers, got {type(c).__name__}")
+    return tuple(float(c) for c in values)
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -107,19 +115,17 @@ def scenario_from_dict(data: dict) -> Scenario:
 
     where = "scenario"  # the part being converted, named in the error
     try:
-        fields = {}
-        for where, cast in _SCALARS.items():
-            if where in data:
-                fields[where] = cast(data[where])
+        fields = {name: data[name] for name in _SCALARS if name in data}
+        _check_json_types(Scenario, fields)
         for where, cls in _SECTIONS.items():
             kwargs = {**data.get(where, {})}
             if where == "planner" and "survey_polygon" in kwargs:
                 polygon = kwargs["survey_polygon"]
-                kwargs["survey_polygon"] = tuple(tuple(float(c) for c in v) for v in polygon)
+                kwargs["survey_polygon"] = tuple(_coordinates(v, "survey_polygon") for v in polygon)
             elif where == "filter":
                 kwargs.setdefault("max_depth", fields["planner"].search_altitude + 20.0)
             elif where == "uav" and kwargs.get("start_position") is not None:
-                kwargs["start_position"] = tuple(float(c) for c in kwargs["start_position"])
+                kwargs["start_position"] = _coordinates(kwargs["start_position"], "start_position")
             _check_json_types(cls, kwargs)
             fields[where] = cls(**kwargs)
 
@@ -132,11 +138,13 @@ def scenario_from_dict(data: dict) -> Scenario:
             where = f"world.targets[{i}]"
             if not isinstance(entry, dict) or set(entry) - _TARGET_KEYS:
                 raise ValueError(f"expected an object with keys among {sorted(_TARGET_KEYS)}")
+            target_id, n_surface = entry["id"], entry.get("n_surface", 400)
+            _check_json_types(ellipsoid_target, {"target_id": target_id, "n_surface": n_surface})
             target = ellipsoid_target(
-                str(entry["id"]),
-                entry["center"],
-                entry["semi_axes"],
-                int(entry.get("n_surface", 400)),
+                target_id,
+                _coordinates(entry["center"], "center"),
+                _coordinates(entry["semi_axes"], "semi_axes"),
+                n_surface,
             )
             if not polygon_contains(fields["planner"].survey_polygon, target.center[:2]):
                 raise ValueError("center outside the survey polygon")
@@ -379,26 +387,23 @@ def write_cloud(path: Path, points: np.ndarray) -> None:
             fh.write(f"{x:.6f} {y:.6f} {z:.6f}\n")
 
 
-def run(scenario: Scenario, out_dir=None, write_trace: bool = True) -> RunResult:
-    """Run the full perception + motion loop for one scenario."""
+def run(scenario: Scenario, out_dir=None) -> RunResult:
+    """Run the full perception + motion loop for one scenario. The trace and
+    the mapped clouds are written to out_dir when one is given."""
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
+
+    def write_mapped_cloud(target_id: int, dense: np.ndarray) -> None:
+        write_cloud(out_path / f"cloud_{target_id}.xyz", dense)
 
     rng = np.random.default_rng(scenario.seed)
     k = scenario.camera
     flt = PointsFilter(k, scenario.filter)
     tracker = BoxTracker(scenario.tracker)
-
-    clouds: dict[int, np.ndarray] = {}
-
-    def cloud_sink(target_id: int, dense: np.ndarray) -> None:
-        clouds[target_id] = dense
-        if out_path is not None and write_trace:
-            write_cloud(out_path / f"cloud_{target_id}.xyz", dense)
-
     mission = MissionExecutive(
-        scenario.planner, scenario.mission, flt, list(scenario.targets), cloud_sink
+        scenario.planner, scenario.mission, flt, list(scenario.targets),
+        None if out_path is None else write_mapped_cloud,
     )
 
     if scenario.uav.start_position is not None:
@@ -421,7 +426,7 @@ def run(scenario: Scenario, out_dir=None, write_trace: bool = True) -> RunResult
 
     trace_fh = None
     trace_path = None
-    if out_path is not None and write_trace:
+    if out_path is not None:
         trace_path = out_path / "trace.jsonl"
         trace_fh = open(trace_path, "w")
         trace_fh.write(_json_line({"type": "scenario", "scenario": scenario_to_dict(scenario)}) + "\n")
@@ -510,11 +515,13 @@ def read_trace(path):
     records = []
     summary = None
     with open(path) as fh:
-        for line in fh:
+        for n, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise ValueError(f"line {n} is not a JSON object")
             if obj.get("type") == "scenario":
                 scenario = scenario_from_dict(obj["scenario"])
             elif obj.get("type") == "frame":

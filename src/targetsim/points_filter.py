@@ -23,10 +23,6 @@ _DET_FLOOR = 1e-18
 _K_DIM = 3
 
 
-class SingularCovariance(ValueError):
-    """Covariance determinant at or below the numerical floor."""
-
-
 class AllZeroWeights(RuntimeError):
     """Every perturbed point weighted zero; the update cannot resample."""
 
@@ -65,11 +61,12 @@ def differential_entropy(s: GaussianSummary) -> float:
 
 
 def kl_divergence(n0: GaussianSummary, n1: GaussianSummary) -> float:
-    """KL divergence D(n0 || n1) between two Gaussian summaries."""
+    """KL divergence D(n0 || n1) between two Gaussian summaries; inf when
+    either covariance is collapsed."""
     det0 = float(np.linalg.det(n0.covariance))
     det1 = float(np.linalg.det(n1.covariance))
     if det1 <= _DET_FLOOR or det0 <= _DET_FLOOR:
-        raise SingularCovariance(f"determinants {det0}, {det1}")
+        return float("inf")
     diff = n1.mean - n0.mean
     p1_inv_p0 = np.linalg.solve(n1.covariance, n0.covariance)
     maha = diff @ np.linalg.solve(n1.covariance, diff)
@@ -316,13 +313,13 @@ def update_points(
     k: CameraIntrinsics,
     cfg: FilterConfig,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, float]:
+) -> np.ndarray:
     """One importance-resampling update against a box tracked by the
     camera whose cam-from-world transform is (rotation, translation).
 
     Perturbs the cloud with isotropic Gaussian noise, weights the perturbed
     projections against the box, and resamples m points from the perturbed
-    set. Returns (new points, KL divergence of new cloud w.r.t. old).
+    set. Returns the new points.
 
     Raises AllZeroWeights when no perturbed point lands with support.
     """
@@ -338,15 +335,7 @@ def update_points(
         | (uv[:, 1] > k.height)
     )
     weights[off_image] = 0.0
-    idx = systematic_resample(weights, rng)
-    resampled = perturbed[idx]
-    try:
-        kld = kl_divergence(
-            GaussianSummary.from_points(resampled), GaussianSummary.from_points(points)
-        )
-    except SingularCovariance:
-        kld = float("inf")
-    return resampled, kld
+    return perturbed[systematic_resample(weights, rng)]
 
 
 def check_already_mapped(
@@ -425,15 +414,16 @@ class PointsFilter:
             if dt <= cfg.keyframe_min_translation and dr <= cfg.keyframe_min_rotation:
                 continue  # not a keyframe yet
             try:
-                new_points, kld = update_points(
+                new_points = update_points(
                     target.points, gated_boxes[box_idx], *cam_from_world, self.k, cfg, rng
                 )
             except AllZeroWeights:
                 events.append(Event("update_failed", target.target_id))
                 continue  # counts as a missed update
+            old = target.summary
             target.set_points(new_points)
             target.last_keyframe = world_from_cam
-            target.last_kld = kld
+            kld = target.last_kld = kl_divergence(target.summary, old)
             target.kld_streak = target.kld_streak + 1 if kld < cfg.kld_threshold else 0
             entropy = differential_entropy(target.summary)
             target.last_entropy = entropy

@@ -6,6 +6,7 @@ alongside the pytest report.
 
 import hashlib
 import itertools
+import json
 import time
 from contextlib import contextmanager
 
@@ -15,7 +16,7 @@ import pytest
 from targetsim.bounding_cylinder import BoundingCylinder, fit_bounding_cylinder
 from targetsim.detector import Detection
 from targetsim.geometry import CameraIntrinsics, CameraStack, project_points
-from targetsim.harness import load_scenario, run
+from targetsim.harness import load_scenario, run, scenario_from_dict
 from targetsim.points_filter import (
     FilterConfig,
     GaussianSummary,
@@ -40,6 +41,11 @@ NOMINAL_TRACE_DIGEST = "3384f4105341b8dd"
 # cloud files sorted by name and concatenated.
 NOISY_TRACE_DIGEST = "f8192b854177f057"
 NOISY_CLOUDS_DIGEST = "18816b25abd2654d"
+# The same for the smoke-size clutter scenario's records, serialised as the
+# trace's frame lines: the nominal scenario at seed 7 with 30 % false
+# positives, no misses and 400-point clouds, 1,997 frames that load the
+# filter's spawn, update and deregistration paths.
+SMOKE_CLUTTER_RECORDS_DIGEST = "2b959012fcc80bbf"
 
 
 @contextmanager
@@ -323,3 +329,19 @@ def test_noisy_trace_and_clouds_digests_pinned(noisy_result):
     clouds = sorted(result.trace_path.parent.glob("cloud_*.xyz"))
     assert sha16(result.trace_path.read_bytes()) == NOISY_TRACE_DIGEST
     assert sha16(b"".join(p.read_bytes() for p in clouds)) == NOISY_CLOUDS_DIGEST
+
+
+def test_smoke_clutter_records_digest_pinned():
+    with open("scenarios/nominal_single_target.json") as fh:
+        data = json.load(fh)
+    data["seed"] = 7
+    data["detector"].update(fp_rate=0.3, fn_rate=0.0, pixel_noise_sigma=0.5)
+    data["tracker"]["min_hits"] = 1
+    data["filter"]["m"] = 400
+    result = run(scenario_from_dict(data))
+    lines = "".join(
+        json.dumps({"type": "frame", "record": r}, sort_keys=True, separators=(",", ":")) + "\n"
+        for r in result.records
+    )
+    assert result.frames == 1997
+    assert sha16(lines.encode()) == SMOKE_CLUTTER_RECORDS_DIGEST

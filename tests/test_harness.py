@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from targetsim import geometry, harness
+from targetsim import geometry, harness, points_filter
 from targetsim.cli import main as cli_main
 from targetsim.harness import (
     Scenario,
@@ -100,6 +100,37 @@ def bad_scenario_texts() -> dict[str, str]:
         "target_top_above_altitude": json.dumps(
             with_leaf(("world", "targets", 0, "center"), [40.0, 28.0, 29.5])
         ),
+        # each of these once loaded by a cast: 7.9 ran as seed 7, true as seed 1
+        "float_seed": json.dumps(with_leaf(("seed",), 7.9)),
+        "bool_seed": json.dumps(with_leaf(("seed",), True)),
+        "string_frame_rate": json.dumps(with_leaf(("frame_rate",), "10")),
+        "int_name": json.dumps(with_leaf(("name",), 5)),
+        "float_n_surface": json.dumps(with_leaf(("world", "targets", 0, "n_surface"), 3.7)),
+        "int_target_id": json.dumps(with_leaf(("world", "targets", 0, "id"), 5)),
+        "string_center": json.dumps(
+            with_leaf(("world", "targets", 0, "center"), ["40", 28.0, 1.0])
+        ),
+        "bool_center": json.dumps(
+            with_leaf(("world", "targets", 0, "center"), [40.0, 28.0, True])
+        ),
+        "string_semi_axes": json.dumps(
+            with_leaf(("world", "targets", 0, "semi_axes"), [1.0, "1", 1.0])
+        ),
+        "bool_semi_axes": json.dumps(
+            with_leaf(("world", "targets", 0, "semi_axes"), [True, 1.0, 1.0])
+        ),
+        "string_polygon_coordinate": json.dumps(
+            with_leaf(("planner", "survey_polygon", 1, 0), "60")
+        ),
+        "bool_polygon_coordinate": json.dumps(
+            with_leaf(("planner", "survey_polygon", 0, 0), False)
+        ),
+        "string_start_position": json.dumps(
+            with_leaf(("uav", "start_position"), ["10", 10.0, 30.0])
+        ),
+        "bool_start_position": json.dumps(
+            with_leaf(("uav", "start_position"), [True, 10.0, 30.0])
+        ),
     }
 
 
@@ -158,6 +189,8 @@ class TestScenarioSchema:
         # an int passes for a float and is serialised as written
         s = scenario_from_dict(with_leaf(("planner", "lane_spacing"), 20))
         assert type(scenario_to_dict(s)["planner"]["lane_spacing"]) is int
+        s = scenario_from_dict(with_leaf(("max_sim_time",), 600))
+        assert type(scenario_to_dict(s)["max_sim_time"]) is int
         scenario_from_dict(with_leaf(("filter", "min_points_in_box"), None))  # int | None
         for path, value in (
             (("mission", "voxel_size"), True),  # a bool is not a number
@@ -229,7 +262,7 @@ class TestRun:
         data["world"]["targets"] = []
         data["max_sim_time"] = 400.0
         s = scenario_from_dict(data)
-        result = run(s, out_dir=None, write_trace=False)
+        result = run(s)
         assert result.completed
         m = result.metrics
         for stage in ("generation", "converging", "converged", "mapped"):
@@ -237,7 +270,7 @@ class TestRun:
             assert m[stage]["recall"] is None
 
     def test_nominal_run_maps_target(self):
-        result = run(scenario(), out_dir=None, write_trace=False)
+        result = run(scenario())
         assert result.completed
         assert result.mapped_true_ids == {"rock"}
         m = result.metrics
@@ -248,7 +281,7 @@ class TestRun:
     def test_timeout_reports_incomplete(self):
         data = copy.deepcopy(BASE)
         data["max_sim_time"] = 5.0  # far too short to find anything
-        result = run(scenario_from_dict(data), out_dir=None, write_trace=False)
+        result = run(scenario_from_dict(data))
         assert not result.completed
 
     def test_trace_written_and_replayable(self, tmp_path):
@@ -265,7 +298,7 @@ class TestRun:
         assert len(clouds) == 1
 
     def test_mode_transitions_are_legal(self):
-        result = run(scenario(), out_dir=None, write_trace=False)
+        result = run(scenario())
         legal = {
             ("search", "estimation"), ("search", "mapping"),
             ("estimation", "mapping"), ("estimation", "search"),
@@ -277,7 +310,7 @@ class TestRun:
                 assert (prev, cur) in legal
 
     def test_lifecycle_order_per_target(self):
-        result = run(scenario(), out_dir=None, write_trace=False)
+        result = run(scenario())
         seen: dict[int, list[str]] = {}
         for rec in result.records:
             for ev in rec["events"]:
@@ -419,7 +452,7 @@ def per_record_true_boxes(record, s) -> dict:
 
 def test_batched_metrics_equal_per_record_fold(monkeypatch):
     s = scenario()
-    records = run(s, out_dir=None, write_trace=False).records
+    records = run(s).records
     assert {r["mode"] for r in records} >= {"search", "estimation", "mapping"}
     assert len(records) > 2 * harness.METRICS_CHUNK
     chunk = harness.METRICS_CHUNK
@@ -448,6 +481,11 @@ class TestWriteCloud:
         lines = path.read_text().splitlines()
         assert lines[0] == "1.000000 2.500000 -3.250000"
         assert lines[1] == "0.123457 0.000000 9.000000"
+
+
+def string_yaw(frame: dict) -> dict:
+    frame["record"]["uav"]["true"]["yaw"] = "north"
+    return frame
 
 
 class TestCli:
@@ -480,6 +518,7 @@ class TestCli:
         path = tmp_path / "s.json"
         path.write_text(json.dumps(data))
         assert cli_main(["run", str(path), "--metrics-only", "--out", str(tmp_path / "o")]) == 3
+        assert not (tmp_path / "o").exists()  # --metrics-only writes nothing
 
     @pytest.mark.parametrize("name", sorted(BAD_SCENARIO_TEXTS))
     def test_bad_numbers_and_short_polygon_exit_2(self, tmp_path, capsys, name):
@@ -497,6 +536,25 @@ class TestCli:
 
     def test_replay_missing_file_exit_2(self, tmp_path):
         assert cli_main(["replay-metrics", str(tmp_path / "nope.jsonl")]) == 2
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda frame: {"type": "frame", "record": {}},  # KeyError in compute_metrics
+            string_yaw,  # ValueError in compute_metrics
+            lambda frame: [frame],  # AttributeError in read_trace
+        ],
+        ids=["empty_record", "string_yaw", "array_line"],
+    )
+    def test_replay_malformed_trace_exit_2(self, tmp_path, capsys, edit):
+        run(scenario(max_sim_time=5.0), out_dir=tmp_path)
+        lines = (tmp_path / "trace.jsonl").read_text().splitlines()
+        lines[1] = json.dumps(edit(json.loads(lines[1])))
+        (tmp_path / "trace.jsonl").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli_main(["replay-metrics", str(tmp_path / "trace.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid trace: ") and err.count("\n") == 1
 
     def test_seed_override_changes_run(self, tmp_path):
         data = copy.deepcopy(BASE)
@@ -528,12 +586,38 @@ def test_two_checked_poses_per_frame(monkeypatch):
 
     monkeypatch.setattr(geometry.Pose, "__init__", counted(geometry.Pose.__init__, "poses"))
     monkeypatch.setattr(geometry, "check_rotations", counted(geometry.check_rotations, "checks"))
-    result = run(s, out_dir=None, write_trace=False)
+    result = run(s)
     events = [ev["type"] for r in result.records for ev in r["events"]]
     assert result.frames == 1000 and "spawned" in events and "converging" in events
     chunks = -(-result.frames // harness.METRICS_CHUNK)
     assert counts["poses"] <= 2 * result.frames + 2 * chunks
     assert counts["checks"] == counts["poses"]
+
+
+def test_one_fit_per_cloud_change(monkeypatch):
+    # a target's cached summary is the only Gaussian fit of its cloud: one
+    # per spawn, keyframe update and mapping. The whole nominal run (1,860
+    # frames) is taken so that its one mapping is counted too.
+    path = Path(__file__).resolve().parents[1] / "scenarios" / "nominal_single_target.json"
+    s = scenario_from_dict(json.loads(path.read_text()))
+    counts = {"fits": 0, "updates": 0}
+    fit, tick = points_filter.GaussianSummary.from_points.__func__, points_filter.PointsFilter.tick
+
+    def counted_fit(cls, points):
+        counts["fits"] += 1
+        return fit(cls, points)
+
+    def counted_tick(self, *args):
+        events, updated = tick(self, *args)
+        counts["updates"] += len(updated)
+        return events, updated
+
+    monkeypatch.setattr(points_filter.GaussianSummary, "from_points", classmethod(counted_fit))
+    monkeypatch.setattr(points_filter.PointsFilter, "tick", counted_tick)
+    result = run(s)
+    events = [ev["type"] for r in result.records for ev in r["events"]]
+    assert result.completed and counts["updates"] > 0
+    assert counts["fits"] == events.count("spawned") + counts["updates"] + events.count("mapped")
 
 
 def test_tracer_finds_every_entry_point():

@@ -15,7 +15,6 @@ from targetsim.points_filter import (
     FilterConfig,
     GaussianSummary,
     PointsFilter,
-    SingularCovariance,
     TargetState,
     associate,
     check_already_mapped,
@@ -133,13 +132,12 @@ class TestKlDivergence:
         assert kl_divergence(a, a) == pytest.approx(0.0, abs=1e-9)
         assert kl_divergence(b, b) == pytest.approx(0.0, abs=1e-9)
 
-    def test_singular_covariance_raises(self):
+    def test_singular_covariance_is_inf(self):
+        # a collapsed cloud never counts toward the low-KLD streak
         good = GaussianSummary(np.zeros(3), np.eye(3))
         bad = GaussianSummary(np.zeros(3), np.zeros((3, 3)))
-        with pytest.raises(SingularCovariance):
-            kl_divergence(good, bad)
-        with pytest.raises(SingularCovariance):
-            kl_divergence(bad, good)
+        assert kl_divergence(good, bad) == float("inf")
+        assert kl_divergence(bad, good) == float("inf")
 
 
 class TestGeneratePoints:
@@ -296,9 +294,12 @@ class TestUpdatePoints:
         )
         bbox = np.array([200.0, 150.0, 400.0, 330.0])
         points = generate_points(bbox, *rt(IDENTITY), K, cfg, rng)
-        new_points, kld = update_points(points, bbox, *rt(IDENTITY), K, cfg, rng)
+        new_points = update_points(points, bbox, *rt(IDENTITY), K, cfg, rng)
         # equal uniform weights: systematic resampling keeps every point
         np.testing.assert_allclose(new_points, points, atol=1e-5)
+        kld = kl_divergence(
+            GaussianSummary.from_points(new_points), GaussianSummary.from_points(points)
+        )
         assert kld == pytest.approx(0.0, abs=1e-9)
         assert new_points.shape == points.shape
 
@@ -309,7 +310,7 @@ class TestUpdatePoints:
         wide = np.array([100.0, 100.0, 500.0, 400.0])
         narrow = np.array([250.0, 200.0, 350.0, 300.0])
         points = generate_points(wide, *rt(IDENTITY), K, cfg, rng)
-        new_points, _ = update_points(points, narrow, *rt(IDENTITY), K, cfg, rng)
+        new_points = update_points(points, narrow, *rt(IDENTITY), K, cfg, rng)
         assert new_points.shape == (500, 3)
         for p in new_points:
             pixel, depth = project(p, IDENTITY, K)
@@ -607,6 +608,22 @@ class TestTickLifecycle:
         flt.mark_mapped(target.target_id, cloud)
         np.testing.assert_array_equal(target.points, cloud)
         assert_fresh(target)
+
+    def test_last_kld_compares_new_fit_with_old(self):
+        # the update's KL divergence is taken between the cached fits
+        # before and after the update, and its low-KLD test feeds the streak
+        rng = np.random.default_rng(18)
+        cfg = FilterConfig(max_depth=50.0)
+        flt = PointsFilter(K, cfg)
+        bbox = np.array([280.0, 200.0, 360.0, 280.0])
+        flt.tick([TrackedBox(1, bbox, 5, 0)], *self.overhead_cam(0.0), rng)
+        target = flt.targets[0]
+        for x in (1.0, 2.0, 3.0):
+            old = target.summary
+            _, updated = flt.tick([TrackedBox(1, bbox, 5, 0)], *self.overhead_cam(x), rng)
+            assert updated == [target.target_id] and target.summary is not old
+            assert target.last_kld == kl_divergence(target.summary, old)
+        assert 0.0 < target.last_kld < float("inf")
 
 
 class TestCheckAlreadyMapped:
