@@ -7,14 +7,26 @@ does not collect it. Inputs are sized like the benchmark workloads: five
 400-point true targets (survey5) and 4,000-point clouds, about seven live
 at once (clutter1), seen by the survey camera at 30 m. The batched true-box
 case projects survey5's five targets from 1,024 survey poses, two metric
-chunks' worth.
+chunks' worth. The frame line is one frame's record and trace line with
+three live targets that did not change since the last frame.
 """
+
+import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from targetsim.detector import Surfaces, ellipsoid_target, visible_bboxes, visible_boxes
+from targetsim import harness
+from targetsim.detector import (
+    Detection,
+    Surfaces,
+    ellipsoid_target,
+    visible_bboxes,
+    visible_boxes,
+)
 from targetsim.geometry import CameraIntrinsics, CameraStack, project_points
+from targetsim.mission import MissionMode
 from targetsim.points_filter import (
     FilterConfig,
     PointTarget,
@@ -23,8 +35,8 @@ from targetsim.points_filter import (
     projection_count_costs,
     update_points,
 )
-from targetsim.tracker import hungarian_assign
-from targetsim.uav import camera_pose
+from targetsim.tracker import TrackedBox, hungarian_assign
+from targetsim.uav import UavState, camera_pose
 
 K = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=480)
 DEPRESSION = np.deg2rad(60.0)
@@ -129,3 +141,22 @@ def test_projection_count_costs(benchmark, clouds):
 def test_hungarian_assign(benchmark, clouds):
     costs = projection_count_costs(BOXES, clouds, *VIEW, K)
     benchmark(hungarian_assign, costs, maximize=True)
+
+
+def frame_line(entries, targets, uav, mission):
+    """The run loop's per-frame record and trace line."""
+    live, texts = entries.update(targets)
+    record = harness._make_record(
+        0.1, 1, uav, [Detection(BOXES[0], 1.0)], [TrackedBox(1, BOXES[0], 5, 0)],
+        live, mission, [],
+    )
+    return harness._frame_line(record, texts)
+
+
+def test_frame_line(benchmark, clouds):
+    entries = harness._TargetEntries()
+    uav = UavState.at_rest([10.0, 20.0, 30.0])
+    args = (clouds[:3], uav, SimpleNamespace(mode=MissionMode.SEARCH))
+    frame_line(entries, *args)  # the targets' entries are built before the timed frames
+    line = benchmark(frame_line, entries, *args)
+    assert [e["n_points"] for e in json.loads(line)["record"]["targets"]] == [4000] * 3

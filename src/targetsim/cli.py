@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 2 invalid scenario or trace, 3 run ended with
-unmapped targets.
+Exit codes: 0 success, 2 invalid scenario or trace or an output that
+cannot be written, 3 run ended with unmapped targets.
 """
 
 from __future__ import annotations
@@ -42,7 +42,11 @@ def _cmd_run(args) -> int:
     except ValueError as exc:  # ScenarioInvalid, or a --seed that Scenario rejects
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    result = run(scenario, out_dir=None if args.metrics_only else args.out)
+    try:
+        result = run(scenario, out_dir=None if args.metrics_only else args.out)
+    except OSError as exc:  # the output directory, trace or a cloud file
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     print(
         f"{scenario.name}: {'completed' if result.completed else 'INCOMPLETE'} "
         f"after {result.sim_time:.1f}s simulated ({result.frames} frames), "

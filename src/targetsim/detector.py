@@ -8,6 +8,7 @@ generator, so a fixed seed gives byte-identical detections.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,6 +115,22 @@ _CULL_MARGIN_PX = 1.0
 _PROJECTED_POINTS_MAX = 1 << 12
 
 
+@functools.lru_cache(maxsize=16)
+def _out_of_view_rows(k: CameraIntrinsics) -> np.ndarray:
+    """The cull's (5, 3) rows, built once per camera and read-only. A first
+    point p (camera frame) is clearly out where n . p < 0 for a row n:
+    behind the camera, or more than the margin past an image edge (for
+    z > 0, u < -margin is fx x + (cx + margin) z < 0, and so on)."""
+    m = _CULL_MARGIN_PX
+    rows = np.array([
+        [0.0, 0.0, 1.0],
+        [k.fx, 0.0, k.cx + m], [-k.fx, 0.0, k.width + m - k.cx],
+        [0.0, k.fy, k.cy + m], [0.0, -k.fy, k.height + m - k.cy],
+    ])
+    rows.flags.writeable = False
+    return rows
+
+
 def visible_boxes(
     surfaces: Surfaces, rotations: np.ndarray, translations: np.ndarray, k: CameraIntrinsics
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -136,15 +153,7 @@ def visible_boxes(
     visible = np.zeros(boxes.shape[:2], dtype=bool)
     if not boxes.size:
         return boxes, visible
-    # A first point p (camera frame) is clearly out where n . p < 0 for a
-    # row n: behind the camera, or more than the margin past an image edge
-    # (for z > 0, u < -margin is fx x + (cx + margin) z < 0, and so on).
-    m = _CULL_MARGIN_PX
-    out_of_view = np.array([
-        [0.0, 0.0, 1.0],
-        [k.fx, 0.0, k.cx + m], [-k.fx, 0.0, k.width + m - k.cx],
-        [0.0, k.fy, k.cy + m], [0.0, -k.fy, k.height + m - k.cy],
-    ])
+    out_of_view = _out_of_view_rows(k)
     first_cam = transform_rows(rotations, translations, surfaces.points[starts])  # (F, 3, n)
     kept = ~(out_of_view @ first_cam < 0).any(axis=-2)
     columns = kept.T.tolist()

@@ -212,21 +212,47 @@ def load_scenario(path) -> Scenario:
 # -- trace records -----------------------------------------------------------
 
 
-def _make_record(t, frame, uav, detections, boxes, flt, mission, events) -> dict:
-    targets = []
-    for tgt in flt.targets:
-        summary = tgt.summary
-        targets.append(
-            {
-                "id": tgt.target_id,
-                "state": tgt.state.value,
-                "mean": summary.mean.tolist(),
-                "cov": summary.covariance.tolist(),
-                "entropy": tgt.last_entropy,
-                "kld": tgt.last_kld,
-                "n_points": int(tgt.points.shape[0]),
-            }
-        )
+class _TargetEntries:
+    """Each live filter target's trace entry and that entry's JSON text,
+    built once per change: records share an entry until its target changes,
+    so callers must not mutate it."""
+
+    def __init__(self):
+        self._by_id: dict[int, tuple] = {}  # id -> (summary, entry, text)
+
+    def update(self, targets) -> tuple[list[dict], list[str]]:
+        """The entries and texts of `targets`, in order; a target is rebuilt
+        when set_points refit its summary or its state, entropy, KL or point
+        count changed. Targets no longer live are dropped."""
+        by_id = {}
+        for tgt in targets:
+            summary, entry, text = self._by_id.get(tgt.target_id, (None, None, None))
+            if (
+                summary is not tgt.summary
+                or entry["state"] != tgt.state.value
+                # identity: a reassigned value rebuilds, as 0.0 and -0.0 encode apart
+                or entry["entropy"] is not tgt.last_entropy
+                or entry["kld"] is not tgt.last_kld
+                or entry["n_points"] != len(tgt.points)
+            ):
+                summary = tgt.summary
+                entry = {
+                    "id": tgt.target_id,
+                    "state": tgt.state.value,
+                    "mean": summary.mean.tolist(),
+                    "cov": summary.covariance.tolist(),
+                    "entropy": tgt.last_entropy,
+                    "kld": tgt.last_kld,
+                    "n_points": len(tgt.points),
+                }
+                text = _json_line(entry)
+            by_id[tgt.target_id] = summary, entry, text
+        self._by_id = by_id
+        return [e for _, e, _ in by_id.values()], [t for _, _, t in by_id.values()]
+
+
+def _make_record(t, frame, uav, detections, boxes, targets, mission, events) -> dict:
+    """One frame's trace record; `targets` are the frame's shared entries."""
     return {
         "t": t,
         "frame": frame,
@@ -242,6 +268,18 @@ def _make_record(t, frame, uav, detections, boxes, flt, mission, events) -> dict
         "mode": mission.mode.value,
         "events": [e.to_dict() for e in events],
     }
+
+
+def _frame_line(record: dict, target_texts: list[str]) -> str:
+    """_json_line({"type": "frame", "record": record}), with the record's
+    targets taken from their encoded texts: with sorted keys the record's
+    fields before "targets" come first, then its entries, then the rest."""
+    head = _json_line({k: v for k, v in record.items() if k < "targets"})
+    tail = _json_line({k: v for k, v in record.items() if k > "targets"})
+    return (
+        '{"record":' + head[:-1] + ',"targets":[' + ",".join(target_texts) + "],"
+        + tail[1:] + ',"type":"frame"}'
+    )
 
 
 # -- metrics -----------------------------------------------------------------
@@ -420,6 +458,7 @@ def run(scenario: Scenario, out_dir=None) -> RunResult:
     dt = 1.0 / scenario.frame_rate
     max_frames = int(np.ceil(scenario.max_sim_time / dt))
     all_true_ids = {t.id for t in scenario.targets}
+    target_entries = _TargetEntries()
     records: list[dict] = []
     completed = False
     frame = 0
@@ -465,10 +504,11 @@ def run(scenario: Scenario, out_dir=None) -> RunResult:
             for ev in events:
                 log.debug("t=%.1f %s", t, ev)
 
-            record = _make_record(t, frame, uav, detections, boxes, flt, mission, events)
+            targets, texts = target_entries.update(flt.targets)
+            record = _make_record(t, frame, uav, detections, boxes, targets, mission, events)
             records.append(record)
             if trace_fh is not None:
-                trace_fh.write(_json_line({"type": "frame", "record": record}) + "\n")
+                trace_fh.write(_frame_line(record, texts) + "\n")
 
             if (all_true_ids and mission.mapped_true_ids >= all_true_ids) or mission.idle():
                 completed = mission.mapped_true_ids >= all_true_ids

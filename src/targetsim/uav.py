@@ -9,6 +9,7 @@ from the body on a fixed downward-pitched mount.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,11 +113,15 @@ def waypoint_reached(state: UavState, target: Waypoint) -> bool:
     )
 
 
+@functools.lru_cache(maxsize=16)
 def camera_mount(depression: float) -> np.ndarray:
     """Body-to-camera mount rotation: camera pitched `depression` below
-    horizontal, facing along body x (OpenCV camera axes)."""
+    horizontal, facing along body x (OpenCV camera axes). Built once per
+    depression and shared, so it is read-only."""
     s, c = np.sin(depression), np.cos(depression)
-    return np.array([[0.0, -s, c], [-1.0, 0.0, 0.0], [0.0, -c, -s]])
+    mount = np.array([[0.0, -s, c], [-1.0, 0.0, 0.0], [0.0, -c, -s]])
+    mount.flags.writeable = False
+    return mount
 
 
 def camera_pose(yaw, position, depression: float) -> Pose:

@@ -3,7 +3,9 @@
 from collections import Counter
 
 import numpy as np
+import pytest
 
+from targetsim import detector
 from targetsim.detector import (
     DetectorConfig,
     Surfaces,
@@ -284,3 +286,14 @@ def test_batched_boxes_equal_per_pose_loop():
     assert not a_pinned[:5].any() and a_pinned[6:].all()
     empty = visible_boxes(Surfaces.of([]), np.stack([DOWN.rotation]), np.zeros((1, 3)), K)
     assert empty[0].shape == (1, 0, 4) and empty[1].shape == (1, 0)
+
+
+def test_cull_rows_built_once_per_camera_and_read_only():
+    # visible_boxes runs on every detect; its cull rows are shared per camera
+    rows = detector._out_of_view_rows(K)
+    assert detector._out_of_view_rows(K) is rows and rows.shape == (5, 3)
+    assert not rows.flags.writeable
+    with pytest.raises(ValueError):
+        rows[0, 0] = 1.0
+    other = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=480)
+    assert detector._out_of_view_rows(other)[1, 0] == 600.0

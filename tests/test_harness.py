@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from targetsim import geometry, harness, points_filter
+from targetsim.geometry import CameraStack
 from targetsim.cli import main as cli_main
 from targetsim.harness import (
     Scenario,
@@ -23,7 +24,14 @@ from targetsim.harness import (
     scenario_to_dict,
     write_cloud,
 )
-from targetsim.points_filter import Event, on_image_edge
+from targetsim.points_filter import (
+    Event,
+    FilterConfig,
+    PointsFilter,
+    TargetState,
+    on_image_edge,
+)
+from targetsim.tracker import TrackedBox
 from targetsim.uav import camera_pose
 
 BASE = {
@@ -534,6 +542,16 @@ class TestCli:
         assert cli_main(["run", str(path), "--out", str(tmp_path / "o"), "--seed", "-1"]) == 2
         assert "seed must be >= 0" in capsys.readouterr().err
 
+    def test_unwritable_output_exit_2(self, tmp_path, capsys):
+        # --out naming an existing file cannot become the output directory
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(BASE))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert cli_main(["run", str(path), "--out", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write output: ") and err.count("\n") == 1
+
     def test_replay_missing_file_exit_2(self, tmp_path):
         assert cli_main(["replay-metrics", str(tmp_path / "nope.jsonl")]) == 2
 
@@ -618,6 +636,88 @@ def test_one_fit_per_cloud_change(monkeypatch):
     events = [ev["type"] for r in result.records for ev in r["events"]]
     assert result.completed and counts["updates"] > 0
     assert counts["fits"] == events.count("spawned") + counts["updates"] + events.count("mapped")
+
+
+NOMINAL = Path(__file__).resolve().parents[1] / "scenarios" / "nominal_single_target.json"
+
+
+def smoke_clutter() -> Scenario:
+    """The nominal scenario at seed 7 with 30 % false positives and
+    400-point clouds: spawns, updates and deregistrations every few frames."""
+    data = json.loads(NOMINAL.read_text())
+    data["seed"] = 7
+    data["detector"].update(fp_rate=0.3, fn_rate=0.0, pixel_noise_sigma=0.5)
+    data["tracker"]["min_hits"] = 1
+    data["filter"]["m"] = 400
+    return scenario_from_dict(data)
+
+
+@pytest.fixture(scope="module")
+def nominal_run(tmp_path_factory):
+    return run(scenario_from_dict(json.loads(NOMINAL.read_text())),
+               out_dir=tmp_path_factory.mktemp("nominal"))
+
+
+class TestTargetEntries:
+    @pytest.mark.parametrize("which", ["nominal", "smoke_clutter"])
+    def test_frame_lines_equal_whole_record_encoding(self, which, request, tmp_path):
+        if which == "nominal":
+            result = request.getfixturevalue("nominal_run")
+        else:
+            result = run(smoke_clutter(), out_dir=tmp_path)
+        lines = result.trace_path.read_text().splitlines()[1:-1]
+        assert len(lines) == len(result.records) == result.frames
+        assert any(r["targets"] for r in result.records)
+        for line, record in zip(lines, result.records):
+            assert line == harness._json_line({"type": "frame", "record": record})
+
+    def test_entry_rebuilt_on_each_change(self):
+        # one target through a spawn, a keyframe update, a tick that is no
+        # keyframe, a mapping with an empty cloud, and leaving the live set
+        rng = np.random.default_rng(18)
+        k = scenario().camera
+        flt = PointsFilter(k, FilterConfig(max_depth=50.0))
+        box = [TrackedBox(1, np.array([280.0, 200.0, 360.0, 280.0]), 5, 0)]
+        entries = harness._TargetEntries()
+
+        def tick(x):
+            cams = CameraStack(camera_pose([0.0], [[x, 0.0, 30.0]], np.deg2rad(60.0)))
+            return flt.tick(box, cams, 0, rng)
+
+        def entry():
+            (one,), (text,) = entries.update(flt.targets)
+            assert text == harness._json_line(one)
+            return one
+
+        tick(0.0)
+        spawned = entry()
+        assert entry() is spawned
+        assert tick(1.0)[1] == [spawned["id"]]  # a keyframe update
+        updated = entry()
+        assert updated is not spawned and updated["kld"] is not None
+        assert tick(1.0)[1] == []  # the same pose again: no keyframe
+        assert entry() is updated
+        target = flt.targets[0]
+        summary = target.summary
+        flt.mark_mapped(target.target_id, np.empty((0, 3)))
+        assert target.summary is summary  # only the state changed
+        mapped = entry()
+        assert mapped is not updated and mapped["state"] == TargetState.MAPPED.value
+        assert {**mapped, "state": updated["state"]} == updated
+        # a target that is no longer live is dropped: back again, it is rebuilt
+        assert entries.update([]) == ([], [])
+        again = entry()
+        assert again == mapped and again is not mapped
+
+    def test_records_share_one_entry_per_change(self, nominal_run):
+        records = nominal_run.records
+        changes, previous = 0, {}
+        for record in records:
+            current = {e["id"]: e for e in record["targets"]}
+            changes += sum(previous.get(i) != e for i, e in current.items())
+            previous = current
+        entries = [e for r in records for e in r["targets"]]
+        assert len({id(e) for e in entries}) == changes < len(entries)
 
 
 def test_tracer_finds_every_entry_point():

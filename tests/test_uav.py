@@ -111,6 +111,15 @@ class TestCameraMount:
         np.testing.assert_allclose(r @ r.T, np.eye(3), atol=1e-12)
         assert np.linalg.det(r) == pytest.approx(1.0)
 
+    def test_mount_built_once_and_read_only(self):
+        # camera_pose runs every frame; the mount is shared, so no caller
+        # may write into it
+        gamma = np.deg2rad(60.0)
+        r = camera_mount(gamma)
+        assert camera_mount(gamma) is r and not r.flags.writeable
+        with pytest.raises(ValueError):
+            r[0, 0] = 1.0
+
     def test_view_axis_depressed_by_gamma(self):
         gamma = np.deg2rad(60.0)
         cam = camera_pose(0.0, [0.0, 0.0, 30.0], gamma)
