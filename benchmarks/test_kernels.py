@@ -8,10 +8,14 @@ does not collect it. Inputs are sized like the benchmark workloads: five
 at once (clutter1), seen by the survey camera at 30 m. The batched true-box
 case projects survey5's five targets from 1,024 survey poses, two metric
 chunks' worth. The frame line is one frame's record and trace line with
-three live targets that did not change since the last frame.
+three live targets that did not change since the last frame. The flight
+block is one block of survey5's lawnmower (kinematics, camera stack and
+cull), from its fifth waypoint along a lane that sees one target in over
+half its views.
 """
 
 import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,7 +29,7 @@ from targetsim.detector import (
     visible_bboxes,
     visible_boxes,
 )
-from targetsim.geometry import CameraIntrinsics, CameraStack, project_points
+from targetsim.geometry import CameraIntrinsics, project_points
 from targetsim.mission import MissionMode
 from targetsim.points_filter import (
     FilterConfig,
@@ -37,6 +41,7 @@ from targetsim.points_filter import (
 )
 from targetsim.tracker import TrackedBox, hungarian_assign
 from targetsim.uav import UavState, camera_pose
+from targetsim.view_planner import lawnmower
 
 K = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=480)
 DEPRESSION = np.deg2rad(60.0)
@@ -97,20 +102,6 @@ def clouds():
     ]
 
 
-def camera_pair():
-    """One frame's cameras as the run builds them: the (true, estimated)
-    world-from-camera stack and its inverse."""
-    return CameraStack(
-        camera_pose([0.3, 0.3], [[10.0, 20.0, 30.0], [10.1, 19.9, 30.0]], DEPRESSION)
-    )
-
-
-def test_camera_pair(benchmark):
-    cameras = benchmark(camera_pair)
-    assert cameras.world_from_cam.rotation.shape == cameras.cam_from_world.rotation.shape
-    assert cameras.cam_from_world.rotation.shape == (2, 3, 3)
-
-
 def test_project_points(benchmark, clouds):
     uv, depths = benchmark(project_points, clouds[0].points, *VIEW, K)
     assert uv.shape == (4000, 2) and depths.shape == (4000,)
@@ -160,3 +151,17 @@ def test_frame_line(benchmark, clouds):
     frame_line(entries, *args)  # the targets' entries are built before the timed frames
     line = benchmark(frame_line, entries, *args)
     assert [e["n_points"] for e in json.loads(line)["record"]["targets"]] == [4000] * 3
+
+
+def test_flight_block(benchmark):
+    scenario = harness.load_scenario(
+        Path(__file__).resolve().parents[1] / "scenarios" / "five_targets_noisy.json"
+    )
+    p = scenario.planner
+    plan = lawnmower(p.survey_polygon, p.lane_spacing, p.search_altitude)
+    start = UavState.at_rest(plan[4].position, plan[4].yaw)
+    flight = harness._Flight(scenario)
+    benchmark(flight._fly, start, plan, 4)
+    assert len(flight.states) == harness.FLIGHT_BLOCK
+    assert flight.boxes.shape == (harness.FLIGHT_BLOCK, 5, 4)
+    assert flight.visible.sum() > harness.FLIGHT_BLOCK // 2

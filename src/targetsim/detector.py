@@ -205,19 +205,18 @@ def visible_bbox(
 
 
 def detect(
-    rotation: np.ndarray,
-    translation: np.ndarray,
+    boxes: np.ndarray,
+    visible: np.ndarray,
     k: CameraIntrinsics,
-    surfaces: Surfaces,
     cfg: DetectorConfig,
     rng: np.random.Generator,
 ) -> list[Detection]:
-    """One simulated detector inference on the current camera view, given
-    by its cam-from-world rotation and translation."""
+    """One simulated detector inference on a camera view, given that view's
+    row of visible_boxes: every true target's box (n_targets, 4) and which
+    targets are in full view (n_targets,). It only draws the faults."""
     detections: list[Detection] = []
-    for bbox in visible_bboxes(surfaces, rotation, translation, k):
-        if bbox is None:
-            continue
+    for i in np.flatnonzero(visible):
+        bbox = boxes[i]
         if cfg.fn_rate > 0 and rng.random() < cfg.fn_rate:
             continue
         if cfg.pixel_noise_sigma > 0:

@@ -69,6 +69,13 @@ def transform_points(rotation: np.ndarray, translation: np.ndarray, points: np.n
     return np.ascontiguousarray(transform_rows(rotation, translation, points).swapaxes(-1, -2))
 
 
+def invert(rotation: np.ndarray, translation: np.ndarray):
+    """The inverse (R^T, -R^T t) of the rigid transform (R, t), or of each
+    transform of a stack."""
+    rt = rotation.swapaxes(-1, -2)
+    return rt, (-rt @ translation[..., None])[..., 0]
+
+
 def yaw_rotation(yaw) -> np.ndarray:
     """Rotation about world z by yaw, (3, 3); an array of yaws gives a stack."""
     yaw = np.asarray(yaw, dtype=float)
@@ -104,8 +111,7 @@ class Pose:
         object.__setattr__(self, "translation", t)
 
     def inverse(self) -> "Pose":
-        rt = self.rotation.swapaxes(-1, -2)
-        return Pose(rt, (-rt @ self.translation[..., None])[..., 0])
+        return Pose(*invert(self.rotation, self.translation))
 
     def transform(self, points: np.ndarray) -> np.ndarray:
         """Apply to one (3,) point or an (n, 3) batch."""
@@ -118,7 +124,7 @@ class Pose:
 class CameraStack:
     """A stack of world-from-camera Poses and its inverse, the cam-from-world
     views. Both are built here from the one stack, so row i of each is the
-    same camera."""
+    same camera: two checked Poses for any number of cameras."""
 
     def __init__(self, world_from_cam: Pose):
         self.world_from_cam = world_from_cam

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import math
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,7 +24,7 @@ from .geometry import CameraIntrinsics, CameraStack
 from .mission import MissionConfig, MissionExecutive, MissionMode
 from .points_filter import FilterConfig, PointsFilter, on_image_edge
 from .tracker import BoxTracker, TrackerConfig, hungarian_assign, iou
-from .uav import UavConfig, UavState, camera_pose, step, waypoint_reached
+from .uav import UavConfig, UavState, camera_pose, fly, step, waypoint_reached
 from .view_planner import PlannerConfig, polygon_contains
 
 log = logging.getLogger("targetsim")
@@ -59,6 +60,11 @@ class Scenario:
             raise ValueError("frame_rate, max_sim_time, and match_dist must be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not math.isclose(self.uav.dt, 1.0 / self.frame_rate, rel_tol=1e-9):
+            # one clock: the vehicle moves uav.dt per frame
+            raise ValueError(
+                f"uav.dt {self.uav.dt} must be 1 / frame_rate ({1.0 / self.frame_rate})"
+            )
         object.__setattr__(self, "surfaces", Surfaces.of(self.targets))
 
 
@@ -258,7 +264,7 @@ def _make_record(t, frame, uav, detections, boxes, targets, mission, events) -> 
         "frame": frame,
         "uav": {
             "true": {"position": uav.position.tolist(), "yaw": uav.yaw},
-            "est": {"position": uav.est_position.tolist(), "yaw": uav.est_yaw},
+            "est": {"position": uav.est_position.tolist(), "yaw": uav.yaw},
         },
         "detections": [
             {"bbox": d.bbox.tolist(), "score": d.score} for d in detections
@@ -415,6 +421,67 @@ class RunResult:
     trace_path: Path | None = None
 
 
+# frames of the true flight flown, imaged and culled at a time
+FLIGHT_BLOCK = 256
+
+
+class _Flight:
+    """The vehicle's true flight, flown ahead in blocks of up to FLIGHT_BLOCK
+    frames. The vehicle follows its plan whatever perception does, and the
+    true flight draws nothing, so a block depends only on its first state,
+    the plan and the cursor. A block builds one checked camera stack and
+    culls every true target in all its views at once; each frame then draws
+    only its pose estimate. A new block is flown from the current state when
+    the mission's plan or cursor is not the one the block assumed."""
+
+    def __init__(self, scenario: Scenario):
+        self.scenario = scenario
+        self.plan = None
+        self.states: list[UavState] = []  # the true state after each row's frame
+        self.cursors: list[int] = []  # row j flies to plan[cursors[j]]; cursors[j + 1] after it
+        self.row = -1
+
+    def _fly(self, state: UavState, plan: list, cursor: int) -> None:
+        """Fly a block from state: each row steps toward plan[cursor] and
+        moves the cursor on as waypoint_reached does, and a row with no
+        waypoint left keeps the state (loiter). The block ends after the row
+        that reaches the plan's last waypoint."""
+        s = self.scenario
+        self.plan, self.states, self.cursors = plan, [], [cursor]
+        for _ in range(FLIGHT_BLOCK):
+            flying = cursor < len(plan)
+            if flying:
+                state = fly(state, plan[cursor], s.uav)
+                if waypoint_reached(state, plan[cursor]):
+                    cursor += 1
+            self.states.append(state)
+            self.cursors.append(cursor)
+            if flying and cursor == len(plan):
+                break  # the mission decides what follows its plan
+        self.cameras = CameraStack(camera_pose(
+            [st.yaw for st in self.states], [st.position for st in self.states],
+            s.planner.cam_depression,
+        ))
+        views = self.cameras.cam_from_world
+        # every true target's box and visibility in each row's true view
+        self.boxes, self.visible = visible_boxes(
+            s.surfaces, views.rotation, views.translation, s.camera
+        )
+
+    def frame(self, uav: UavState, plan: list, cursor: int, rng) -> tuple[UavState, bool]:
+        """The next frame's state, flown from uav along plan from cursor
+        with its estimate drawn, and whether it reached its waypoint; the
+        frame is row self.row of the block. A loiter frame (no waypoint
+        left) keeps uav and draws nothing."""
+        row = self.row = self.row + 1
+        if plan is not self.plan or row == len(self.states) or cursor != self.cursors[row]:
+            self._fly(uav, plan, cursor)
+            row = self.row = 0
+        if cursor >= len(plan):
+            return uav, False
+        return step(self.states[row], self.scenario.uav, rng), self.cursors[row + 1] > cursor
+
+
 def _json_line(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -454,6 +521,7 @@ def run(scenario: Scenario, out_dir=None) -> RunResult:
         start = np.array([0.0, 0.0, scenario.planner.search_altitude])
         start_yaw = 0.0
     uav = UavState.at_rest(start, start_yaw)
+    flight = _Flight(scenario)
 
     dt = 1.0 / scenario.frame_rate
     max_frames = int(np.ceil(scenario.max_sim_time / dt))
@@ -479,25 +547,16 @@ def run(scenario: Scenario, out_dir=None) -> RunResult:
         for frame in range(1, max_frames + 1):
             t = frame * dt
             events: list = []
-            wp = mission.current_waypoint()
-            if wp is not None:
-                uav = step(uav, wp, scenario.uav, rng)
-                if waypoint_reached(uav, wp):
-                    events += mission.on_waypoint_reached(uav.est_position)
-
-            # the cameras of the true (row 0) and the estimated (row 1) state
-            cameras = CameraStack(camera_pose(
-                [uav.yaw, uav.est_yaw], [uav.position, uav.est_position],
-                scenario.planner.cam_depression,
-            ))
-            views = cameras.cam_from_world
-
-            detections = detect(
-                views.rotation[0], views.translation[0], k, scenario.surfaces,
-                scenario.detector, rng,
-            )
+            uav, reached = flight.frame(uav, mission.plan, mission.cursor, rng)
+            if reached:
+                events += mission.on_waypoint_reached(uav.est_position)
+            row = flight.row
+            detections = detect(flight.boxes[row], flight.visible[row], k, scenario.detector, rng)
             boxes = tracker.step(detections)
-            filter_events, updated = flt.tick(boxes, cameras, 1, rng)
+            # the estimated camera: the true camera's rotation at the estimated position
+            filter_events, updated = flt.tick(
+                boxes, flight.cameras.world_from_cam.rotation[row], uav.est_position, rng
+            )
             events += filter_events
             events += mission.on_perception(filter_events, updated, uav.est_position)
 

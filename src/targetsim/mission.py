@@ -157,10 +157,17 @@ class MissionExecutive:
 
     # -- plan following --------------------------------------------------
 
-    def current_waypoint(self) -> Waypoint | None:
-        if self._cursor >= len(self._plan):
-            return None
-        return self._plan[self._cursor]
+    @property
+    def plan(self) -> list[Waypoint]:
+        """The waypoints being flown. A new plan is a new list; a plan is
+        never changed in place."""
+        return self._plan
+
+    @property
+    def cursor(self) -> int:
+        """The index in plan of the waypoint being flown to; len(plan) when
+        the plan is done and the vehicle loiters."""
+        return self._cursor
 
     @property
     def search_done(self) -> bool:

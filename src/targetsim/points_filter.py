@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, CameraStack, project_points, transform_points
+from .geometry import CameraIntrinsics, invert, project_points, transform_points
 from .tracker import TrackedBox, hungarian_assign
 
 _DET_FLOOR = 1e-18
@@ -381,18 +381,18 @@ class PointsFilter:
     def tick(
         self,
         boxes: list[TrackedBox],
-        cameras: CameraStack,
-        i: int,
+        rotation: np.ndarray,
+        translation: np.ndarray,
         rng: np.random.Generator,
     ) -> tuple[list[Event], list[int]]:
         """Associate, update, spawn, and age targets for one cycle, seen
-        from camera i of the frame's stack. An empty box list behaves as a
-        deregistration-only timer tick. Returns (events, ids updated this
-        tick).
+        from the camera whose world-from-camera transform is (rotation,
+        translation); the rotation must be checked (a row of a Pose). An
+        empty box list behaves as a deregistration-only timer tick. Returns
+        (events, ids updated this tick).
         """
-        cams, views = cameras.world_from_cam, cameras.cam_from_world
-        world_from_cam = cams.rotation[i], cams.translation[i]
-        cam_from_world = views.rotation[i], views.translation[i]
+        world_from_cam = rotation, translation
+        cam_from_world = invert(rotation, translation)
         cfg = self.cfg
         events: list[Event] = []
         updated: list[int] = []

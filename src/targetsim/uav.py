@@ -3,8 +3,9 @@
 The vehicle is a point with yaw: velocity ramps along a trapezoidal
 profile under speed/acceleration caps, yaw slews at a bounded rate, and
 the pose estimate is the true pose plus bounded (3-sigma truncated)
-Gaussian position noise. Roll and pitch are not modeled; the camera hangs
-from the body on a fixed downward-pitched mount.
+Gaussian position noise. `fly` moves the true state and draws nothing;
+`step` draws a frame's estimate. Roll and pitch are not modeled; the
+camera hangs from the body on a fixed downward-pitched mount.
 """
 
 from __future__ import annotations
@@ -45,29 +46,21 @@ class UavState:
     yaw: float
     velocity: np.ndarray
     est_position: np.ndarray
-    est_yaw: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "position", np.asarray(self.position, dtype=float).reshape(3))
-        object.__setattr__(self, "velocity", np.asarray(self.velocity, dtype=float).reshape(3))
-        object.__setattr__(
-            self, "est_position", np.asarray(self.est_position, dtype=float).reshape(3)
-        )
 
     @classmethod
     def at_rest(cls, position, yaw: float = 0.0) -> "UavState":
-        p = np.asarray(position, dtype=float)
-        return cls(position=p, yaw=yaw, velocity=np.zeros(3), est_position=p.copy(), est_yaw=yaw)
+        p = np.asarray(position, dtype=float).reshape(3)
+        return cls(position=p, yaw=yaw, velocity=np.zeros(3), est_position=p.copy())
 
 
 def wrap_angle(a: float) -> float:
     return float((a + np.pi) % (2.0 * np.pi) - np.pi)
 
 
-def step(
-    state: UavState, target: Waypoint, cfg: UavConfig, rng: np.random.Generator
-) -> UavState:
-    """Advance one dt toward the waypoint."""
+def fly(state: UavState, target: Waypoint, cfg: UavConfig) -> UavState:
+    """The true state one dt later, flown toward the waypoint. It draws
+    nothing, so a flight depends only on its start and its waypoints; its
+    estimate is the true position until step draws one."""
     to_target = target.position - state.position
     dist = float(np.linalg.norm(to_target))
     speed_prev = float(np.linalg.norm(state.velocity))
@@ -93,17 +86,19 @@ def step(
     dyaw = wrap_angle(target.yaw - state.yaw)
     max_step = cfg.yaw_rate_max * cfg.dt
     yaw = wrap_angle(state.yaw + np.clip(dyaw, -max_step, max_step))
+    return UavState(position=position, yaw=yaw, velocity=velocity, est_position=position)
 
-    if cfg.pose_noise_sigma > 0:
-        noise = rng.normal(0.0, cfg.pose_noise_sigma, size=3)
-        bound = 3.0 * cfg.pose_noise_sigma
-        est_position = position + np.clip(noise, -bound, bound)
-    else:
-        est_position = position.copy()
-    return UavState(
-        position=position, yaw=yaw, velocity=velocity,
-        est_position=est_position, est_yaw=yaw,
-    )
+
+def step(flown: UavState, cfg: UavConfig, rng: np.random.Generator) -> UavState:
+    """A frame's state: the flown true state with its position estimate
+    drawn, the true position plus truncated noise. The estimate shares the
+    true yaw."""
+    if cfg.pose_noise_sigma == 0:
+        return flown  # fly's estimate is the true position
+    noise = rng.normal(0.0, cfg.pose_noise_sigma, size=3)
+    bound = 3.0 * cfg.pose_noise_sigma
+    est_position = flown.position + np.clip(noise, -bound, bound)
+    return UavState(flown.position, flown.yaw, flown.velocity, est_position)
 
 
 def waypoint_reached(state: UavState, target: Waypoint) -> bool:

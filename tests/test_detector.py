@@ -36,6 +36,13 @@ def down_cam_from_world(altitude: float) -> Pose:
 DOWN_30 = rt(down_cam_from_world(30.0))
 
 
+def view(surfaces, rotation, translation):
+    """detect's view arguments: the one cam-from-world view's row of
+    visible_boxes, every target's box and its visibility."""
+    boxes, visible = visible_boxes(surfaces, rotation[None], translation[None], K)
+    return boxes[0], visible[0]
+
+
 def test_ellipsoid_surface_on_surface():
     target = ellipsoid_target("t", [1.0, 2.0, 3.0], [2.0, 1.0, 0.5], n_surface=500)
     rel = (target.surface_points - target.center) / target.semi_axes
@@ -47,7 +54,7 @@ def test_centered_sphere_box_centered_on_principal_point():
     target = ellipsoid_target("t", [0.0, 0.0, 1.0], [1.0, 1.0, 1.0])
     cfg = DetectorConfig()
     surfaces = Surfaces.of([target])
-    dets = detect(*DOWN_30, K, surfaces, cfg, np.random.default_rng(0))
+    dets = detect(*view(surfaces, *DOWN_30), K, cfg, np.random.default_rng(0))
     assert len(dets) == 1
     b = dets[0].bbox
     # centered up to the discrete surface sampling of the silhouette
@@ -60,7 +67,7 @@ def test_total_suppression_with_fn_one():
     cfg = DetectorConfig(fn_rate=1.0)
     rng = np.random.default_rng(1)
     for _ in range(50):
-        assert detect(*DOWN_30, K, Surfaces.of([target]), cfg, rng) == []
+        assert detect(*view(Surfaces.of([target]), *DOWN_30), K, cfg, rng) == []
 
 
 def test_box_is_projection_hull_of_surface_points():
@@ -69,7 +76,8 @@ def test_box_is_projection_hull_of_surface_points():
     target = ellipsoid_target("t", [3.0, -2.0, 1.0], [1.0, 0.8, 1.2], n_surface=300)
     cam_from_world = down_cam_from_world(25.0)
     surfaces = Surfaces.of([target])
-    dets = detect(*rt(cam_from_world), K, surfaces, DetectorConfig(), np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    dets = detect(*view(surfaces, *rt(cam_from_world)), K, DetectorConfig(), rng)
     assert len(dets) == 1
     us, vs = [], []
     for p in target.surface_points:
@@ -88,7 +96,8 @@ def test_partially_visible_target_not_detected():
         target = ellipsoid_target("t", [x, 0.0, 1.0], [1.0, 1.0, 1.0])
         bbox = visible_bbox(target, cam_from_world, K)
         surfaces = Surfaces.of([target])
-        dets = detect(*rt(cam_from_world), K, surfaces, DetectorConfig(), np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        dets = detect(*view(surfaces, *rt(cam_from_world)), K, DetectorConfig(), rng)
         if bbox is None:
             assert dets == []
         else:
@@ -110,7 +119,7 @@ def test_noisy_box_contains_projected_center():
     cam_from_world = down_cam_from_world(30.0)
     center_px, _ = project(target.center, cam_from_world, K)
     for _ in range(200):
-        dets = detect(*rt(cam_from_world), K, Surfaces.of([target]), DetectorConfig(), rng)
+        dets = detect(*view(Surfaces.of([target]), *rt(cam_from_world)), K, DetectorConfig(), rng)
         (det,) = dets
         assert det.bbox[0] <= center_px[0] <= det.bbox[2]
         assert det.bbox[1] <= center_px[1] <= det.bbox[3]
@@ -125,7 +134,7 @@ def test_determinism_byte_for_byte():
         rng = np.random.default_rng(seed)
         out = []
         for frame in range(100):
-            for d in detect(*rt(cam_from_world), K, Surfaces.of([target]), cfg, rng):
+            for d in detect(*view(Surfaces.of([target]), *rt(cam_from_world)), K, cfg, rng):
                 out.append((frame, d.bbox.tobytes(), d.score))
         return out
 
@@ -144,7 +153,7 @@ def test_fp_fn_rates_match_config():
     n_fp = 0
     n_fn = 0
     for _ in range(n):
-        dets = detect(*rt(cam_from_world), K, Surfaces.of([target]), cfg, rng)
+        dets = detect(*view(Surfaces.of([target]), *rt(cam_from_world)), K, cfg, rng)
         true_dets = [d for d in dets if d.score == 1.0]
         n_fn += 1 - len(true_dets)
         n_fp += len(dets) - len(true_dets)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from targetsim import geometry, harness, points_filter
 from targetsim.geometry import CameraStack
 from targetsim.cli import main as cli_main
+from targetsim.detector import visible_bboxes
 from targetsim.harness import (
     Scenario,
     ScenarioInvalid,
@@ -32,7 +33,8 @@ from targetsim.points_filter import (
     on_image_edge,
 )
 from targetsim.tracker import TrackedBox
-from targetsim.uav import camera_pose
+from targetsim.uav import UavState, camera_pose, fly, step, waypoint_reached
+from targetsim.view_planner import Waypoint, lawnmower
 
 BASE = {
     "name": "unit",
@@ -105,6 +107,8 @@ def bad_scenario_texts() -> dict[str, str]:
         "zero_lane_spacing": json.dumps(with_leaf(("planner", "lane_spacing"), 0)),
         "negative_lane_spacing": json.dumps(with_leaf(("planner", "lane_spacing"), -5)),
         "zero_waypoint_spacing": json.dumps(with_leaf(("planner", "waypoint_spacing"), 0)),
+        # the vehicle would move 5 frames' time per frame
+        "uav_dt_apart_from_frame_rate": json.dumps(with_leaf(("uav", "dt"), 0.5)),
         "target_top_above_altitude": json.dumps(
             with_leaf(("world", "targets", 0, "center"), [40.0, 28.0, 29.5])
         ),
@@ -190,6 +194,18 @@ class TestScenarioSchema:
             scenario_from_dict(data)
         data = copy.deepcopy(BASE)
         data["max_sim_time"] = -1.0
+        with pytest.raises(ScenarioInvalid):
+            scenario_from_dict(data)
+
+    def test_uav_dt_is_one_frame(self):
+        # one clock: the vehicle moves uav.dt per frame, so it must equal
+        # 1 / frame_rate, up to rounding; the header keeps it as written
+        with pytest.raises(ScenarioInvalid, match="uav.dt 0.5 must be 1 / frame_rate"):
+            scenario_from_dict(with_leaf(("uav", "dt"), 0.5))
+        data = with_leaf(("frame_rate",), 30.0)
+        data["uav"]["dt"] = 0.0333333333333
+        assert scenario_to_dict(scenario_from_dict(data))["uav"]["dt"] == 0.0333333333333
+        data["uav"]["dt"] = 0.0333
         with pytest.raises(ScenarioInvalid):
             scenario_from_dict(data)
 
@@ -586,15 +602,15 @@ class TestCli:
         assert a[1] != b[1]  # different seeds diverge from the first frame
 
 
-def test_two_checked_poses_per_frame(monkeypatch):
-    # the run builds one (true, estimated) camera stack and its inverse per
-    # frame, and compute_metrics one of each per METRICS_CHUNK records;
+def test_two_checked_poses_per_flight_block(monkeypatch):
+    # the run builds one world-from-camera stack and its inverse per flight
+    # block, and compute_metrics one of each per METRICS_CHUNK records;
     # every Pose runs check_rotations
     path = Path(__file__).resolve().parents[1] / "scenarios" / "nominal_single_target.json"
     data = json.loads(path.read_text())
     data["max_sim_time"] = 100.0  # 1,000 frames: the first spawn and its keyframe updates
     s = scenario_from_dict(data)
-    counts = {"poses": 0, "checks": 0}
+    counts = {"poses": 0, "checks": 0, "blocks": 0}
 
     def counted(original, key):
         def wrapper(*args, **kwargs):
@@ -604,12 +620,101 @@ def test_two_checked_poses_per_frame(monkeypatch):
 
     monkeypatch.setattr(geometry.Pose, "__init__", counted(geometry.Pose.__init__, "poses"))
     monkeypatch.setattr(geometry, "check_rotations", counted(geometry.check_rotations, "checks"))
+    monkeypatch.setattr(harness._Flight, "_fly", counted(harness._Flight._fly, "blocks"))
     result = run(s)
     events = [ev["type"] for r in result.records for ev in r["events"]]
     assert result.frames == 1000 and "spawned" in events and "converging" in events
     chunks = -(-result.frames // harness.METRICS_CHUNK)
-    assert counts["poses"] <= 2 * result.frames + 2 * chunks
+    assert counts["poses"] == 2 * counts["blocks"] + 2 * chunks
     assert counts["checks"] == counts["poses"]
+    assert -(-result.frames // harness.FLIGHT_BLOCK) <= counts["blocks"] <= result.frames // 20
+
+
+def fly_frames(s, plans, frames, blocks):
+    """Fly `frames` frames from rest at the first waypoint of plans[0] =
+    (plan, cursor). plans[f] replaces the plan and cursor after frame f, as
+    the mission replans, and a reach moves the cursor on, as
+    on_waypoint_reached does. With blocks the frames come from
+    harness._Flight; without, frame by frame as the run flew before blocks:
+    fly and step, waypoint_reached, a (true, estimated) CameraStack and
+    visible_bboxes in the true view. Returns per frame (state, reached, the
+    true camera's and the estimated camera's world-from-camera and
+    cam-from-world rows, the true boxes), and the generator."""
+    rng = np.random.default_rng(5)
+    plan, cursor = plans[0]
+    uav = UavState.at_rest(plan[0].position, plan[0].yaw)
+    flight = harness._Flight(s)
+    out = []
+    for f in range(1, frames + 1):
+        if blocks:
+            uav, reached = flight.frame(uav, plan, cursor, rng)
+            row, cams = flight.row, flight.cameras
+            rotation = cams.world_from_cam.rotation[row]
+            true = (
+                rotation, cams.world_from_cam.translation[row],
+                cams.cam_from_world.rotation[row], cams.cam_from_world.translation[row],
+            )
+            # the estimated camera as tick gets it and inverts it
+            est = (rotation, uav.est_position, *geometry.invert(rotation, uav.est_position))
+            boxes = [b if seen else None for b, seen in zip(flight.boxes[row], flight.visible[row])]
+        else:
+            reached = False
+            if cursor < len(plan):
+                uav = step(fly(uav, plan[cursor], s.uav), s.uav, rng)
+                reached = waypoint_reached(uav, plan[cursor])
+            cams = CameraStack(camera_pose(
+                [uav.yaw, uav.yaw], [uav.position, uav.est_position], s.planner.cam_depression
+            ))
+            w, v = cams.world_from_cam, cams.cam_from_world
+            true = (w.rotation[0], w.translation[0], v.rotation[0], v.translation[0])
+            est = (w.rotation[1], w.translation[1], v.rotation[1], v.translation[1])
+            boxes = visible_bboxes(s.surfaces, v.rotation[0], v.translation[0], s.camera)
+        cursor += reached
+        out.append((uav, reached, true, est, boxes))
+        plan, cursor = plans.get(f, (plan, cursor))
+    return out, rng
+
+
+def test_flight_blocks_equal_the_per_frame_path(monkeypatch):
+    s = scenario(uav={"pose_noise_sigma": 0.1})
+    search = lawnmower(s.planner.survey_polygon, s.planner.lane_spacing, 30.0)
+    detour = [search[0], Waypoint([12.0, 16.0, 30.0], 1.0), Waypoint([16.0, 24.0, 30.0], 0.3)]
+    # frame 100 cuts the first block short with a new plan at the same
+    # cursor; the detour's block ends at its last waypoint and loiter
+    # frames follow; the survey resumes at frame 600, and at frame 900 the
+    # same plan moves on by a cursor alone
+    plans = {0: (search, 0), 100: (detour, 1), 600: (search, 3), 900: (search, 6)}
+    built = []
+
+    def spied(flight, state, plan, cursor):
+        fly_block(flight, state, plan, cursor)
+        built.append((plan, flight.cursors[0], flight.cursors[-1], len(flight.states)))
+
+    fly_block = harness._Flight._fly
+    monkeypatch.setattr(harness._Flight, "_fly", spied)
+    blocked, rng = fly_frames(s, plans, 1200, blocks=True)
+    reference, reference_rng = fly_frames(s, plans, 1200, blocks=False)
+
+    for (uav, reached, true, est, boxes), want in zip(blocked, reference):
+        assert reached == want[1]
+        assert np.array_equal(uav.position, want[0].position) and uav.yaw == want[0].yaw
+        assert np.array_equal(uav.est_position, want[0].est_position)
+        assert all(np.array_equal(a, b) for a, b in zip(true + est, want[2] + want[3]))
+        assert [b is None for b in boxes] == [b is None for b in want[4]]
+        assert all(b is None or np.array_equal(b, c) for b, c in zip(boxes, want[4]))
+    assert rng.random() == reference_rng.random()  # loiter frames draw nothing
+    assert any(b is not None for row in reference for b in row[4])
+
+    # the script covers each case: (plan, first cursor, last cursor, rows) per block
+    first, detoured, loiter, resumed = built[:4]
+    assert first[0] is search and first[3] == harness.FLIGHT_BLOCK  # cut at frame 100
+    assert detoured[0] is detour and detoured[1:3] == (1, len(detour))
+    assert detoured[3] < harness.FLIGHT_BLOCK  # ends at the detour's last waypoint
+    assert loiter[0] is detour and loiter[1] == loiter[2] == len(detour)
+    assert resumed[0] is search and resumed[1:3] == (3, 4)  # a reach inside the block
+    reaches = [f for f, row in enumerate(reference, 1) if row[1]]
+    assert 100 + detoured[3] in reaches and 600 < reaches[-1] < 600 + resumed[3]
+    assert built[-1][:2] == (search, 6)
 
 
 def test_one_fit_per_cloud_change(monkeypatch):
@@ -681,8 +786,8 @@ class TestTargetEntries:
         entries = harness._TargetEntries()
 
         def tick(x):
-            cams = CameraStack(camera_pose([0.0], [[x, 0.0, 30.0]], np.deg2rad(60.0)))
-            return flt.tick(box, cams, 0, rng)
+            camera = camera_pose(0.0, [x, 0.0, 30.0], np.deg2rad(60.0))
+            return flt.tick(box, camera.rotation, camera.translation, rng)
 
         def entry():
             (one,), (text,) = entries.update(flt.targets)

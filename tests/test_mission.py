@@ -77,13 +77,18 @@ def spawn_then(flt, mission, target_id, center, *kinds):
     return out
 
 
+def current_waypoint(mission):
+    """The waypoint being flown to, None once the plan is done."""
+    return mission.plan[mission.cursor] if mission.cursor < len(mission.plan) else None
+
+
 def finish_plan(mission, max_steps=500):
     """Walk the current plan to completion, returning emitted events."""
     events = []
     start_mode = mission.mode
     start_target = mission.active_target
     for _ in range(max_steps):
-        wp = mission.current_waypoint()
+        wp = current_waypoint(mission)
         if wp is None or mission.mode is not start_mode or mission.active_target != start_target:
             break
         events += mission.on_waypoint_reached(wp.position)
@@ -94,7 +99,12 @@ class TestTransitions:
     def test_starts_in_search_with_lawnmower(self):
         mission, _, _ = make_mission()
         assert mission.mode is MissionMode.SEARCH
-        assert mission.current_waypoint() is not None
+        assert current_waypoint(mission) is not None
+        assert mission.plan is mission.search_waypoints and mission.cursor == 0
+        with pytest.raises(AttributeError):
+            mission.plan = []  # read-only: the executive owns its plan and cursor
+        with pytest.raises(AttributeError):
+            mission.cursor = 1
         assert mission.search_waypoints[0].position[2] == 30.0
 
     def test_converging_during_search_enters_estimation(self):
@@ -104,7 +114,7 @@ class TestTransitions:
         assert mission.active_target == 1
         assert any(e.kind == "mode_change" and e.mode == "estimation" for e in events)
         # orbit at the search altitude with radius dz/tan(45) = 29
-        wp = mission.current_waypoint()
+        wp = current_waypoint(mission)
         assert wp.position[2] == 30.0
         r = np.linalg.norm(wp.position[:2] - np.array([50.0, 40.0]))
         assert r == pytest.approx(29.0, abs=0.5)
@@ -125,7 +135,7 @@ class TestTransitions:
         events = spawn_then(flt, mission, 1, [50.0, 40.0, 1.0], "converging", "converged")
         assert mission.mode is MissionMode.MAPPING
         assert any(e.kind == "mode_change" and e.mode == "mapping" for e in events)
-        wp = mission.current_waypoint()
+        wp = current_waypoint(mission)
         r = np.linalg.norm(wp.position[:2] - flt.get(1).summary.mean[:2])
         assert r == pytest.approx(mission._cylinder.radius + PLANNER.standoff, abs=1e-6)
 
