@@ -2,14 +2,15 @@
 
     PYTHONPATH=src python -m pytest benchmarks/ -q
 
-This directory is outside the tier-1 `testpaths`, so the plain test run
-does not collect it. Inputs are sized like the benchmark workloads: five
+This directory is outside the tier-1 `testpaths`; the tier-1 test
+`tests/test_microbenchmarks.py` runs each case once with
+`--benchmark-disable`. Inputs are sized like the benchmark workloads: five
 400-point true targets (survey5) and 4,000-point clouds, about seven live
 at once (clutter1), seen by the survey camera at 30 m. The batched true-box
 case projects survey5's five targets from 1,024 survey poses, two metric
 chunks' worth. The frame line is one frame's record and trace line with
 three live targets that did not change since the last frame. The flight
-block is one block of survey5's lawnmower (kinematics, camera stack and
+block is one block of survey5's lawnmower (kinematics, camera poses and
 cull), from its fifth waypoint along a lane that sees one target in over
 half its views.
 """
@@ -22,13 +23,7 @@ import numpy as np
 import pytest
 
 from targetsim import harness
-from targetsim.detector import (
-    Detection,
-    Surfaces,
-    ellipsoid_target,
-    visible_bboxes,
-    visible_boxes,
-)
+from targetsim.detector import Detection, ellipsoid_target, visible_boxes
 from targetsim.geometry import CameraIntrinsics, project_points
 from targetsim.mission import MissionMode
 from targetsim.points_filter import (
@@ -57,14 +52,12 @@ BOXES = [
 
 
 @pytest.fixture(scope="module")
-def surfaces():
+def targets():
     # five true targets ahead of the camera, all in view
-    return Surfaces.of(
-        [
-            ellipsoid_target(f"t{i}", [17.0 + 3.0 * i, -6.0 + 3.0 * i, 1.0], [1.0, 1.0, 1.0])
-            for i in range(5)
-        ]
-    )
+    return [
+        ellipsoid_target(f"t{i}", [17.0 + 3.0 * i, -6.0 + 3.0 * i, 1.0], [1.0, 1.0, 1.0])
+        for i in range(5)
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +75,7 @@ def survey5():
     n = 1024
     positions = np.column_stack([rng.uniform(0.0, 200.0, (n, 2)), np.full(n, 30.0)])
     cams = camera_pose(np.pi * rng.integers(0, 2, n), positions, DEPRESSION).inverse()
-    return Surfaces.of(targets), cams
+    return targets, cams
 
 
 @pytest.fixture(scope="module")
@@ -107,14 +100,15 @@ def test_project_points(benchmark, clouds):
     assert uv.shape == (4000, 2) and depths.shape == (4000,)
 
 
-def test_visible_bboxes(benchmark, surfaces):
-    boxes = benchmark(visible_bboxes, surfaces, *VIEW, K)
-    assert len(boxes) == 5
+def test_visible_boxes_one_view(benchmark, targets):
+    rotation, translation = VIEW
+    boxes, visible = benchmark(visible_boxes, targets, rotation[None], translation[None], K)
+    assert boxes.shape == (1, 5, 4) and visible.all()
 
 
 def test_visible_boxes_batched(benchmark, survey5):
-    surfaces, cams = survey5
-    boxes, visible = benchmark(visible_boxes, surfaces, cams.rotation, cams.translation, K)
+    targets, cams = survey5
+    boxes, visible = benchmark(visible_boxes, targets, cams.rotation, cams.translation, K)
     assert boxes.shape == (1024, 5, 4) and 0 < visible.sum() < visible.size
 
 

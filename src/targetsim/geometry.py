@@ -113,23 +113,6 @@ class Pose:
     def inverse(self) -> "Pose":
         return Pose(*invert(self.rotation, self.translation))
 
-    def transform(self, points: np.ndarray) -> np.ndarray:
-        """Apply to one (3,) point or an (n, 3) batch."""
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            return self.rotation @ pts + self.translation
-        return transform_points(self.rotation, self.translation, pts)
-
-
-class CameraStack:
-    """A stack of world-from-camera Poses and its inverse, the cam-from-world
-    views. Both are built here from the one stack, so row i of each is the
-    same camera: two checked Poses for any number of cameras."""
-
-    def __init__(self, world_from_cam: Pose):
-        self.world_from_cam = world_from_cam
-        self.cam_from_world = world_from_cam.inverse()
-
 
 def project_points(
     points: np.ndarray, rotation: np.ndarray, translation: np.ndarray, k: CameraIntrinsics

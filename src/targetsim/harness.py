@@ -13,14 +13,14 @@ import json
 import logging
 import math
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .detector import DetectorConfig, Surfaces, detect, ellipsoid_target, visible_boxes
+from .detector import DetectorConfig, detect, ellipsoid_target, visible_boxes
 from .detector import visible_bbox  # noqa: F401  perfbench/tracer.py wraps harness.visible_bbox
-from .geometry import CameraIntrinsics, CameraStack
+from .geometry import CameraIntrinsics
 from .mission import MissionConfig, MissionExecutive, MissionMode
 from .points_filter import FilterConfig, PointsFilter, on_image_edge
 from .tracker import BoxTracker, TrackerConfig, hungarian_assign, iou
@@ -52,8 +52,6 @@ class Scenario:
     frame_rate: float = 10.0
     max_sim_time: float = 3600.0
     match_dist: float = 2.0
-    # the targets' surface points stacked once, for one projection per frame
-    surfaces: Surfaces = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.frame_rate <= 0 or self.max_sim_time <= 0 or self.match_dist <= 0:
@@ -65,7 +63,6 @@ class Scenario:
             raise ValueError(
                 f"uav.dt {self.uav.dt} must be 1 / frame_rate ({1.0 / self.frame_rate})"
             )
-        object.__setattr__(self, "surfaces", Surfaces.of(self.targets))
 
 
 # The config sections in build order: planner precedes filter, whose
@@ -210,7 +207,7 @@ def load_scenario(path) -> Scenario:
             parse_int=_finite_int,
             parse_constant=_finite_float,
         )
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ScenarioInvalid(f"cannot read scenario: {exc}") from exc
     return scenario_from_dict(data)
 
@@ -291,15 +288,24 @@ def _frame_line(record: dict, target_texts: list[str]) -> str:
 # -- metrics -----------------------------------------------------------------
 
 
+def _true_views(scenario: Scenario, yaws, positions):
+    """The true cameras at yaws (F,) and positions (F, 3): their
+    world-from-camera Pose stack, and every true target's box and visibility
+    in each view, as visible_boxes returns them. Two checked Poses."""
+    world_from_cam = camera_pose(yaws, positions, scenario.planner.cam_depression)
+    views = world_from_cam.inverse()
+    return world_from_cam, *visible_boxes(
+        scenario.targets, views.rotation, views.translation, scenario.camera
+    )
+
+
 def _true_boxes_for_frames(records, scenario: Scenario) -> list[dict]:
     """Non-edge projected boxes of every visible true target, one dict per
     record, each seen from the record's true camera pose."""
     yaws = np.array([r["uav"]["true"]["yaw"] for r in records], dtype=float)
     positions = np.array([r["uav"]["true"]["position"] for r in records], dtype=float)
-    cams = camera_pose(yaws, positions.reshape(-1, 3), scenario.planner.cam_depression).inverse()
-    k = scenario.camera
-    boxes, visible = visible_boxes(scenario.surfaces, cams.rotation, cams.translation, k)
-    margin = scenario.filter.edge_margin_px
+    _, boxes, visible = _true_views(scenario, yaws, positions.reshape(-1, 3))
+    k, margin = scenario.camera, scenario.filter.edge_margin_px
     out = [{} for _ in records]
     for frame, i in zip(*np.nonzero(visible)):
         if not on_image_edge(boxes[frame, i], k, margin):
@@ -458,15 +464,10 @@ class _Flight:
             self.cursors.append(cursor)
             if flying and cursor == len(plan):
                 break  # the mission decides what follows its plan
-        self.cameras = CameraStack(camera_pose(
-            [st.yaw for st in self.states], [st.position for st in self.states],
-            s.planner.cam_depression,
-        ))
-        views = self.cameras.cam_from_world
-        # every true target's box and visibility in each row's true view
-        self.boxes, self.visible = visible_boxes(
-            s.surfaces, views.rotation, views.translation, s.camera
+        cameras, self.boxes, self.visible = _true_views(
+            s, [st.yaw for st in self.states], [st.position for st in self.states]
         )
+        self.rotations = cameras.rotation  # each row's world-from-camera rotation, for tick
 
     def frame(self, uav: UavState, plan: list, cursor: int, rng) -> tuple[UavState, bool]:
         """The next frame's state, flown from uav along plan from cursor
@@ -554,9 +555,7 @@ def run(scenario: Scenario, out_dir=None) -> RunResult:
             detections = detect(flight.boxes[row], flight.visible[row], k, scenario.detector, rng)
             boxes = tracker.step(detections)
             # the estimated camera: the true camera's rotation at the estimated position
-            filter_events, updated = flt.tick(
-                boxes, flight.cameras.world_from_cam.rotation[row], uav.est_position, rng
-            )
+            filter_events, updated = flt.tick(boxes, flight.rotations[row], uav.est_position, rng)
             events += filter_events
             events += mission.on_perception(filter_events, updated, uav.est_position)
 
@@ -618,7 +617,10 @@ def read_trace(path):
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
+            try:
+                obj = json.loads(line)
+            except RecursionError as exc:  # nested too deep to decode
+                raise ValueError(f"line {n}: {exc}") from exc
             if not isinstance(obj, dict):
                 raise ValueError(f"line {n} is not a JSON object")
             if obj.get("type") == "scenario":

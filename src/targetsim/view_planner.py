@@ -58,6 +58,8 @@ class PlannerConfig:
             raise ValueError("estimation_view_angle must be in (0, pi/2)")
         if len(self.survey_polygon) < 3:
             raise EmptyPolygon(f"survey_polygon has {len(self.survey_polygon)} vertices, needs >= 3")
+        if any(np.shape(vertex) != (2,) for vertex in self.survey_polygon):
+            raise ValueError("each survey_polygon vertex needs 2 coordinates (x, y)")
 
 
 def _lane_span(polygon: np.ndarray, y: float) -> tuple[float, float] | None:

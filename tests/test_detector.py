@@ -8,11 +8,9 @@ import pytest
 from targetsim import detector
 from targetsim.detector import (
     DetectorConfig,
-    Surfaces,
     detect,
     ellipsoid_target,
     visible_bbox,
-    visible_bboxes,
     visible_boxes,
 )
 from targetsim.geometry import CameraIntrinsics, Pose, project_points
@@ -36,10 +34,10 @@ def down_cam_from_world(altitude: float) -> Pose:
 DOWN_30 = rt(down_cam_from_world(30.0))
 
 
-def view(surfaces, rotation, translation):
+def view(targets, rotation, translation):
     """detect's view arguments: the one cam-from-world view's row of
     visible_boxes, every target's box and its visibility."""
-    boxes, visible = visible_boxes(surfaces, rotation[None], translation[None], K)
+    boxes, visible = visible_boxes(targets, rotation[None], translation[None], K)
     return boxes[0], visible[0]
 
 
@@ -53,8 +51,7 @@ def test_ellipsoid_surface_on_surface():
 def test_centered_sphere_box_centered_on_principal_point():
     target = ellipsoid_target("t", [0.0, 0.0, 1.0], [1.0, 1.0, 1.0])
     cfg = DetectorConfig()
-    surfaces = Surfaces.of([target])
-    dets = detect(*view(surfaces, *DOWN_30), K, cfg, np.random.default_rng(0))
+    dets = detect(*view([target], *DOWN_30), K, cfg, np.random.default_rng(0))
     assert len(dets) == 1
     b = dets[0].bbox
     # centered up to the discrete surface sampling of the silhouette
@@ -67,7 +64,7 @@ def test_total_suppression_with_fn_one():
     cfg = DetectorConfig(fn_rate=1.0)
     rng = np.random.default_rng(1)
     for _ in range(50):
-        assert detect(*view(Surfaces.of([target]), *DOWN_30), K, cfg, rng) == []
+        assert detect(*view([target], *DOWN_30), K, cfg, rng) == []
 
 
 def test_box_is_projection_hull_of_surface_points():
@@ -75,9 +72,8 @@ def test_box_is_projection_hull_of_surface_points():
     # independently of the vectorized path
     target = ellipsoid_target("t", [3.0, -2.0, 1.0], [1.0, 0.8, 1.2], n_surface=300)
     cam_from_world = down_cam_from_world(25.0)
-    surfaces = Surfaces.of([target])
     rng = np.random.default_rng(0)
-    dets = detect(*view(surfaces, *rt(cam_from_world)), K, DetectorConfig(), rng)
+    dets = detect(*view([target], *rt(cam_from_world)), K, DetectorConfig(), rng)
     assert len(dets) == 1
     us, vs = [], []
     for p in target.surface_points:
@@ -95,9 +91,8 @@ def test_partially_visible_target_not_detected():
     for x in np.linspace(0.0, 40.0, 60):
         target = ellipsoid_target("t", [x, 0.0, 1.0], [1.0, 1.0, 1.0])
         bbox = visible_bbox(target, cam_from_world, K)
-        surfaces = Surfaces.of([target])
         rng = np.random.default_rng(0)
-        dets = detect(*view(surfaces, *rt(cam_from_world)), K, DetectorConfig(), rng)
+        dets = detect(*view([target], *rt(cam_from_world)), K, DetectorConfig(), rng)
         if bbox is None:
             assert dets == []
         else:
@@ -119,7 +114,7 @@ def test_noisy_box_contains_projected_center():
     cam_from_world = down_cam_from_world(30.0)
     center_px, _ = project(target.center, cam_from_world, K)
     for _ in range(200):
-        dets = detect(*view(Surfaces.of([target]), *rt(cam_from_world)), K, DetectorConfig(), rng)
+        dets = detect(*view([target], *rt(cam_from_world)), K, DetectorConfig(), rng)
         (det,) = dets
         assert det.bbox[0] <= center_px[0] <= det.bbox[2]
         assert det.bbox[1] <= center_px[1] <= det.bbox[3]
@@ -134,7 +129,7 @@ def test_determinism_byte_for_byte():
         rng = np.random.default_rng(seed)
         out = []
         for frame in range(100):
-            for d in detect(*view(Surfaces.of([target]), *rt(cam_from_world)), K, cfg, rng):
+            for d in detect(*view([target], *rt(cam_from_world)), K, cfg, rng):
                 out.append((frame, d.bbox.tobytes(), d.score))
         return out
 
@@ -153,7 +148,7 @@ def test_fp_fn_rates_match_config():
     n_fp = 0
     n_fn = 0
     for _ in range(n):
-        dets = detect(*view(Surfaces.of([target]), *rt(cam_from_world)), K, cfg, rng)
+        dets = detect(*view([target], *rt(cam_from_world)), K, cfg, rng)
         true_dets = [d for d in dets if d.score == 1.0]
         n_fn += 1 - len(true_dets)
         n_fp += len(dets) - len(true_dets)
@@ -163,8 +158,7 @@ def test_fp_fn_rates_match_config():
 
 
 def reference_bbox(target, cam_from_world, k):
-    """visible_bbox as it was before the stacked projection: one target's
-    own projection and its own min/max."""
+    """One target in one view: its own projection and its own min/max."""
     uv, depths = project_points(
         target.surface_points, cam_from_world.rotation, cam_from_world.translation, k
     )
@@ -197,7 +191,6 @@ def test_stacked_boxes_equal_per_target_loop():
         ellipsoid_target("d", [15.0, 0.0, 1.0], [1.0, 1.0, 1.0], n_surface=123),
         ellipsoid_target("e", [0.0, 0.0, 45.0], [3.0, 3.0, 3.0], n_surface=50),
     ]
-    surfaces = Surfaces.of(targets)
     rng = np.random.default_rng(5)
     kinds = Counter()
     for _ in range(300):
@@ -208,15 +201,17 @@ def test_stacked_boxes_equal_per_target_loop():
         s, c = np.sin(pitch), np.cos(pitch)
         mount = np.array([[0.0, -s, c], [-1.0, 0.0, 0.0], [0.0, -c, -s]])
         cam_from_world = Pose(body.rotation @ mount, body.translation).inverse()
-        stacked = visible_bboxes(surfaces, *rt(cam_from_world), K)
-        assert len(stacked) == len(targets)
-        for target, box in zip(targets, stacked):
+        boxes, visible = view(targets, *rt(cam_from_world))
+        assert boxes.shape == (len(targets), 4)
+        for target, box, seen in zip(targets, boxes, visible):
             kinds[view_kind(target, cam_from_world, K)] += 1
             want = reference_bbox(target, cam_from_world, K)
-            for got in (box, visible_bbox(target, cam_from_world, K)):
+            assert seen == (want is not None)
+            for got in (box if seen else None, visible_bbox(target, cam_from_world, K)):
                 assert got is None if want is None else np.array_equal(got, want)
     assert min(kinds[k] for k in ("behind", "partial", "off_image", "visible")) >= 20, kinds
-    assert visible_bboxes(Surfaces.of([]), *DOWN_30, K) == []
+    boxes, visible = view([], *DOWN_30)
+    assert boxes.shape == (0, 4) and visible.shape == (0,)
 
 
 def pinned_cam_from_world(rotation, point, pixel, depth, k) -> Pose:
@@ -237,7 +232,6 @@ def test_batched_boxes_equal_per_pose_loop():
         ellipsoid_target("d", [15.0, 0.0, 1.0], [1.0, 1.0, 1.0], n_surface=123),
         ellipsoid_target("e", [0.0, 0.0, 45.0], [3.0, 3.0, 3.0], n_surface=50),
     ]
-    surfaces = Surfaces.of(targets)
     rng = np.random.default_rng(6)
     poses = []
     for _ in range(200):
@@ -260,7 +254,7 @@ def test_batched_boxes_equal_per_pose_loop():
             pinned.append(pinned_cam_from_world(rotation, first, (K.cx, K.cy), depth, K))
     poses += pinned
     boxes, visible = visible_boxes(
-        surfaces,
+        targets,
         np.stack([p.rotation for p in poses]),
         np.stack([p.translation for p in poses]),
         K,
@@ -278,11 +272,11 @@ def test_batched_boxes_equal_per_pose_loop():
             else:
                 assert np.array_equal(boxes[f, i], want)
     assert min(kinds[k] for k in ("behind", "partial", "off_image", "visible")) >= 20, kinds
-    # a view repeated 30 times keeps adjacent targets in the same views, so
-    # they share one projection, split into parts of at most ~4k points
+    # a view repeated 30 times projects each target in parts of at most
+    # ~4k points: target c's 400 points in three parts of 10 views
     for f in range(0, 200, 10):
         many = visible_boxes(
-            surfaces,
+            targets,
             np.repeat(poses[f].rotation[None], 30, axis=0),
             np.repeat(poses[f].translation[None], 30, axis=0),
             K,
@@ -293,7 +287,7 @@ def test_batched_boxes_equal_per_pose_loop():
     # cull line and between it and the edge, visible just inside the edge
     a_pinned = visible[200:200 + 4 * len(offsets), 0].reshape(len(offsets), 4)
     assert not a_pinned[:5].any() and a_pinned[6:].all()
-    empty = visible_boxes(Surfaces.of([]), np.stack([DOWN.rotation]), np.zeros((1, 3)), K)
+    empty = visible_boxes([], np.stack([DOWN.rotation]), np.zeros((1, 3)), K)
     assert empty[0].shape == (1, 0, 4) and empty[1].shape == (1, 0)
 
 

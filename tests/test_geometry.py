@@ -28,6 +28,15 @@ def from_yaw(yaw, translation) -> Pose:
     return Pose(yaw_rotation(yaw), translation)
 
 
+def transform(pose: Pose, points) -> np.ndarray:
+    """Apply a pose to one (3,) point or an (n, 3) batch; a stack of F poses
+    gives (F, n, 3)."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        return pose.rotation @ pts + pose.translation
+    return transform_points(pose.rotation, pose.translation, pts)
+
+
 def rt(pose: Pose) -> tuple:
     """A pose as the (rotation, translation) arrays the kernels take."""
     return pose.rotation, pose.translation
@@ -42,7 +51,7 @@ def project(point, cam_from_world: Pose, k: CameraIntrinsics):
 
     Raises NonPositiveDepth when the point is at or behind the camera plane.
     """
-    pc = cam_from_world.transform(np.asarray(point, dtype=float))
+    pc = transform(cam_from_world, np.asarray(point, dtype=float))
     depth = pc[2]
     if depth <= 0.0:
         raise NonPositiveDepth(f"depth {depth} <= 0")
@@ -114,11 +123,11 @@ class TestProject:
             p_cam = np.array(
                 [rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(0.5, 80)]
             )
-            point = world_from_cam.transform(p_cam)
+            point = transform(world_from_cam, p_cam)
             pixel, depth = project(point, cam_from_world, K)
             unit_ray = K.unit_rays(pixel)[0]
             np.testing.assert_allclose(
-                world_from_cam.transform(depth * unit_ray), point, atol=1e-9
+                transform(world_from_cam, depth * unit_ray), point, atol=1e-9
             )
             hits += 1
         assert hits == 200
@@ -127,10 +136,11 @@ class TestProject:
         rng = np.random.default_rng(3)
         cam_from_world = random_pose(rng)
         world_from_cam = cam_from_world.inverse()
-        pts = world_from_cam.transform(
+        pts = transform(
+            world_from_cam,
             np.column_stack(
                 [rng.uniform(-2, 2, 20), rng.uniform(-2, 2, 20), rng.uniform(1, 50, 20)]
-            )
+            ),
         )
         uv, depths = project_points(pts, cam_from_world.rotation, cam_from_world.translation, K)
         for i in range(20):
@@ -196,7 +206,7 @@ class TestKernelLayout:
         points = rng.normal(size=(4000, 3))
         # generate_points hands transform_points an F-order view
         for batch in (points, np.asfortranarray(points)):
-            moved = pose.transform(batch)
+            moved = transform(pose, batch)
             assert moved.shape == (4000, 3) and moved.flags.c_contiguous
             assert np.array_equal(moved, points @ pose.rotation.T + pose.translation)
 
@@ -211,7 +221,7 @@ class TestBackProjectRay:
             world_from_cam = random_pose(rng)
             ray = K.unit_rays(np.array([[100.0, 100.0]]))[0]
             np.testing.assert_allclose(
-                world_from_cam.transform(0.0 * ray), world_from_cam.translation
+                transform(world_from_cam, 0.0 * ray), world_from_cam.translation
             )
 
     def test_principal_point_identity_pose_points_forward(self):
@@ -226,7 +236,7 @@ class TestBackProjectRay:
             ray = K.unit_rays(pixel)[0]
             for t in (1.0, 10.0, 100.0):
                 reprojected, depth = project(
-                    world_from_cam.transform(t * ray), world_from_cam.inverse(), K
+                    transform(world_from_cam, t * ray), world_from_cam.inverse(), K
                 )
                 np.testing.assert_allclose(reprojected, pixel, atol=1e-6)
                 assert depth == pytest.approx(t)
@@ -257,11 +267,15 @@ class TestPose:
         for _ in range(20):
             pose = random_pose(rng)
             p = rng.uniform(-10, 10, 3)
-            np.testing.assert_allclose(pose.inverse().transform(pose.transform(p)), p, atol=1e-10)
+            np.testing.assert_allclose(
+                transform(pose.inverse(), transform(pose, p)), p, atol=1e-10
+            )
 
     def test_from_yaw(self):
         pose = from_yaw(np.pi / 2.0, [1.0, 2.0, 3.0])
-        np.testing.assert_allclose(pose.transform([1.0, 0.0, 0.0]), [1.0, 3.0, 3.0], atol=1e-12)
+        np.testing.assert_allclose(
+            transform(pose, [1.0, 0.0, 0.0]), [1.0, 3.0, 3.0], atol=1e-12
+        )
 
     def test_check_rotations_rejects_one_bad_matrix_in_a_stack(self):
         rng = np.random.default_rng(23)
@@ -282,13 +296,13 @@ class TestPose:
         positions = rng.uniform(-50, 50, size=(16, 3))
         stacked = from_yaw(yaws, positions).inverse()
         pts = rng.uniform(-10, 10, size=(7, 3))
-        moved = stacked.transform(pts)
+        moved = transform(stacked, pts)
         uv, depths = project_points(pts, stacked.rotation, stacked.translation, K)
         for i, (yaw, position) in enumerate(zip(yaws, positions)):
             one = from_yaw(float(yaw), position).inverse()
             assert np.array_equal(stacked.rotation[i], one.rotation)
             assert np.array_equal(stacked.translation[i], one.translation)
-            assert np.array_equal(moved[i], one.transform(pts))
+            assert np.array_equal(moved[i], transform(one, pts))
             one_uv, one_depths = project_points(pts, one.rotation, one.translation, K)
             assert np.array_equal(uv[i], one_uv) and np.array_equal(depths[i], one_depths)
 

@@ -11,9 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from targetsim import geometry, harness, points_filter
-from targetsim.geometry import CameraStack
 from targetsim.cli import main as cli_main
-from targetsim.detector import visible_bboxes
+from targetsim.detector import visible_boxes
 from targetsim.harness import (
     Scenario,
     ScenarioInvalid,
@@ -73,6 +72,13 @@ def two_vertex_polygon() -> dict:
     return data
 
 
+def three_coordinate_polygon() -> dict:
+    data = copy.deepcopy(BASE)
+    data["world"]["targets"] = []  # none to fall outside the misread polygon
+    data["planner"]["survey_polygon"] = [[0, 0, 0], [60, 0, 0], [60, 60, 0], [0, 60, 0]]
+    return data
+
+
 def with_leaf(path, value) -> dict:
     """A copy of BASE with the value at key path `path` replaced."""
     data = copy.deepcopy(BASE)
@@ -109,6 +115,12 @@ def bad_scenario_texts() -> dict[str, str]:
         "zero_waypoint_spacing": json.dumps(with_leaf(("planner", "waypoint_spacing"), 0)),
         # the vehicle would move 5 frames' time per frame
         "uav_dt_apart_from_frame_rate": json.dumps(with_leaf(("uav", "dt"), 0.5)),
+        # nesting too deep for the decoder raised RecursionError
+        "deep_nesting": "[" * 100_000,
+        # one value broadcast over three axes, then the top check indexed [2]
+        "one_semi_axis": json.dumps(with_leaf(("world", "targets", 0, "semi_axes"), [1.0])),
+        # read by lawnmower as a different polygon of six (x, y) vertices
+        "three_coordinate_polygon_vertices": json.dumps(three_coordinate_polygon()),
         "target_top_above_altitude": json.dumps(
             with_leaf(("world", "targets", 0, "center"), [40.0, 28.0, 29.5])
         ),
@@ -590,6 +602,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("invalid trace: ") and err.count("\n") == 1
 
+    def test_replay_deep_nesting_exit_2(self, tmp_path, capsys):
+        # a line nested too deep for the JSON decoder
+        run(scenario(max_sim_time=5.0), out_dir=tmp_path)
+        trace = tmp_path / "trace.jsonl"
+        lines = trace.read_text().splitlines()
+        lines[1] = "[" * 100_000
+        trace.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli_main(["replay-metrics", str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid trace: ") and err.count("\n") == 1
+
     def test_seed_override_changes_run(self, tmp_path):
         data = copy.deepcopy(BASE)
         data["detector"] = {"fp_rate": 0.3, "pixel_noise_sigma": 1.0}
@@ -636,10 +660,11 @@ def fly_frames(s, plans, frames, blocks):
     the mission replans, and a reach moves the cursor on, as
     on_waypoint_reached does. With blocks the frames come from
     harness._Flight; without, frame by frame as the run flew before blocks:
-    fly and step, waypoint_reached, a (true, estimated) CameraStack and
-    visible_bboxes in the true view. Returns per frame (state, reached, the
-    true camera's and the estimated camera's world-from-camera and
-    cam-from-world rows, the true boxes), and the generator."""
+    fly and step, waypoint_reached, a 2-row (true, estimated) camera_pose
+    and its inverse, and a one-view visible_boxes in the true view. Returns
+    per frame (state, reached, the true camera's and the estimated camera's
+    world-from-camera and cam-from-world rows, the true boxes), and the
+    generator."""
     rng = np.random.default_rng(5)
     plan, cursor = plans[0]
     uav = UavState.at_rest(plan[0].position, plan[0].yaw)
@@ -648,13 +673,11 @@ def fly_frames(s, plans, frames, blocks):
     for f in range(1, frames + 1):
         if blocks:
             uav, reached = flight.frame(uav, plan, cursor, rng)
-            row, cams = flight.row, flight.cameras
-            rotation = cams.world_from_cam.rotation[row]
-            true = (
-                rotation, cams.world_from_cam.translation[row],
-                cams.cam_from_world.rotation[row], cams.cam_from_world.translation[row],
-            )
-            # the estimated camera as tick gets it and inverts it
+            row = flight.row
+            rotation = flight.rotations[row]
+            # the true camera sits at the true position; the estimated
+            # camera as tick gets it and inverts it
+            true = (rotation, uav.position, *geometry.invert(rotation, uav.position))
             est = (rotation, uav.est_position, *geometry.invert(rotation, uav.est_position))
             boxes = [b if seen else None for b, seen in zip(flight.boxes[row], flight.visible[row])]
         else:
@@ -662,13 +685,14 @@ def fly_frames(s, plans, frames, blocks):
             if cursor < len(plan):
                 uav = step(fly(uav, plan[cursor], s.uav), s.uav, rng)
                 reached = waypoint_reached(uav, plan[cursor])
-            cams = CameraStack(camera_pose(
+            w = camera_pose(
                 [uav.yaw, uav.yaw], [uav.position, uav.est_position], s.planner.cam_depression
-            ))
-            w, v = cams.world_from_cam, cams.cam_from_world
+            )
+            v = w.inverse()
             true = (w.rotation[0], w.translation[0], v.rotation[0], v.translation[0])
             est = (w.rotation[1], w.translation[1], v.rotation[1], v.translation[1])
-            boxes = visible_bboxes(s.surfaces, v.rotation[0], v.translation[0], s.camera)
+            seen, visible = visible_boxes(s.targets, v.rotation[:1], v.translation[:1], s.camera)
+            boxes = [b if vis else None for b, vis in zip(seen[0], visible[0])]
         cursor += reached
         out.append((uav, reached, true, est, boxes))
         plan, cursor = plans.get(f, (plan, cursor))

@@ -8,7 +8,7 @@ from scipy.stats import multivariate_normal
 
 from targetsim import points_filter
 from targetsim.detector import ellipsoid_target, visible_bbox
-from targetsim.geometry import CameraIntrinsics, CameraStack, Pose, project_points
+from targetsim.geometry import CameraIntrinsics, Pose, project_points
 from targetsim.points_filter import (
     AllZeroWeights,
     DegenerateBox,
@@ -32,7 +32,7 @@ from targetsim.points_filter import (
 from targetsim.tracker import TrackedBox
 from targetsim.uav import camera_pose
 
-from tests.test_geometry import IDENTITY, from_yaw, project, rt
+from tests.test_geometry import IDENTITY, from_yaw, project, rt, transform
 
 K = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=480)
 
@@ -183,7 +183,7 @@ class TestGeneratePoints:
         bbox = np.array([100.0, 80.0, 200.0, 160.0])
         world_from_cam = from_yaw(0.3, [5.0, -2.0, 20.0])
         pts = generate_points(bbox, *rt(world_from_cam), K, cfg, StubRng())
-        expected = world_from_cam.transform(K.unit_rays(np.array([[100.0, 80.0]]))[0] * 50.0)
+        expected = transform(world_from_cam, K.unit_rays(np.array([[100.0, 80.0]]))[0] * 50.0)
         np.testing.assert_allclose(pts[0], expected, atol=1e-9)
 
     def test_projection_coverage_spans_box(self):
@@ -460,12 +460,13 @@ class TestProjectionCounts:
             for _ in range(int(rng.integers(1, 5))):
                 u0, v0 = rng.uniform(10, 400), rng.uniform(10, 300)
                 box = [u0, v0, u0 + rng.uniform(5, 200), v0 + rng.uniform(5, 150)]
-                cam_pts = world_from_cam.inverse().transform(
-                    generate_points(np.array(box), *rt(world_from_cam), K, cfg, rng)
+                cam_pts = transform(
+                    world_from_cam.inverse(),
+                    generate_points(np.array(box), *rt(world_from_cam), K, cfg, rng),
                 )
                 cam_pts[:20] *= -1.0  # behind the camera, same pixels
                 cam_pts[20:25, 2] = 0.0  # depth 0
-                clouds.append(world_from_cam.transform(cam_pts))
+                clouds.append(transform(world_from_cam, cam_pts))
             targets = [type("T", (), {"points": c})() for c in clouds]
             boxes, sources = [], rng.integers(len(clouds), size=int(rng.integers(1, 6)))
             for j in sources:
@@ -508,7 +509,7 @@ class TestTickLifecycle:
         # the run gives tick a row of a rotation stack whose other rows are
         # other cameras, and the estimated position; tick's spawn, keyframe
         # and update see that camera, inverted exactly as a one-camera
-        # CameraStack inverts it
+        # Pose.inverse inverts it
         bbox = np.array([280.0, 200.0, 360.0, 280.0])
         gamma = np.deg2rad(60.0)
         seen = []
@@ -535,7 +536,7 @@ class TestTickLifecycle:
             target = flt.targets[0]
             assert [e.kind for e in spawned] == ["spawned"] and updated == [target.target_id]
             assert target.last_keyframe[0] is rotation and target.last_keyframe[1] is translation
-            views = CameraStack(camera_pose([0.0], [[1.0, 0.0, 30.0]], gamma)).cam_from_world
+            views = camera_pose([0.0], [[1.0, 0.0, 30.0]], gamma).inverse()
             assert np.array_equal(seen[-1][0], views.rotation[0])
             assert np.array_equal(seen[-1][1], views.translation[0])
             runs.append((spawn_points, target.points, [e.to_dict() for e in events]))

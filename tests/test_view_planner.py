@@ -69,6 +69,11 @@ class TestLawnmower:
         with pytest.raises(EmptyPolygon):
             PlannerConfig(survey_polygon=((0.0, 0.0), (1.0, 1.0)))
 
+    def test_vertex_of_three_numbers_raises(self):
+        # lawnmower's reshape(-1, 2) would read 4 such vertices as 6 others
+        with pytest.raises(ValueError, match="2 coordinates"):
+            PlannerConfig(survey_polygon=((0, 0, 0), (60, 0, 0), (60, 60, 0), (0, 60, 0)))
+
     def test_footprint_coverage_of_polygon(self):
         # coverage oracle: sweeping the scan annulus along the lane path
         # covers everything within altitude/tan(gamma - beta/2) of the
