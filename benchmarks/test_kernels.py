@@ -15,6 +15,7 @@ cull), from its fifth waypoint along a lane that sees one target in over
 half its views.
 """
 
+import itertools
 import json
 from pathlib import Path
 from types import SimpleNamespace
@@ -132,7 +133,7 @@ def frame_line(entries, targets, uav, mission):
     """The run loop's per-frame record and trace line."""
     live, texts = entries.update(targets)
     record = harness._make_record(
-        0.1, 1, uav, [Detection(BOXES[0], 1.0)], [TrackedBox(1, BOXES[0], 5, 0)],
+        0.1, 1, uav, uav.position, [Detection(BOXES[0], 1.0)], [TrackedBox(1, BOXES[0], 5, 0)],
         live, mission, [],
     )
     return harness._frame_line(record, texts)
@@ -147,15 +148,28 @@ def test_frame_line(benchmark, clouds):
     assert [e["n_points"] for e in json.loads(line)["record"]["targets"]] == [4000] * 3
 
 
-def test_flight_block(benchmark):
+def test_flight_block(benchmark, monkeypatch):
     scenario = harness.load_scenario(
         Path(__file__).resolve().parents[1] / "scenarios" / "five_targets_noisy.json"
     )
     p = scenario.planner
     plan = lawnmower(p.survey_polygon, p.lane_spacing, p.search_altitude)
     start = UavState.at_rest(plan[4].position, plan[4].yaw)
-    flight = harness._Flight(scenario)
-    benchmark(flight._fly, start, plan, 4)
-    assert len(flight.states) == harness.FLIGHT_BLOCK
-    assert flight.boxes.shape == (harness.FLIGHT_BLOCK, 5, 4)
-    assert flight.visible.sum() > harness.FLIGHT_BLOCK // 2
+    mission = SimpleNamespace(plan=plan, cursor=4)
+    # a new generator's first frame flies the block
+    benchmark(lambda: next(harness._true_frames(scenario, mission, start)))
+
+    views, true_views = [], harness._true_views
+
+    def counted(scenario, yaws, positions):
+        views.append(len(yaws))
+        return true_views(scenario, yaws, positions)
+
+    monkeypatch.setattr(harness, "_true_views", counted)
+    block, frames = [], harness._true_frames(scenario, mission, start)
+    for row in itertools.islice(frames, harness.FLIGHT_BLOCK):
+        block.append(row)
+        mission.cursor += row[1]  # a reach moves the cursor on, as the mission does
+    assert views == [harness.FLIGHT_BLOCK]
+    assert all(boxes.shape == (5, 4) for _, _, boxes, _, _ in block)
+    assert sum(visible.sum() for *_, visible, _ in block) > harness.FLIGHT_BLOCK // 2

@@ -26,7 +26,7 @@ class TargetModel:
     center: np.ndarray
     surface_points: np.ndarray  # (n, 3) world frame
     surface_normals: np.ndarray  # (n, 3) outward unit normals
-    semi_axes: np.ndarray | None = None  # set for ellipsoid-generated targets
+    semi_axes: np.ndarray  # (3,) the ellipsoid's semi-axes, for the scenario header
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float).reshape(3))

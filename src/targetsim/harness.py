@@ -225,19 +225,13 @@ class _TargetEntries:
 
     def update(self, targets) -> tuple[list[dict], list[str]]:
         """The entries and texts of `targets`, in order; a target is rebuilt
-        when set_points refit its summary or its state, entropy, KL or point
-        count changed. Targets no longer live are dropped."""
+        when set_points refit its summary or its state changed. Its entropy,
+        KL and point count change only together with a new summary. Targets
+        no longer live are dropped."""
         by_id = {}
         for tgt in targets:
             summary, entry, text = self._by_id.get(tgt.target_id, (None, None, None))
-            if (
-                summary is not tgt.summary
-                or entry["state"] != tgt.state.value
-                # identity: a reassigned value rebuilds, as 0.0 and -0.0 encode apart
-                or entry["entropy"] is not tgt.last_entropy
-                or entry["kld"] is not tgt.last_kld
-                or entry["n_points"] != len(tgt.points)
-            ):
+            if summary is not tgt.summary or entry["state"] != tgt.state.value:
                 summary = tgt.summary
                 entry = {
                     "id": tgt.target_id,
@@ -254,14 +248,15 @@ class _TargetEntries:
         return [e for _, e, _ in by_id.values()], [t for _, _, t in by_id.values()]
 
 
-def _make_record(t, frame, uav, detections, boxes, targets, mission, events) -> dict:
-    """One frame's trace record; `targets` are the frame's shared entries."""
+def _make_record(t, frame, uav, est, detections, boxes, targets, mission, events) -> dict:
+    """One frame's trace record for the true state uav and the position
+    estimate est; `targets` are the frame's shared entries."""
     return {
         "t": t,
         "frame": frame,
         "uav": {
             "true": {"position": uav.position.tolist(), "yaw": uav.yaw},
-            "est": {"position": uav.est_position.tolist(), "yaw": uav.yaw},
+            "est": {"position": est.tolist(), "yaw": uav.yaw},
         },
         "detections": [
             {"bbox": d.bbox.tolist(), "score": d.score} for d in detections
@@ -275,14 +270,12 @@ def _make_record(t, frame, uav, detections, boxes, targets, mission, events) -> 
 
 def _frame_line(record: dict, target_texts: list[str]) -> str:
     """_json_line({"type": "frame", "record": record}), with the record's
-    targets taken from their encoded texts: with sorted keys the record's
-    fields before "targets" come first, then its entries, then the rest."""
-    head = _json_line({k: v for k, v in record.items() if k < "targets"})
-    tail = _json_line({k: v for k, v in record.items() if k > "targets"})
-    return (
-        '{"record":' + head[:-1] + ',"targets":[' + ",".join(target_texts) + "],"
-        + tail[1:] + ',"type":"frame"}'
-    )
+    targets taken from their encoded texts: the line is encoded with null
+    targets, and the first '"targets":null' is the record's, as with sorted
+    keys only its detections, events, frame, mode and t come before it, and
+    none of them holds a "targets" key."""
+    line = _json_line({"record": {**record, "targets": None}, "type": "frame"})
+    return line.replace('"targets":null', '"targets":[' + ",".join(target_texts) + "]", 1)
 
 
 # -- metrics -----------------------------------------------------------------
@@ -431,56 +424,38 @@ class RunResult:
 FLIGHT_BLOCK = 256
 
 
-class _Flight:
-    """The vehicle's true flight, flown ahead in blocks of up to FLIGHT_BLOCK
-    frames. The vehicle follows its plan whatever perception does, and the
-    true flight draws nothing, so a block depends only on its first state,
-    the plan and the cursor. A block builds one checked camera stack and
-    culls every true target in all its views at once; each frame then draws
-    only its pose estimate. A new block is flown from the current state when
-    the mission's plan or cursor is not the one the block assumed."""
-
-    def __init__(self, scenario: Scenario):
-        self.scenario = scenario
-        self.plan = None
-        self.states: list[UavState] = []  # the true state after each row's frame
-        self.cursors: list[int] = []  # row j flies to plan[cursors[j]]; cursors[j + 1] after it
-        self.row = -1
-
-    def _fly(self, state: UavState, plan: list, cursor: int) -> None:
-        """Fly a block from state: each row steps toward plan[cursor] and
-        moves the cursor on as waypoint_reached does, and a row with no
-        waypoint left keeps the state (loiter). The block ends after the row
-        that reaches the plan's last waypoint."""
-        s = self.scenario
-        self.plan, self.states, self.cursors = plan, [], [cursor]
+def _true_frames(scenario: Scenario, mission, state: UavState):
+    """Yield each frame of the vehicle's true flight from state: (true state,
+    whether it reached its waypoint, the true targets' boxes and visibility,
+    the world-from-camera rotation). The vehicle follows mission.plan from
+    mission.cursor whatever perception does, and the true flight draws
+    nothing, so the frames are flown ahead in blocks of up to FLIGHT_BLOCK:
+    each frame steps toward plan[cursor] with fly and moves the cursor on as
+    waypoint_reached says, a frame with no waypoint left keeps the state
+    (loiter), and the block ends after the frame that reaches the plan's
+    last waypoint. A block makes one _true_views call. A new block is flown
+    from the last frame's state when the mission's plan (by identity) or
+    cursor (by value) is no longer the block's."""
+    while True:
+        plan, cursor = mission.plan, mission.cursor
+        states, cursors = [], [cursor]  # cursors[j + 1]: the cursor after frame j
         for _ in range(FLIGHT_BLOCK):
             flying = cursor < len(plan)
             if flying:
-                state = fly(state, plan[cursor], s.uav)
+                state = fly(state, plan[cursor], scenario.uav)
                 if waypoint_reached(state, plan[cursor]):
                     cursor += 1
-            self.states.append(state)
-            self.cursors.append(cursor)
+            states.append(state)
+            cursors.append(cursor)
             if flying and cursor == len(plan):
                 break  # the mission decides what follows its plan
-        cameras, self.boxes, self.visible = _true_views(
-            s, [st.yaw for st in self.states], [st.position for st in self.states]
+        cameras, boxes, visible = _true_views(
+            scenario, [st.yaw for st in states], [st.position for st in states]
         )
-        self.rotations = cameras.rotation  # each row's world-from-camera rotation, for tick
-
-    def frame(self, uav: UavState, plan: list, cursor: int, rng) -> tuple[UavState, bool]:
-        """The next frame's state, flown from uav along plan from cursor
-        with its estimate drawn, and whether it reached its waypoint; the
-        frame is row self.row of the block. A loiter frame (no waypoint
-        left) keeps uav and draws nothing."""
-        row = self.row = self.row + 1
-        if plan is not self.plan or row == len(self.states) or cursor != self.cursors[row]:
-            self._fly(uav, plan, cursor)
-            row = self.row = 0
-        if cursor >= len(plan):
-            return uav, False
-        return step(self.states[row], self.scenario.uav, rng), self.cursors[row + 1] > cursor
+        for j, state in enumerate(states):  # state: the last frame's, the next block's start
+            yield state, cursors[j + 1] > cursors[j], boxes[j], visible[j], cameras.rotation[j]
+            if mission.plan is not plan or mission.cursor != cursors[j + 1]:
+                break
 
 
 def _json_line(obj) -> str:
@@ -513,16 +488,11 @@ def run(scenario: Scenario, out_dir=None) -> RunResult:
     )
 
     if scenario.uav.start_position is not None:
-        start = np.asarray(scenario.uav.start_position, dtype=float)
-        start_yaw = 0.0
-    elif mission.search_waypoints:
-        start = mission.search_waypoints[0].position.copy()
-        start_yaw = mission.search_waypoints[0].yaw
-    else:
-        start = np.array([0.0, 0.0, scenario.planner.search_altitude])
-        start_yaw = 0.0
-    uav = UavState.at_rest(start, start_yaw)
-    flight = _Flight(scenario)
+        uav = UavState.at_rest(scenario.uav.start_position)
+    else:  # lawnmower gives every valid planner config a waypoint
+        first = mission.search_waypoints[0]
+        uav = UavState.at_rest(first.position, first.yaw)
+    est = uav.position
 
     dt = 1.0 / scenario.frame_rate
     max_frames = int(np.ceil(scenario.max_sim_time / dt))
@@ -545,25 +515,26 @@ def run(scenario: Scenario, out_dir=None) -> RunResult:
     )
 
     try:
-        for frame in range(1, max_frames + 1):
+        frames = zip(range(1, max_frames + 1), _true_frames(scenario, mission, uav))
+        for frame, (uav, reached, true_boxes, visible, rotation) in frames:
             t = frame * dt
             events: list = []
-            uav, reached = flight.frame(uav, mission.plan, mission.cursor, rng)
+            if mission.cursor < len(mission.plan):  # a loiter frame draws nothing
+                est = step(uav.position, scenario.uav, rng)
             if reached:
-                events += mission.on_waypoint_reached(uav.est_position)
-            row = flight.row
-            detections = detect(flight.boxes[row], flight.visible[row], k, scenario.detector, rng)
+                events += mission.on_waypoint_reached(est)
+            detections = detect(true_boxes, visible, k, scenario.detector, rng)
             boxes = tracker.step(detections)
             # the estimated camera: the true camera's rotation at the estimated position
-            filter_events, updated = flt.tick(boxes, flight.rotations[row], uav.est_position, rng)
+            filter_events, updated = flt.tick(boxes, rotation, est, rng)
             events += filter_events
-            events += mission.on_perception(filter_events, updated, uav.est_position)
+            events += mission.on_perception(filter_events, updated, est)
 
             for ev in events:
                 log.debug("t=%.1f %s", t, ev)
 
             targets, texts = target_entries.update(flt.targets)
-            record = _make_record(t, frame, uav, detections, boxes, targets, mission, events)
+            record = _make_record(t, frame, uav, est, detections, boxes, targets, mission, events)
             records.append(record)
             if trace_fh is not None:
                 trace_fh.write(_frame_line(record, texts) + "\n")
@@ -623,12 +594,15 @@ def read_trace(path):
                 raise ValueError(f"line {n}: {exc}") from exc
             if not isinstance(obj, dict):
                 raise ValueError(f"line {n} is not a JSON object")
-            if obj.get("type") == "scenario":
-                scenario = scenario_from_dict(obj["scenario"])
-            elif obj.get("type") == "frame":
+            kind = obj.get("type")
+            if kind == "frame":
                 records.append(obj["record"])
-            elif obj.get("type") == "summary":
+            elif kind == "scenario" and scenario is None:
+                scenario = scenario_from_dict(obj["scenario"])
+            elif kind == "summary":
                 summary = obj
+            else:  # a line of unknown type, or a second scenario header
+                raise ValueError(f"line {n}: unexpected line of type {kind!r}")
     if scenario is None:
         raise ScenarioInvalid("trace has no scenario header")
     return scenario, records, summary

@@ -42,15 +42,15 @@ class UavConfig:
 
 @dataclass(frozen=True)
 class UavState:
+    """The true state; each frame's position estimate comes from step."""
+
     position: np.ndarray
     yaw: float
     velocity: np.ndarray
-    est_position: np.ndarray
 
     @classmethod
     def at_rest(cls, position, yaw: float = 0.0) -> "UavState":
-        p = np.asarray(position, dtype=float).reshape(3)
-        return cls(position=p, yaw=yaw, velocity=np.zeros(3), est_position=p.copy())
+        return cls(np.array(position, dtype=float).reshape(3), yaw, np.zeros(3))
 
 
 def wrap_angle(a: float) -> float:
@@ -59,8 +59,7 @@ def wrap_angle(a: float) -> float:
 
 def fly(state: UavState, target: Waypoint, cfg: UavConfig) -> UavState:
     """The true state one dt later, flown toward the waypoint. It draws
-    nothing, so a flight depends only on its start and its waypoints; its
-    estimate is the true position until step draws one."""
+    nothing, so a flight depends only on its start and its waypoints."""
     to_target = target.position - state.position
     dist = float(np.linalg.norm(to_target))
     speed_prev = float(np.linalg.norm(state.velocity))
@@ -86,19 +85,17 @@ def fly(state: UavState, target: Waypoint, cfg: UavConfig) -> UavState:
     dyaw = wrap_angle(target.yaw - state.yaw)
     max_step = cfg.yaw_rate_max * cfg.dt
     yaw = wrap_angle(state.yaw + np.clip(dyaw, -max_step, max_step))
-    return UavState(position=position, yaw=yaw, velocity=velocity, est_position=position)
+    return UavState(position=position, yaw=yaw, velocity=velocity)
 
 
-def step(flown: UavState, cfg: UavConfig, rng: np.random.Generator) -> UavState:
-    """A frame's state: the flown true state with its position estimate
-    drawn, the true position plus truncated noise. The estimate shares the
-    true yaw."""
+def step(position: np.ndarray, cfg: UavConfig, rng: np.random.Generator) -> np.ndarray:
+    """A frame's position estimate: the true position plus truncated noise,
+    or the position itself without noise. The estimate shares the true yaw."""
     if cfg.pose_noise_sigma == 0:
-        return flown  # fly's estimate is the true position
+        return position
     noise = rng.normal(0.0, cfg.pose_noise_sigma, size=3)
     bound = 3.0 * cfg.pose_noise_sigma
-    est_position = flown.position + np.clip(noise, -bound, bound)
-    return UavState(flown.position, flown.yaw, flown.velocity, est_position)
+    return position + np.clip(noise, -bound, bound)
 
 
 def waypoint_reached(state: UavState, target: Waypoint) -> bool:

@@ -4,6 +4,7 @@ import copy
 import importlib.util
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -589,8 +590,11 @@ class TestCli:
             lambda frame: {"type": "frame", "record": {}},  # KeyError in compute_metrics
             string_yaw,  # ValueError in compute_metrics
             lambda frame: [frame],  # AttributeError in read_trace
+            lambda frame: {**frame, "type": "frames"},  # an unknown type in read_trace
+            # a second scenario header in read_trace
+            lambda frame: {"type": "scenario", "scenario": scenario_to_dict(scenario(seed=4))},
         ],
-        ids=["empty_record", "string_yaw", "array_line"],
+        ids=["empty_record", "string_yaw", "array_line", "unknown_type", "second_header"],
     )
     def test_replay_malformed_trace_exit_2(self, tmp_path, capsys, edit):
         run(scenario(max_sim_time=5.0), out_dir=tmp_path)
@@ -628,13 +632,13 @@ class TestCli:
 
 def test_two_checked_poses_per_flight_block(monkeypatch):
     # the run builds one world-from-camera stack and its inverse per flight
-    # block, and compute_metrics one of each per METRICS_CHUNK records;
-    # every Pose runs check_rotations
+    # block, and compute_metrics one of each per METRICS_CHUNK records, each
+    # in one _true_views call; every Pose runs check_rotations
     path = Path(__file__).resolve().parents[1] / "scenarios" / "nominal_single_target.json"
     data = json.loads(path.read_text())
     data["max_sim_time"] = 100.0  # 1,000 frames: the first spawn and its keyframe updates
     s = scenario_from_dict(data)
-    counts = {"poses": 0, "checks": 0, "blocks": 0}
+    counts = {"poses": 0, "checks": 0, "views": 0, "metrics": 0}
 
     def counted(original, key):
         def wrapper(*args, **kwargs):
@@ -644,14 +648,19 @@ def test_two_checked_poses_per_flight_block(monkeypatch):
 
     monkeypatch.setattr(geometry.Pose, "__init__", counted(geometry.Pose.__init__, "poses"))
     monkeypatch.setattr(geometry, "check_rotations", counted(geometry.check_rotations, "checks"))
-    monkeypatch.setattr(harness._Flight, "_fly", counted(harness._Flight._fly, "blocks"))
+    monkeypatch.setattr(harness, "_true_views", counted(harness._true_views, "views"))
+    monkeypatch.setattr(
+        harness, "_true_boxes_for_frames", counted(harness._true_boxes_for_frames, "metrics")
+    )
     result = run(s)
     events = [ev["type"] for r in result.records for ev in r["events"]]
     assert result.frames == 1000 and "spawned" in events and "converging" in events
     chunks = -(-result.frames // harness.METRICS_CHUNK)
-    assert counts["poses"] == 2 * counts["blocks"] + 2 * chunks
+    blocks = counts["views"] - counts["metrics"]
+    assert counts["metrics"] == chunks
+    assert counts["poses"] == 2 * counts["views"] == 2 * blocks + 2 * chunks
     assert counts["checks"] == counts["poses"]
-    assert -(-result.frames // harness.FLIGHT_BLOCK) <= counts["blocks"] <= result.frames // 20
+    assert -(-result.frames // harness.FLIGHT_BLOCK) <= blocks <= result.frames // 20
 
 
 def fly_frames(s, plans, frames, blocks):
@@ -659,43 +668,44 @@ def fly_frames(s, plans, frames, blocks):
     (plan, cursor). plans[f] replaces the plan and cursor after frame f, as
     the mission replans, and a reach moves the cursor on, as
     on_waypoint_reached does. With blocks the frames come from
-    harness._Flight; without, frame by frame as the run flew before blocks:
-    fly and step, waypoint_reached, a 2-row (true, estimated) camera_pose
-    and its inverse, and a one-view visible_boxes in the true view. Returns
-    per frame (state, reached, the true camera's and the estimated camera's
-    world-from-camera and cam-from-world rows, the true boxes), and the
-    generator."""
+    harness._true_frames, driven by a stub mission, with each estimate
+    drawn as the run draws it; without, frame by frame as the run flew
+    before blocks: fly and step, waypoint_reached, a 2-row (true, estimated)
+    camera_pose and its inverse, and a one-view visible_boxes in the true
+    view. Returns per frame (state, estimate, reached, the true camera's and
+    the estimated camera's world-from-camera and cam-from-world rows, the
+    true boxes), and the generator."""
     rng = np.random.default_rng(5)
-    plan, cursor = plans[0]
-    uav = UavState.at_rest(plan[0].position, plan[0].yaw)
-    flight = harness._Flight(s)
+    mission = SimpleNamespace(plan=plans[0][0], cursor=plans[0][1])
+    uav = UavState.at_rest(mission.plan[0].position, mission.plan[0].yaw)
+    est = uav.position
+    flight = harness._true_frames(s, mission, uav)
     out = []
     for f in range(1, frames + 1):
+        plan, cursor = mission.plan, mission.cursor
         if blocks:
-            uav, reached = flight.frame(uav, plan, cursor, rng)
-            row = flight.row
-            rotation = flight.rotations[row]
+            uav, reached, true_boxes, visible, rotation = next(flight)
+            if cursor < len(plan):  # a loiter frame draws nothing
+                est = step(uav.position, s.uav, rng)
             # the true camera sits at the true position; the estimated
             # camera as tick gets it and inverts it
             true = (rotation, uav.position, *geometry.invert(rotation, uav.position))
-            est = (rotation, uav.est_position, *geometry.invert(rotation, uav.est_position))
-            boxes = [b if seen else None for b, seen in zip(flight.boxes[row], flight.visible[row])]
+            est_camera = (rotation, est, *geometry.invert(rotation, est))
+            boxes = [b if seen else None for b, seen in zip(true_boxes, visible)]
         else:
             reached = False
             if cursor < len(plan):
-                uav = step(fly(uav, plan[cursor], s.uav), s.uav, rng)
+                uav = fly(uav, plan[cursor], s.uav)
+                est = step(uav.position, s.uav, rng)
                 reached = waypoint_reached(uav, plan[cursor])
-            w = camera_pose(
-                [uav.yaw, uav.yaw], [uav.position, uav.est_position], s.planner.cam_depression
-            )
+            w = camera_pose([uav.yaw, uav.yaw], [uav.position, est], s.planner.cam_depression)
             v = w.inverse()
             true = (w.rotation[0], w.translation[0], v.rotation[0], v.translation[0])
-            est = (w.rotation[1], w.translation[1], v.rotation[1], v.translation[1])
+            est_camera = (w.rotation[1], w.translation[1], v.rotation[1], v.translation[1])
             seen, visible = visible_boxes(s.targets, v.rotation[:1], v.translation[:1], s.camera)
             boxes = [b if vis else None for b, vis in zip(seen[0], visible[0])]
-        cursor += reached
-        out.append((uav, reached, true, est, boxes))
-        plan, cursor = plans.get(f, (plan, cursor))
+        out.append((uav, est, reached, true, est_camera, boxes))
+        mission.plan, mission.cursor = plans.get(f, (plan, cursor + reached))
     return out, rng
 
 
@@ -708,26 +718,40 @@ def test_flight_blocks_equal_the_per_frame_path(monkeypatch):
     # frames follow; the survey resumes at frame 600, and at frame 900 the
     # same plan moves on by a cursor alone
     plans = {0: (search, 0), 100: (detour, 1), 600: (search, 3), 900: (search, 6)}
-    built = []
+    missions, block_reaches, built = [], [], []
+    true_frames, true_views = harness._true_frames, harness._true_views
 
-    def spied(flight, state, plan, cursor):
-        fly_block(flight, state, plan, cursor)
-        built.append((plan, flight.cursors[0], flight.cursors[-1], len(flight.states)))
+    def spied_frames(scenario, mission, state):
+        missions.append(mission)
+        return true_frames(scenario, mission, state)
 
-    fly_block = harness._Flight._fly
-    monkeypatch.setattr(harness._Flight, "_fly", spied)
+    def spied_reached(state, waypoint):
+        block_reaches.append(waypoint_reached(state, waypoint))
+        return block_reaches[-1]
+
+    def spied_views(scenario, yaws, positions):
+        # a block is flown before its views are built, and until its first
+        # frame is taken the mission still holds its plan and first cursor
+        plan, cursor = missions[0].plan, missions[0].cursor
+        built.append((plan, cursor, cursor + sum(block_reaches), len(yaws)))
+        block_reaches.clear()
+        return true_views(scenario, yaws, positions)
+
+    monkeypatch.setattr(harness, "_true_frames", spied_frames)
+    monkeypatch.setattr(harness, "waypoint_reached", spied_reached)
+    monkeypatch.setattr(harness, "_true_views", spied_views)
     blocked, rng = fly_frames(s, plans, 1200, blocks=True)
     reference, reference_rng = fly_frames(s, plans, 1200, blocks=False)
 
-    for (uav, reached, true, est, boxes), want in zip(blocked, reference):
-        assert reached == want[1]
+    for (uav, est, reached, true, est_camera, boxes), want in zip(blocked, reference):
+        assert reached == want[2]
         assert np.array_equal(uav.position, want[0].position) and uav.yaw == want[0].yaw
-        assert np.array_equal(uav.est_position, want[0].est_position)
-        assert all(np.array_equal(a, b) for a, b in zip(true + est, want[2] + want[3]))
-        assert [b is None for b in boxes] == [b is None for b in want[4]]
-        assert all(b is None or np.array_equal(b, c) for b, c in zip(boxes, want[4]))
+        assert np.array_equal(est, want[1])
+        assert all(np.array_equal(a, b) for a, b in zip(true + est_camera, want[3] + want[4]))
+        assert [b is None for b in boxes] == [b is None for b in want[5]]
+        assert all(b is None or np.array_equal(b, c) for b, c in zip(boxes, want[5]))
     assert rng.random() == reference_rng.random()  # loiter frames draw nothing
-    assert any(b is not None for row in reference for b in row[4])
+    assert any(b is not None for row in reference for b in row[5])
 
     # the script covers each case: (plan, first cursor, last cursor, rows) per block
     first, detoured, loiter, resumed = built[:4]
@@ -736,9 +760,27 @@ def test_flight_blocks_equal_the_per_frame_path(monkeypatch):
     assert detoured[3] < harness.FLIGHT_BLOCK  # ends at the detour's last waypoint
     assert loiter[0] is detour and loiter[1] == loiter[2] == len(detour)
     assert resumed[0] is search and resumed[1:3] == (3, 4)  # a reach inside the block
-    reaches = [f for f, row in enumerate(reference, 1) if row[1]]
+    reaches = [f for f, row in enumerate(reference, 1) if row[2]]
     assert 100 + detoured[3] in reaches and 600 < reaches[-1] < 600 + resumed[3]
     assert built[-1][:2] == (search, 6)
+
+
+def test_run_loiter_frames_keep_the_estimate(monkeypatch):
+    # with no true target, clutter clouds alive after the survey keep the
+    # mission from idling, so the vehicle loiters at the last waypoint: a
+    # frame whose true pose did not move draws no estimate and keeps the
+    # last one, and every other frame draws one
+    s = scenario(
+        uav={"pose_noise_sigma": 0.1}, detector={"fp_rate": 0.05},
+        tracker={"min_hits": 1}, world={"targets": []},
+    )
+    draws = []
+    monkeypatch.setattr(harness, "step", lambda *args: draws.append(1) or step(*args))
+    records = run(s).records
+    uav = [r["uav"] for r in records]
+    loiter = [b["true"] == a["true"] for a, b in zip(uav, uav[1:])]
+    assert sum(loiter) > 10 and len(draws) == len(records) - sum(loiter)
+    assert all((b["est"] == a["est"]) == still for a, b, still in zip(uav, uav[1:], loiter))
 
 
 def test_one_fit_per_cloud_change(monkeypatch):

@@ -22,14 +22,15 @@ CFG = UavConfig(v_max=1.0, a_max=1.0, yaw_rate_max=1.0, dt=0.1)
 
 
 def fly_and_step(state, wp, cfg, rng):
-    """One frame: the true flight toward wp, then the frame's estimate."""
-    return step(fly(state, wp, cfg), cfg, rng)
+    """One frame: the true state flown toward wp, and the frame's estimate."""
+    state = fly(state, wp, cfg)
+    return state, step(state.position, cfg, rng)
 
 
 def fly_until_landed(state, wp, cfg, rng, max_steps=5000):
     t = 0.0
     for _ in range(max_steps):
-        state = fly_and_step(state, wp, cfg, rng)
+        state, _ = fly_and_step(state, wp, cfg, rng)
         t += cfg.dt
         if np.linalg.norm(state.position - wp.position) < 1e-9:
             return state, t
@@ -48,26 +49,26 @@ def test_zero_noise_estimate_equals_truth():
     rng = np.random.default_rng(0)
     wp = Waypoint([5.0, 3.0, 12.0], 0.4)
     for _ in range(100):
-        state = fly_and_step(state, wp, CFG, rng)
-        np.testing.assert_array_equal(state.est_position, state.position)
+        state, est = fly_and_step(state, wp, CFG, rng)
+        assert est is state.position
 
 
 def test_flight_draws_nothing_and_step_draws_only_the_estimate():
-    # fly reads no generator; step keeps the flown true state and draws
-    # three normals for the estimate, or nothing without pose noise
+    # fly reads no generator; step leaves the true position as it is and
+    # draws three normals for the estimate, or nothing without pose noise
     cfg = UavConfig(pose_noise_sigma=0.1, dt=0.1)
     wp = Waypoint([5.0, 3.0, 12.0], 0.4)
     flown = fly(UavState.at_rest([0.0, 0.0, 10.0]), wp, cfg)
+    position = flown.position.copy()
     rng, twin = np.random.default_rng(4), np.random.default_rng(4)
-    state = step(flown, cfg, rng)
-    assert np.array_equal(state.position, flown.position) and state.yaw == flown.yaw
-    assert np.array_equal(state.velocity, flown.velocity)
+    est = step(flown.position, cfg, rng)
+    assert np.array_equal(flown.position, position)
     np.testing.assert_array_equal(
-        state.est_position, flown.position + np.clip(twin.normal(0.0, 0.1, 3), -0.3, 0.3)
+        est, position + np.clip(twin.normal(0.0, 0.1, 3), -0.3, 0.3)
     )
     assert rng.random() == twin.random()
     rng = np.random.default_rng(4)
-    step(flown, CFG, rng)
+    step(flown.position, CFG, rng)
     assert rng.random() == np.random.default_rng(4).random()
 
 
@@ -77,7 +78,7 @@ def test_speed_never_exceeds_cap():
     for _ in range(50):
         wp = Waypoint(rng.uniform(-20, 20, 3), rng.uniform(-np.pi, np.pi))
         for _ in range(40):
-            state = fly_and_step(state, wp, CFG, rng)
+            state, _ = fly_and_step(state, wp, CFG, rng)
             assert np.linalg.norm(state.velocity) <= CFG.v_max + 1e-9
 
 
@@ -87,7 +88,7 @@ def test_monotone_progress_on_straight_leg():
     rng = np.random.default_rng(0)
     prev = np.linalg.norm(state.position - wp.position)
     for _ in range(400):
-        state = fly_and_step(state, wp, CFG, rng)
+        state, _ = fly_and_step(state, wp, CFG, rng)
         d = np.linalg.norm(state.position - wp.position)
         assert d <= prev + 1e-12
         prev = d
@@ -100,9 +101,9 @@ def test_pose_noise_bounded_at_three_sigma():
     wp = Waypoint([50.0, 0.0, 10.0], 0.0)
     errs = []
     for _ in range(2000):
-        state = fly_and_step(state, wp, cfg, rng)
-        err = np.linalg.norm(state.est_position - state.position)
-        assert np.all(np.abs(state.est_position - state.position) <= 0.3 + 1e-12)
+        state, est = fly_and_step(state, wp, cfg, rng)
+        err = np.linalg.norm(est - state.position)
+        assert np.all(np.abs(est - state.position) <= 0.3 + 1e-12)
         errs.append(err)
     assert max(errs) > 0.05  # noise is actually injected
 
@@ -113,7 +114,7 @@ def test_yaw_slew_rate_limited():
     rng = np.random.default_rng(0)
     prev_yaw = state.yaw
     for _ in range(60):
-        state = fly_and_step(state, wp, CFG, rng)
+        state, _ = fly_and_step(state, wp, CFG, rng)
         assert abs(wrap_angle(state.yaw - prev_yaw)) <= CFG.yaw_rate_max * CFG.dt + 1e-12
         prev_yaw = state.yaw
     assert abs(wrap_angle(state.yaw - np.pi)) < 1e-9

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from targetsim.bounding_cylinder import BoundingCylinder
 from targetsim.view_planner import (
@@ -73,6 +75,23 @@ class TestLawnmower:
         # lawnmower's reshape(-1, 2) would read 4 such vertices as 6 others
         with pytest.raises(ValueError, match="2 coordinates"):
             PlannerConfig(survey_polygon=((0, 0, 0), (60, 0, 0), (60, 60, 0), (0, 60, 0)))
+
+    @given(
+        polygon=st.lists(
+            st.tuples(*[st.one_of(st.sampled_from([0.0, 1.0]), st.floats(-1e3, 1e3))] * 2),
+            min_size=3, max_size=12,
+        ),
+        lane_spacing=st.floats(2.0, 1e4),
+    )
+    @settings(max_examples=300, deadline=None)
+    # an edge of subnormal height puts a lane's t at inf, which rightly misses it
+    @pytest.mark.filterwarnings("ignore:overflow encountered in scalar divide:RuntimeWarning")
+    def test_every_valid_config_gets_a_waypoint(self, polygon, lane_spacing):
+        # the run starts at the first search waypoint: random, collinear,
+        # single-point and zero-height polygons alike get one. Coordinates
+        # within 1e3 and spacings of at least 2 keep it to ~1,000 lanes
+        cfg = PlannerConfig(survey_polygon=tuple(polygon), lane_spacing=lane_spacing)
+        assert lawnmower(cfg.survey_polygon, cfg.lane_spacing, cfg.search_altitude)
 
     def test_footprint_coverage_of_polygon(self):
         # coverage oracle: sweeping the scan annulus along the lane path
