@@ -46,6 +46,11 @@ NOISY_CLOUDS_DIGEST = "18816b25abd2654d"
 # positives, no misses and 400-point clouds, 1,997 frames that load the
 # filter's spawn, update and deregistration paths.
 SMOKE_CLUTTER_RECORDS_DIGEST = "2b959012fcc80bbf"
+# The same for the queue scenario, by whether queued converging targets are
+# served from the queue: (digest, frames). Three targets 8-14 m apart under
+# clutter, so that targets converge while the vehicle orbits another and
+# wait in the mission's queues.
+QUEUE_RECORDS_DIGESTS = {False: ("9bf598d004941d45", 4500), True: ("1cfbbe69ac617dcc", 4588)}
 
 
 @contextmanager
@@ -331,6 +336,15 @@ def test_noisy_trace_and_clouds_digests_pinned(noisy_result):
     assert sha16(b"".join(p.read_bytes() for p in clouds)) == NOISY_CLOUDS_DIGEST
 
 
+def records_digest(records) -> str:
+    """sha16 of the records serialised as the trace's frame lines."""
+    lines = "".join(
+        json.dumps({"type": "frame", "record": r}, sort_keys=True, separators=(",", ":")) + "\n"
+        for r in records
+    )
+    return sha16(lines.encode())
+
+
 def test_smoke_clutter_records_digest_pinned():
     with open("scenarios/nominal_single_target.json") as fh:
         data = json.load(fh)
@@ -339,9 +353,26 @@ def test_smoke_clutter_records_digest_pinned():
     data["tracker"]["min_hits"] = 1
     data["filter"]["m"] = 400
     result = run(scenario_from_dict(data))
-    lines = "".join(
-        json.dumps({"type": "frame", "record": r}, sort_keys=True, separators=(",", ":")) + "\n"
-        for r in result.records
-    )
     assert result.frames == 1997
-    assert sha16(lines.encode()) == SMOKE_CLUTTER_RECORDS_DIGEST
+    assert records_digest(result.records) == SMOKE_CLUTTER_RECORDS_DIGEST
+
+
+@pytest.mark.parametrize("serve", [False, True])
+def test_queue_records_digest_pinned(serve):
+    # the benchmark workloads never queue a target; this run does, with
+    # either way of serving a queued converging target
+    with open("scenarios/nominal_single_target.json") as fh:
+        data = json.load(fh)
+    data["seed"] = 0
+    data["world"]["targets"] = [
+        {"id": target_id, "center": center, "semi_axes": [1.0, 1.0, 1.0], "n_surface": 400}
+        for target_id, center in (
+            ("a", [20.0, 28.0, 1.0]), ("b", [28.0, 28.0, 1.0]), ("c", [40.0, 36.0, 1.0])
+        )
+    ]
+    data["detector"].update(fp_rate=0.2, fn_rate=0.1, pixel_noise_sigma=0.5)
+    data["filter"]["m"] = 400
+    data["mission"]["serve_queued_converging"] = serve
+    result = run(scenario_from_dict(data))
+    assert result.completed
+    assert (records_digest(result.records), result.frames) == QUEUE_RECORDS_DIGESTS[serve]

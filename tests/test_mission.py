@@ -251,6 +251,92 @@ class TestPrioritiesAndQueue:
         assert mission.search_cursor >= cursor
 
 
+class TestStaleQueueIds:
+    """The queues hold ids. An id goes stale when its target is deregistered
+    or its state moves on while the id waits; it is dropped when the queue
+    is read."""
+
+    CENTERS = ([50.0, 40.0, 1.0], [20.0, 70.0, 1.0], [80.0, 70.0, 1.0], [80.0, 20.0, 1.0])
+
+    def queue_and_map(self, mission_cfg=None):
+        """1 is estimated while 2, 3 and 4 wait; 2 is deregistered and 3
+        converges while queued. Returns the mission after 1 failed
+        verification and 3 was mapped."""
+        world = [ellipsoid_target("c", self.CENTERS[2], [1.0, 1.0, 1.0])]
+        mission, flt, _ = make_mission(world=world, mission_cfg=mission_cfg)
+        for target_id, center in enumerate(self.CENTERS, 1):
+            spawn_then(flt, mission, target_id, center, "converging")
+        assert mission.active_target == 1 and mission.converging_queue == [2, 3, 4]
+        flt.deregister(2)
+        mission.on_perception([Event("deregistered", 2)], [], UAV_POS)
+        flt.get(3).state = TargetState.CONVERGED
+        mission.on_perception([Event("converged", 3)], [], UAV_POS)
+        assert mission.mode is MissionMode.ESTIMATION and mission.active_target == 1
+        assert mission.converged_queue == [3]
+        finish_plan(mission)  # 1 fails verification; the converged 3 comes first
+        assert flt.get(1) is None
+        assert mission.mode is MissionMode.MAPPING and mission.active_target == 3
+        finish_plan(mission)
+        assert flt.get(3).state is TargetState.MAPPED
+        return mission, flt
+
+    def test_served_from_the_queue_past_stale_ids(self):
+        mission, _ = self.queue_and_map(MissionConfig(serve_queued_converging=True))
+        assert mission.mode is MissionMode.ESTIMATION and mission.active_target == 4
+        assert mission.converging_queue == []
+
+    def test_served_on_redetection_past_stale_ids(self):
+        mission, _ = self.queue_and_map()
+        assert mission.mode is MissionMode.SEARCH
+        mission.on_perception([], [2, 3], UAV_POS)  # stale ids, re-detected or not
+        assert mission.mode is MissionMode.SEARCH and mission.converging_queue == [4]
+        mission.on_perception([], [4], UAV_POS)
+        assert mission.mode is MissionMode.ESTIMATION and mission.active_target == 4
+        assert mission.converging_queue == []
+
+    def test_stale_converged_id_dropped_when_read(self):
+        mission, flt, _ = make_mission()
+        spawn_then(flt, mission, 1, self.CENTERS[0], "converging")
+        spawn_then(flt, mission, 2, self.CENTERS[1], "converging", "converged")
+        assert mission.converged_queue == [2]
+        flt.deregister(2)  # forced: neither tick nor the mission does this to a queued id
+        flt.get(1).state = TargetState.CONVERGED
+        mission.on_perception([Event("converged", 1)], [], UAV_POS)
+        assert mission.mode is MissionMode.MAPPING and mission.active_target == 1
+        assert mission.converged_queue == []
+
+    def test_converged_ids_never_go_stale(self):
+        # why idle() may read only whether converged_queue is empty: tick
+        # never ages out a converged target, and the mission pops an id
+        # before it deregisters that target
+        flt = PointsFilter(K, FilterConfig(max_depth=50.0, max_missed_updates=3))
+        inject_target(flt, 1, self.CENTERS[0], TargetState.CONVERGED)
+        rng = np.random.default_rng(0)
+        for _ in range(10):
+            events, _ = flt.tick([], *rt(IDENTITY), rng)
+            assert events == []
+        assert flt.get(1).state is TargetState.CONVERGED
+
+        world = [ellipsoid_target("a", self.CENTERS[0], [1.0, 1.0, 1.0])]
+        mission, flt, _ = make_mission(world=world)
+        spawn_then(flt, mission, 1, self.CENTERS[0], "converging", "converged")
+        finish_plan(mission)  # maps 1
+        # 2 converges onto the mapped rock and 3 with a collapsed cloud,
+        # each while the vehicle orbits 4: both wait, then are deregistered
+        spawn_then(flt, mission, 4, self.CENTERS[3], "converging")
+        spawn_then(flt, mission, 2, [50.2, 40.1, 1.0], "converging", "converged")
+        inject_target(flt, 3, self.CENTERS[2], TargetState.CONVERGED, spread=0.0)
+        mission.on_perception([Event("converged", 3)], [], UAV_POS)
+        assert mission.converged_queue == [2, 3]
+        events = finish_plan(mission)  # 4 fails verification
+        assert [e.kind for e in events if e.target_id in (2, 3)] == [
+            "deregistered", "duplicate_dropped", "deregistered", "estimation_failed",
+        ]
+        assert flt.get(2) is None and flt.get(3) is None
+        assert mission.converged_queue == []
+        assert mission.mode is MissionMode.SEARCH
+
+
 class TestMappedCloudSynthesis:
     CYL = BoundingCylinder(center=[0.0, 0.0, 1.0], radius=1.2, height=2.0)
 
