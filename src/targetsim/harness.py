@@ -99,13 +99,15 @@ def _check_json_types(cls, kwargs: dict) -> None:
             raise TypeError(f"{name} must be {names}, got {type(value).__name__}")
 
 
-def _coordinates(values, name: str) -> tuple:
-    """A list of numbers as a tuple of floats; a string or a bool is not a number."""
+def _coordinates(values, name: str, n: int | None = None) -> tuple:
+    """A list of numbers (n of them, if given) as floats; a string or a bool is not a number."""
     values = tuple(values)
+    if n is not None and len(values) != n:
+        raise ValueError(f"{name} must hold {n} numbers, got {len(values)}")
     for c in values:
         if isinstance(c, bool) or not isinstance(c, (int, float)):
             raise TypeError(f"{name} must hold numbers, got {type(c).__name__}")
-    return tuple(float(c) for c in values)
+    return tuple(map(float, values))
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -578,6 +580,18 @@ def run(scenario: Scenario, out_dir=None) -> RunResult:
             trace_fh.close()
 
 
+def _check_record(record: dict) -> dict:
+    """record, once the numbers that scoring reads (true yaw and position, and
+    each detection's and spawn's box) are numbers, as many as run writes."""
+    true = record["uav"]["true"]
+    _coordinates([true["yaw"], *true["position"]], "the true yaw and position", 4)
+    spawns = [ev for ev in record["events"] if ev["type"] == "spawned"]
+    for item in record["detections"] + spawns:
+        _coordinates(item["bbox"], "bbox", 4)
+    MissionMode(record["mode"])
+    return record
+
+
 def read_trace(path):
     """Parse a trace file back into (scenario, records, summary)."""
     scenario = None
@@ -596,7 +610,7 @@ def read_trace(path):
                 raise ValueError(f"line {n} is not a JSON object")
             kind = obj.get("type")
             if kind == "frame":
-                records.append(obj["record"])
+                records.append(_check_record(obj["record"]))
             elif kind == "scenario" and scenario is None:
                 scenario = scenario_from_dict(obj["scenario"])
             elif kind == "summary":

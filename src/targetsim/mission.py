@@ -18,7 +18,7 @@ import numpy as np
 
 from .bounding_cylinder import BoundingCylinder, fit_bounding_cylinder
 from .detector import TargetModel
-from .points_filter import Event, PointsFilter, TargetState, check_already_mapped
+from .points_filter import Event, PointsFilter, PointTarget, TargetState, check_already_mapped
 from .view_planner import (
     PlannerConfig,
     TargetAboveSearchPlane,
@@ -169,33 +169,22 @@ class MissionExecutive:
         the plan is done and the vehicle loiters."""
         return self._cursor
 
-    @property
-    def search_done(self) -> bool:
-        return self.search_cursor >= len(self.search_waypoints)
-
     def idle(self) -> bool:
         """True when search is exhausted and nothing is pending or alive."""
-        alive_pending = any(
-            t.state is not TargetState.MAPPED for t in self.filter.targets
-        )
         return (
             self.mode is MissionMode.SEARCH
-            and self.search_done
+            and self.search_cursor >= len(self.search_waypoints)
             and not self.converged_queue
-            and not alive_pending
+            and all(t.state is TargetState.MAPPED for t in self.filter.targets)
         )
 
     def on_waypoint_reached(self, uav_position: np.ndarray) -> list:
         self._cursor += 1
         if self.mode is MissionMode.SEARCH:
             self.search_cursor = self._cursor
-        if self._cursor >= len(self._plan):
-            return self._on_plan_complete(uav_position)
-        return []
-
-    def _on_plan_complete(self, uav_position: np.ndarray) -> list:
-        if self.mode is MissionMode.SEARCH:
-            return []  # survey finished; loiter
+            return []  # after the survey's last waypoint the vehicle loiters
+        if self._cursor < len(self._plan):
+            return []
         if self.mode is MissionMode.ESTIMATION:
             # full orbit without convergence: the target failed verification
             return self._fail_verification(self.active_target, uav_position)
@@ -208,62 +197,56 @@ class MissionExecutive:
     ) -> list:
         out: list = []
         for ev in events:
-            if ev.kind in ("converging", "converged") and self.filter.get(ev.target_id) is None:
+            target = self.filter.get(ev.target_id)
+            if ev.kind in ("converging", "converged") and target is None:
                 raise UnknownTarget(ev.target_id)
+            orbiting = self.mode is MissionMode.ESTIMATION and self.active_target == ev.target_id
             if ev.kind == "converging":
                 if self.mode is MissionMode.SEARCH:
-                    out += self._start_estimation(ev.target_id, uav_position)
+                    out += self._start_estimation(target, uav_position)
                 elif ev.target_id not in self.converging_queue:
                     self.converging_queue.append(ev.target_id)
             elif ev.kind == "converged":
-                self._drop_from_queues(ev.target_id, converged=False)
                 if ev.target_id not in self.converged_queue:
                     self.converged_queue.append(ev.target_id)
-                if self.mode is MissionMode.SEARCH or (
-                    self.mode is MissionMode.ESTIMATION
-                    and self.active_target == ev.target_id
-                ):
+                if self.mode is MissionMode.SEARCH or orbiting:
                     out += self._choose_next(uav_position)
-            elif ev.kind == "deregistered":
-                self._drop_from_queues(ev.target_id)
-                if (
-                    self.mode is MissionMode.ESTIMATION
-                    and self.active_target == ev.target_id
-                ):
-                    out += self._choose_next(uav_position)
+            elif ev.kind == "deregistered" and orbiting:  # the orbited target was lost
+                out += self._choose_next(uav_position)
 
-        if self.mode is MissionMode.SEARCH and self.converging_queue:
-            out += self._serve_converging_on_redetect(updated_ids, uav_position)
+        if self.mode is MissionMode.SEARCH:  # a converging target waits to be re-detected
+            target = self._pop(self.converging_queue, TargetState.CONVERGING, updated_ids)
+            if target is not None:
+                out += self._start_estimation(target, uav_position)
         return out
 
-    def _serve_converging_on_redetect(self, updated_ids, uav_position) -> list:
-        for target_id in list(self.converging_queue):
+    def _pop(self, queue: list[int], state: TargetState, among=None) -> PointTarget | None:
+        """Remove and return the first target in queue still in state (and,
+        when among is given, whose id is in among), or None. A stale id, of a
+        target deregistered or moved on from state, is dropped when read."""
+        for target_id in list(queue):
             target = self.filter.get(target_id)
-            if target is None or target.state is not TargetState.CONVERGING:
-                self.converging_queue.remove(target_id)
-                continue
-            if target_id in updated_ids:
-                self.converging_queue.remove(target_id)
-                return self._start_estimation(target_id, uav_position)
-        return []
+            if target is None or target.state is not state:
+                queue.remove(target_id)
+            elif among is None or target_id in among:
+                queue.remove(target_id)
+                return target
+        return None
 
     # -- transitions -------------------------------------------------------
 
-    def _drop_from_queues(self, target_id: int, converged: bool = True):
-        if target_id in self.converging_queue:
-            self.converging_queue.remove(target_id)
-        if converged and target_id in self.converged_queue:
-            self.converged_queue.remove(target_id)
+    def _switch(
+        self, mode: MissionMode, target_id: int | None, plan: list[Waypoint], cursor: int = 0
+    ) -> list:
+        """Fly plan from cursor in mode; the one mode_change event."""
+        self.mode, self.active_target, self._plan, self._cursor = mode, target_id, plan, cursor
+        return [Event("mode_change", target_id, mode.value)]
 
     def _fail_verification(self, target_id: int, uav_position: np.ndarray) -> list:
         events = [self.filter.deregister(target_id), Event("estimation_failed", target_id)]
-        self._drop_from_queues(target_id)
         return events + self._choose_next(uav_position)
 
-    def _start_estimation(self, target_id: int, uav_position: np.ndarray) -> list:
-        target = self.filter.get(target_id)
-        if target is None:
-            return []
+    def _start_estimation(self, target: PointTarget, uav_position: np.ndarray) -> list:
         try:
             plan = estimation_circle(
                 target.summary.mean,
@@ -274,56 +257,36 @@ class MissionExecutive:
             )
         except TargetAboveSearchPlane:
             # no orbit can look down on the cloud: treat like a failed verification
-            return self._fail_verification(target_id, uav_position)
-        self.mode = MissionMode.ESTIMATION
-        self.active_target = target_id
-        self._plan = plan
-        self._cursor = 0
-        return [Event("mode_change", target_id, self.mode.value)]
+            return self._fail_verification(target.target_id, uav_position)
+        return self._switch(MissionMode.ESTIMATION, target.target_id, plan)
 
-    def _start_mapping(self, target_id: int, uav_position: np.ndarray) -> list:
-        target = self.filter.get(target_id)
+    def _start_mapping(self, target: PointTarget, uav_position: np.ndarray) -> list:
         try:
-            cyl = fit_bounding_cylinder(target.points)
+            self._cylinder = fit_bounding_cylinder(target.points)
         except ValueError:
             # collapsed cloud: treat like a failed verification
-            return self._fail_verification(target_id, uav_position)
-        self._cylinder = cyl
-        self.mode = MissionMode.MAPPING
-        self.active_target = target_id
-        self._plan = mapping_circles(cyl, self.planner_cfg, uav_position)
-        self._cursor = 0
-        return [Event("mode_change", target_id, self.mode.value)]
+            return self._fail_verification(target.target_id, uav_position)
+        plan = mapping_circles(self._cylinder, self.planner_cfg, uav_position)
+        return self._switch(MissionMode.MAPPING, target.target_id, plan)
 
     def _choose_next(self, uav_position: np.ndarray) -> list:
         """Pick the next activity: pending mappings first, then (optionally)
         queued orbits, else resume the survey."""
         events: list = []
-        while self.converged_queue:
-            target_id = self.converged_queue.pop(0)
-            target = self.filter.get(target_id)
-            if target is None or target.state is not TargetState.CONVERGED:
-                continue
-            if check_already_mapped(
+        while (target := self._pop(self.converged_queue, TargetState.CONVERGED)) is not None:
+            if not check_already_mapped(
                 target.summary.mean, self.mapped_centers, self.filter.cfg.already_mapped_dist
             ):
-                events.append(self.filter.deregister(target_id))
-                events.append(Event("duplicate_dropped", target_id))
-                continue
-            return events + self._start_mapping(target_id, uav_position)
+                return events + self._start_mapping(target, uav_position)
+            events.append(self.filter.deregister(target.target_id))
+            events.append(Event("duplicate_dropped", target.target_id))
         if self.cfg.serve_queued_converging:
-            while self.converging_queue:
-                target_id = self.converging_queue.pop(0)
-                target = self.filter.get(target_id)
-                if target is None or target.state is not TargetState.CONVERGING:
-                    continue
-                return events + self._start_estimation(target_id, uav_position)
-        self.mode = MissionMode.SEARCH
-        self.active_target = None
-        self._plan = self.search_waypoints
-        self._cursor = self.search_cursor
-        events.append(Event("mode_change", mode=self.mode.value))
-        return events
+            target = self._pop(self.converging_queue, TargetState.CONVERGING)
+            if target is not None:
+                return events + self._start_estimation(target, uav_position)
+        return events + self._switch(
+            MissionMode.SEARCH, None, self.search_waypoints, self.search_cursor
+        )
 
     def _complete_mapping(self) -> list:
         target_id = self.active_target

@@ -39,11 +39,11 @@ def hungarian_assign(cost: np.ndarray, maximize: bool = False):
     cost = np.atleast_2d(np.asarray(cost, dtype=float))
     if cost.size == 0:
         return [], list(range(cost.shape[0])), list(range(cost.shape[1]))
-    rows, cols = linear_sum_assignment(cost, maximize=maximize)
-    pairs = list(zip(rows.tolist(), cols.tolist()))
-    unmatched_rows = [r for r in range(cost.shape[0]) if r not in set(rows.tolist())]
-    unmatched_cols = [c for c in range(cost.shape[1]) if c not in set(cols.tolist())]
-    return pairs, unmatched_rows, unmatched_cols
+    rows, cols = (idx.tolist() for idx in linear_sum_assignment(cost, maximize=maximize))
+    matched_rows, matched_cols = set(rows), set(cols)
+    unmatched_rows = [r for r in range(cost.shape[0]) if r not in matched_rows]
+    unmatched_cols = [c for c in range(cost.shape[1]) if c not in matched_cols]
+    return list(zip(rows, cols)), unmatched_rows, unmatched_cols
 
 
 @dataclass(frozen=True)
@@ -156,15 +156,11 @@ class BoxTracker:
             track.kf.predict()
 
         det_boxes = [d.bbox for d in detections]
-        if self._tracks and det_boxes:
-            iou_matrix = np.array(
-                [[iou(db, t.kf.bbox()) for t in self._tracks] for db in det_boxes]
-            )
-            pairs, unmatched_dets, _ = hungarian_assign(iou_matrix, maximize=True)
-        else:
-            iou_matrix = np.zeros((len(det_boxes), len(self._tracks)))
-            pairs = []
-            unmatched_dets = list(range(len(det_boxes)))
+        track_boxes = [t.kf.bbox() for t in self._tracks]  # each predicted box once
+        iou_matrix = np.array(
+            [[iou(db, tb) for tb in track_boxes] for db in det_boxes], dtype=float
+        ).reshape(len(det_boxes), len(track_boxes))  # (0, n) or (m, 0) when one side is empty
+        pairs, unmatched_dets, _ = hungarian_assign(iou_matrix, maximize=True)
 
         matched_track_idx = set()
         for d_idx, t_idx in pairs:

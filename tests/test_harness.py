@@ -520,9 +520,15 @@ class TestWriteCloud:
         assert lines[1] == "0.123457 0.000000 9.000000"
 
 
-def string_yaw(frame: dict) -> dict:
-    frame["record"]["uav"]["true"]["yaw"] = "north"
-    return frame
+def set_in_record(*keys, value):
+    """A trace-line edit that sets record[keys[0]][keys[1]]... to value."""
+    def edit(frame: dict) -> dict:
+        field = frame["record"]
+        for key in keys[:-1]:
+            field = field[key]
+        field[keys[-1]] = value
+        return frame
+    return edit
 
 
 class TestCli:
@@ -587,14 +593,28 @@ class TestCli:
     @pytest.mark.parametrize(
         "edit",
         [
-            lambda frame: {"type": "frame", "record": {}},  # KeyError in compute_metrics
-            string_yaw,  # ValueError in compute_metrics
+            lambda frame: {"type": "frame", "record": {}},  # KeyError in read_trace
+            set_in_record("uav", "true", "yaw", value="north"),  # TypeError in read_trace
             lambda frame: [frame],  # AttributeError in read_trace
             lambda frame: {**frame, "type": "frames"},  # an unknown type in read_trace
             # a second scenario header in read_trace
             lambda frame: {"type": "scenario", "scenario": scenario_to_dict(scenario(seed=4))},
+            # values that scoring would read as numbers or as a mode other
+            # than mapping, in read_trace
+            set_in_record("uav", "true", "yaw", value="0.5"),
+            set_in_record("uav", "true", "yaw", value=True),
+            set_in_record("uav", "true", "position", value=["1", "2", "3"]),
+            set_in_record(
+                "detections", value=[{"bbox": [300.0, 220.0, 340.0, 260.0, 1.0], "score": 1.0}]
+            ),
+            set_in_record("events", value=[{"type": "spawned", "target": 1, "bbox": [0.0] * 5}]),
+            set_in_record("mode", value="bogus"),
         ],
-        ids=["empty_record", "string_yaw", "array_line", "unknown_type", "second_header"],
+        ids=[
+            "empty_record", "string_yaw", "array_line", "unknown_type", "second_header",
+            "numeric_string_yaw", "bool_yaw", "string_position", "five_number_bbox",
+            "five_number_spawn_bbox", "unknown_mode",
+        ],
     )
     def test_replay_malformed_trace_exit_2(self, tmp_path, capsys, edit):
         run(scenario(max_sim_time=5.0), out_dir=tmp_path)
