@@ -65,26 +65,27 @@ def queue_scenario(serve: bool) -> dict:
     return data
 
 
-# (name, scenario, pinned digests): a run pinned by "trace" writes its trace
-# and clouds; one pinned by "records" runs metrics-only
-PINNED = [
-    ("survey5 seed 12", make_scenario("survey5", 12, False),
-     {"trace": "f8192b854177f057", "clouds": "18816b25abd2654d"}),
-    ("survey5 seed 0", make_scenario("survey5", 0, False), {"trace": "99a8601617a7b216"}),
-    ("survey5 seed 5", make_scenario("survey5", 5, False), {"trace": "ab0bae59c8811ca7"}),
-    ("survey5 seed 13", make_scenario("survey5", 13, False),
-     {"trace": "5ceb37f3323183b2", "clouds": "24e9e541d3d8d016"}),
-    ("survey5 seed 39", make_scenario("survey5", 39, False), {"trace": "d632a0c545798252"}),
-    ("nominal", nominal_scenario(), {"trace": "3384f4105341b8dd"}),
-    ("clutter1 seed 7", make_scenario("clutter1", 7, False), {"records": "b97d8f2aa210cd1e"}),
-    ("clutter1 seed 1007", make_scenario("clutter1", 1007, False),
-     {"records": "2ec3c974480d24ef"}),
-    ("clutter1 seed 2007", make_scenario("clutter1", 2007, False),
-     {"records": "6e270219417065d5"}),
-    ("smoke clutter", make_scenario("clutter1", 7, True), {"records": "2b959012fcc80bbf"}),
-    ("queue, served on re-detection", queue_scenario(False), {"records": "9bf598d004941d45"}),
-    ("queue, served from the queue", queue_scenario(True), {"records": "1cfbbe69ac617dcc"}),
-]
+def pinned_runs() -> list[tuple[str, dict, dict]]:
+    """(name, scenario, pinned digests): a run pinned by "trace" writes its
+    trace and clouds; one pinned by "records" runs metrics-only."""
+    return [
+        ("survey5 seed 12", make_scenario("survey5", 12, False),
+         {"trace": "f8192b854177f057", "clouds": "18816b25abd2654d"}),
+        ("survey5 seed 0", make_scenario("survey5", 0, False), {"trace": "99a8601617a7b216"}),
+        ("survey5 seed 5", make_scenario("survey5", 5, False), {"trace": "ab0bae59c8811ca7"}),
+        ("survey5 seed 13", make_scenario("survey5", 13, False),
+         {"trace": "5ceb37f3323183b2", "clouds": "24e9e541d3d8d016"}),
+        ("survey5 seed 39", make_scenario("survey5", 39, False), {"trace": "d632a0c545798252"}),
+        ("nominal", nominal_scenario(), {"trace": "3384f4105341b8dd"}),
+        ("clutter1 seed 7", make_scenario("clutter1", 7, False), {"records": "b97d8f2aa210cd1e"}),
+        ("clutter1 seed 1007", make_scenario("clutter1", 1007, False),
+         {"records": "2ec3c974480d24ef"}),
+        ("clutter1 seed 2007", make_scenario("clutter1", 2007, False),
+         {"records": "6e270219417065d5"}),
+        ("smoke clutter", make_scenario("clutter1", 7, True), {"records": "2b959012fcc80bbf"}),
+        ("queue, served on re-detection", queue_scenario(False), {"records": "9bf598d004941d45"}),
+        ("queue, served from the queue", queue_scenario(True), {"records": "1cfbbe69ac617dcc"}),
+    ]
 
 
 def check(scenario: dict, pinned: dict) -> dict:
@@ -106,7 +107,7 @@ def check(scenario: dict, pinned: dict) -> dict:
 
 def main() -> int:
     failed = 0
-    for name, scenario, pinned in PINNED:
+    for name, scenario, pinned in pinned_runs():
         got = check(scenario, pinned)
         expected = {**pinned, "replay": True} if "trace" in pinned else pinned
         wrong = {k: got[k] for k in expected if got[k] != expected[k]}

@@ -581,8 +581,9 @@ def run(scenario: Scenario, out_dir=None) -> RunResult:
 
 
 def _check_record(record: dict) -> dict:
-    """record, once the numbers that scoring reads (true yaw and position, and
-    each detection's and spawn's box) are numbers, as many as run writes."""
+    """record, once the fields that scoring reads are as run writes them: the
+    true yaw and position and each detection's and spawn's box hold only
+    numbers, as many as run writes, and the mode is a mission mode."""
     true = record["uav"]["true"]
     _coordinates([true["yaw"], *true["position"]], "the true yaw and position", 4)
     spawns = [ev for ev in record["events"] if ev["type"] == "spawned"]

@@ -174,6 +174,7 @@ class MissionExecutive:
         return (
             self.mode is MissionMode.SEARCH
             and self.search_cursor >= len(self.search_waypoints)
+            # never stale: tick keeps converged targets, and ids are popped before deregistering
             and not self.converged_queue
             and all(t.state is TargetState.MAPPED for t in self.filter.targets)
         )

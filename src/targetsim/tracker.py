@@ -158,7 +158,7 @@ class BoxTracker:
         det_boxes = [d.bbox for d in detections]
         track_boxes = [t.kf.bbox() for t in self._tracks]  # each predicted box once
         iou_matrix = np.array(
-            [[iou(db, tb) for tb in track_boxes] for db in det_boxes], dtype=float
+            [[iou(db, tb) for tb in track_boxes] for db in det_boxes]
         ).reshape(len(det_boxes), len(track_boxes))  # (0, n) or (m, 0) when one side is empty
         pairs, unmatched_dets, _ = hungarian_assign(iou_matrix, maximize=True)
 
