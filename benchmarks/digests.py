@@ -7,9 +7,11 @@ trace.jsonl, of its cloud_*.xyz files concatenated in name order, or of its
 records serialised as the trace's frame lines. The runs are survey5 and
 clutter1 as the benchmark builds them (perfbench/worker.py's
 make_scenario, smoke-size clutter included), the nominal scenario file,
-and the queue scenario that tests/test_acceptance.py pins. Each written
-trace is also replayed, and its recomputed metrics must equal its summary
-footer. Prints one line per run and exits 1 on any mismatch. A run
+and the queue scenario that tests/test_acceptance.py pins. Each run's
+metrics are also recomputed by compute_metrics, the replay-metrics path:
+from the replayed trace, where they must equal its summary footer, or from
+the records of a metrics-only run, where they must equal the run's own.
+Prints one line per run and exits 1 on any mismatch. A run
 outputs the same bytes on every machine, so the pins hold anywhere; the
 whole check takes about a minute on a 2-core host.
 """
@@ -89,10 +91,16 @@ def pinned_runs() -> list[tuple[str, dict, dict]]:
 
 
 def check(scenario: dict, pinned: dict) -> dict:
-    """The run's digests, and "replay": whether its replayed metrics equal
-    its summary footer, for a run that writes a trace."""
+    """The run's digests, and "replay": whether compute_metrics of its
+    replayed trace equals the summary footer, or of its records (a
+    metrics-only run) the run's metrics."""
     if "records" in pinned:
-        return {"records": records_digest(run(scenario_from_dict(scenario)).records)}
+        scenario = scenario_from_dict(scenario)
+        result = run(scenario)
+        return {
+            "records": records_digest(result.records),
+            "replay": compute_metrics(result.records, scenario) == result.metrics,
+        }
     with tempfile.TemporaryDirectory() as out:
         run(scenario_from_dict(scenario), out_dir=out)
         trace = Path(out) / "trace.jsonl"
@@ -109,7 +117,7 @@ def main() -> int:
     failed = 0
     for name, scenario, pinned in pinned_runs():
         got = check(scenario, pinned)
-        expected = {**pinned, "replay": True} if "trace" in pinned else pinned
+        expected = {**pinned, "replay": True}
         wrong = {k: got[k] for k in expected if got[k] != expected[k]}
         failed += bool(wrong)
         shown = " ".join(f"{k} {got[k]}" for k in expected)

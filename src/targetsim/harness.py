@@ -23,9 +23,9 @@ from .detector import visible_bbox  # noqa: F401  perfbench/tracer.py wraps harn
 from .geometry import CameraIntrinsics
 from .mission import MissionConfig, MissionExecutive, MissionMode
 from .points_filter import FilterConfig, PointsFilter, on_image_edge
-from .tracker import BoxTracker, TrackerConfig, hungarian_assign, iou
+from .tracker import BoxTracker, TrackerConfig, hungarian_assign, iou, iou_matrix
 from .uav import UavConfig, UavState, camera_pose, fly, step, waypoint_reached
-from .view_planner import PlannerConfig, polygon_contains
+from .view_planner import PlannerConfig, lane_count, polygon_contains
 
 log = logging.getLogger("targetsim")
 
@@ -63,6 +63,14 @@ class Scenario:
             raise ValueError(
                 f"uav.dt {self.uav.dt} must be 1 / frame_rate ({1.0 / self.frame_rate})"
             )
+        lanes = lane_count(self.planner.survey_polygon, self.planner.lane_spacing)
+        if lanes > self.max_frames:  # a survey lane takes a frame at least
+            raise ValueError(f"{lanes:.3g} survey lanes exceed max_sim_time's frames")
+
+    @property
+    def max_frames(self) -> int:
+        """The frames that max_sim_time allows."""
+        return int(np.ceil(self.max_sim_time / (1.0 / self.frame_rate)))
 
 
 # The config sections in build order: planner precedes filter, whose
@@ -294,43 +302,27 @@ def _true_views(scenario: Scenario, yaws, positions):
     )
 
 
+def _true_boxes_by_id(scenario: Scenario, boxes, visible) -> dict:
+    """One view's row of visible_boxes as the off-edge visible true boxes by target id."""
+    k, margin = scenario.camera, scenario.filter.edge_margin_px
+    return {
+        scenario.targets[i].id: boxes[i]
+        for i, seen in enumerate(visible.tolist())  # 3x faster than flatnonzero on a row
+        if seen and not on_image_edge(boxes[i], k, margin)
+    }
+
+
 def _true_boxes_for_frames(records, scenario: Scenario) -> list[dict]:
-    """Non-edge projected boxes of every visible true target, one dict per
-    record, each seen from the record's true camera pose."""
+    """_true_boxes_by_id of each record's view from its true camera pose."""
     yaws = np.array([r["uav"]["true"]["yaw"] for r in records], dtype=float)
     positions = np.array([r["uav"]["true"]["position"] for r in records], dtype=float)
     _, boxes, visible = _true_views(scenario, yaws, positions.reshape(-1, 3))
-    k, margin = scenario.camera, scenario.filter.edge_margin_px
-    out = [{} for _ in records]
-    for frame, i in zip(*np.nonzero(visible)):
-        if not on_image_edge(boxes[frame, i], k, margin):
-            out[frame][scenario.targets[i].id] = boxes[frame, i]
-    return out
+    return [_true_boxes_by_id(scenario, *view) for view in zip(boxes, visible)]
 
 
 def _true_boxes_for_frame(record, scenario: Scenario) -> dict:
     """_true_boxes_for_frames for one record."""
     return _true_boxes_for_frames([record], scenario)[0]
-
-
-# compute_metrics projects the true targets of this many records at a time
-METRICS_CHUNK = 512
-
-
-def _with_true_boxes(records, scenario: Scenario):
-    """Yield each record with its true boxes, or None when scoring does not
-    need them: a record outside the mapping mode scores detections, one
-    with a spawn scores generation."""
-    for first in range(0, len(records), METRICS_CHUNK):
-        chunk = records[first:first + METRICS_CHUNK]
-        needed = [
-            r["mode"] != MissionMode.MAPPING.value
-            or any(ev["type"] == "spawned" for ev in r["events"])
-            for r in chunk
-        ]
-        boxes = iter(_true_boxes_for_frames([r for r, n in zip(chunk, needed) if n], scenario))
-        for record, need in zip(chunk, needed):
-            yield record, next(boxes) if need else None
 
 
 def _match_event_target(record, target_id: int, scenario: Scenario) -> str | None:
@@ -347,31 +339,37 @@ def _match_event_target(record, target_id: int, scenario: Scenario) -> str | Non
     return None
 
 
-def compute_metrics(records: list[dict], scenario: Scenario) -> dict:
-    """Per-stage precision/recall against scenario ground truth.
+class _Scores:
+    """Per-stage precision/recall against scenario ground truth, folded one
+    record at a time. Detection is counted per frame outside the mapping
+    mode; the other stages per lifecycle event over the whole run, credited
+    to a true target when the estimate is within match_dist (a spawn: when
+    its box overlaps the target's by IoU > 0.5)."""
 
-    Returns {stage: {"tp", "fp", "fn", "precision", "recall"}} over STAGES;
-    precision or recall is None when its denominator is 0. Detection is
-    counted per frame outside the mapping mode; the other stages are
-    counted per lifecycle event over the whole run, credited to a true
-    target when the estimate is within match_dist (a spawn: its box
-    overlaps the target's by IoU > 0.5).
-    """
-    margin = scenario.filter.edge_margin_px
-    counts = {stage: [0, 0, 0] for stage in STAGES}  # tp, fp, fn
-    credited = {stage: set() for stage in STAGES[1:]}
+    def __init__(self, scenario: Scenario):
+        self.scenario = scenario
+        self.counts = {stage: [0, 0, 0] for stage in STAGES}  # tp, fp, fn
+        self.credited = {stage: set() for stage in STAGES[1:]}
 
-    for record, true_boxes in _with_true_boxes(records, scenario):
-        if record["mode"] != MissionMode.MAPPING.value:
-            dets = [
-                np.asarray(d["bbox"])
-                for d in record["detections"]
-                if not on_image_edge(np.asarray(d["bbox"]), scenario.camera, margin)
-            ]
+    @staticmethod
+    def reads_truth(record) -> bool:
+        """Whether add reads the record's true boxes: outside the mapping
+        mode it scores detections, and a spawn scores generation."""
+        return record["mode"] != MissionMode.MAPPING or any(
+            ev["type"] == "spawned" for ev in record["events"]
+        )
+
+    def add(self, record: dict, true_boxes: dict | None) -> None:
+        """Score a record against its view's true boxes by target id (None if not reads_truth)."""
+        s, counts = self.scenario, self.counts
+        if record["mode"] != MissionMode.MAPPING:
+            k, margin = s.camera, s.filter.edge_margin_px
+            boxes = (d["bbox"] for d in record["detections"])
+            dets = [b for b in boxes if not on_image_edge(b, k, margin)]
             expected = list(true_boxes.values())
             tp = 0
             if dets and expected:
-                m = np.array([[iou(d, e) for e in expected] for d in dets])
+                m = iou_matrix(dets, expected)
                 pairs, _, _ = hungarian_assign(m, maximize=True)
                 tp = sum(1 for di, ei in pairs if m[di, ei] > DETECTION_IOU_MIN)
             counts["detection"][0] += tp
@@ -380,32 +378,50 @@ def compute_metrics(records: list[dict], scenario: Scenario) -> dict:
 
         for ev in record["events"]:
             stage = "generation" if ev["type"] == "spawned" else ev["type"]
-            if stage not in credited:
+            if stage not in self.credited:
                 continue
             if stage == "generation":
-                bbox = np.asarray(ev["bbox"])
-                scores = {tid: iou(bbox, tb) for tid, tb in true_boxes.items()}
+                scores = {tid: iou(ev["bbox"], tb) for tid, tb in true_boxes.items()}
                 match = max(scores, key=scores.get, default=None)
                 if match is not None and scores[match] <= DETECTION_IOU_MIN:
                     match = None
             else:
-                match = _match_event_target(record, ev["target"], scenario)
+                match = _match_event_target(record, ev["target"], s)
             if match is None:
                 counts[stage][1] += 1
             else:
                 counts[stage][0] += 1
-                credited[stage].add(match)
+                self.credited[stage].add(match)
 
-    for stage, ids in credited.items():
-        counts[stage][2] = len(scenario.targets) - len(ids)
-    return {
-        stage: {
-            "tp": tp, "fp": fp, "fn": fn,
-            "precision": tp / (tp + fp) if tp + fp else None,
-            "recall": tp / (tp + fn) if tp + fn else None,
+    def table(self) -> dict:
+        """{stage: {"tp", "fp", "fn", "precision", "recall"}}; a ratio of 0 / 0 is None."""
+        for stage, ids in self.credited.items():
+            self.counts[stage][2] = len(self.scenario.targets) - len(ids)
+        return {
+            stage: {
+                "tp": tp, "fp": fp, "fn": fn,
+                "precision": tp / (tp + fp) if tp + fp else None,
+                "recall": tp / (tp + fn) if tp + fn else None,
+            }
+            for stage, (tp, fp, fn) in self.counts.items()
         }
-        for stage, (tp, fp, fn) in counts.items()
-    }
+
+
+# compute_metrics projects the true targets of this many records at a time
+METRICS_CHUNK = 512
+
+
+def compute_metrics(records: list[dict], scenario: Scenario) -> dict:
+    """The _Scores table of records, each scored against its true boxes as
+    projected from its true pose, METRICS_CHUNK records at a time (replay)."""
+    scores = _Scores(scenario)
+    for first in range(0, len(records), METRICS_CHUNK):
+        chunk = records[first:first + METRICS_CHUNK]
+        reads = [_Scores.reads_truth(r) for r in chunk]
+        boxes = iter(_true_boxes_for_frames([r for r, n in zip(chunk, reads) if n], scenario))
+        for record, n in zip(chunk, reads):
+            scores.add(record, next(boxes) if n else None)
+    return scores.table()
 
 
 # -- simulation loop ---------------------------------------------------------
@@ -497,9 +513,9 @@ def run(scenario: Scenario, out_dir=None) -> RunResult:
     est = uav.position
 
     dt = 1.0 / scenario.frame_rate
-    max_frames = int(np.ceil(scenario.max_sim_time / dt))
     all_true_ids = {t.id for t in scenario.targets}
     target_entries = _TargetEntries()
+    scores = _Scores(scenario)
     records: list[dict] = []
     completed = False
     frame = 0
@@ -517,7 +533,7 @@ def run(scenario: Scenario, out_dir=None) -> RunResult:
     )
 
     try:
-        frames = zip(range(1, max_frames + 1), _true_frames(scenario, mission, uav))
+        frames = zip(range(1, scenario.max_frames + 1), _true_frames(scenario, mission, uav))
         for frame, (uav, reached, true_boxes, visible, rotation) in frames:
             t = frame * dt
             events: list = []
@@ -538,6 +554,7 @@ def run(scenario: Scenario, out_dir=None) -> RunResult:
             targets, texts = target_entries.update(flt.targets)
             record = _make_record(t, frame, uav, est, detections, boxes, targets, mission, events)
             records.append(record)
+            scores.add(record, _true_boxes_by_id(scenario, true_boxes, visible))
             if trace_fh is not None:
                 trace_fh.write(_frame_line(record, texts) + "\n")
 
@@ -550,31 +567,17 @@ def run(scenario: Scenario, out_dir=None) -> RunResult:
                 "run %s incomplete after %.1fs: mapped %s",
                 scenario.name, sim_time, sorted(mission.mapped_true_ids),
             )
-        metrics = compute_metrics(records, scenario)
-        result = RunResult(
-            completed=completed,
-            frames=frame,
-            sim_time=sim_time,
-            metrics=metrics,
-            records=records,
-            mapped_true_ids=set(mission.mapped_true_ids),
-            trace_path=trace_path,
-        )
+        summary = {  # the result less its records and trace path
+            "completed": completed,
+            "frames": frame,
+            "sim_time": sim_time,
+            "mapped_true_ids": sorted(mission.mapped_true_ids),
+            "metrics": scores.table(),
+        }
         if trace_fh is not None:
-            trace_fh.write(
-                _json_line(
-                    {
-                        "type": "summary",
-                        "completed": completed,
-                        "frames": frame,
-                        "sim_time": sim_time,
-                        "mapped_true_ids": sorted(result.mapped_true_ids),
-                        "metrics": metrics,
-                    }
-                )
-                + "\n"
-            )
-        return result
+            trace_fh.write(_json_line({"type": "summary", **summary}) + "\n")
+        mapped = {"mapped_true_ids": set(mission.mapped_true_ids)}
+        return RunResult(**{**summary, **mapped}, records=records, trace_path=trace_path)
     finally:
         if trace_fh is not None:
             trace_fh.close()
@@ -582,13 +585,20 @@ def run(scenario: Scenario, out_dir=None) -> RunResult:
 
 def _check_record(record: dict) -> dict:
     """record, once the fields that scoring reads are as run writes them: the
-    true yaw and position and each detection's and spawn's box hold only
-    numbers, as many as run writes, and the mode is a mission mode."""
+    true yaw and position, each detection's and spawn's box and the mean of
+    each target entry that a converging, converged or mapped event names
+    hold only numbers, as many as run writes, and the mode is a mission mode."""
     true = record["uav"]["true"]
     _coordinates([true["yaw"], *true["position"]], "the true yaw and position", 4)
-    spawns = [ev for ev in record["events"] if ev["type"] == "spawned"]
-    for item in record["detections"] + spawns:
-        _coordinates(item["bbox"], "bbox", 4)
+    for detection in record["detections"]:
+        _coordinates(detection["bbox"], "bbox", 4)
+    for ev in record["events"]:
+        if ev["type"] == "spawned":
+            _coordinates(ev["bbox"], "bbox", 4)
+        elif ev["type"] in STAGES[2:]:  # scored by the named target's mean
+            for entry in record["targets"]:
+                if entry["id"] == ev["target"]:
+                    _coordinates(entry["mean"], "mean", 3)
     MissionMode(record["mode"])
     return record
 

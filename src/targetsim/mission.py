@@ -170,12 +170,11 @@ class MissionExecutive:
         return self._cursor
 
     def idle(self) -> bool:
-        """True when search is exhausted and nothing is pending or alive."""
+        """True when search is exhausted and every live target is mapped; the
+        converged queue is then empty, as each id in it names a live target."""
         return (
             self.mode is MissionMode.SEARCH
             and self.search_cursor >= len(self.search_waypoints)
-            # never stale: tick keeps converged targets, and ids are popped before deregistering
-            and not self.converged_queue
             and all(t.state is TargetState.MAPPED for t in self.filter.targets)
         )
 

@@ -30,6 +30,11 @@ def iou(a, b) -> float:
     return float(inter / union)
 
 
+def iou_matrix(rows, cols) -> np.ndarray:
+    """The IoU of each box in rows with each in cols, (len(rows), len(cols)) even if empty."""
+    return np.array([[iou(r, c) for c in cols] for r in rows]).reshape(len(rows), len(cols))
+
+
 def hungarian_assign(cost: np.ndarray, maximize: bool = False):
     """Optimal one-to-one assignment.
 
@@ -157,14 +162,12 @@ class BoxTracker:
 
         det_boxes = [d.bbox for d in detections]
         track_boxes = [t.kf.bbox() for t in self._tracks]  # each predicted box once
-        iou_matrix = np.array(
-            [[iou(db, tb) for tb in track_boxes] for db in det_boxes]
-        ).reshape(len(det_boxes), len(track_boxes))  # (0, n) or (m, 0) when one side is empty
-        pairs, unmatched_dets, _ = hungarian_assign(iou_matrix, maximize=True)
+        ious = iou_matrix(det_boxes, track_boxes)
+        pairs, unmatched_dets, _ = hungarian_assign(ious, maximize=True)
 
         matched_track_idx = set()
         for d_idx, t_idx in pairs:
-            if iou_matrix[d_idx, t_idx] < cfg.iou_min:
+            if ious[d_idx, t_idx] < cfg.iou_min:
                 unmatched_dets.append(d_idx)
                 continue
             track = self._tracks[t_idx]

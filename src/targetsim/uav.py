@@ -34,6 +34,8 @@ class UavConfig:
     def __post_init__(self):
         if min(self.v_max, self.a_max, self.yaw_rate_max, self.dt) <= 0:
             raise ValueError("kinematic limits and dt must be positive")
+        if not np.isfinite((self.a_max * self.dt) * (self.a_max * self.dt)):  # fly squares it
+            raise ValueError(f"a_max * dt {self.a_max * self.dt} is too large to square")
         if self.pose_noise_sigma < 0:
             raise ValueError("pose noise sigma must be >= 0")
         if self.start_position is not None and len(self.start_position) != 3:

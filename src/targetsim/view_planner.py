@@ -87,6 +87,15 @@ def polygon_contains(polygon, point) -> bool:
     return span is not None and bool(span[0] <= x <= span[1])
 
 
+def lane_count(polygon, lane_spacing: float) -> int:
+    """The lawnmower's lane count over polygon: one lane across the middle
+    of a polygon whose y extent is below lane_spacing, else
+    ceil(extent / lane_spacing) + 1 lanes from its lowest to its highest y."""
+    ys = np.asarray(polygon, dtype=float).reshape(-1, 2)[:, 1]
+    extent = ys.max() - ys.min()
+    return 1 if extent < lane_spacing else int(np.ceil(extent / lane_spacing)) + 1
+
+
 def lawnmower(polygon, lane_spacing: float, altitude: float) -> list[Waypoint]:
     """Serpentine lanes over a convex polygon at a fixed altitude.
 
@@ -95,11 +104,10 @@ def lawnmower(polygon, lane_spacing: float, altitude: float) -> list[Waypoint]:
     """
     poly = np.asarray(polygon, dtype=float).reshape(-1, 2)
     y_min, y_max = poly[:, 1].min(), poly[:, 1].max()
-    extent = y_max - y_min
-    if extent < lane_spacing:
+    n_lanes = lane_count(poly, lane_spacing)
+    if n_lanes == 1:
         lane_ys = np.array([(y_min + y_max) / 2.0])
     else:
-        n_lanes = int(np.ceil(extent / lane_spacing)) + 1
         lane_ys = np.linspace(y_min, y_max, n_lanes)
 
     waypoints: list[Waypoint] = []

@@ -114,6 +114,13 @@ def bad_scenario_texts() -> dict[str, str]:
         "zero_lane_spacing": json.dumps(with_leaf(("planner", "lane_spacing"), 0)),
         "negative_lane_spacing": json.dumps(with_leaf(("planner", "lane_spacing"), -5)),
         "zero_waypoint_spacing": json.dumps(with_leaf(("planner", "waypoint_spacing"), 0)),
+        # each ran into an error in run: 6e301 or 5e298 lanes for
+        # numpy.linspace, a squared a_max * dt in fly and max_sim_time / dt
+        # as a frame count
+        "tiny_lane_spacing": json.dumps(with_leaf(("planner", "lane_spacing"), 1e-300)),
+        "huge_polygon_y": json.dumps(with_leaf(("planner", "survey_polygon", 2, 1), 1e300)),
+        "huge_a_max": json.dumps(with_leaf(("uav", "a_max"), 1e300)),
+        "huge_max_sim_time": json.dumps(with_leaf(("max_sim_time",), 1e308)),
         # the vehicle would move 5 frames' time per frame
         "uav_dt_apart_from_frame_rate": json.dumps(with_leaf(("uav", "dt"), 0.5)),
         # nesting too deep for the decoder raised RecursionError
@@ -609,11 +616,15 @@ class TestCli:
             ),
             set_in_record("events", value=[{"type": "spawned", "target": 1, "bbox": [0.0] * 5}]),
             set_in_record("mode", value="bogus"),
+            # the mean of the target entry that a converged event names
+            lambda frame: set_in_record("events", value=[{"type": "converged", "target": 1}])(
+                set_in_record("targets", value=[{"id": 1, "mean": [True, True, True]}])(frame)
+            ),
         ],
         ids=[
             "empty_record", "string_yaw", "array_line", "unknown_type", "second_header",
             "numeric_string_yaw", "bool_yaw", "string_position", "five_number_bbox",
-            "five_number_spawn_bbox", "unknown_mode",
+            "five_number_spawn_bbox", "unknown_mode", "bool_mean",
         ],
     )
     def test_replay_malformed_trace_exit_2(self, tmp_path, capsys, edit):
@@ -652,13 +663,15 @@ class TestCli:
 
 def test_two_checked_poses_per_flight_block(monkeypatch):
     # the run builds one world-from-camera stack and its inverse per flight
-    # block, and compute_metrics one of each per METRICS_CHUNK records, each
-    # in one _true_views call; every Pose runs check_rotations
+    # block, in one _true_views call, and scores each frame with its block's
+    # row, so no _true_views call comes after the last frame's record; every
+    # Pose runs check_rotations
     path = Path(__file__).resolve().parents[1] / "scenarios" / "nominal_single_target.json"
     data = json.loads(path.read_text())
     data["max_sim_time"] = 100.0  # 1,000 frames: the first spawn and its keyframe updates
     s = scenario_from_dict(data)
-    counts = {"poses": 0, "checks": 0, "views": 0, "metrics": 0}
+    counts = {"poses": 0, "checks": 0, "records": 0, "metrics": 0}
+    records_before_views = []  # per _true_views call, the records made before it
 
     def counted(original, key):
         def wrapper(*args, **kwargs):
@@ -666,20 +679,26 @@ def test_two_checked_poses_per_flight_block(monkeypatch):
             return original(*args, **kwargs)
         return wrapper
 
+    true_views = harness._true_views
+
+    def views(*args):
+        records_before_views.append(counts["records"])
+        return true_views(*args)
+
     monkeypatch.setattr(geometry.Pose, "__init__", counted(geometry.Pose.__init__, "poses"))
     monkeypatch.setattr(geometry, "check_rotations", counted(geometry.check_rotations, "checks"))
-    monkeypatch.setattr(harness, "_true_views", counted(harness._true_views, "views"))
+    monkeypatch.setattr(harness, "_true_views", views)
+    monkeypatch.setattr(harness, "_make_record", counted(harness._make_record, "records"))
     monkeypatch.setattr(
         harness, "_true_boxes_for_frames", counted(harness._true_boxes_for_frames, "metrics")
     )
     result = run(s)
     events = [ev["type"] for r in result.records for ev in r["events"]]
-    assert result.frames == 1000 and "spawned" in events and "converging" in events
-    chunks = -(-result.frames // harness.METRICS_CHUNK)
-    blocks = counts["views"] - counts["metrics"]
-    assert counts["metrics"] == chunks
-    assert counts["poses"] == 2 * counts["views"] == 2 * blocks + 2 * chunks
-    assert counts["checks"] == counts["poses"]
+    assert result.frames == counts["records"] == 1000
+    assert "spawned" in events and "converging" in events
+    blocks = len(records_before_views)
+    assert counts["metrics"] == 0 and max(records_before_views) < result.frames
+    assert counts["poses"] == 2 * blocks and counts["checks"] == counts["poses"]
     assert -(-result.frames // harness.FLIGHT_BLOCK) <= blocks <= result.frames // 20
 
 
@@ -841,6 +860,48 @@ def smoke_clutter() -> Scenario:
     data["tracker"]["min_hits"] = 1
     data["filter"]["m"] = 400
     return scenario_from_dict(data)
+
+
+def queue_scenario() -> Scenario:
+    """The nominal scenario at seed 0 with three targets 8-14 m apart under
+    clutter, which converge while the vehicle orbits another and wait in the
+    mission's queues (its records are pinned in tests/test_acceptance.py)."""
+    data = json.loads(NOMINAL.read_text())
+    data["seed"] = 0
+    data["world"]["targets"] = [
+        {"id": target_id, "center": center, "semi_axes": [1.0, 1.0, 1.0], "n_surface": 400}
+        for target_id, center in (
+            ("a", [20.0, 28.0, 1.0]), ("b", [28.0, 28.0, 1.0]), ("c", [40.0, 36.0, 1.0])
+        )
+    ]
+    data["detector"].update(fp_rate=0.2, fn_rate=0.1, pixel_noise_sigma=0.5)
+    data["filter"]["m"] = 400
+    return scenario_from_dict(data)
+
+
+@pytest.mark.parametrize("which", ["nominal", "queue"])
+def test_scored_true_boxes_equal_the_replay_projection(monkeypatch, which):
+    # the run scores each frame with its flight block's row of true boxes;
+    # replay-metrics projects them again from each record's true pose
+    if which == "nominal":
+        s = scenario_from_dict(json.loads(NOMINAL.read_text()))
+    else:
+        s = queue_scenario()
+    scored = []
+    add = harness._Scores.add
+
+    def spied(self, record, true_boxes):
+        scored.append(true_boxes)
+        return add(self, record, true_boxes)
+
+    monkeypatch.setattr(harness._Scores, "add", spied)
+    result = run(s)
+    projected = harness._true_boxes_for_frames(result.records, s)
+    assert len(scored) == len(projected) == result.frames
+    assert sum(map(len, projected)) > 100
+    for got, want in zip(scored, projected):
+        assert got.keys() == want.keys()
+        assert all(np.array_equal(got[tid], want[tid]) for tid in want)
 
 
 @pytest.fixture(scope="module")
