@@ -12,7 +12,9 @@ chunks' worth. The frame line is one frame's record and trace line with
 three live targets that did not change since the last frame. The flight
 block is one block of survey5's lawnmower (kinematics, camera poses and
 cull), from its fifth waypoint along a lane that sees one target in over
-half its views.
+half its views. The tracker's busy frames are a fixed 32-frame sequence
+with survey5's mix of (detections, tracks) per frame: mostly (1, 1) and
+(0, 1), then (1, 2), (1, 0) and (0, 2).
 """
 
 import itertools
@@ -35,7 +37,7 @@ from targetsim.points_filter import (
     projection_count_costs,
     update_points,
 )
-from targetsim.tracker import TrackedBox, hungarian_assign
+from targetsim.tracker import BoxTracker, TrackedBox, TrackerConfig, hungarian_assign
 from targetsim.uav import UavState, camera_pose
 from targetsim.view_planner import lawnmower
 
@@ -127,6 +129,36 @@ def test_projection_count_costs(benchmark, clouds):
 def test_hungarian_assign(benchmark, clouds):
     costs = projection_count_costs(BOXES, clouds, *VIEW, K)
     benchmark(hungarian_assign, costs, maximize=True)
+
+
+def tracker_frames() -> list[list[Detection]]:
+    """A true box A drifting 1 px a frame under 0.5 px noise, detected in 19
+    of 32 frames, and one false box B that spawns a track which then dies."""
+    rng = np.random.default_rng(3)
+    a_seen = "A" + "A_AA_A_AA_A_A_A_" + "B" + "AA_AA" + "AAA" + "_____" + "A"
+    frames = []
+    for i, seen in enumerate(a_seen):
+        a = np.array([300.0 + i, 220.0, 334.0 + i, 254.0]) + rng.normal(0.0, 0.5, 4)
+        b = np.array([500.0, 60.0, 560.0, 100.0])
+        frames.append({"A": [Detection(a, 1.0)], "B": [Detection(b, 0.7)], "_": []}[seen])
+    return frames
+
+
+def busy_frames(frames) -> list[tuple[int, int]]:
+    """Step a new tracker with survey5's settings through frames; returns
+    each frame's (detections, tracks before the step)."""
+    tracker = BoxTracker(TrackerConfig(min_hits=3, max_misses=5, iou_min=0.3))
+    kinds = []
+    for detections in frames:
+        kinds.append((len(detections), tracker.track_count))
+        tracker.step(detections)
+    return kinds
+
+
+def test_tracker_busy_frames(benchmark):
+    kinds = benchmark(busy_frames, tracker_frames())
+    mix = {kind: kinds.count(kind) for kind in set(kinds)}
+    assert mix == {(1, 1): 13, (0, 1): 12, (1, 2): 4, (1, 0): 2, (0, 2): 1}
 
 
 def frame_line(entries, targets, uav, mission):

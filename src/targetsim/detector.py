@@ -186,10 +186,12 @@ def detect(
             continue
         if cfg.pixel_noise_sigma > 0:
             bbox = bbox + rng.normal(0.0, cfg.pixel_noise_sigma, size=4)
-        u_lo, u_hi = sorted((bbox[0], bbox[2]))
-        v_lo, v_hi = sorted((bbox[1], bbox[3]))
-        u_lo, u_hi = np.clip([u_lo, u_hi], 0.0, k.width)
-        v_lo, v_hi = np.clip([v_lo, v_hi], 0.0, k.height)
+        b0, b1, b2, b3 = bbox.tolist()
+        u_lo, u_hi = sorted((b0, b2))
+        v_lo, v_hi = sorted((b1, b3))
+        # clipped as np.clip does: max(0.0, x) keeps 0.0 for a -0.0
+        u_lo, u_hi = (min(float(k.width), max(0.0, u)) for u in (u_lo, u_hi))
+        v_lo, v_hi = (min(float(k.height), max(0.0, v)) for v in (v_lo, v_hi))
         if u_lo >= u_hi or v_lo >= v_hi:
             continue
         detections.append(Detection(np.array([u_lo, v_lo, u_hi, v_hi]), 1.0))

@@ -6,6 +6,7 @@ z-up. Pixel coordinates are continuous; u grows right, v grows down.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,9 +56,11 @@ def transform_rows(rotation: np.ndarray, translation: np.ndarray, points: np.nda
     """rotation @ points.T + translation as (..., 3, n) rows, for points
     (n, 3): the one place the rigid transform is computed. The translation
     is added along contiguous rows, which costs less than broadcasting it
-    over an inner axis of length 3."""
+    over an inner axis of length 3, and one row at a time, which costs less
+    than broadcasting a (..., 3, 1) column over the rows."""
     rows = rotation @ points.T
-    rows += translation[..., None]
+    for i in range(3):
+        rows[..., i, :] += translation[..., i, None]
     return rows
 
 
@@ -66,7 +69,17 @@ def transform_points(rotation: np.ndarray, translation: np.ndarray, points: np.n
     of F transforms, (F, 3, 3) and (F, 3), gives (F, n, 3). The result is
     C-ordered: numpy's pairwise sums depend on the memory layout, and a
     cloud's summary is a sum over its points."""
-    return np.ascontiguousarray(transform_rows(rotation, translation, points).swapaxes(-1, -2))
+    rows = transform_rows(rotation, translation, points)
+    out = np.empty(rows.shape[:-2] + rows.shape[-1:] + (3,))
+    for i in range(3):  # three column copies cost less than one transposed copy
+        out[..., i] = rows[..., i, :]
+    return out
+
+
+def norm(v: np.ndarray) -> float:
+    """np.linalg.norm of a vector without its overhead: that too is the
+    square root of v.dot(v). math.hypot rounds apart from it."""
+    return math.sqrt(v.dot(v))
 
 
 def invert(rotation: np.ndarray, translation: np.ndarray):
@@ -114,20 +127,35 @@ class Pose:
         return Pose(*invert(self.rotation, self.translation))
 
 
+def project_rows(
+    points: np.ndarray, rotation: np.ndarray, translation: np.ndarray, k: CameraIntrinsics
+):
+    """The pinhole projection of points (n, 3) through the cam-from-world
+    transform (rotation, translation), without behind-camera checks: the
+    one place it is computed. Returns the rows (u, v, depths), each (n,)
+    and u and v contiguous; a stack of F transforms gives (F, n) rows.
+    Pixels of non-positive-depth points are garbage and come from a
+    division by zero, so the caller holds an errstate that ignores divide
+    and invalid, and masks on depth."""
+    pc = transform_rows(rotation, translation, np.asarray(points, dtype=float).reshape(-1, 3))
+    x, y, depths = pc[..., 0, :], pc[..., 1, :], pc[..., 2, :]
+    u = k.fx * x  # k.fx * x / depths + k.cx, divided and shifted in place
+    u /= depths
+    u += k.cx
+    v = k.fy * y
+    v /= depths
+    v += k.cy
+    return u, v, depths
+
+
 def project_points(
     points: np.ndarray, rotation: np.ndarray, translation: np.ndarray, k: CameraIntrinsics
 ):
-    """Batch projection without behind-camera checks, through the
-    cam-from-world transform (rotation, translation).
-
-    Returns (pixels (n, 2), depths (n,)); a stack of F transforms gives
-    (F, n, 2) and (F, n). Pixels of non-positive-depth points are garbage;
-    callers must mask on depth.
-    """
-    pc = transform_rows(rotation, translation, np.asarray(points, dtype=float).reshape(-1, 3))
-    x, y, depths = pc[..., 0, :], pc[..., 1, :], pc[..., 2, :]
+    """project_rows as (pixels (n, 2), depths (n,)); a stack of F transforms
+    gives (F, n, 2) and (F, n). Callers must mask on depth."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        uv = np.empty(depths.shape + (2,))
-        uv[..., 0] = k.fx * x / depths + k.cx
-        uv[..., 1] = k.fy * y / depths + k.cy
+        u, v, depths = project_rows(points, rotation, translation, k)
+    uv = np.empty(depths.shape + (2,))
+    uv[..., 0] = u
+    uv[..., 1] = v
     return uv, np.ascontiguousarray(depths)

@@ -12,6 +12,7 @@ import dataclasses
 import json
 import logging
 import math
+import sys
 import typing
 from dataclasses import dataclass
 from pathlib import Path
@@ -66,6 +67,8 @@ class Scenario:
         lanes = lane_count(self.planner.survey_polygon, self.planner.lane_spacing)
         if lanes > self.max_frames:  # a survey lane takes a frame at least
             raise ValueError(f"{lanes:.3g} survey lanes exceed max_sim_time's frames")
+        if lanes > np.iinfo(np.intp).max // 8:  # lawnmower's linspace of 8-byte lane ys
+            raise ValueError(f"{lanes:.3g} survey lanes exceed numpy's largest array")
 
     @property
     def max_frames(self) -> int:
@@ -108,13 +111,17 @@ def _check_json_types(cls, kwargs: dict) -> None:
 
 
 def _coordinates(values, name: str, n: int | None = None) -> tuple:
-    """A list of numbers (n of them, if given) as floats; a string or a bool is not a number."""
+    """A list of finite numbers (n of them, if given) as floats; a string or
+    a bool is not a number, and NaN, an infinity or an integer too large
+    for a float is not finite."""
     values = tuple(values)
     if n is not None and len(values) != n:
         raise ValueError(f"{name} must hold {n} numbers, got {len(values)}")
     for c in values:
         if isinstance(c, bool) or not isinstance(c, (int, float)):
             raise TypeError(f"{name} must hold numbers, got {type(c).__name__}")
+        if not abs(c) <= sys.float_info.max:  # false for NaN; an int compares exactly
+            raise ValueError(f"{name} must hold finite numbers")
     return tuple(map(float, values))
 
 
@@ -587,7 +594,8 @@ def _check_record(record: dict) -> dict:
     """record, once the fields that scoring reads are as run writes them: the
     true yaw and position, each detection's and spawn's box and the mean of
     each target entry that a converging, converged or mapped event names
-    hold only numbers, as many as run writes, and the mode is a mission mode."""
+    hold only finite numbers, as many as run writes, and the mode is a
+    mission mode."""
     true = record["uav"]["true"]
     _coordinates([true["yaw"], *true["position"]], "the true yaw and position", 4)
     for detection in record["detections"]:

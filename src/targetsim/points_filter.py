@@ -16,7 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, invert, project_points, transform_points
+from .geometry import (
+    CameraIntrinsics, invert, norm, project_points, project_rows, transform_points,
+)
 from .tracker import TrackedBox, hungarian_assign
 
 _DET_FLOOR = 1e-18
@@ -129,6 +131,12 @@ class PointTarget:
         self.points = points
         self.summary = GaussianSummary.from_points(points)
 
+    @property
+    def ages(self) -> bool:
+        """Whether a tick that does not refresh it counts as a miss: it is
+        neither converged nor mapped."""
+        return self.state not in (TargetState.CONVERGED, TargetState.MAPPED)
+
 
 @dataclass(frozen=True)
 class Event:
@@ -175,13 +183,8 @@ def bbox_corners(bbox: np.ndarray) -> np.ndarray:
 
 
 def on_image_edge(bbox: np.ndarray, k: CameraIntrinsics, margin: float) -> bool:
-    b = np.asarray(bbox, dtype=float)
-    return bool(
-        b[0] <= margin
-        or b[1] <= margin
-        or b[2] >= k.width - margin
-        or b[3] >= k.height - margin
-    )
+    u0, v0, u1, v1 = np.asarray(bbox, dtype=float).tolist()
+    return u0 <= margin or v0 <= margin or u1 >= k.width - margin or v1 >= k.height - margin
 
 
 def generate_points(
@@ -257,14 +260,19 @@ def projection_count_costs(
     """cost[i, j] = number of target j's points in front of the camera
     (cam-from-world rotation and translation) projecting inside the closed
     box i."""
-    u_lo, v_lo, u_hi, v_hi = np.reshape(boxes, (-1, 4)).T[..., None]  # each (n_boxes, 1)
+    bounds = [[float(c) for c in box] for box in boxes]  # scalar compares beat broadcasting
     costs = np.zeros((len(boxes), len(targets)))
-    for j, target in enumerate(targets):
-        uv, depths = project_points(target.points, rotation, translation, k)
-        u, v = uv.T.copy()  # contiguous rows compare about twice as fast as columns
-        inside = (depths > 0) & (u >= u_lo) & (u <= u_hi) & (v >= v_lo) & (v <= v_hi)
-        # per row: count_nonzero over an axis goes through a slower sum
-        costs[:, j] = [np.count_nonzero(row) for row in inside]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j, target in enumerate(targets):
+            u, v, depths = project_rows(target.points, rotation, translation, k)
+            front = depths > 0
+            for i, (u_lo, v_lo, u_hi, v_hi) in enumerate(bounds):
+                inside = u >= u_lo  # and-ed in place, without a new mask per term
+                inside &= u <= u_hi
+                inside &= v >= v_lo
+                inside &= v <= v_hi
+                inside &= front
+                costs[i, j] = np.count_nonzero(inside)
     return costs
 
 
@@ -299,9 +307,9 @@ def pose_delta(a: tuple, b: tuple) -> tuple[float, float]:
     """(translation distance, rotation angle) between two (rotation,
     translation) transforms."""
     (ra, ta), (rb, tb) = a, b
-    dt = float(np.linalg.norm(ta - tb))
+    dt = norm(ta - tb)
     r = ra.T @ rb
-    cos_angle = np.clip((np.trace(r) - 1.0) / 2.0, -1.0, 1.0)
+    cos_angle = min(1.0, max(-1.0, (np.trace(r) - 1.0) / 2.0))  # np.clip's order
     return dt, float(np.arccos(cos_angle))
 
 
@@ -335,7 +343,8 @@ def update_points(
         | (uv[:, 1] > k.height)
     )
     weights[off_image] = 0.0
-    return perturbed[systematic_resample(weights, rng)]
+    # take copies the same rows as fancy indexing at about a third of its cost
+    return np.take(perturbed, systematic_resample(weights, rng), axis=0)
 
 
 def check_already_mapped(
@@ -391,16 +400,18 @@ class PointsFilter:
         empty box list behaves as a deregistration-only timer tick. Returns
         (events, ids updated this tick).
         """
+        cfg = self.cfg
+        gated_boxes = [
+            np.asarray(b.bbox, dtype=float)
+            for b in boxes if not on_image_edge(b.bbox, self.k, cfg.edge_margin_px)
+        ]
+        if not gated_boxes and not any(t.ages for t in self.targets):
+            return [], []  # nothing to associate, spawn or age
         world_from_cam = rotation, translation
         cam_from_world = invert(rotation, translation)
-        cfg = self.cfg
         events: list[Event] = []
         updated: list[int] = []
 
-        gated = [
-            b for b in boxes if not on_image_edge(b.bbox, self.k, cfg.edge_margin_px)
-        ]
-        gated_boxes = [np.asarray(b.bbox, dtype=float) for b in gated]
         pairs, unmatched = associate(
             gated_boxes, self.targets, *cam_from_world, self.k, cfg.min_points_in_box
         )
@@ -470,10 +481,7 @@ class PointsFilter:
 
         survivors: list[PointTarget] = []
         for target in self.targets:
-            if target.target_id in refreshed or target.state in (
-                TargetState.CONVERGED,
-                TargetState.MAPPED,
-            ):
+            if target.target_id in refreshed or not target.ages:
                 survivors.append(target)
                 continue
             target.miss_counter += 1

@@ -9,6 +9,7 @@ deleted after `max_misses` consecutive missed frames.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,16 +19,18 @@ from .detector import Detection
 
 
 def iou(a, b) -> float:
-    """Intersection over union of two (u_min, v_min, u_max, v_max) boxes."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    iw = min(a[2], b[2]) - max(a[0], b[0])
-    ih = min(a[3], b[3]) - max(a[1], b[1])
+    """Intersection over union of two (u_min, v_min, u_max, v_max) boxes,
+    in float arithmetic, which rounds as numpy's; NaN for a zero union, as
+    numpy's 0 / 0 (a zero union has a zero intersection)."""
+    a0, a1, a2, a3 = np.asarray(a, dtype=float).tolist()
+    b0, b1, b2, b3 = np.asarray(b, dtype=float).tolist()
+    iw = min(a2, b2) - max(a0, b0)
+    ih = min(a3, b3) - max(a1, b1)
     if iw <= 0 or ih <= 0:
         return 0.0
     inter = iw * ih
-    union = (a[2] - a[0]) * (a[3] - a[1]) + (b[2] - b[0]) * (b[3] - b[1]) - inter
-    return float(inter / union)
+    union = (a2 - a0) * (a3 - a1) + (b2 - b0) * (b3 - b1) - inter
+    return inter / union if union else math.nan
 
 
 def iou_matrix(rows, cols) -> np.ndarray:
@@ -44,6 +47,10 @@ def hungarian_assign(cost: np.ndarray, maximize: bool = False):
     cost = np.atleast_2d(np.asarray(cost, dtype=float))
     if cost.size == 0:
         return [], list(range(cost.shape[0])), list(range(cost.shape[1]))
+    if cost.shape == (1, 1):  # without scipy, which raises on a non-finite cost too
+        if not math.isfinite(cost[0, 0]):
+            raise ValueError(f"cost matrix holds the non-finite entry {cost[0, 0]}")
+        return [(0, 0)], [], []
     rows, cols = (idx.tolist() for idx in linear_sum_assignment(cost, maximize=maximize))
     matched_rows, matched_cols = set(rows), set(cols)
     unmatched_rows = [r for r in range(cost.shape[0]) if r not in matched_rows]
@@ -77,26 +84,27 @@ class TrackedBox:
 
 
 def _bbox_to_z(bbox: np.ndarray) -> np.ndarray:
-    w = bbox[2] - bbox[0]
-    h = bbox[3] - bbox[1]
-    return np.array([bbox[0] + w / 2.0, bbox[1] + h / 2.0, w * h, w / h])
+    u0, v0, u1, v1 = bbox.tolist()  # float arithmetic rounds as numpy's and costs less
+    w = u1 - u0
+    h = v1 - v0
+    return np.array([u0 + w / 2.0, v0 + h / 2.0, w * h, w / h])
 
 
 def _x_to_bbox(x: np.ndarray) -> np.ndarray:
-    s = max(x[2], 1e-9)
-    r = max(x[3], 1e-9)
-    w = np.sqrt(s * r)
+    u, v, s, r = x[:4].tolist()
+    s = max(s, 1e-9)
+    r = max(r, 1e-9)
+    w = math.sqrt(s * r)
     h = s / w
-    return np.array([x[0] - w / 2.0, x[1] - h / 2.0, x[0] + w / 2.0, x[1] + h / 2.0])
+    return np.array([u - w / 2.0, v - h / 2.0, u + w / 2.0, v + h / 2.0])
 
 
 class _KalmanBoxState:
-    """Constant-velocity filter over (u, v, s, r, du, dv, ds)."""
-
-    F = np.eye(7)
-    F[0, 4] = F[1, 5] = F[2, 6] = 1.0
-    H = np.zeros((4, 7))
-    H[:4, :4] = np.eye(4)
+    """Constant-velocity filter over (u, v, s, r, du, dv, ds), measured in
+    (u, v, s, r). The transition F adds each velocity to its position and the
+    measurement H reads the first four entries; both are written out as
+    slices, since each product with them sums at most two non-zero terms
+    and so rounds as the slice arithmetic does."""
 
     def __init__(self, bbox: np.ndarray, cfg: TrackerConfig):
         self.x = np.zeros(7)
@@ -108,18 +116,25 @@ class _KalmanBoxState:
         self.R = cfg.measurement_noise_scale * np.diag([1.0, 1.0, 10.0, 10.0])
 
     def predict(self):
-        if self.x[2] + self.x[6] <= 0:  # keep predicted area positive
-            self.x[6] = 0.0
-        self.x = self.F @ self.x
-        self.P = self.F @ self.P @ self.F.T + self.Q
+        """x = F x and P = F P F^T + Q."""
+        x, p = self.x, self.P
+        if x[2] + x[6] <= 0:  # keep predicted area positive
+            x[6] = 0.0
+        x[:3] += x[4:]
+        p[:3] += p[4:]  # F P
+        p[:, :3] += p[:, 4:]  # (F P) F^T
+        p += self.Q
 
     def update(self, bbox: np.ndarray):
-        z = _bbox_to_z(bbox)
-        y = z - self.H @ self.x
-        s = self.H @ self.P @ self.H.T + self.R
-        k = self.P @ self.H.T @ np.linalg.inv(s)
+        """The Kalman update with z = H x: H P H^T is P[:4, :4], and P H^T is
+        P[:, :4] copied into a (7, 4) array of its own, so that its product
+        with the inverse is the same BLAS call on the same layout."""
+        y = _bbox_to_z(bbox) - self.x[:4]
+        k = self.P[:, :4].copy() @ np.linalg.inv(self.P[:4, :4] + self.R)
         self.x = self.x + k @ y
-        self.P = (np.eye(7) - k @ self.H) @ self.P
+        i_kh = np.eye(7)
+        i_kh[:, :4] -= k
+        self.P = i_kh @ self.P
 
     def bbox(self) -> np.ndarray:
         return _x_to_bbox(self.x)
@@ -156,6 +171,8 @@ class BoxTracker:
 
     def step(self, detections: list[Detection]) -> list[TrackedBox]:
         """Predict, associate, update; returns registered tracks only."""
+        if not detections and not self._tracks:
+            return []  # an idle frame: nothing to predict, match or spawn
         cfg = self.cfg
         for track in self._tracks:
             track.kf.predict()

@@ -11,11 +11,12 @@ camera hangs from the body on a fixed downward-pitched mount.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Pose, yaw_rotation
+from .geometry import Pose, norm, yaw_rotation
 from .view_planner import Waypoint
 
 REACH_DIST = 0.2  # meters
@@ -63,15 +64,15 @@ def fly(state: UavState, target: Waypoint, cfg: UavConfig) -> UavState:
     """The true state one dt later, flown toward the waypoint. It draws
     nothing, so a flight depends only on its start and its waypoints."""
     to_target = target.position - state.position
-    dist = float(np.linalg.norm(to_target))
-    speed_prev = float(np.linalg.norm(state.velocity))
+    dist = norm(to_target)
+    speed_prev = norm(state.velocity)
     if dist > 1e-12:
         direction = to_target / dist
         # braking speed solved implicitly so that after the trapezoidal
         # step the state still sits on the a_max stopping curve
         a, dt = cfg.a_max, cfg.dt
         disc = (a * dt) ** 2 - 4.0 * (a * speed_prev * dt - 2.0 * a * dist)
-        braking = max(0.0, (-a * dt + np.sqrt(max(0.0, disc))) / 2.0)
+        braking = max(0.0, (-a * dt + math.sqrt(max(0.0, disc))) / 2.0)
         speed = min(cfg.v_max, speed_prev + a * dt, braking)
         move = 0.5 * (speed_prev + speed) * dt  # trapezoidal integration
         if move >= dist - 1e-12:  # final step: land on the waypoint
@@ -86,7 +87,7 @@ def fly(state: UavState, target: Waypoint, cfg: UavConfig) -> UavState:
 
     dyaw = wrap_angle(target.yaw - state.yaw)
     max_step = cfg.yaw_rate_max * cfg.dt
-    yaw = wrap_angle(state.yaw + np.clip(dyaw, -max_step, max_step))
+    yaw = wrap_angle(state.yaw + min(max_step, max(-max_step, dyaw)))
     return UavState(position=position, yaw=yaw, velocity=velocity)
 
 
@@ -102,7 +103,7 @@ def step(position: np.ndarray, cfg: UavConfig, rng: np.random.Generator) -> np.n
 
 def waypoint_reached(state: UavState, target: Waypoint) -> bool:
     return (
-        float(np.linalg.norm(target.position - state.position)) <= REACH_DIST
+        norm(target.position - state.position) <= REACH_DIST
         and abs(wrap_angle(target.yaw - state.yaw)) <= REACH_YAW
     )
 

@@ -121,6 +121,10 @@ def bad_scenario_texts() -> dict[str, str]:
         "huge_polygon_y": json.dumps(with_leaf(("planner", "survey_polygon", 2, 1), 1e300)),
         "huge_a_max": json.dumps(with_leaf(("uav", "a_max"), 1e300)),
         "huge_max_sim_time": json.dumps(with_leaf(("max_sim_time",), 1e308)),
+        # 1e292 lanes, within max_sim_time's frames but too many for numpy.linspace
+        "lanes_past_array_size": json.dumps(
+            {**with_leaf(("planner", "lane_spacing"), 1e-290), "max_sim_time": 1e300}
+        ),
         # the vehicle would move 5 frames' time per frame
         "uav_dt_apart_from_frame_rate": json.dumps(with_leaf(("uav", "dt"), 0.5)),
         # nesting too deep for the decoder raised RecursionError
@@ -620,11 +624,29 @@ class TestCli:
             lambda frame: set_in_record("events", value=[{"type": "converged", "target": 1}])(
                 set_in_record("targets", value=[{"id": 1, "mean": [True, True, True]}])(frame)
             ),
+            # non-finite numbers where scoring reads them, in read_trace: a
+            # NaN box was once scored on a frame with no true box
+            set_in_record(
+                "detections", value=[{"bbox": [float("nan"), 220.0, 340.0, 260.0], "score": 1.0}]
+            ),
+            set_in_record("uav", "true", "position", value=[10.0, float("-inf"), 30.0]),
+            set_in_record(
+                "events",
+                value=[{"type": "spawned", "target": 1, "bbox": [0.0, 0.0, float("nan"), 1.0]}],
+            ),
+            lambda frame: set_in_record("events", value=[{"type": "mapped", "target": 1}])(
+                set_in_record("targets", value=[{"id": 1, "mean": [float("nan"), 28.0, 1.0]}])(
+                    frame
+                )
+            ),
+            # an integer too large for a float
+            set_in_record("uav", "true", "yaw", value=10**400),
         ],
         ids=[
             "empty_record", "string_yaw", "array_line", "unknown_type", "second_header",
             "numeric_string_yaw", "bool_yaw", "string_position", "five_number_bbox",
-            "five_number_spawn_bbox", "unknown_mode", "bool_mean",
+            "five_number_spawn_bbox", "unknown_mode", "bool_mean", "nan_bbox",
+            "infinite_position", "nan_spawn_bbox", "nan_mean", "huge_int_yaw",
         ],
     )
     def test_replay_malformed_trace_exit_2(self, tmp_path, capsys, edit):

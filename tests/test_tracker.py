@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from targetsim.detector import Detection
 from targetsim.tracker import BoxTracker, TrackerConfig, hungarian_assign, iou
@@ -81,6 +82,38 @@ class TestHungarian:
         cost = np.zeros((2, 5))
         pairs, ur, uc = hungarian_assign(cost)
         assert len(pairs) == 2 and ur == [] and len(uc) == 3
+
+    @given(
+        st.one_of(
+            st.just((1, 1)),
+            st.integers(0, 6).map(lambda n: (1, n)),
+            st.integers(0, 6).map(lambda n: (n, 1)),
+            st.integers(0, 3).map(lambda n: (n, 0)),
+        ),
+        st.booleans(),
+        st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_small_shapes_match_scipy(self, shape, maximize, data):
+        # 1x1 and empty inputs take a path of their own without scipy
+        values = data.draw(
+            st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                     min_size=shape[0] * shape[1], max_size=shape[0] * shape[1])
+        )
+        cost = np.array(values, dtype=float).reshape(shape)
+        rows, cols = (idx.tolist() for idx in linear_sum_assignment(cost, maximize=maximize))
+        pairs, unmatched_rows, unmatched_cols = hungarian_assign(cost, maximize=maximize)
+        assert pairs == list(zip(rows, cols))
+        assert unmatched_rows == [r for r in range(shape[0]) if r not in rows]
+        assert unmatched_cols == [c for c in range(shape[1]) if c not in cols]
+
+    @pytest.mark.parametrize("maximize", [False, True])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_single_cell_raises_as_scipy_does(self, value, maximize):
+        with pytest.raises(ValueError):
+            linear_sum_assignment([[value]], maximize=maximize)
+        with pytest.raises(ValueError):
+            hungarian_assign(np.array([[value]]), maximize=maximize)
 
 
 class TestBoxTracker:
