@@ -12,9 +12,10 @@ chunks' worth. The frame line is one frame's record and trace line with
 three live targets that did not change since the last frame. The flight
 block is one block of survey5's lawnmower (kinematics, camera poses and
 cull), from its fifth waypoint along a lane that sees one target in over
-half its views. The tracker's busy frames are a fixed 32-frame sequence
-with survey5's mix of (detections, tracks) per frame: mostly (1, 1) and
-(0, 1), then (1, 2), (1, 0) and (0, 2).
+half its views. The assignment case solves one matrix of each of
+survey5's shapes: 1x2 to 1x5, 2x1 and 2x2. The tracker's busy frames are
+a fixed 32-frame sequence with survey5's mix of (detections, tracks) per
+frame: mostly (1, 1) and (0, 1), then (1, 2), (1, 0) and (0, 2).
 """
 
 import itertools
@@ -126,9 +127,17 @@ def test_projection_count_costs(benchmark, clouds):
     assert costs.shape == (len(BOXES), len(clouds))
 
 
-def test_hungarian_assign(benchmark, clouds):
-    costs = projection_count_costs(BOXES, clouds, *VIEW, K)
-    benchmark(hungarian_assign, costs, maximize=True)
+def test_hungarian_assign(benchmark):
+    # point counts, a third of them 0, in survey5's shapes
+    rng = np.random.default_rng(4)
+    shapes = [(1, 2), (1, 3), (1, 4), (1, 5), (2, 1), (2, 2)]
+    costs = [rng.integers(1, 400, s) * (rng.random(s) < 0.67) for s in shapes]
+
+    def assign_all():
+        return [hungarian_assign(cost, maximize=True) for cost in costs]
+
+    results = benchmark(assign_all)
+    assert [len(pairs) for pairs, _, _ in results] == [1, 1, 1, 1, 1, 2]
 
 
 def tracker_frames() -> list[list[Detection]]:

@@ -72,8 +72,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_replay_metrics(args) -> int:
-    try:  # a malformed trace fails in either call; ScenarioInvalid is a ValueError
-        scenario, records, _ = read_trace(args.trace)
+    try:  # read_trace checks the header, the fold each record; ScenarioInvalid is a ValueError
+        scenario, records = read_trace(args.trace)
         metrics = compute_metrics(records, scenario)
     except (OSError, LookupError, TypeError, ValueError) as exc:
         print(f"invalid trace: {exc}", file=sys.stderr)

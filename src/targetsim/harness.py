@@ -9,6 +9,7 @@ xyz file per target.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import logging
 import math
@@ -418,12 +419,13 @@ class _Scores:
 METRICS_CHUNK = 512
 
 
-def compute_metrics(records: list[dict], scenario: Scenario) -> dict:
-    """The _Scores table of records, each scored against its true boxes as
-    projected from its true pose, METRICS_CHUNK records at a time (replay)."""
+def compute_metrics(records, scenario: Scenario) -> dict:
+    """The _Scores table of an iterable of records, each scored against its
+    true boxes as projected from its true pose (replay). It takes
+    METRICS_CHUNK records at a time, so a stream is held one chunk at a time."""
     scores = _Scores(scenario)
-    for first in range(0, len(records), METRICS_CHUNK):
-        chunk = records[first:first + METRICS_CHUNK]
+    records = iter(records)
+    while chunk := list(itertools.islice(records, METRICS_CHUNK)):
         reads = [_Scores.reads_truth(r) for r in chunk]
         boxes = iter(_true_boxes_for_frames([r for r, n in zip(chunk, reads) if n], scenario))
         for record, n in zip(chunk, reads):
@@ -611,11 +613,10 @@ def _check_record(record: dict) -> dict:
     return record
 
 
-def read_trace(path):
-    """Parse a trace file back into (scenario, records, summary)."""
+def _trace_lines(path):
+    """Yield a trace's scenario, from its first line, then each frame's
+    checked record as its line is read; the summary footer is skipped."""
     scenario = None
-    records = []
-    summary = None
     with open(path) as fh:
         for n, line in enumerate(fh, 1):
             line = line.strip()
@@ -628,14 +629,22 @@ def read_trace(path):
             if not isinstance(obj, dict):
                 raise ValueError(f"line {n} is not a JSON object")
             kind = obj.get("type")
-            if kind == "frame":
-                records.append(_check_record(obj["record"]))
-            elif kind == "scenario" and scenario is None:
+            if scenario is None:
+                if kind != "scenario":
+                    raise ScenarioInvalid(f"line {n}: a trace starts with its scenario header")
                 scenario = scenario_from_dict(obj["scenario"])
-            elif kind == "summary":
-                summary = obj
-            else:  # a line of unknown type, or a second scenario header
+                yield scenario
+            elif kind == "frame":
+                yield _check_record(obj["record"])
+            elif kind != "summary":  # a line of unknown type, or a second scenario header
                 raise ValueError(f"line {n}: unexpected line of type {kind!r}")
     if scenario is None:
         raise ScenarioInvalid("trace has no scenario header")
-    return scenario, records, summary
+
+
+def read_trace(path):
+    """(scenario, records) of a trace file: the header is parsed now, and
+    records is an iterator that reads, checks and yields one frame's record
+    at a time, raising on the first malformed line when it reaches it."""
+    lines = _trace_lines(path)
+    return next(lines), lines

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .detector import Detection
 
@@ -39,23 +38,82 @@ def iou_matrix(rows, cols) -> np.ndarray:
 
 
 def hungarian_assign(cost: np.ndarray, maximize: bool = False):
-    """Optimal one-to-one assignment.
+    """Optimal one-to-one assignment, the pairs that scipy's
+    linear_sum_assignment returns, ties included: a port of its rectangular
+    shortest augmenting path solver (Crouse 2016, "On implementing 2D
+    rectangular assignment algorithms") to Python floats, which round and
+    compare as its doubles. Raises ValueError on a NaN, on an entry that is
+    -inf once maximize negates the matrix, and on an infeasible matrix.
 
     Returns (pairs, unmatched_rows, unmatched_cols) where pairs is a list
-    of (row, col) tuples.
+    of (row, col) tuples in row order.
     """
-    cost = np.atleast_2d(np.asarray(cost, dtype=float))
-    if cost.size == 0:
-        return [], list(range(cost.shape[0])), list(range(cost.shape[1]))
-    if cost.shape == (1, 1):  # without scipy, which raises on a non-finite cost too
-        if not math.isfinite(cost[0, 0]):
-            raise ValueError(f"cost matrix holds the non-finite entry {cost[0, 0]}")
-        return [(0, 0)], [], []
-    rows, cols = (idx.tolist() for idx in linear_sum_assignment(cost, maximize=maximize))
-    matched_rows, matched_cols = set(rows), set(cols)
-    unmatched_rows = [r for r in range(cost.shape[0]) if r not in matched_rows]
-    unmatched_cols = [c for c in range(cost.shape[1]) if c not in matched_cols]
-    return list(zip(rows, cols)), unmatched_rows, unmatched_cols
+    cost = np.asarray(cost, dtype=float)
+    n_rows, n_cols = cost.shape  # a ValueError unless a matrix, as in scipy
+    transpose = n_cols < n_rows  # solve for the shorter side's rows
+    c = (cost.T if transpose else cost).tolist()
+    if maximize:
+        c = [[-x for x in row] for row in c]
+    nr, nc = (n_cols, n_rows) if transpose else (n_rows, n_cols)
+    if not all(x > -math.inf for row in c for x in row):  # false for NaN and -inf
+        raise ValueError("cost matrix holds NaN or -inf")
+
+    u, v = [0.0] * nr, [0.0] * nc  # the dual variables
+    path, col4row, row4col = [-1] * nc, [-1] * nr, [-1] * nc
+    # columns are scanned from the last, so that a constant matrix gives the identity
+    columns = list(range(nc - 1, -1, -1))
+    for cur_row in range(nr):
+        # the shortest augmenting path from cur_row to an unassigned column
+        shortest = [math.inf] * nc
+        seen_rows, seen_cols = [], []
+        remaining = columns.copy()
+        min_val = 0.0
+        i, sink = cur_row, -1
+        while sink == -1:
+            index, lowest = -1, math.inf
+            seen_rows.append(i)
+            row, u_i = c[i], u[i]
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - u_i - v[j]
+                s_j = shortest[j]
+                if r < s_j:
+                    path[j] = i
+                    shortest[j] = s_j = r
+                # of equal costs, take an unassigned column: a new sink
+                if s_j < lowest or (s_j == lowest and row4col[j] == -1):
+                    lowest = s_j
+                    index = it
+            min_val = lowest
+            if min_val == math.inf:
+                raise ValueError("cost matrix is infeasible")
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            seen_cols.append(j)
+            remaining[index] = remaining[-1]  # the last remaining column takes j's place
+            remaining.pop()
+
+        u[cur_row] += min_val
+        for i in seen_rows[1:]:  # seen_rows[0] is cur_row
+            u[i] += min_val - shortest[col4row[i]]
+        for j in seen_cols:
+            v[j] -= min_val - shortest[j]
+
+        j = sink  # augment the assignment along the path
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+
+    # every solved row is assigned; the columns left are the unmatched ones
+    unassigned = [j for j in range(nc) if row4col[j] == -1]
+    if transpose:
+        return sorted((r, j) for j, r in enumerate(col4row)), unassigned, []
+    return list(enumerate(col4row)), [], unassigned
 
 
 @dataclass(frozen=True)

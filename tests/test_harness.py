@@ -3,6 +3,9 @@
 import copy
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -336,12 +339,14 @@ class TestRun:
         s = scenario()
         result = run(s, out_dir=tmp_path)
         assert result.trace_path is not None and result.trace_path.exists()
-        replay_scenario, replay_records, summary = read_trace(result.trace_path)
-        assert summary["completed"] is True
+        replay_scenario, replay_records = read_trace(result.trace_path)
+        summary = json.loads(result.trace_path.read_text().splitlines()[-1])
+        assert summary["type"] == "summary" and summary["completed"] is True
+        replay_records = list(replay_records)
         assert len(replay_records) == len(result.records)
         # metrics recomputed from the persisted trace equal the online ones
         replay_metrics = compute_metrics(replay_records, replay_scenario)
-        assert replay_metrics == result.metrics
+        assert replay_metrics == result.metrics == summary["metrics"]
         clouds = list(tmp_path.glob("cloud_*.xyz"))
         assert len(clouds) == 1
 
@@ -522,6 +527,33 @@ def test_batched_metrics_equal_per_record_fold(monkeypatch):
     assert compute_metrics(records, s) == metrics
 
 
+def test_compute_metrics_holds_one_chunk_of_a_stream(monkeypatch):
+    # the replay fold pulls at most METRICS_CHUNK records ahead of those it
+    # has scored, so a streamed trace is held one chunk at a time
+    s = scenario()
+    records = run(s).records
+    chunk = harness.METRICS_CHUNK
+    assert len(records) > 2 * chunk
+    table = compute_metrics(records, s)
+    scored, ahead = 0, []
+    add = harness._Scores.add
+
+    def counted_add(self, record, true_boxes):
+        nonlocal scored
+        scored += 1
+        add(self, record, true_boxes)
+
+    def stream():
+        for pulled, record in enumerate(records, 1):
+            ahead.append(pulled - scored)
+            yield record
+
+    monkeypatch.setattr(harness._Scores, "add", counted_add)
+    assert compute_metrics(stream(), s) == table
+    assert scored == len(ahead) == len(records)
+    assert max(ahead) <= chunk
+
+
 class TestWriteCloud:
     def test_fixed_decimal_format(self, tmp_path):
         path = tmp_path / "c.xyz"
@@ -529,6 +561,14 @@ class TestWriteCloud:
         lines = path.read_text().splitlines()
         assert lines[0] == "1.000000 2.500000 -3.250000"
         assert lines[1] == "0.123457 0.000000 9.000000"
+
+
+def on_line(index, edit):
+    """A trace edit (of the list of lines) that applies edit to line index's JSON."""
+    def edit_lines(lines: list[str]) -> list[str]:
+        lines[index] = json.dumps(edit(json.loads(lines[index])))
+        return lines
+    return edit_lines
 
 
 def set_in_record(*keys, value):
@@ -604,59 +644,68 @@ class TestCli:
     @pytest.mark.parametrize(
         "edit",
         [
-            lambda frame: {"type": "frame", "record": {}},  # KeyError in read_trace
-            set_in_record("uav", "true", "yaw", value="north"),  # TypeError in read_trace
-            lambda frame: [frame],  # AttributeError in read_trace
-            lambda frame: {**frame, "type": "frames"},  # an unknown type in read_trace
-            # a second scenario header in read_trace
-            lambda frame: {"type": "scenario", "scenario": scenario_to_dict(scenario(seed=4))},
-            # values that scoring would read as numbers or as a mode other
-            # than mapping, in read_trace
-            set_in_record("uav", "true", "yaw", value="0.5"),
-            set_in_record("uav", "true", "yaw", value=True),
-            set_in_record("uav", "true", "position", value=["1", "2", "3"]),
-            set_in_record(
-                "detections", value=[{"bbox": [300.0, 220.0, 340.0, 260.0, 1.0], "score": 1.0}]
-            ),
-            set_in_record("events", value=[{"type": "spawned", "target": 1, "bbox": [0.0] * 5}]),
-            set_in_record("mode", value="bogus"),
-            # the mean of the target entry that a converged event names
-            lambda frame: set_in_record("events", value=[{"type": "converged", "target": 1}])(
-                set_in_record("targets", value=[{"id": 1, "mean": [True, True, True]}])(frame)
-            ),
-            # non-finite numbers where scoring reads them, in read_trace: a
-            # NaN box was once scored on a frame with no true box
-            set_in_record(
-                "detections", value=[{"bbox": [float("nan"), 220.0, 340.0, 260.0], "score": 1.0}]
-            ),
-            set_in_record("uav", "true", "position", value=[10.0, float("-inf"), 30.0]),
-            set_in_record(
-                "events",
-                value=[{"type": "spawned", "target": 1, "bbox": [0.0, 0.0, float("nan"), 1.0]}],
-            ),
-            lambda frame: set_in_record("events", value=[{"type": "mapped", "target": 1}])(
-                set_in_record("targets", value=[{"id": 1, "mean": [float("nan"), 28.0, 1.0]}])(
-                    frame
-                )
-            ),
-            # an integer too large for a float
-            set_in_record("uav", "true", "yaw", value=10**400),
+            *(on_line(1, edit) for edit in [  # edits of the first frame line
+                lambda frame: {"type": "frame", "record": {}},  # KeyError in read_trace
+                set_in_record("uav", "true", "yaw", value="north"),  # TypeError in read_trace
+                lambda frame: [frame],  # AttributeError in read_trace
+                lambda frame: {**frame, "type": "frames"},  # an unknown type in read_trace
+                # a second scenario header in read_trace
+                lambda frame: {"type": "scenario", "scenario": scenario_to_dict(scenario(seed=4))},
+                # values that scoring would read as numbers or as a mode other
+                # than mapping, in read_trace
+                set_in_record("uav", "true", "yaw", value="0.5"),
+                set_in_record("uav", "true", "yaw", value=True),
+                set_in_record("uav", "true", "position", value=["1", "2", "3"]),
+                set_in_record(
+                    "detections",
+                    value=[{"bbox": [300.0, 220.0, 340.0, 260.0, 1.0], "score": 1.0}],
+                ),
+                set_in_record("events", value=[{"type": "spawned", "target": 1, "bbox": [0.0] * 5}]),
+                set_in_record("mode", value="bogus"),
+                # the mean of the target entry that a converged event names
+                lambda frame: set_in_record("events", value=[{"type": "converged", "target": 1}])(
+                    set_in_record("targets", value=[{"id": 1, "mean": [True, True, True]}])(frame)
+                ),
+                # non-finite numbers where scoring reads them, in read_trace: a
+                # NaN box was once scored on a frame with no true box
+                set_in_record(
+                    "detections",
+                    value=[{"bbox": [float("nan"), 220.0, 340.0, 260.0], "score": 1.0}],
+                ),
+                set_in_record("uav", "true", "position", value=[10.0, float("-inf"), 30.0]),
+                set_in_record(
+                    "events",
+                    value=[{"type": "spawned", "target": 1, "bbox": [0.0, 0.0, float("nan"), 1.0]}],
+                ),
+                lambda frame: set_in_record("events", value=[{"type": "mapped", "target": 1}])(
+                    set_in_record("targets", value=[{"id": 1, "mean": [float("nan"), 28.0, 1.0]}])(
+                        frame
+                    )
+                ),
+                # an integer too large for a float
+                set_in_record("uav", "true", "yaw", value=10**400),
+            ]),
+            lambda lines: [lines[1], lines[0], *lines[2:]],  # a frame line before the header
+            # the last frame line, before the summary footer: no table is
+            # printed until the fold has read every record
+            on_line(-2, set_in_record("mode", value="bogus")),
         ],
         ids=[
             "empty_record", "string_yaw", "array_line", "unknown_type", "second_header",
             "numeric_string_yaw", "bool_yaw", "string_position", "five_number_bbox",
             "five_number_spawn_bbox", "unknown_mode", "bool_mean", "nan_bbox",
             "infinite_position", "nan_spawn_bbox", "nan_mean", "huge_int_yaw",
+            "frame_before_header", "malformed_last_frame",
         ],
     )
     def test_replay_malformed_trace_exit_2(self, tmp_path, capsys, edit):
         run(scenario(max_sim_time=5.0), out_dir=tmp_path)
-        lines = (tmp_path / "trace.jsonl").read_text().splitlines()
-        lines[1] = json.dumps(edit(json.loads(lines[1])))
+        lines = edit((tmp_path / "trace.jsonl").read_text().splitlines())
         (tmp_path / "trace.jsonl").write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         assert cli_main(["replay-metrics", str(tmp_path / "trace.jsonl")]) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
         assert err.startswith("invalid trace: ") and err.count("\n") == 1
 
     def test_replay_deep_nesting_exit_2(self, tmp_path, capsys):
@@ -681,6 +730,19 @@ class TestCli:
         a = (tmp_path / "a" / "trace.jsonl").read_text().splitlines()
         b = (tmp_path / "b" / "trace.jsonl").read_text().splitlines()
         assert a[1] != b[1]  # different seeds diverge from the first frame
+
+
+def test_cli_starts_without_scipy():
+    # assignment is solved in Python, so no CLI process pays scipy's import
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, targetsim.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_two_checked_poses_per_flight_block(monkeypatch):
