@@ -15,7 +15,10 @@ cull), from its fifth waypoint along a lane that sees one target in over
 half its views. The assignment case solves one matrix of each of
 survey5's shapes: 1x2 to 1x5, 2x1 and 2x2. The tracker's busy frames are
 a fixed 32-frame sequence with survey5's mix of (detections, tracks) per
-frame: mostly (1, 1) and (0, 1), then (1, 2), (1, 0) and (0, 2).
+frame: mostly (1, 1) and (0, 1), then (1, 2), (1, 0) and (0, 2). The
+trace replay reads and checks every record of the nominal scenario's
+trace, 1,860 frame lines, 88 % of which repeat the line before's targets
+block.
 """
 
 import itertools
@@ -42,6 +45,7 @@ from targetsim.tracker import BoxTracker, TrackedBox, TrackerConfig, hungarian_a
 from targetsim.uav import UavState, camera_pose
 from targetsim.view_planner import lawnmower
 
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 K = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=480)
 DEPRESSION = np.deg2rad(60.0)
 WORLD_FROM_CAM = camera_pose(0.0, [0.0, 0.0, 30.0], DEPRESSION)
@@ -190,9 +194,7 @@ def test_frame_line(benchmark, clouds):
 
 
 def test_flight_block(benchmark, monkeypatch):
-    scenario = harness.load_scenario(
-        Path(__file__).resolve().parents[1] / "scenarios" / "five_targets_noisy.json"
-    )
+    scenario = harness.load_scenario(SCENARIOS / "five_targets_noisy.json")
     p = scenario.planner
     plan = lawnmower(p.survey_polygon, p.lane_spacing, p.search_altitude)
     start = UavState.at_rest(plan[4].position, plan[4].yaw)
@@ -214,3 +216,17 @@ def test_flight_block(benchmark, monkeypatch):
     assert views == [harness.FLIGHT_BLOCK]
     assert all(boxes.shape == (5, 4) for _, _, boxes, _, _ in block)
     assert sum(visible.sum() for *_, visible, _ in block) > harness.FLIGHT_BLOCK // 2
+
+
+@pytest.fixture(scope="module")
+def nominal_trace(tmp_path_factory):
+    scenario = harness.load_scenario(SCENARIOS / "nominal_single_target.json")
+    return harness.run(scenario, out_dir=tmp_path_factory.mktemp("nominal")).trace_path
+
+
+def test_read_trace(benchmark, nominal_trace):
+    def replay():
+        _, records = harness.read_trace(nominal_trace)
+        return sum(1 for _ in records)
+
+    assert benchmark(replay) == 1860

@@ -613,14 +613,54 @@ def _check_record(record: dict) -> dict:
     return record
 
 
+# A frame line as run writes it, _json_line's sorted keys and no spaces:
+# the text before each record value, and the text after the last one.
+_RECORD_KEYS = ("detections", "events", "frame", "mode", "t", "targets", "tracks", "uav")
+_RECORD_HEADS = tuple(
+    ('{"record":{' if i == 0 else ",") + f'"{key}":' for i, key in enumerate(_RECORD_KEYS)
+)
+_FRAME_TAIL = '},"type":"frame"}'
+_scan = json.decoder.JSONDecoder().scan_once  # json.loads's own value scanner
+
+
+def _frame_record(line: str, block: list):
+    """The record of a frame line in run's own layout, or None for any other
+    text (json.loads then decodes the line). Values are read with json.loads's
+    scanner, except a targets value whose text starts with block[0], the last
+    targets text read: a value read from that text ends with it, and the text
+    after it is checked as after any value, so the value is block[1], which
+    the records before share. block is set to each targets value read."""
+    record, pos = {}, 0
+    for key, head in zip(_RECORD_KEYS, _RECORD_HEADS):
+        if not line.startswith(head, pos):
+            return None
+        pos += len(head)
+        if key == "targets" and block[0] is not None and line.startswith(block[0], pos):
+            record[key], pos = block[1], pos + len(block[0])
+            continue
+        try:
+            record[key], end = _scan(line, pos)
+        except (StopIteration, ValueError, RecursionError):  # no value, or a malformed one
+            return None
+        if key == "targets":
+            block[:] = line[pos:end], record[key]
+        pos = end
+    return record if line[pos:] == _FRAME_TAIL else None
+
+
 def _trace_lines(path):
     """Yield a trace's scenario, from its first line, then each frame's
-    checked record as its line is read; the summary footer is skipped."""
+    checked record as its line is read; the summary footer is skipped. A
+    line in run's layout is read by _frame_record, any other by json.loads."""
     scenario = None
+    block = [None, None]  # the last targets value's text and value
     with open(path) as fh:
         for n, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
+                continue
+            if scenario is not None and (record := _frame_record(line, block)) is not None:
+                yield _check_record(record)
                 continue
             try:
                 obj = json.loads(line)
@@ -645,6 +685,8 @@ def _trace_lines(path):
 def read_trace(path):
     """(scenario, records) of a trace file: the header is parsed now, and
     records is an iterator that reads, checks and yields one frame's record
-    at a time, raising on the first malformed line when it reaches it."""
+    at a time, raising on the first malformed line when it reaches it.
+    Records share each decoded targets block until it changes, so callers
+    must not mutate them."""
     lines = _trace_lines(path)
     return next(lines), lines

@@ -237,8 +237,10 @@ class BoxTracker:
 
         det_boxes = [d.bbox for d in detections]
         track_boxes = [t.kf.bbox() for t in self._tracks]  # each predicted box once
-        ious = iou_matrix(det_boxes, track_boxes)
-        pairs, unmatched_dets, _ = hungarian_assign(ious, maximize=True)
+        pairs, unmatched_dets = [], list(range(len(det_boxes)))
+        if det_boxes and track_boxes:
+            ious = iou_matrix(det_boxes, track_boxes)
+            pairs, unmatched_dets, _ = hungarian_assign(ious, maximize=True)
 
         matched_track_idx = set()
         for d_idx, t_idx in pairs:

@@ -83,9 +83,9 @@ def three_coordinate_polygon() -> dict:
     return data
 
 
-def with_leaf(path, value) -> dict:
-    """A copy of BASE with the value at key path `path` replaced."""
-    data = copy.deepcopy(BASE)
+def with_leaf(path, value, data=BASE) -> dict:
+    """A copy of data with the value at key path `path` replaced."""
+    data = copy.deepcopy(data)
     node = data
     for key in path[:-1]:
         node = node[key]
@@ -564,9 +564,10 @@ class TestWriteCloud:
 
 
 def on_line(index, edit):
-    """A trace edit (of the list of lines) that applies edit to line index's JSON."""
-    def edit_lines(lines: list[str]) -> list[str]:
-        lines[index] = json.dumps(edit(json.loads(lines[index])))
+    """A trace edit (of the list of lines) that applies edit to line index's
+    JSON and writes it back with dumps."""
+    def edit_lines(lines: list[str], dumps) -> list[str]:
+        lines[index] = dumps(edit(json.loads(lines[index])))
         return lines
     return edit_lines
 
@@ -580,6 +581,82 @@ def set_in_record(*keys, value):
         field[keys[-1]] = value
         return frame
     return edit
+
+
+def targets_block(line: str) -> SimpleNamespace:
+    """The text of a run-layout frame line's targets value and where it starts and ends."""
+    start = line.index('"targets":') + len('"targets":')
+    end = line.index(',"tracks":', start)
+    return SimpleNamespace(text=line[start:end], start=start, end=end)
+
+
+def replay_exits_2(trace: Path, lines: list[str], capsys) -> None:
+    """Write lines to trace and require replay-metrics to reject it: exit 2,
+    no table, and one line of error."""
+    trace.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli_main(["replay-metrics", str(trace)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("invalid trace: ") and err.count("\n") == 1
+
+
+# Trace edits that replay must reject with exit 2, each a function of the
+# trace's list of lines and the json.dumps that writes an edited line back.
+MALFORMED_EDITS = [
+    *(on_line(1, edit) for edit in [  # edits of the first frame line
+        lambda frame: {"type": "frame", "record": {}},  # KeyError in read_trace
+        set_in_record("uav", "true", "yaw", value="north"),  # TypeError in read_trace
+        lambda frame: [frame],  # not an object, in read_trace
+        lambda frame: {**frame, "type": "frames"},  # an unknown type in read_trace
+        # a second scenario header in read_trace
+        lambda frame: {"type": "scenario", "scenario": scenario_to_dict(scenario(seed=4))},
+        # values that scoring would read as numbers or as a mode other
+        # than mapping, in read_trace
+        set_in_record("uav", "true", "yaw", value="0.5"),
+        set_in_record("uav", "true", "yaw", value=True),
+        set_in_record("uav", "true", "position", value=["1", "2", "3"]),
+        set_in_record(
+            "detections",
+            value=[{"bbox": [300.0, 220.0, 340.0, 260.0, 1.0], "score": 1.0}],
+        ),
+        set_in_record("events", value=[{"type": "spawned", "target": 1, "bbox": [0.0] * 5}]),
+        set_in_record("mode", value="bogus"),
+        # the mean of the target entry that a converged event names
+        lambda frame: set_in_record("events", value=[{"type": "converged", "target": 1}])(
+            set_in_record("targets", value=[{"id": 1, "mean": [True, True, True]}])(frame)
+        ),
+        # non-finite numbers where scoring reads them, in read_trace: a
+        # NaN box was once scored on a frame with no true box
+        set_in_record(
+            "detections",
+            value=[{"bbox": [float("nan"), 220.0, 340.0, 260.0], "score": 1.0}],
+        ),
+        set_in_record("uav", "true", "position", value=[10.0, float("-inf"), 30.0]),
+        set_in_record(
+            "events",
+            value=[{"type": "spawned", "target": 1, "bbox": [0.0, 0.0, float("nan"), 1.0]}],
+        ),
+        lambda frame: set_in_record("events", value=[{"type": "mapped", "target": 1}])(
+            set_in_record("targets", value=[{"id": 1, "mean": [float("nan"), 28.0, 1.0]}])(
+                frame
+            )
+        ),
+        # an integer too large for a float
+        set_in_record("uav", "true", "yaw", value=10**400),
+    ]),
+    lambda lines, dumps: [lines[1], lines[0], *lines[2:]],  # a frame line before the header
+    # the last frame line, before the summary footer: no table is
+    # printed until the fold has read every record
+    on_line(-2, set_in_record("mode", value="bogus")),
+]
+MALFORMED_IDS = [
+    "empty_record", "string_yaw", "array_line", "unknown_type", "second_header",
+    "numeric_string_yaw", "bool_yaw", "string_position", "five_number_bbox",
+    "five_number_spawn_bbox", "unknown_mode", "bool_mean", "nan_bbox",
+    "infinite_position", "nan_spawn_bbox", "nan_mean", "huge_int_yaw",
+    "frame_before_header", "malformed_last_frame",
+]
 
 
 class TestCli:
@@ -641,72 +718,51 @@ class TestCli:
     def test_replay_missing_file_exit_2(self, tmp_path):
         assert cli_main(["replay-metrics", str(tmp_path / "nope.jsonl")]) == 2
 
+    @pytest.mark.parametrize("edit", MALFORMED_EDITS, ids=MALFORMED_IDS)
+    def test_replay_malformed_trace_exit_2(self, tmp_path, capsys, edit):
+        run(scenario(max_sim_time=5.0), out_dir=tmp_path)
+        lines = edit((tmp_path / "trace.jsonl").read_text().splitlines(), json.dumps)
+        replay_exits_2(tmp_path / "trace.jsonl", lines, capsys)
+
+    @pytest.mark.parametrize("edit", MALFORMED_EDITS, ids=MALFORMED_IDS)
+    def test_replay_malformed_run_layout_exit_2(self, tmp_path, capsys, edit):
+        # the same edits written as run writes a line, which replay decodes
+        # on its own path (_frame_record)
+        run(scenario(max_sim_time=5.0), out_dir=tmp_path)
+        lines = edit((tmp_path / "trace.jsonl").read_text().splitlines(), harness._json_line)
+        replay_exits_2(tmp_path / "trace.jsonl", lines, capsys)
+
     @pytest.mark.parametrize(
         "edit",
         [
-            *(on_line(1, edit) for edit in [  # edits of the first frame line
-                lambda frame: {"type": "frame", "record": {}},  # KeyError in read_trace
-                set_in_record("uav", "true", "yaw", value="north"),  # TypeError in read_trace
-                lambda frame: [frame],  # AttributeError in read_trace
-                lambda frame: {**frame, "type": "frames"},  # an unknown type in read_trace
-                # a second scenario header in read_trace
-                lambda frame: {"type": "scenario", "scenario": scenario_to_dict(scenario(seed=4))},
-                # values that scoring would read as numbers or as a mode other
-                # than mapping, in read_trace
-                set_in_record("uav", "true", "yaw", value="0.5"),
-                set_in_record("uav", "true", "yaw", value=True),
-                set_in_record("uav", "true", "position", value=["1", "2", "3"]),
-                set_in_record(
-                    "detections",
-                    value=[{"bbox": [300.0, 220.0, 340.0, 260.0, 1.0], "score": 1.0}],
-                ),
-                set_in_record("events", value=[{"type": "spawned", "target": 1, "bbox": [0.0] * 5}]),
-                set_in_record("mode", value="bogus"),
-                # the mean of the target entry that a converged event names
-                lambda frame: set_in_record("events", value=[{"type": "converged", "target": 1}])(
-                    set_in_record("targets", value=[{"id": 1, "mean": [True, True, True]}])(frame)
-                ),
-                # non-finite numbers where scoring reads them, in read_trace: a
-                # NaN box was once scored on a frame with no true box
-                set_in_record(
-                    "detections",
-                    value=[{"bbox": [float("nan"), 220.0, 340.0, 260.0], "score": 1.0}],
-                ),
-                set_in_record("uav", "true", "position", value=[10.0, float("-inf"), 30.0]),
-                set_in_record(
-                    "events",
-                    value=[{"type": "spawned", "target": 1, "bbox": [0.0, 0.0, float("nan"), 1.0]}],
-                ),
-                lambda frame: set_in_record("events", value=[{"type": "mapped", "target": 1}])(
-                    set_in_record("targets", value=[{"id": 1, "mean": [float("nan"), 28.0, 1.0]}])(
-                        frame
-                    )
-                ),
-                # an integer too large for a float
-                set_in_record("uav", "true", "yaw", value=10**400),
-            ]),
-            lambda lines: [lines[1], lines[0], *lines[2:]],  # a frame line before the header
-            # the last frame line, before the summary footer: no table is
-            # printed until the fold has read every record
-            on_line(-2, set_in_record("mode", value="bogus")),
+            lambda line, block: line[: block.start + len(block.text) // 2],
+            lambda line, block: line[: block.end],
+            lambda line, block: line[: line.index('"tracks":') + len('"tracks":')],
+            lambda line, block: line.replace(
+                '"detections":[', '"detections":[{"bbox":[1,2,3,4],"score":1.0},,', 1
+            ),
+            lambda line, block: line.replace('"detections":[', '"detections":' + "[" * 100_000, 1),
+            lambda line, block: line + '{"type":"frame"}',
+            lambda line, block: line[: block.end] + "[]" + line[block.end :],
+            lambda line, block: line[: block.end - 1] + line[block.end :],
         ],
         ids=[
-            "empty_record", "string_yaw", "array_line", "unknown_type", "second_header",
-            "numeric_string_yaw", "bool_yaw", "string_position", "five_number_bbox",
-            "five_number_spawn_bbox", "unknown_mode", "bool_mean", "nan_bbox",
-            "infinite_position", "nan_spawn_bbox", "nan_mean", "huge_int_yaw",
-            "frame_before_header", "malformed_last_frame",
+            "truncated_in_repeated_block", "truncated_after_repeated_block",
+            "truncated_at_a_value", "double_comma_in_detections", "deep_nesting_in_detections",
+            "text_after_frame",
+            "repeated_block_with_text_appended", "repeated_block_without_its_bracket",
         ],
     )
-    def test_replay_malformed_trace_exit_2(self, tmp_path, capsys, edit):
-        run(scenario(max_sim_time=5.0), out_dir=tmp_path)
-        lines = edit((tmp_path / "trace.jsonl").read_text().splitlines())
-        (tmp_path / "trace.jsonl").write_text("\n".join(lines) + "\n")
-        capsys.readouterr()
-        assert cli_main(["replay-metrics", str(tmp_path / "trace.jsonl")]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith("invalid trace: ") and err.count("\n") == 1
+    def test_replay_malformed_text_exit_2(self, tmp_path, capsys, nominal_run, edit):
+        # raw edits of a frame line in run's layout whose targets block
+        # repeats the line before's, so that replay has that block decoded
+        lines = nominal_run.trace_path.read_text().splitlines()
+        n = next(
+            n for n in range(2, len(lines) - 1)
+            if targets_block(lines[n]).text == targets_block(lines[n - 1]).text != "[]"
+        )
+        lines[n] = edit(lines[n], targets_block(lines[n]))
+        replay_exits_2(tmp_path / "trace.jsonl", lines, capsys)
 
     def test_replay_deep_nesting_exit_2(self, tmp_path, capsys):
         # a line nested too deep for the JSON decoder
@@ -714,11 +770,7 @@ class TestCli:
         trace = tmp_path / "trace.jsonl"
         lines = trace.read_text().splitlines()
         lines[1] = "[" * 100_000
-        trace.write_text("\n".join(lines) + "\n")
-        capsys.readouterr()
-        assert cli_main(["replay-metrics", str(trace)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("invalid trace: ") and err.count("\n") == 1
+        replay_exits_2(trace, lines, capsys)
 
     def test_seed_override_changes_run(self, tmp_path):
         data = copy.deepcopy(BASE)
@@ -1054,6 +1106,62 @@ class TestTargetEntries:
             previous = current
         entries = [e for r in records for e in r["targets"]]
         assert len({id(e) for e in entries}) == changes < len(entries)
+
+
+def test_replay_walks_the_record_keys_of_run(nominal_run):
+    # _frame_record reads a frame line's values in this order
+    assert all(tuple(sorted(r)) == harness._RECORD_KEYS for r in nominal_run.records)
+
+
+# One-leaf values for trace records: JSON_VALUES and the numbers that
+# scoring rejects.
+RECORD_VALUES = JSON_VALUES | st.sampled_from([float("nan"), float("-inf"), 10**400])
+
+
+@pytest.fixture(scope="module")
+def nominal_event_lines(nominal_run) -> dict:
+    """The nominal trace's header line, and its first frame line with each event type."""
+    header, *frames = nominal_run.trace_path.read_text().splitlines()[:-1]
+    first = {"scenario": header}
+    for line in frames:
+        for ev in json.loads(line)["record"]["events"]:
+            first.setdefault(ev["type"], line)
+    return first
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_read_trace_equals_json_loads_on_one_leaf_edits(
+    nominal_event_lines, tmp_path_factory, data
+):
+    # replay decodes run's own layout on a path of its own (_frame_record),
+    # which reuses the last targets block: it must yield what json.loads
+    # and the record check give, or raise their error, on a block sequence
+    # A, B, A, then a one-leaf edit of a record in run's layout, then B
+    first = nominal_event_lines
+    a, b = first["converged"], first["converging"]
+    assert targets_block(a).text != targets_block(b).text
+    record = json.loads(data.draw(st.sampled_from([a, b, first["spawned"]])))["record"]
+    path = data.draw(st.sampled_from(leaf_paths(record)))
+    edited = harness._json_line({"record": with_leaf(path, data.draw(RECORD_VALUES), record),
+                                 "type": "frame"})
+    frames = [a, b, a, edited, b]
+    trace = tmp_path_factory.getbasetemp() / "one_leaf_edit.jsonl"
+    trace.write_text("\n".join([first["scenario"], *frames]) + "\n")
+
+    want, want_error = [], None
+    try:
+        for line in frames:
+            want.append(harness._check_record(json.loads(line)["record"]))
+    except (LookupError, TypeError, ValueError) as exc:  # exit 2 in replay-metrics
+        want_error = exc
+    got, got_error = [], None
+    try:
+        got.extend(read_trace(trace)[1])
+    except (LookupError, TypeError, ValueError) as exc:
+        got_error = exc
+    assert repr(got_error) == repr(want_error)
+    assert [json.dumps(r) for r in got] == [json.dumps(r) for r in want]
 
 
 def test_tracer_finds_every_entry_point():
