@@ -6,7 +6,12 @@ This directory is outside the tier-1 `testpaths`; the tier-1 test
 `tests/test_microbenchmarks.py` runs each case once with
 `--benchmark-disable`. Inputs are sized like the benchmark workloads: five
 400-point true targets (survey5) and 4,000-point clouds, about seven live
-at once (clutter1), seen by the survey camera at 30 m. The batched true-box
+at once (clutter1), spawned by the survey camera at 30 m. The count kernel
+is timed from that spawn camera, where no cloud is culled since every
+cloud's hull has its apex at the camera centre, and from the camera moved
+3 m along the lane with the first box and two false-positive boxes sized
+as the detector draws clutter1's, where some clouds are culled in every
+box and are not projected. The batched true-box
 case projects survey5's five targets from 1,024 survey poses, two metric
 chunks' worth. The frame line is one frame's record and trace line with
 three live targets that did not change since the last frame. The flight
@@ -29,8 +34,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from targetsim import harness
-from targetsim.detector import Detection, ellipsoid_target, visible_boxes
+from targetsim import harness, points_filter
+from targetsim.detector import FP_BOX_MIN_PX, Detection, ellipsoid_target, visible_boxes
 from targetsim.geometry import CameraIntrinsics, project_points
 from targetsim.mission import MissionMode
 from targetsim.points_filter import (
@@ -40,6 +45,7 @@ from targetsim.points_filter import (
     generate_points,
     projection_count_costs,
     update_points,
+    viewing_pyramid,
 )
 from targetsim.tracker import BoxTracker, TrackedBox, TrackerConfig, hungarian_assign
 from targetsim.uav import UavState, camera_pose
@@ -51,6 +57,8 @@ DEPRESSION = np.deg2rad(60.0)
 WORLD_FROM_CAM = camera_pose(0.0, [0.0, 0.0, 30.0], DEPRESSION)
 CAM_FROM_WORLD = WORLD_FROM_CAM.inverse()
 VIEW = (CAM_FROM_WORLD.rotation, CAM_FROM_WORLD.translation)
+MOVED = camera_pose(0.0, [3.0, 0.0, 30.0], DEPRESSION).inverse()  # 3 m along the lane
+MOVED_VIEW = (MOVED.rotation, MOVED.translation)
 CFG = FilterConfig(m=4000, max_depth=50.0)
 BOXES = [
     np.array([280.0, 200.0, 360.0, 280.0]),
@@ -88,16 +96,16 @@ def survey5():
 
 @pytest.fixture(scope="module")
 def clouds():
+    """Seven clouds as tick spawns them, each with its viewing pyramid as its hull."""
     rng = np.random.default_rng(0)
+    spawn = (WORLD_FROM_CAM.rotation, WORLD_FROM_CAM.translation)
     return [
         PointTarget(
             target_id=i + 1,
-            points=generate_points(
-                BOXES[i % len(BOXES)], WORLD_FROM_CAM.rotation, WORLD_FROM_CAM.translation,
-                K, CFG, rng,
-            ),
+            points=generate_points(BOXES[i % len(BOXES)], *spawn, K, CFG, rng),
             state=TargetState.TRACKING,
-            last_keyframe=(WORLD_FROM_CAM.rotation, WORLD_FROM_CAM.translation),
+            last_keyframe=spawn,
+            hull=viewing_pyramid(BOXES[i % len(BOXES)], *spawn, K, CFG.max_depth),
         )
         for i in range(7)
     ]
@@ -129,6 +137,23 @@ def test_update_points(benchmark, clouds):
 def test_projection_count_costs(benchmark, clouds):
     costs = benchmark(projection_count_costs, BOXES, clouds, *VIEW, K)
     assert costs.shape == (len(BOXES), len(clouds))
+
+
+def test_projection_count_costs_moved(benchmark, clouds, monkeypatch):
+    # the first box and two false-positive boxes drawn as the detector draws them
+    rng = np.random.default_rng(5)
+    boxes = [BOXES[0]]
+    for _ in range(2):
+        w, h = rng.uniform(FP_BOX_MIN_PX, K.width / 3.0), rng.uniform(FP_BOX_MIN_PX, K.height / 3.0)
+        u0, v0 = rng.uniform(0.0, K.width - w), rng.uniform(0.0, K.height - h)
+        boxes.append(np.array([u0, v0, u0 + w, v0 + h]))
+    projected, pixel_rows = [], points_filter.pixel_rows
+    with monkeypatch.context() as spy:
+        spy.setattr(points_filter, "pixel_rows", lambda *a: projected.append(1) or pixel_rows(*a))
+        projection_count_costs(boxes, clouds, *MOVED_VIEW, K)
+    assert 0 < len(projected) < len(clouds)  # some clouds are culled in every box
+    costs = benchmark(projection_count_costs, boxes, clouds, *MOVED_VIEW, K)
+    assert costs.shape == (len(boxes), len(clouds)) and costs.any()
 
 
 def test_hungarian_assign(benchmark):
@@ -176,12 +201,12 @@ def test_tracker_busy_frames(benchmark):
 
 def frame_line(entries, targets, uav, mission):
     """The run loop's per-frame record and trace line."""
-    live, texts = entries.update(targets)
+    live = entries.update(targets)
     record = harness._make_record(
         0.1, 1, uav, uav.position, [Detection(BOXES[0], 1.0)], [TrackedBox(1, BOXES[0], 5, 0)],
         live, mission, [],
     )
-    return harness._frame_line(record, texts)
+    return harness._frame_line(record, entries.texts())
 
 
 def test_frame_line(benchmark, clouds):

@@ -8,12 +8,11 @@ generator, so a fixed seed gives byte-identical detections.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, Pose, project_points, transform_rows
+from .geometry import CameraIntrinsics, Pose, cull_rows, project_points, transform_rows
 
 FP_BOX_MIN_PX = 8.0
 
@@ -91,30 +90,10 @@ class DetectorConfig:
             raise ValueError("pixel noise sigma must be >= 0")
 
 
-# A target whose first surface point lies behind the camera or projects
-# this far past an image edge is hidden; the margin keeps the cull exact
-# whatever the rounding.
-_CULL_MARGIN_PX = 1.0
 # Views are projected in parts of about this many points at most (~70
 # bytes each while projected), so a large batch of views needs little
 # memory beyond its inputs.
 _PROJECTED_POINTS_MAX = 1 << 12
-
-
-@functools.lru_cache(maxsize=16)
-def _out_of_view_rows(k: CameraIntrinsics) -> np.ndarray:
-    """The cull's (5, 3) rows, built once per camera and read-only. A first
-    point p (camera frame) is clearly out where n . p < 0 for a row n:
-    behind the camera, or more than the margin past an image edge (for
-    z > 0, u < -margin is fx x + (cx + margin) z < 0, and so on)."""
-    m = _CULL_MARGIN_PX
-    rows = np.array([
-        [0.0, 0.0, 1.0],
-        [k.fx, 0.0, k.cx + m], [-k.fx, 0.0, k.width + m - k.cx],
-        [0.0, k.fy, k.cy + m], [0.0, -k.fy, k.height + m - k.cy],
-    ])
-    rows.flags.writeable = False
-    return rows
 
 
 def visible_boxes(
@@ -129,8 +108,8 @@ def visible_boxes(
 
     A target is hidden when any one of its points is behind the camera or
     off the image, so each target's first point is tested in every view
-    first, and only the views where it is not clearly out project that
-    target's whole surface.
+    first against the image's cull rows, and only the views where it is
+    not clearly out project that target's whole surface.
     """
     boxes = np.empty((len(rotations), len(targets), 4))
     visible = np.zeros(boxes.shape[:2], dtype=bool)
@@ -138,7 +117,8 @@ def visible_boxes(
         return boxes, visible
     firsts = np.array([t.surface_points[0] for t in targets])
     first_cam = transform_rows(rotations, translations, firsts)  # (F, 3, n_targets)
-    kept = ~(_out_of_view_rows(k) @ first_cam < 0).any(axis=-2)
+    image = cull_rows([(0.0, 0.0, float(k.width), float(k.height))], k)
+    kept = ~(image @ first_cam < 0).any(axis=-2)
     for i, target in enumerate(targets):
         views = np.flatnonzero(kept[:, i])
         points = target.surface_points

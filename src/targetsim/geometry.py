@@ -54,14 +54,21 @@ def check_rotations(r: np.ndarray) -> None:
 
 def transform_rows(rotation: np.ndarray, translation: np.ndarray, points: np.ndarray):
     """rotation @ points.T + translation as (..., 3, n) rows, for points
-    (n, 3): the one place the rigid transform is computed. The translation
-    is added along contiguous rows, which costs less than broadcasting it
-    over an inner axis of length 3, and one row at a time, which costs less
-    than broadcasting a (..., 3, 1) column over the rows."""
+    (n, 3): the one place the rigid transform is computed."""
     rows = rotation @ points.T
+    return translate_rows(rows, translation, rows)
+
+
+def translate_rows(rotated: np.ndarray, translation: np.ndarray, out: np.ndarray):
+    """rotated + translation into out, for (..., 3, n) rows of rotated
+    points: transform_rows's second half, so rows of points rotated once can
+    be moved by many translations. The translation is added along contiguous
+    rows, which costs less than broadcasting it over an inner axis of length
+    3, and one row at a time, which costs less than broadcasting a (..., 3,
+    1) column over the rows."""
     for i in range(3):
-        rows[..., i, :] += translation[..., i, None]
-    return rows
+        np.add(rotated[..., i, :], translation[..., i, None], out=out[..., i, :])
+    return out
 
 
 def transform_points(rotation: np.ndarray, translation: np.ndarray, points: np.ndarray):
@@ -127,17 +134,39 @@ class Pose:
         return Pose(*invert(self.rotation, self.translation))
 
 
-def project_rows(
-    points: np.ndarray, rotation: np.ndarray, translation: np.ndarray, k: CameraIntrinsics
-):
-    """The pinhole projection of points (n, 3) through the cam-from-world
-    transform (rotation, translation), without behind-camera checks: the
-    one place it is computed. Returns the rows (u, v, depths), each (n,)
-    and u and v contiguous; a stack of F transforms gives (F, n) rows.
-    Pixels of non-positive-depth points are garbage and come from a
+# A point more than this many pixels past a box's edge is out of the box
+# whatever the rounding of its projection (see cull_rows).
+CULL_MARGIN_PX = 1.0
+
+
+def cull_rows(boxes, k: CameraIntrinsics) -> np.ndarray:
+    """The cull rows of boxes, an iterable of (u_lo, v_lo, u_hi, v_hi)
+    floats: (5 * B, 3), five rows n per box. A camera-frame point p is
+    clearly out of a box where n . p < 0 for one of its rows: behind the
+    camera (z < 0), or more than CULL_MARGIN_PX past an edge (for z > 0,
+    u < u_lo - margin is fx x + (cx - u_lo + margin) z < 0, and so on).
+    The margin keeps rounding from carrying a clearly-out point into the
+    box: for z > 0 the computed u is within a few ulps of fx x / z + cx, so
+    a point that n . p puts more than a pixel short of u_lo is computed
+    short of it too, or with |u| so large that its sign alone keeps it out."""
+    m, fx, fy, cx, cy = CULL_MARGIN_PX, k.fx, k.fy, k.cx, k.cy
+    flat = []
+    for u_lo, v_lo, u_hi, v_hi in boxes:
+        flat += (
+            0.0, 0.0, 1.0,
+            fx, 0.0, cx + m - u_lo, -fx, 0.0, u_hi + m - cx,
+            0.0, fy, cy + m - v_lo, 0.0, -fy, v_hi + m - cy,
+        )
+    return np.array(flat).reshape(-1, 3)
+
+
+def pixel_rows(pc: np.ndarray, k: CameraIntrinsics):
+    """The pinhole projection of camera-frame rows pc (..., 3, n), without
+    behind-camera checks: the one place it is computed. Returns the rows
+    (u, v, depths), each (..., n), u and v contiguous and depths a view of
+    pc. Pixels of non-positive-depth points are garbage and come from a
     division by zero, so the caller holds an errstate that ignores divide
     and invalid, and masks on depth."""
-    pc = transform_rows(rotation, translation, np.asarray(points, dtype=float).reshape(-1, 3))
     x, y, depths = pc[..., 0, :], pc[..., 1, :], pc[..., 2, :]
     u = k.fx * x  # k.fx * x / depths + k.cx, divided and shifted in place
     u /= depths
@@ -151,10 +180,12 @@ def project_rows(
 def project_points(
     points: np.ndarray, rotation: np.ndarray, translation: np.ndarray, k: CameraIntrinsics
 ):
-    """project_rows as (pixels (n, 2), depths (n,)); a stack of F transforms
-    gives (F, n, 2) and (F, n). Callers must mask on depth."""
+    """The pixels (n, 2) and depths (n,) of points (n, 3) seen through the
+    cam-from-world transform (rotation, translation); a stack of F
+    transforms gives (F, n, 2) and (F, n). Callers must mask on depth."""
+    pc = transform_rows(rotation, translation, np.asarray(points, dtype=float).reshape(-1, 3))
     with np.errstate(divide="ignore", invalid="ignore"):
-        u, v, depths = project_rows(points, rotation, translation, k)
+        u, v, depths = pixel_rows(pc, k)
     uv = np.empty(depths.shape + (2,))
     uv[..., 0] = u
     uv[..., 1] = v

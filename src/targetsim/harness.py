@@ -234,24 +234,25 @@ def load_scenario(path) -> Scenario:
 
 
 class _TargetEntries:
-    """Each live filter target's trace entry and that entry's JSON text,
-    built once per change: records share an entry until its target changes,
-    so callers must not mutate it."""
+    """Each live filter target's trace entry, built once per change, and
+    that entry's JSON text, encoded once when a trace line first needs it:
+    records share an entry until its target changes, so callers must not
+    mutate it."""
 
     def __init__(self):
-        self._by_id: dict[int, tuple] = {}  # id -> (summary, entry, text)
+        self._by_id: dict[int, list] = {}  # id -> [summary, entry, text or None]
 
-    def update(self, targets) -> tuple[list[dict], list[str]]:
-        """The entries and texts of `targets`, in order; a target is rebuilt
-        when set_points refit its summary or its state changed. Its entropy,
-        KL and point count change only together with a new summary. Targets
-        no longer live are dropped."""
+    def update(self, targets) -> list[dict]:
+        """The entries of `targets`, in order; a target is rebuilt when
+        set_points refit its summary or its state changed. Its entropy, KL
+        and point count change only together with a new summary. Targets no
+        longer live are dropped."""
         by_id = {}
         for tgt in targets:
-            summary, entry, text = self._by_id.get(tgt.target_id, (None, None, None))
-            if summary is not tgt.summary or entry["state"] != tgt.state.value:
+            kept = self._by_id.get(tgt.target_id)
+            if kept is None or kept[0] is not tgt.summary or kept[1]["state"] != tgt.state.value:
                 summary = tgt.summary
-                entry = {
+                kept = [summary, {
                     "id": tgt.target_id,
                     "state": tgt.state.value,
                     "mean": summary.mean.tolist(),
@@ -259,11 +260,17 @@ class _TargetEntries:
                     "entropy": tgt.last_entropy,
                     "kld": tgt.last_kld,
                     "n_points": len(tgt.points),
-                }
-                text = _json_line(entry)
-            by_id[tgt.target_id] = summary, entry, text
+                }, None]
+            by_id[tgt.target_id] = kept
         self._by_id = by_id
-        return [e for _, e, _ in by_id.values()], [t for _, _, t in by_id.values()]
+        return [entry for _, entry, _ in by_id.values()]
+
+    def texts(self) -> list[str]:
+        """The JSON texts of the last update's entries, in order."""
+        for kept in self._by_id.values():
+            if kept[2] is None:
+                kept[2] = _json_line(kept[1])
+        return [text for _, _, text in self._by_id.values()]
 
 
 def _make_record(t, frame, uav, est, detections, boxes, targets, mission, events) -> dict:
@@ -447,8 +454,11 @@ class RunResult:
     trace_path: Path | None = None
 
 
-# frames of the true flight flown, imaged and culled at a time
+# frames of the true flight flown, imaged and culled at a time: a block
+# after a replan cut the last one short flies FIRST_BLOCK_AFTER_CUT, and
+# each next one twice the last, up to FLIGHT_BLOCK
 FLIGHT_BLOCK = 256
+FIRST_BLOCK_AFTER_CUT = 16
 
 
 def _true_frames(scenario: Scenario, mission, state: UavState):
@@ -456,17 +466,19 @@ def _true_frames(scenario: Scenario, mission, state: UavState):
     whether it reached its waypoint, the true targets' boxes and visibility,
     the world-from-camera rotation). The vehicle follows mission.plan from
     mission.cursor whatever perception does, and the true flight draws
-    nothing, so the frames are flown ahead in blocks of up to FLIGHT_BLOCK:
-    each frame steps toward plan[cursor] with fly and moves the cursor on as
-    waypoint_reached says, a frame with no waypoint left keeps the state
-    (loiter), and the block ends after the frame that reaches the plan's
-    last waypoint. A block makes one _true_views call. A new block is flown
-    from the last frame's state when the mission's plan (by identity) or
-    cursor (by value) is no longer the block's."""
+    nothing, so the frames are flown ahead in blocks: each frame steps
+    toward plan[cursor] with fly and moves the cursor on as waypoint_reached
+    says, a frame with no waypoint left keeps the state (loiter), and the
+    block ends after the frame that reaches the plan's last waypoint. A
+    block makes one _true_views call. A new block is flown from the last
+    frame's state when the mission's plan (by identity) or cursor (by value)
+    is no longer the block's. Replans come in bursts, so the block after a
+    cut is short, and the blocks after it double back up to FLIGHT_BLOCK."""
+    length = FLIGHT_BLOCK
     while True:
         plan, cursor = mission.plan, mission.cursor
         states, cursors = [], [cursor]  # cursors[j + 1]: the cursor after frame j
-        for _ in range(FLIGHT_BLOCK):
+        for _ in range(length):
             flying = cursor < len(plan)
             if flying:
                 state = fly(state, plan[cursor], scenario.uav)
@@ -479,9 +491,12 @@ def _true_frames(scenario: Scenario, mission, state: UavState):
         cameras, boxes, visible = _true_views(
             scenario, [st.yaw for st in states], [st.position for st in states]
         )
+        length = min(2 * length, FLIGHT_BLOCK)
         for j, state in enumerate(states):  # state: the last frame's, the next block's start
             yield state, cursors[j + 1] > cursors[j], boxes[j], visible[j], cameras.rotation[j]
             if mission.plan is not plan or mission.cursor != cursors[j + 1]:
+                if j + 1 < len(states):
+                    length = FIRST_BLOCK_AFTER_CUT
                 break
 
 
@@ -560,12 +575,12 @@ def run(scenario: Scenario, out_dir=None) -> RunResult:
             for ev in events:
                 log.debug("t=%.1f %s", t, ev)
 
-            targets, texts = target_entries.update(flt.targets)
+            targets = target_entries.update(flt.targets)
             record = _make_record(t, frame, uav, est, detections, boxes, targets, mission, events)
             records.append(record)
             scores.add(record, _true_boxes_by_id(scenario, true_boxes, visible))
             if trace_fh is not None:
-                trace_fh.write(_frame_line(record, texts) + "\n")
+                trace_fh.write(_frame_line(record, target_entries.texts()) + "\n")
 
             if (all_true_ids and mission.mapped_true_ids >= all_true_ids) or mission.idle():
                 completed = mission.mapped_true_ids >= all_true_ids

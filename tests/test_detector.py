@@ -3,9 +3,7 @@
 from collections import Counter
 
 import numpy as np
-import pytest
 
-from targetsim import detector
 from targetsim.detector import (
     DetectorConfig,
     detect,
@@ -13,7 +11,7 @@ from targetsim.detector import (
     visible_bbox,
     visible_boxes,
 )
-from targetsim.geometry import CameraIntrinsics, Pose, project_points
+from targetsim.geometry import CULL_MARGIN_PX, CameraIntrinsics, Pose, cull_rows, project_points
 
 from tests.test_geometry import from_yaw, project, rt
 
@@ -291,12 +289,13 @@ def test_batched_boxes_equal_per_pose_loop():
     assert empty[0].shape == (1, 0, 4) and empty[1].shape == (1, 0)
 
 
-def test_cull_rows_built_once_per_camera_and_read_only():
-    # visible_boxes runs on every detect; its cull rows are shared per camera
-    rows = detector._out_of_view_rows(K)
-    assert detector._out_of_view_rows(K) is rows and rows.shape == (5, 3)
-    assert not rows.flags.writeable
-    with pytest.raises(ValueError):
-        rows[0, 0] = 1.0
-    other = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=480)
-    assert detector._out_of_view_rows(other)[1, 0] == 600.0
+def test_visible_boxes_cull_with_the_image_box_rows():
+    # the detector's cull rows are cull_rows of the box (0, 0, width, height):
+    # behind the camera, or more than the margin past an image edge
+    m = CULL_MARGIN_PX
+    rows = cull_rows([(0.0, 0.0, float(K.width), float(K.height))], K)
+    assert np.array_equal(rows, [
+        [0.0, 0.0, 1.0],
+        [K.fx, 0.0, K.cx + m], [-K.fx, 0.0, K.width + m - K.cx],
+        [0.0, K.fy, K.cy + m], [0.0, -K.fy, K.height + m - K.cy],
+    ])

@@ -11,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from targetsim.geometry import (
+    CULL_MARGIN_PX,
     CameraIntrinsics,
     Pose,
     check_rotations,
+    cull_rows,
     project_points,
     transform_points,
     yaw_rotation,
@@ -159,6 +161,32 @@ def reference_projection(points, rotation, translation, k):
         uv[..., 0] = k.fx * pc[..., 0] / depths + k.cx
         uv[..., 1] = k.fy * pc[..., 1] / depths + k.cy
     return pc, uv, depths
+
+
+class TestCullRows:
+    def test_a_negative_row_is_behind_or_past_the_margin(self):
+        # for points in front of the camera, a box's edge row is negative
+        # exactly where the projection lies more than the margin past that
+        # edge (away from the margin line, where rounding may go either
+        # way); the first row is negative exactly behind the camera
+        rng = np.random.default_rng(11)
+        m = CULL_MARGIN_PX
+        for _ in range(100):
+            u0, v0 = rng.uniform(-100.0, 600.0), rng.uniform(-100.0, 440.0)
+            box = (u0, v0, u0 + rng.uniform(1.0, 300.0), v0 + rng.uniform(1.0, 300.0))
+            points = np.column_stack([rng.uniform(-30.0, 30.0, (400, 2)),
+                                      rng.uniform(-5.0, 50.0, 400)])
+            negative = cull_rows([box], K) @ points.T < 0
+            uv, depths = project_points(points, np.eye(3), np.zeros(3), K)
+            assert np.array_equal(negative[0], depths < 0)
+            front = depths > 0
+            u, v = uv[front].T
+            for row, pixel, edge, sign in zip(
+                negative[1:, front], (u, u, v, v), (box[0] - m, box[2] + m, box[1] - m, box[3] + m),
+                (1.0, -1.0, 1.0, -1.0),
+            ):
+                clear = np.abs(pixel - edge) > 1e-6
+                assert np.array_equal(row[clear], (sign * (pixel - edge) < 0)[clear])
 
 
 class TestKernelLayout:

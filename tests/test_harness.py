@@ -929,15 +929,22 @@ def test_flight_blocks_equal_the_per_frame_path(monkeypatch):
     assert any(b is not None for row in reference for b in row[5])
 
     # the script covers each case: (plan, first cursor, last cursor, rows) per block
-    first, detoured, loiter, resumed = built[:4]
+    doubling = [harness.FIRST_BLOCK_AFTER_CUT << i for i in range(4)]
+    first, *detoured, ending, loiter = built[:7]
     assert first[0] is search and first[3] == harness.FLIGHT_BLOCK  # cut at frame 100
-    assert detoured[0] is detour and detoured[1:3] == (1, len(detour))
-    assert detoured[3] < harness.FLIGHT_BLOCK  # ends at the detour's last waypoint
+    # the block after a cut is short, and each next one twice as long
+    assert all(b[0] is detour for b in detoured) and [b[3] for b in detoured] == doubling
+    assert detoured[0][1] == 1 and detoured[-1][1:3] == (1, 2)  # a reach inside the block
+    assert ending[0] is detour and ending[1:3] == (2, len(detour))
+    assert ending[3] < 2 * doubling[-1]  # ends at the detour's last waypoint
     assert loiter[0] is detour and loiter[1] == loiter[2] == len(detour)
-    assert resumed[0] is search and resumed[1:3] == (3, 4)  # a reach inside the block
+    assert loiter[3] == harness.FLIGHT_BLOCK  # doubled up to the cap
+    resumed = built[7:12]  # at frame 600, and cut by a cursor alone at frame 900
+    assert all(b[0] is search for b in resumed) and resumed[0][1] == 3
+    assert [b[3] for b in resumed] == doubling + [harness.FLIGHT_BLOCK]
     reaches = [f for f, row in enumerate(reference, 1) if row[2]]
-    assert 100 + detoured[3] in reaches and 600 < reaches[-1] < 600 + resumed[3]
-    assert built[-1][:2] == (search, 6)
+    assert 100 + sum(b[3] for b in detoured) + ending[3] in reaches
+    assert built[-1][:2] == (search, 6) and built[-1][3] == harness.FLIGHT_BLOCK
 
 
 def test_run_loiter_frames_keep_the_estimate(monkeypatch):
@@ -1041,6 +1048,47 @@ def test_scored_true_boxes_equal_the_replay_projection(monkeypatch, which):
 
 
 @pytest.fixture(scope="module")
+def counted_smoke_clutter():
+    """A metrics-only smoke clutter run, with its JSON encodes, the clouds
+    handed to the count kernel and the clouds that it projected counted."""
+    counts = {"encodes": 0, "clouds": 0, "projected": 0}
+    json_line, costs = harness._json_line, points_filter.projection_count_costs
+    pixel_rows = points_filter.pixel_rows
+
+    def encode(obj):
+        counts["encodes"] += 1
+        return json_line(obj)
+
+    def count_costs(boxes, targets, *args):
+        counts["clouds"] += len(targets)
+        return costs(boxes, targets, *args)
+
+    def project(pc, k):
+        counts["projected"] += 1
+        return pixel_rows(pc, k)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_json_line", encode)
+        mp.setattr(points_filter, "projection_count_costs", count_costs)
+        mp.setattr(points_filter, "pixel_rows", project)
+        result = run(smoke_clutter())
+    return result, counts
+
+
+def test_metrics_only_run_encodes_nothing(counted_smoke_clutter):
+    # entry texts are encoded only when a trace line needs them
+    result, counts = counted_smoke_clutter
+    assert any(r["targets"] for r in result.records) and counts["encodes"] == 0
+
+
+def test_association_culls_clouds(counted_smoke_clutter):
+    # the count kernel skips clouds whose hull no box can see: a hull that
+    # stopped culling would project every cloud again
+    _, counts = counted_smoke_clutter
+    assert 0 < counts["projected"] < 0.8 * counts["clouds"]
+
+
+@pytest.fixture(scope="module")
 def nominal_run(tmp_path_factory):
     return run(scenario_from_dict(json.loads(NOMINAL.read_text())),
                out_dir=tmp_path_factory.mktemp("nominal"))
@@ -1073,8 +1121,9 @@ class TestTargetEntries:
             return flt.tick(box, camera.rotation, camera.translation, rng)
 
         def entry():
-            (one,), (text,) = entries.update(flt.targets)
-            assert text == harness._json_line(one)
+            (one,) = entries.update(flt.targets)
+            (text,) = entries.texts()
+            assert text == harness._json_line(one) and entries.texts() == [text]
             return one
 
         tick(0.0)
@@ -1093,7 +1142,7 @@ class TestTargetEntries:
         assert mapped is not updated and mapped["state"] == TargetState.MAPPED.value
         assert {**mapped, "state": updated["state"]} == updated
         # a target that is no longer live is dropped: back again, it is rebuilt
-        assert entries.update([]) == ([], [])
+        assert entries.update([]) == [] and entries.texts() == []
         again = entry()
         assert again == mapped and again is not mapped
 

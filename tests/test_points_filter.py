@@ -15,6 +15,7 @@ from targetsim.points_filter import (
     FilterConfig,
     GaussianSummary,
     PointsFilter,
+    PointTarget,
     TargetState,
     associate,
     check_already_mapped,
@@ -28,6 +29,7 @@ from targetsim.points_filter import (
     projection_count_costs,
     systematic_resample,
     update_points,
+    viewing_pyramid,
 )
 from targetsim.tracker import TrackedBox
 from targetsim.uav import camera_pose
@@ -384,11 +386,21 @@ def test_entropy_does_not_rise_under_consistent_boxes(seed):
     assert all(b <= a for a, b in above), entropies
 
 
+def point_target(points, hull=None):
+    points = np.asarray(points, dtype=float)
+    return PointTarget(0, points, TargetState.TRACKING, rt(IDENTITY), hull=hull)
+
+
+def spawned(bbox, world_from_cam, cfg, rng):
+    """A cloud as tick spawns it: sampled in the box's viewing pyramid, which is its hull."""
+    bbox = np.asarray(bbox, dtype=float)
+    points = generate_points(bbox, *rt(world_from_cam), K, cfg, rng)
+    return point_target(points, viewing_pyramid(bbox, *rt(world_from_cam), K, cfg.max_depth))
+
+
 class TestAssociate:
     def make_target(self, points):
-        return type(
-            "T", (), {"points": np.asarray(points, dtype=float), "state": TargetState.TRACKING}
-        )()
+        return point_target(points)
 
     def test_full_containment_cost(self):
         rng = np.random.default_rng(5)
@@ -456,21 +468,17 @@ class TestProjectionCounts:
         for _ in range(30):
             world_from_cam = from_yaw(rng.uniform(-np.pi, np.pi), rng.uniform(-20, 20, 3))
             cam_from_world = world_from_cam.inverse()
-            clouds = []
+            targets = []
             for _ in range(int(rng.integers(1, 5))):
                 u0, v0 = rng.uniform(10, 400), rng.uniform(10, 300)
                 box = [u0, v0, u0 + rng.uniform(5, 200), v0 + rng.uniform(5, 150)]
-                cam_pts = transform(
-                    world_from_cam.inverse(),
-                    generate_points(np.array(box), *rt(world_from_cam), K, cfg, rng),
-                )
+                cam_pts = transform(cam_from_world, spawned(box, world_from_cam, cfg, rng).points)
                 cam_pts[:20] *= -1.0  # behind the camera, same pixels
                 cam_pts[20:25, 2] = 0.0  # depth 0
-                clouds.append(transform(world_from_cam, cam_pts))
-            targets = [type("T", (), {"points": c})() for c in clouds]
-            boxes, sources = [], rng.integers(len(clouds), size=int(rng.integers(1, 6)))
+                targets.append(point_target(transform(world_from_cam, cam_pts)))
+            boxes, sources = [], rng.integers(len(targets), size=int(rng.integers(1, 6)))
             for j in sources:
-                uv, depths = project_points(clouds[j], *rt(cam_from_world), K)
+                uv, depths = project_points(targets[j].points, *rt(cam_from_world), K)
                 front = uv[depths > 0]
                 a, b = front[rng.choice(len(front), 2, replace=False)]
                 boxes.append(np.array([*np.minimum(a, b), *np.maximum(a, b)]))
@@ -481,6 +489,95 @@ class TestProjectionCounts:
             assert (got[np.arange(len(boxes)), sources] >= 2).all()
         no_boxes = projection_count_costs([], targets, *rt(cam_from_world), K)
         assert no_boxes.shape == (0, len(targets))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        moved=st.booleans(),
+        refit=st.lists(st.booleans(), min_size=1, max_size=4),
+    )
+    @example(seed=3, moved=False, refit=[False, False, False])
+    @settings(max_examples=60, deadline=None)
+    def test_cull_and_reuse_count_as_brute_force(self, seed, moved, refit):
+        # clouds spawned as tick spawns them (hull: the viewing pyramid) or
+        # refit (hull: the bounding box), some of them with points at depth
+        # 0 and behind the counting camera; counted from a camera moved off
+        # the spawn camera or from the spawn camera itself, whose centre is
+        # every pyramid's apex; boxes with projected points on their edges
+        # and boxes anywhere. Every count equals the brute-force loop, twice
+        # under one rotation (the second reuses the rotated points) and
+        # again after set_points.
+        rng = np.random.default_rng(seed)
+        cfg = FilterConfig(m=200, max_depth=50.0)
+        gamma = np.deg2rad(rng.uniform(30.0, 90.0))
+        yaw, position = rng.uniform(-np.pi, np.pi), [*rng.uniform(-50, 50, 2), 30.0]
+        spawn_camera = camera_pose(yaw, position, gamma)
+        if moved:
+            step = rng.normal(0.0, 3.0, 3)
+            camera = camera_pose(yaw + rng.normal(0.0, 0.2), position + step, gamma)
+        else:
+            camera = spawn_camera
+        view = rt(camera.inverse())
+        targets = []
+        for refitted in refit:
+            u0, v0 = rng.uniform(0, 560), rng.uniform(0, 400)
+            box = [u0, v0, u0 + rng.uniform(8, 80), v0 + rng.uniform(8, 80)]
+            target = spawned(box, spawn_camera, cfg, rng)
+            if refitted:
+                cam_pts = transform(camera.inverse(), target.points)
+                cam_pts[:10] *= -1.0  # behind the counting camera
+                cam_pts[10:15, 2] = 0.0  # at its depth 0
+                target.set_points(transform(camera, cam_pts))
+            targets.append(target)
+        boxes = []
+        for target in targets:
+            uv, depths = project_points(target.points, *view, K)
+            sane = (depths > 0) & (np.abs(uv) < 1e4).all(axis=1)
+            if sane.sum() < 2:
+                continue
+            a, b = uv[sane][rng.choice(sane.sum(), 2, replace=False)]
+            boxes.append(np.array([*np.minimum(a, b), *np.maximum(a, b)]))
+            # boxes of a few pixels around the points that project furthest
+            # left, right, up and down, which only a hull that holds every
+            # point keeps from culling
+            for c in uv[sane][[*np.argmin(uv[sane], axis=0), *np.argmax(uv[sane], axis=0)]]:
+                boxes.append(np.concatenate([c - rng.uniform(0, 2, 2), c + rng.uniform(0, 2, 2)]))
+        for _ in range(2):
+            u0, v0 = rng.uniform(0, 600), rng.uniform(0, 440)
+            boxes.append(np.array([u0, v0, u0 + rng.uniform(8, 200), v0 + rng.uniform(8, 150)]))
+        for _ in range(2):
+            got = projection_count_costs(boxes, targets, *view, K)
+            assert np.array_equal(got, per_box_counts(boxes, targets, *view, K))
+        targets[0].set_points(targets[0].points[::2] + rng.normal(0.0, 0.1, (cfg.m // 2, 3)))
+        got = projection_count_costs(boxes, targets, *view, K)
+        assert np.array_equal(got, per_box_counts(boxes, targets, *view, K))
+
+    def test_culled_clouds_are_not_projected(self, monkeypatch):
+        # seen 3 m further along the lane, a cloud spawned near the left
+        # edge is culled by a box between it and the image centre, and
+        # counts zero without being projected; one that the box sees is
+        # projected once per call, and its rotated points are reused under
+        # the same rotation until set_points. (From the spawn camera nothing
+        # is culled: the pyramid's apex is the camera centre, on the plane
+        # of every cull row.)
+        rng = np.random.default_rng(2)
+        cfg = FilterConfig(m=300, max_depth=50.0)
+        spawn_camera = camera_pose(0.0, [0.0, 0.0, 30.0], np.deg2rad(60.0))
+        view = rt(camera_pose(0.0, [3.0, 0.0, 30.0], np.deg2rad(60.0)).inverse())
+        left = spawned([20.0, 200.0, 80.0, 260.0], spawn_camera, cfg, rng)
+        right = spawned([220.0, 200.0, 280.0, 260.0], spawn_camera, cfg, rng)
+        projected, rotated = [], []
+        pixel_rows = points_filter.pixel_rows
+        monkeypatch.setattr(
+            points_filter, "pixel_rows", lambda pc, k: projected.append(pc) or pixel_rows(pc, k)
+        )
+        box = np.array([200.0, 180.0, 300.0, 280.0])
+        for _ in range(2):
+            costs = projection_count_costs([box], [left, right], *view, K)
+            assert costs[0, 0] == 0 and costs[0, 1] > 0
+            rotated.append(right._rotated[1])
+        assert len(projected) == 2 and rotated[0] is rotated[1]
+        right.set_points(right.points)
+        assert right._rotated is None
 
 
 class TestTickLifecycle:
