@@ -33,6 +33,9 @@ log = logging.getLogger("targetsim")
 
 STAGES = ("detection", "generation", "converging", "converged", "mapped")
 DETECTION_IOU_MIN = 0.5
+# The most survey lanes a scenario may plan, on any machine: lawnmower builds two
+# waypoints a lane before the first frame, ~7 MB and ~1.5 s at this bound.
+MAX_SURVEY_LANES = 10_000
 
 
 class ScenarioInvalid(ValueError):
@@ -68,8 +71,8 @@ class Scenario:
         lanes = lane_count(self.planner.survey_polygon, self.planner.lane_spacing)
         if lanes > self.max_frames:  # a survey lane takes a frame at least
             raise ValueError(f"{lanes:.3g} survey lanes exceed max_sim_time's frames")
-        if lanes > np.iinfo(np.intp).max // 8:  # lawnmower's linspace of 8-byte lane ys
-            raise ValueError(f"{lanes:.3g} survey lanes exceed numpy's largest array")
+        if lanes > MAX_SURVEY_LANES:
+            raise ValueError(f"{lanes:.3g} survey lanes exceed the bound of {MAX_SURVEY_LANES}")
 
     @property
     def max_frames(self) -> int:

@@ -17,24 +17,27 @@ import numpy as np
 from .detector import Detection
 
 
-def iou(a, b) -> float:
-    """Intersection over union of two (u_min, v_min, u_max, v_max) boxes,
-    in float arithmetic, which rounds as numpy's; NaN for a zero union, as
-    numpy's 0 / 0 (a zero union has a zero intersection)."""
-    a0, a1, a2, a3 = np.asarray(a, dtype=float).tolist()
-    b0, b1, b2, b3 = np.asarray(b, dtype=float).tolist()
-    iw = min(a2, b2) - max(a0, b0)
-    ih = min(a3, b3) - max(a1, b1)
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    inter = iw * ih
-    union = (a2 - a0) * (a3 - a1) + (b2 - b0) * (b3 - b1) - inter
-    return inter / union if union else math.nan
-
-
 def iou_matrix(rows, cols) -> np.ndarray:
-    """The IoU of each box in rows with each in cols, (len(rows), len(cols)) even if empty."""
-    return np.array([[iou(r, c) for c in cols] for r in rows]).reshape(len(rows), len(cols))
+    """The intersection over union of each (u_min, v_min, u_max, v_max) box
+    in rows with each in cols, (len(rows), len(cols)) even if empty. Each box
+    is converted to floats once; float arithmetic rounds as numpy's. NaN for
+    a zero union, as numpy's 0 / 0 (a zero union has a zero intersection)."""
+    cols = [np.asarray(c, dtype=float).tolist() for c in cols]
+    ious = np.zeros((len(rows), len(cols)))
+    for i, (a0, a1, a2, a3) in enumerate(np.asarray(r, dtype=float).tolist() for r in rows):
+        for j, (b0, b1, b2, b3) in enumerate(cols):
+            iw = min(a2, b2) - max(a0, b0)
+            ih = min(a3, b3) - max(a1, b1)
+            if not (iw <= 0 or ih <= 0):  # a NaN coordinate gives NaN
+                inter = iw * ih
+                union = (a2 - a0) * (a3 - a1) + (b2 - b0) * (b3 - b1) - inter
+                ious[i, j] = inter / union if union else math.nan
+    return ious
+
+
+def iou(a, b) -> float:
+    """The IoU of two boxes, as iou_matrix computes it."""
+    return iou_matrix([a], [b]).item()
 
 
 def hungarian_assign(cost: np.ndarray, maximize: bool = False):
@@ -57,6 +60,12 @@ def hungarian_assign(cost: np.ndarray, maximize: bool = False):
     nr, nc = (n_cols, n_rows) if transpose else (n_rows, n_cols)
     if not all(x > -math.inf for row in c for x in row):  # false for NaN and -inf
         raise ValueError("cost matrix holds NaN or -inf")
+    if nr == 1:  # the scan below takes the first column holding the row's least cost
+        j = c[0].index(min(c[0]))
+        if c[0][j] == math.inf:
+            raise ValueError("cost matrix is infeasible")
+        rest = [*range(j), *range(j + 1, nc)]
+        return ([(j, 0)], rest, []) if transpose else ([(0, j)], [], rest)
 
     u, v = [0.0] * nr, [0.0] * nc  # the dual variables
     path, col4row, row4col = [-1] * nc, [-1] * nr, [-1] * nc
@@ -141,61 +150,64 @@ class TrackedBox:
     miss_streak: int
 
 
-def _bbox_to_z(bbox: np.ndarray) -> np.ndarray:
+def _bbox_to_z(bbox: np.ndarray) -> tuple:
     u0, v0, u1, v1 = bbox.tolist()  # float arithmetic rounds as numpy's and costs less
     w = u1 - u0
     h = v1 - v0
-    return np.array([u0 + w / 2.0, v0 + h / 2.0, w * h, w / h])
-
-
-def _x_to_bbox(x: np.ndarray) -> np.ndarray:
-    u, v, s, r = x[:4].tolist()
-    s = max(s, 1e-9)
-    r = max(r, 1e-9)
-    w = math.sqrt(s * r)
-    h = s / w
-    return np.array([u - w / 2.0, v - h / 2.0, u + w / 2.0, v + h / 2.0])
+    return u0 + w / 2.0, v0 + h / 2.0, w * h, w / h
 
 
 class _KalmanBoxState:
     """Constant-velocity filter over (u, v, s, r, du, dv, ds), measured in
-    (u, v, s, r). The transition F adds each velocity to its position and the
-    measurement H reads the first four entries; both are written out as
-    slices, since each product with them sums at most two non-zero terms
-    and so rounds as the slice arithmetic does."""
+    (u, v, s, r): the 7x7 Kalman filter as three (position, velocity) filters
+    for u, v and s, each with its 2x2 covariance (a, b, c, d), and a scalar
+    one for r, in Python floats. F, Q, H and R couple only these blocks, so P
+    stays block-diagonal with exact zeros off them; H P H^T + R is diagonal,
+    and LAPACK's inverse of it is the reciprocals; each entry of K and of K y
+    is one product, and each of (I - K H) P sums at most two terms, in index
+    order. So every entry rounds as in the matrix form, which the tests step
+    beside this one. b and c are both kept, since updates round them apart."""
 
     def __init__(self, bbox: np.ndarray, cfg: TrackerConfig):
-        self.x = np.zeros(7)
-        self.x[:4] = _bbox_to_z(bbox)
-        self.P = np.diag([10.0, 10.0, 10.0, 10.0, 1e4, 1e4, 1e4])
-        self.Q = cfg.process_noise_scale * np.diag(
-            [1.0, 1.0, 1.0, 1.0, 0.01, 0.01, 1e-4]
-        )
-        self.R = cfg.measurement_noise_scale * np.diag([1.0, 1.0, 10.0, 10.0])
+        q, m = cfg.process_noise_scale, cfg.measurement_noise_scale
+        *self.x, self.r = _bbox_to_z(bbox)  # u, v, s and r
+        self.dx = [0.0, 0.0, 0.0]
+        self.P = [(10.0, 0.0, 0.0, 1e4)] * 3  # (a, b, c, d) of each pair
+        self.q = ((q, q * 0.01), (q, q * 0.01), (q, q * 1e-4))
+        self.noise = (m, m, m * 10.0)
+        self.p_r, self.q_r, self.noise_r = 10.0, q, m * 10.0
 
     def predict(self):
-        """x = F x and P = F P F^T + Q."""
-        x, p = self.x, self.P
-        if x[2] + x[6] <= 0:  # keep predicted area positive
-            x[6] = 0.0
-        x[:3] += x[4:]
-        p[:3] += p[4:]  # F P
-        p[:, :3] += p[:, 4:]  # (F P) F^T
-        p += self.Q
+        """x = F x, P = F P F^T + Q in numpy's slice order; Q adds 0.0 off the diagonal."""
+        x, dx, p = self.x, self.dx, self.P
+        if x[2] + dx[2] <= 0:  # keep predicted area positive
+            dx[2] = 0.0
+        for i, (q, q_dx) in enumerate(self.q):
+            a, b, c, d = p[i]
+            x[i] += dx[i]
+            p[i] = ((a + c) + (b + d)) + q, (b + d) + 0.0, (c + d) + 0.0, d + q_dx
+        self.p_r += self.q_r
 
     def update(self, bbox: np.ndarray):
-        """The Kalman update with z = H x: H P H^T is P[:4, :4], and P H^T is
-        P[:, :4] copied into a (7, 4) array of its own, so that its product
-        with the inverse is the same BLAS call on the same layout."""
-        y = _bbox_to_z(bbox) - self.x[:4]
-        k = self.P[:, :4].copy() @ np.linalg.inv(self.P[:4, :4] + self.R)
-        self.x = self.x + k @ y
-        i_kh = np.eye(7)
-        i_kh[:, :4] -= k
-        self.P = i_kh @ self.P
+        *z, r = _bbox_to_z(bbox)
+        x, dx, p = self.x, self.dx, self.P
+        for i, noise in enumerate(self.noise):
+            a, b, c, d = p[i]
+            inv = 1.0 / (a + noise)
+            k, k_dx, y = a * inv, c * inv, z[i] - x[i]
+            x[i] += k * y
+            dx[i] += k_dx * y
+            p[i] = (1.0 - k) * a, (1.0 - k) * b, (0.0 - k_dx) * a + c, (0.0 - k_dx) * b + d
+        k = self.p_r * (1.0 / (self.p_r + self.noise_r))
+        self.r += k * (r - self.r)
+        self.p_r *= 1.0 - k
 
-    def bbox(self) -> np.ndarray:
-        return _x_to_bbox(self.x)
+    def bbox(self) -> tuple:
+        (u, v, s), r = self.x, max(self.r, 1e-9)
+        s = max(s, 1e-9)
+        w = math.sqrt(s * r)
+        h = s / w
+        return u - w / 2.0, v - h / 2.0, u + w / 2.0, v + h / 2.0
 
 
 class _Track:
@@ -209,7 +221,7 @@ class _Track:
     def snapshot(self) -> TrackedBox:
         return TrackedBox(
             track_id=self.track_id,
-            bbox=self.kf.bbox(),
+            bbox=np.array(self.kf.bbox()),
             hit_streak=self.hit_streak,
             miss_streak=self.miss_streak,
         )

@@ -37,7 +37,7 @@ from targetsim.points_filter import (
 )
 from targetsim.tracker import TrackedBox
 from targetsim.uav import UavState, camera_pose, fly, step, waypoint_reached
-from targetsim.view_planner import Waypoint, lawnmower
+from targetsim.view_planner import Waypoint, lane_count, lawnmower
 
 BASE = {
     "name": "unit",
@@ -127,6 +127,11 @@ def bad_scenario_texts() -> dict[str, str]:
         # 1e292 lanes, within max_sim_time's frames but too many for numpy.linspace
         "lanes_past_array_size": json.dumps(
             {**with_leaf(("planner", "lane_spacing"), 1e-290), "max_sim_time": 1e300}
+        ),
+        # 6e16 lanes, within max_sim_time's frames and numpy's array size, for
+        # which lawnmower's linspace asked for 426 PiB
+        "lanes_past_plan_bound": json.dumps(
+            {**with_leaf(("planner", "lane_spacing"), 1e-15), "max_sim_time": 1e17}
         ),
         # the vehicle would move 5 frames' time per frame
         "uav_dt_apart_from_frame_rate": json.dumps(with_leaf(("uav", "dt"), 0.5)),
@@ -258,6 +263,19 @@ class TestScenarioSchema:
         data["filter"] = {}
         s = scenario_from_dict(data)
         assert s.filter.max_depth == 50.0  # altitude 30 + 20
+
+    def test_survey_lanes_bounded(self):
+        # a polygon 9,999 m tall at 1 m spacing plans 10,000 lanes, one more m 10,001
+        for height, loads in ((9999.0, True), (10000.0, False)):
+            polygon = [[0.0, 0.0], [60.0, 0.0], [60.0, height], [0.0, height]]
+            data = with_leaf(("planner", "survey_polygon"), polygon)
+            data["planner"]["lane_spacing"], data["max_sim_time"] = 1.0, 3600.0
+            assert lane_count(polygon, 1.0) == harness.MAX_SURVEY_LANES + (not loads)
+            if loads:
+                assert scenario_from_dict(data).planner.lane_spacing == 1.0
+            else:
+                with pytest.raises(ScenarioInvalid, match="exceed the bound of 10000"):
+                    scenario_from_dict(data)
 
     def test_round_trip_through_dict(self):
         s = scenario()
