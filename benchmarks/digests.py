@@ -11,9 +11,12 @@ and the queue scenario that tests/test_acceptance.py pins. Each run's
 metrics are also recomputed by compute_metrics, the replay-metrics path:
 from the replayed trace, where they must equal its summary footer, or from
 the records of a metrics-only run, where they must equal the run's own.
-Prints one line per run and exits 1 on any mismatch. A run
-outputs the same bytes on every machine, so the pins hold anywhere; the
-whole check takes about a minute on a 2-core host.
+A traced run keeps no records, so its records digest is taken from the
+replayed trace; its pin was taken from the records of a metrics-only run
+of the same scenario, so a match shows that the trace holds the run's
+records byte for byte. Prints one line per run and exits 1 on any
+mismatch. A run outputs the same bytes on every machine, so the pins hold
+anywhere; the whole check takes about a minute on a 2-core host.
 """
 
 from __future__ import annotations
@@ -36,14 +39,12 @@ def sha16(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def records_digest(records) -> str:
-    return sha16(
-        "".join(
-            json.dumps({"type": "frame", "record": r}, sort_keys=True, separators=(",", ":"))
-            + "\n"
-            for r in records
-        ).encode()
-    )
+def hashed(records, sha):
+    """Yield each record once its frame line has been added to sha."""
+    for r in records:
+        line = json.dumps({"type": "frame", "record": r}, sort_keys=True, separators=(",", ":"))
+        sha.update((line + "\n").encode())
+        yield r
 
 
 def nominal_scenario() -> dict:
@@ -69,16 +70,23 @@ def queue_scenario(serve: bool) -> dict:
 
 def pinned_runs() -> list[tuple[str, dict, dict]]:
     """(name, scenario, pinned digests): a run pinned by "trace" writes its
-    trace and clouds; one pinned by "records" runs metrics-only."""
+    trace and clouds, and its "records" are those of its replayed trace;
+    any other run is metrics-only."""
     return [
         ("survey5 seed 12", make_scenario("survey5", 12, False),
-         {"trace": "f8192b854177f057", "clouds": "18816b25abd2654d"}),
-        ("survey5 seed 0", make_scenario("survey5", 0, False), {"trace": "99a8601617a7b216"}),
-        ("survey5 seed 5", make_scenario("survey5", 5, False), {"trace": "ab0bae59c8811ca7"}),
+         {"trace": "f8192b854177f057", "clouds": "18816b25abd2654d",
+          "records": "9b4ac6fbffffe403"}),
+        ("survey5 seed 0", make_scenario("survey5", 0, False),
+         {"trace": "99a8601617a7b216", "records": "f3d77547a90c2119"}),
+        ("survey5 seed 5", make_scenario("survey5", 5, False),
+         {"trace": "ab0bae59c8811ca7", "records": "07ff7512dd6c8a0b"}),
         ("survey5 seed 13", make_scenario("survey5", 13, False),
-         {"trace": "5ceb37f3323183b2", "clouds": "24e9e541d3d8d016"}),
-        ("survey5 seed 39", make_scenario("survey5", 39, False), {"trace": "d632a0c545798252"}),
-        ("nominal", nominal_scenario(), {"trace": "3384f4105341b8dd"}),
+         {"trace": "5ceb37f3323183b2", "clouds": "24e9e541d3d8d016",
+          "records": "422b0b9068366ba5"}),
+        ("survey5 seed 39", make_scenario("survey5", 39, False),
+         {"trace": "d632a0c545798252", "records": "d579c251837b7b7f"}),
+        ("nominal", nominal_scenario(),
+         {"trace": "3384f4105341b8dd", "records": "e839ecceb3ff8d65"}),
         ("clutter1 seed 7", make_scenario("clutter1", 7, False), {"records": "b97d8f2aa210cd1e"}),
         ("clutter1 seed 1007", make_scenario("clutter1", 1007, False),
          {"records": "2ec3c974480d24ef"}),
@@ -93,14 +101,14 @@ def pinned_runs() -> list[tuple[str, dict, dict]]:
 def check(scenario: dict, pinned: dict) -> dict:
     """The run's digests, and "replay": whether compute_metrics of its
     replayed trace equals the summary footer, or of its records (a
-    metrics-only run) the run's metrics."""
-    if "records" in pinned:
+    metrics-only run) the run's metrics. The records are hashed as
+    compute_metrics reads them."""
+    sha = hashlib.sha256()
+    if "trace" not in pinned:
         scenario = scenario_from_dict(scenario)
         result = run(scenario)
-        return {
-            "records": records_digest(result.records),
-            "replay": compute_metrics(result.records, scenario) == result.metrics,
-        }
+        replay = compute_metrics(hashed(result.records, sha), scenario) == result.metrics
+        return {"records": sha.hexdigest()[:16], "replay": replay}
     with tempfile.TemporaryDirectory() as out:
         run(scenario_from_dict(scenario), out_dir=out)
         trace = Path(out) / "trace.jsonl"
@@ -108,10 +116,12 @@ def check(scenario: dict, pinned: dict) -> dict:
         data = trace.read_bytes()
         replayed, records = read_trace(trace)
         summary = json.loads(data.splitlines()[-1])
+        replay = compute_metrics(hashed(records, sha), replayed) == summary["metrics"]
         return {
             "trace": sha16(data),
             "clouds": sha16(b"".join(p.read_bytes() for p in clouds)),
-            "replay": compute_metrics(records, replayed) == summary["metrics"],
+            "records": sha.hexdigest()[:16],
+            "replay": replay,
         }
 
 

@@ -448,11 +448,14 @@ def compute_metrics(records, scenario: Scenario) -> dict:
 
 @dataclass
 class RunResult:
+    """A run's outcome. A run given out_dir keeps no records (None): its
+    trace holds them, and read_trace(trace_path) yields them exactly."""
+
     completed: bool
     frames: int
     sim_time: float
     metrics: dict
-    records: list
+    records: list | None
     mapped_true_ids: set
     trace_path: Path | None = None
 
@@ -543,7 +546,7 @@ def run(scenario: Scenario, out_dir=None) -> RunResult:
     all_true_ids = {t.id for t in scenario.targets}
     target_entries = _TargetEntries()
     scores = _Scores(scenario)
-    records: list[dict] = []
+    records = [] if out_path is None else None  # a traced run writes each record and drops it
     completed = False
     frame = 0
 
@@ -580,9 +583,10 @@ def run(scenario: Scenario, out_dir=None) -> RunResult:
 
             targets = target_entries.update(flt.targets)
             record = _make_record(t, frame, uav, est, detections, boxes, targets, mission, events)
-            records.append(record)
             scores.add(record, _true_boxes_by_id(scenario, true_boxes, visible))
-            if trace_fh is not None:
+            if trace_fh is None:
+                records.append(record)
+            else:
                 trace_fh.write(_frame_line(record, target_entries.texts()) + "\n")
 
             if (all_true_ids and mission.mapped_true_ids >= all_true_ids) or mission.idle():

@@ -138,6 +138,8 @@ class TrackerConfig:
             raise ValueError("min_hits and max_misses must be >= 1")
         if not 0.0 < self.iou_min < 1.0:
             raise ValueError("iou_min must be in (0, 1)")
+        if self.process_noise_scale <= 0 or self.measurement_noise_scale <= 0:
+            raise ValueError("process_noise_scale and measurement_noise_scale must be > 0")
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import pytest
 from targetsim.bounding_cylinder import BoundingCylinder, fit_bounding_cylinder
 from targetsim.detector import Detection
 from targetsim.geometry import CameraIntrinsics, project_points
-from targetsim.harness import load_scenario, run, scenario_from_dict
+from targetsim.harness import load_scenario, read_trace, run, scenario_from_dict
 from targetsim.points_filter import (
     FilterConfig,
     GaussianSummary,
@@ -51,6 +51,11 @@ SMOKE_CLUTTER_RECORDS_DIGEST = "2b959012fcc80bbf"
 # clutter, so that targets converge while the vehicle orbits another and
 # wait in the mission's queues.
 QUEUE_RECORDS_DIGESTS = {False: ("9bf598d004941d45", 4500), True: ("1cfbbe69ac617dcc", 4588)}
+# The same for the records of the nominal and five-target scenarios, taken
+# from metrics-only runs: a traced run keeps no records, and its trace
+# replays to exactly these.
+NOMINAL_RECORDS_DIGEST = "e839ecceb3ff8d65"
+NOISY_RECORDS_DIGEST = "9b4ac6fbffffe403"
 
 
 @contextmanager
@@ -82,9 +87,10 @@ def noisy_result(tmp_path_factory):
 
 
 def event_error(result, kind, scenario):
-    """Distance from each `kind` event's estimate to the nearest true center."""
+    """Distance from each `kind` event's estimate to the nearest true center,
+    read from the run's trace."""
     errs = []
-    for rec in result.records:
+    for rec in read_trace(result.trace_path)[1]:
         for ev in rec["events"]:
             if ev["type"] != kind:
                 continue
@@ -355,6 +361,21 @@ def test_smoke_clutter_records_digest_pinned():
     result = run(scenario_from_dict(data))
     assert result.frames == 1997
     assert records_digest(result.records) == SMOKE_CLUTTER_RECORDS_DIGEST
+
+
+@pytest.mark.parametrize(
+    "which, digest",
+    [("nominal_result", NOMINAL_RECORDS_DIGEST), ("noisy_result", NOISY_RECORDS_DIGEST)],
+)
+def test_trace_holds_the_records_of_its_run(request, which, digest):
+    _, result = request.getfixturevalue(which)
+    assert result.records is None
+    assert records_digest(read_trace(result.trace_path)[1]) == digest
+
+
+def test_metrics_only_nominal_records_digest_pinned():
+    result = run(load_scenario("scenarios/nominal_single_target.json"))
+    assert records_digest(result.records) == NOMINAL_RECORDS_DIGEST
 
 
 @pytest.mark.parametrize("serve", [False, True])

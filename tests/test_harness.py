@@ -133,6 +133,14 @@ def bad_scenario_texts() -> dict[str, str]:
         "lanes_past_plan_bound": json.dumps(
             {**with_leaf(("planner", "lane_spacing"), 1e-15), "max_sim_time": 1e17}
         ),
+        # each scale multiplies a variance: at 0 a track's variance reached 0
+        # and the filter divided by it; below 0 the filter ran on nonsense
+        "zero_tracker_noise_scales": json.dumps(
+            {**BASE, "tracker": {"process_noise_scale": 0.0, "measurement_noise_scale": 0.0}}
+        ),
+        "negative_measurement_noise_scale": json.dumps(
+            with_leaf(("tracker", "measurement_noise_scale"), -1.0)
+        ),
         # the vehicle would move 5 frames' time per frame
         "uav_dt_apart_from_frame_rate": json.dumps(with_leaf(("uav", "dt"), 0.5)),
         # nesting too deep for the decoder raised RecursionError
@@ -357,11 +365,12 @@ class TestRun:
         s = scenario()
         result = run(s, out_dir=tmp_path)
         assert result.trace_path is not None and result.trace_path.exists()
+        assert result.records is None  # the trace holds them
         replay_scenario, replay_records = read_trace(result.trace_path)
         summary = json.loads(result.trace_path.read_text().splitlines()[-1])
         assert summary["type"] == "summary" and summary["completed"] is True
         replay_records = list(replay_records)
-        assert len(replay_records) == len(result.records)
+        assert len(replay_records) == result.frames
         # metrics recomputed from the persisted trace equal the online ones
         replay_metrics = compute_metrics(replay_records, replay_scenario)
         assert replay_metrics == result.metrics == summary["metrics"]
@@ -771,10 +780,10 @@ class TestCli:
             "repeated_block_with_text_appended", "repeated_block_without_its_bracket",
         ],
     )
-    def test_replay_malformed_text_exit_2(self, tmp_path, capsys, nominal_run, edit):
+    def test_replay_malformed_text_exit_2(self, tmp_path, capsys, nominal_traced, edit):
         # raw edits of a frame line in run's layout whose targets block
         # repeats the line before's, so that replay has that block decoded
-        lines = nominal_run.trace_path.read_text().splitlines()
+        lines = nominal_traced.trace_path.read_text().splitlines()
         n = next(
             n for n in range(2, len(lines) - 1)
             if targets_block(lines[n]).text == targets_block(lines[n - 1]).text != "[]"
@@ -1107,7 +1116,14 @@ def test_association_culls_clouds(counted_smoke_clutter):
 
 
 @pytest.fixture(scope="module")
-def nominal_run(tmp_path_factory):
+def nominal_run():
+    """The nominal scenario's metrics-only run, which keeps its records."""
+    return run(scenario_from_dict(json.loads(NOMINAL.read_text())))
+
+
+@pytest.fixture(scope="module")
+def nominal_traced(tmp_path_factory):
+    """The nominal scenario's run with its trace, which keeps no records."""
     return run(scenario_from_dict(json.loads(NOMINAL.read_text())),
                out_dir=tmp_path_factory.mktemp("nominal"))
 
@@ -1115,14 +1131,17 @@ def nominal_run(tmp_path_factory):
 class TestTargetEntries:
     @pytest.mark.parametrize("which", ["nominal", "smoke_clutter"])
     def test_frame_lines_equal_whole_record_encoding(self, which, request, tmp_path):
+        # a traced run's frame lines against its metrics-only twin's records
         if which == "nominal":
-            result = request.getfixturevalue("nominal_run")
+            traced = request.getfixturevalue("nominal_traced")
+            twin = request.getfixturevalue("nominal_run")
         else:
-            result = run(smoke_clutter(), out_dir=tmp_path)
-        lines = result.trace_path.read_text().splitlines()[1:-1]
-        assert len(lines) == len(result.records) == result.frames
-        assert any(r["targets"] for r in result.records)
-        for line, record in zip(lines, result.records):
+            traced = run(smoke_clutter(), out_dir=tmp_path)
+            twin, _ = request.getfixturevalue("counted_smoke_clutter")
+        lines = traced.trace_path.read_text().splitlines()[1:-1]
+        assert len(lines) == len(twin.records) == traced.frames == twin.frames
+        assert any(r["targets"] for r in twin.records)
+        for line, record in zip(lines, twin.records):
             assert line == harness._json_line({"type": "frame", "record": record})
 
     def test_entry_rebuilt_on_each_change(self):
@@ -1186,9 +1205,9 @@ RECORD_VALUES = JSON_VALUES | st.sampled_from([float("nan"), float("-inf"), 10**
 
 
 @pytest.fixture(scope="module")
-def nominal_event_lines(nominal_run) -> dict:
+def nominal_event_lines(nominal_traced) -> dict:
     """The nominal trace's header line, and its first frame line with each event type."""
-    header, *frames = nominal_run.trace_path.read_text().splitlines()[:-1]
+    header, *frames = nominal_traced.trace_path.read_text().splitlines()[:-1]
     first = {"scenario": header}
     for line in frames:
         for ev in json.loads(line)["record"]["events"]:
