@@ -13,8 +13,12 @@ cloud's hull has its apex at the camera centre, and from the camera moved
 as the detector draws clutter1's, where some clouds are culled in every
 box and are not projected. The batched true-box
 case projects survey5's five targets from 1,024 survey poses, two metric
-chunks' worth. The frame line is one frame's record and trace line with
-three live targets that did not change since the last frame. The flight
+chunks' worth. The frame line is one busy frame's record and trace line:
+a detection, a track and an event, with three live targets that did not
+change since the last frame. The keyframe case is tick's update of one
+cloud seen again from the camera moved 3 m along the lane (update_points,
+set_points, kl_divergence and differential_entropy), at survey5's 1,000
+and clutter1's 4,000 points. The flight
 block is one block of survey5's lawnmower (kinematics, camera poses and
 cull), from its fifth waypoint along a lane that sees one target in over
 half its views. The assignment case solves one matrix of each of
@@ -39,10 +43,13 @@ from targetsim.detector import FP_BOX_MIN_PX, Detection, ellipsoid_target, visib
 from targetsim.geometry import CameraIntrinsics, project_points
 from targetsim.mission import MissionMode
 from targetsim.points_filter import (
+    Event,
     FilterConfig,
     PointTarget,
     TargetState,
+    differential_entropy,
     generate_points,
+    kl_divergence,
     projection_count_costs,
     update_points,
     viewing_pyramid,
@@ -134,6 +141,24 @@ def test_update_points(benchmark, clouds):
     assert new_points.shape == clouds[0].points.shape
 
 
+def keyframe(target, cfg, rng):
+    """tick's keyframe update of one target against the first box."""
+    old = target.summary
+    target.set_points(update_points(target.points, BOXES[0], *MOVED_VIEW, K, cfg, rng))
+    return kl_divergence(target.summary, old), differential_entropy(target.summary)
+
+
+@pytest.mark.parametrize("m", [1000, 4000])  # survey5's and clutter1's clouds
+def test_keyframe_update(benchmark, m):
+    cfg = FilterConfig(m=m, max_depth=50.0)
+    rng = np.random.default_rng(6)
+    spawn = (WORLD_FROM_CAM.rotation, WORLD_FROM_CAM.translation)
+    points = generate_points(BOXES[0], *spawn, K, cfg, rng)
+    target = PointTarget(1, points, TargetState.TRACKING, spawn)
+    kld, entropy = benchmark(keyframe, target, cfg, rng)
+    assert target.points.shape == (m, 3) and kld >= 0.0 and np.isfinite(entropy)
+
+
 def test_projection_count_costs(benchmark, clouds):
     costs = benchmark(projection_count_costs, BOXES, clouds, *VIEW, K)
     assert costs.shape == (len(BOXES), len(clouds))
@@ -204,7 +229,7 @@ def frame_line(entries, targets, uav, mission):
     live = entries.update(targets)
     record = harness._make_record(
         0.1, 1, uav, uav.position, [Detection(BOXES[0], 1.0)], [TrackedBox(1, BOXES[0], 5, 0)],
-        live, mission, [],
+        live, mission, [Event("spawned", 4, bbox=tuple(BOXES[1].tolist()))],
     )
     return harness._frame_line(record, entries.texts())
 
@@ -214,8 +239,9 @@ def test_frame_line(benchmark, clouds):
     uav = UavState.at_rest([10.0, 20.0, 30.0])
     args = (clouds[:3], uav, SimpleNamespace(mode=MissionMode.SEARCH))
     frame_line(entries, *args)  # the targets' entries are built before the timed frames
-    line = benchmark(frame_line, entries, *args)
-    assert [e["n_points"] for e in json.loads(line)["record"]["targets"]] == [4000] * 3
+    record = json.loads(benchmark(frame_line, entries, *args))["record"]
+    assert [e["n_points"] for e in record["targets"]] == [4000] * 3
+    assert [len(record[key]) for key in ("detections", "tracks", "events")] == [1, 1, 1]
 
 
 def test_flight_block(benchmark, monkeypatch):

@@ -15,6 +15,8 @@ import numpy as np
 from .geometry import CameraIntrinsics, Pose, cull_rows, project_points, transform_rows
 
 FP_BOX_MIN_PX = 8.0
+# The most surface points a target may hold: ~220 bytes each to build, projected in every view
+MAX_SURFACE_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -49,6 +51,8 @@ def ellipsoid_target(target_id: str, center, semi_axes, n_surface: int = 400) ->
         raise ValueError(f"semi_axes needs 3 values, got {axes.size}")
     if np.any(axes <= 0):
         raise ValueError("semi-axes must be positive")
+    if n_surface > MAX_SURFACE_POINTS:
+        raise ValueError(f"n_surface {n_surface} exceeds the bound of {MAX_SURFACE_POINTS}")
     i = np.arange(n_surface, dtype=float)
     golden = np.pi * (3.0 - np.sqrt(5.0))
     z = 1.0 - 2.0 * (i + 0.5) / n_surface
@@ -160,7 +164,7 @@ def detect(
     row of visible_boxes: every true target's box (n_targets, 4) and which
     targets are in full view (n_targets,). It only draws the faults."""
     detections: list[Detection] = []
-    for i in np.flatnonzero(visible):
+    for i in [i for i, seen in enumerate(visible.tolist()) if seen]:
         bbox = boxes[i]
         if cfg.fn_rate > 0 and rng.random() < cfg.fn_rate:
             continue

@@ -162,16 +162,16 @@ def cull_rows(boxes, k: CameraIntrinsics) -> np.ndarray:
 
 def pixel_rows(pc: np.ndarray, k: CameraIntrinsics):
     """The pinhole projection of camera-frame rows pc (..., 3, n), without
-    behind-camera checks: the one place it is computed. Returns the rows
-    (u, v, depths), each (..., n), u and v contiguous and depths a view of
-    pc. Pixels of non-positive-depth points are garbage and come from a
-    division by zero, so the caller holds an errstate that ignores divide
-    and invalid, and masks on depth."""
-    x, y, depths = pc[..., 0, :], pc[..., 1, :], pc[..., 2, :]
-    u = k.fx * x  # k.fx * x / depths + k.cx, divided and shifted in place
+    behind-camera checks: the one place it is computed. It writes u and v over
+    pc's x and y rows, so pc must be the caller's own buffer, and returns pc's
+    rows (u, v, depths), each (..., n). Pixels of non-positive-depth points
+    are garbage and come from a division by zero, so the caller holds an
+    errstate that ignores divide and invalid, and masks on depth."""
+    u, v, depths = pc[..., 0, :], pc[..., 1, :], pc[..., 2, :]
+    u *= k.fx
     u /= depths
     u += k.cx
-    v = k.fy * y
+    v *= k.fy
     v /= depths
     v += k.cy
     return u, v, depths

@@ -16,6 +16,7 @@ import math
 import sys
 import typing
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -296,14 +297,33 @@ def _make_record(t, frame, uav, est, detections, boxes, targets, mission, events
     }
 
 
+def _floats(*values) -> str:
+    """Floats, comma-separated, as json.dumps writes them (repr, or NaN and Infinity)."""
+    text = ",".join(map(float.__repr__, values))
+    return text.replace("nan", "NaN").replace("inf", "Infinity") if "n" in text else text
+
+
 def _frame_line(record: dict, target_texts: list[str]) -> str:
-    """_json_line({"type": "frame", "record": record}), with the record's
-    targets taken from their encoded texts: the line is encoded with null
-    targets, and the first '"targets":null' is the record's, as with sorted
-    keys only its detections, events, frame, mode and t come before it, and
-    none of them holds a "targets" key."""
-    line = _json_line({"record": {**record, "targets": None}, "type": "frame"})
-    return line.replace('"targets":null', '"targets":[' + ",".join(target_texts) + "]", 1)
+    """_json_line({"type": "frame", "record": record}) of a record as
+    _make_record builds it, with its targets given as their encoded texts:
+    each field is written as json.dumps writes it, in sorted key order.
+    Events, on about one frame in a thousand, are left to _json_line."""
+    est, true, events = record["uav"]["est"], record["uav"]["true"], record["events"]
+    detections = ",".join(
+        f'{{"bbox":[{_floats(*d["bbox"])}],"score":{_floats(d["score"])}}}'
+        for d in record["detections"]
+    )
+    tracks = ",".join(
+        f'{{"bbox":[{_floats(*b["bbox"])}],"id":{int.__repr__(b["id"])}}}' for b in record["tracks"]
+    )
+    return (
+        f'{{"record":{{"detections":[{detections}],"events":{_json_line(events) if events else "[]"},'
+        f'"frame":{int.__repr__(record["frame"])},"mode":{encode_basestring_ascii(record["mode"])},'
+        f'"t":{_floats(record["t"])},"targets":[{",".join(target_texts)}],"tracks":[{tracks}],'
+        f'"uav":{{"est":{{"position":[{_floats(*est["position"])}],"yaw":{_floats(est["yaw"])}}},'
+        f'"true":{{"position":[{_floats(*true["position"])}],"yaw":{_floats(true["yaw"])}}}}}'
+        '},"type":"frame"}'
+    )
 
 
 # -- metrics -----------------------------------------------------------------

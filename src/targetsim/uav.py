@@ -98,7 +98,7 @@ def step(position: np.ndarray, cfg: UavConfig, rng: np.random.Generator) -> np.n
         return position
     noise = rng.normal(0.0, cfg.pose_noise_sigma, size=3)
     bound = 3.0 * cfg.pose_noise_sigma
-    return position + np.clip(noise, -bound, bound)
+    return position + np.minimum(np.maximum(noise, -bound), bound)  # np.clip, bit for bit
 
 
 def waypoint_reached(state: UavState, target: Waypoint) -> bool:

@@ -14,6 +14,9 @@ import numpy as np
 
 from .bounding_cylinder import BoundingCylinder
 
+# The most segments an orbit may have: ~60 us and ~490 bytes a waypoint to plan
+MAX_ORBIT_SEGMENTS = 3_600
+
 
 class EmptyPolygon(ValueError):
     """Survey polygon with fewer than three vertices."""
@@ -54,6 +57,8 @@ class PlannerConfig:
         for name in ("standoff", "lane_spacing", "waypoint_spacing"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if 2.0 * np.pi / self.waypoint_spacing > MAX_ORBIT_SEGMENTS:  # _circle_loop's n_seg
+            raise ValueError(f"waypoint_spacing plans over {MAX_ORBIT_SEGMENTS} orbit segments")
         if not 0.0 < self.estimation_view_angle < np.pi / 2.0:
             raise ValueError("estimation_view_angle must be in (0, pi/2)")
         if len(self.survey_polygon) < 3:

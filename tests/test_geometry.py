@@ -16,6 +16,7 @@ from targetsim.geometry import (
     Pose,
     check_rotations,
     cull_rows,
+    pixel_rows,
     project_points,
     transform_points,
     yaw_rotation,
@@ -227,6 +228,20 @@ class TestKernelLayout:
             assert np.array_equal(uv, want_uv, equal_nan=True)
             assert np.array_equal(depths, want_depths)
         assert np.isinf(uv[..., 0, 0]).all() and np.isnan(uv[..., 1, :]).all()
+
+    def test_pixel_rows_projects_in_place(self):
+        # u and v overwrite the x and y rows handed in and depths is their z
+        # row, on one view and on a stack, so callers hand it rows of their own
+        rng = np.random.default_rng(12)
+        for shape in ((3, 40), (4, 3, 40)):
+            pc = rng.normal(size=shape) * 5.0
+            x, y, z = (pc[..., i, :].copy() for i in range(3))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rows = pixel_rows(pc, K)
+                want = (K.fx * x / z + K.cx, K.fy * y / z + K.cy, z)
+            for i, (got, expected) in enumerate(zip(rows, want)):
+                assert np.shares_memory(got, pc[..., i, :]) and got.shape == z.shape
+                assert got.tobytes() == expected.tobytes() == pc[..., i, :].tobytes()
 
     def test_pose_transform_keeps_layout(self):
         rng = np.random.default_rng(41)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from targetsim import geometry, harness, points_filter
 from targetsim.cli import main as cli_main
-from targetsim.detector import visible_boxes
+from targetsim.detector import MAX_SURFACE_POINTS, ellipsoid_target, visible_boxes
 from targetsim.harness import (
     Scenario,
     ScenarioInvalid,
@@ -28,7 +28,9 @@ from targetsim.harness import (
     scenario_to_dict,
     write_cloud,
 )
+from targetsim.mission import MissionMode
 from targetsim.points_filter import (
+    MAX_CLOUD_POINTS,
     Event,
     FilterConfig,
     PointsFilter,
@@ -37,7 +39,7 @@ from targetsim.points_filter import (
 )
 from targetsim.tracker import TrackedBox
 from targetsim.uav import UavState, camera_pose, fly, step, waypoint_reached
-from targetsim.view_planner import Waypoint, lane_count, lawnmower
+from targetsim.view_planner import MAX_ORBIT_SEGMENTS, Waypoint, lane_count, lawnmower
 
 BASE = {
     "name": "unit",
@@ -132,6 +134,16 @@ def bad_scenario_texts() -> dict[str, str]:
         # which lawnmower's linspace asked for 426 PiB
         "lanes_past_plan_bound": json.dumps(
             {**with_leaf(("planner", "lane_spacing"), 1e-15), "max_sim_time": 1e17}
+        ),
+        # validate crashed on the surface points, and run on all three: 30
+        # GiB of spawn weights, 7.5 GiB of surface points, and an
+        # OverflowError counting the 2 pi / 1e-320 segments of the first orbit
+        "cloud_points_past_bound": json.dumps(with_leaf(("filter", "m"), 10**9)),
+        "surface_points_past_bound": json.dumps(
+            with_leaf(("world", "targets", 0, "n_surface"), 10**9)
+        ),
+        "orbit_segments_past_bound": json.dumps(
+            with_leaf(("planner", "waypoint_spacing"), 1e-320)
         ),
         # each scale multiplies a variance: at 0 a track's variance reached 0
         # and the filter divided by it; below 0 the filter ran on nonsense
@@ -284,6 +296,20 @@ class TestScenarioSchema:
             else:
                 with pytest.raises(ScenarioInvalid, match="exceed the bound of 10000"):
                     scenario_from_dict(data)
+
+    def test_sizes_bounded(self):
+        # each size loads at its bound and not one past it; loading builds
+        # no cloud and no orbit
+        spacing = 2.0 * np.pi / MAX_ORBIT_SEGMENTS
+        for leaf, at_bound, past, match in (
+            (("filter", "m"), MAX_CLOUD_POINTS, MAX_CLOUD_POINTS + 1, "100000 points"),
+            (("planner", "waypoint_spacing"), spacing, np.nextafter(spacing, 0.0), "3600 orbit"),
+        ):
+            scenario_from_dict(with_leaf(leaf, at_bound))
+            with pytest.raises(ScenarioInvalid, match=match):
+                scenario_from_dict(with_leaf(leaf, past))
+        with pytest.raises(ValueError, match="bound of 100000"):
+            ellipsoid_target("t", [0.0, 0.0, 0.0], [1.0, 1.0, 1.0], MAX_SURFACE_POINTS + 1)
 
     def test_round_trip_through_dict(self):
         s = scenario()
@@ -1128,7 +1154,64 @@ def nominal_traced(tmp_path_factory):
                out_dir=tmp_path_factory.mktemp("nominal"))
 
 
+EVENT_KINDS = ("spawned", "spawn_failed", "update_failed", "converging", "converged",
+               "deregistered", "mode_change", "mapped", "estimation_failed", "duplicate_dropped")
+# every float json spells its own way, and the ends of the float range
+JSON_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, -5e-324,
+                     1e308, -1.7976931348623157e308, 1e16, 1e-7, 0.1]),
+)
+JSON_INTS = st.one_of(st.integers(-(2**70), 2**70), st.integers(0, 10))
+
+
+def floats_of(n):
+    return st.lists(JSON_FLOATS, min_size=n, max_size=n)
+
+
+FRAME_RECORDS = st.fixed_dictionaries({
+    "t": JSON_FLOATS,
+    "frame": JSON_INTS,
+    "uav": st.fixed_dictionaries({
+        side: st.fixed_dictionaries({"position": floats_of(3), "yaw": JSON_FLOATS})
+        for side in ("true", "est")
+    }),
+    "detections": st.lists(
+        st.fixed_dictionaries({"bbox": floats_of(4), "score": JSON_FLOATS}), max_size=3
+    ),
+    "tracks": st.lists(st.fixed_dictionaries({"id": JSON_INTS, "bbox": floats_of(4)}), max_size=3),
+    "mode": st.sampled_from([m.value for m in MissionMode]) | st.text(max_size=8),
+    "events": st.lists(
+        st.builds(
+            lambda kind, target, mode, bbox: Event(kind, target, mode, bbox).to_dict(),
+            st.sampled_from(EVENT_KINDS) | st.text(max_size=8),
+            st.none() | JSON_INTS,
+            st.none() | st.sampled_from([m.value for m in MissionMode]) | st.text(max_size=8),
+            st.none() | floats_of(4).map(tuple),
+        ),
+        max_size=4,
+    ),
+})
+
+
 class TestTargetEntries:
+    @given(
+        record=FRAME_RECORDS,
+        targets=st.lists(
+            st.fixed_dictionaries({"id": JSON_INTS, "mean": floats_of(3), "kld": JSON_FLOATS}),
+            max_size=3,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_frame_line_equals_json_dumps_of_the_record(self, record, targets):
+        # field by field, the line json.dumps writes of the whole record,
+        # on every kind of float json spells, large ints, empty lists,
+        # non-ASCII text and every event kind with and without its keys
+        texts = [harness._json_line(t) for t in targets]
+        whole = {**record, "targets": [json.loads(text) for text in texts]}
+        line = harness._frame_line(record, texts)
+        assert line == harness._json_line({"type": "frame", "record": whole})
+
     @pytest.mark.parametrize("which", ["nominal", "smoke_clutter"])
     def test_frame_lines_equal_whole_record_encoding(self, which, request, tmp_path):
         # a traced run's frame lines against its metrics-only twin's records

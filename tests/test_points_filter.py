@@ -1,5 +1,7 @@
 """Sampling filter: generation, weighting, resampling, statistics, lifecycle."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,7 +10,7 @@ from scipy.stats import multivariate_normal
 
 from targetsim import points_filter
 from targetsim.detector import ellipsoid_target, visible_bbox
-from targetsim.geometry import CameraIntrinsics, Pose, project_points
+from targetsim.geometry import CameraIntrinsics, Pose, project_points, yaw_rotation
 from targetsim.points_filter import (
     AllZeroWeights,
     DegenerateBox,
@@ -58,6 +60,25 @@ class TestGaussianSummary:
             points = rng.uniform(-100.0, 100.0, size=3) + (rng.normal(size=(m, 3)) * spread) @ mix
             cov = GaussianSummary.from_points(points).covariance
             assert cov.shape == (3, 3) and np.array_equal(cov, cov.T)
+
+    @given(
+        m=st.integers(1, 5000),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(1e-3, 1e4),
+        offset=st.floats(-1e4, 1e4),
+        zeros=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=120, deadline=None)
+    @example(m=1, seed=0, scale=1.0, offset=0.0, zeros=1.0)
+    def test_mean_and_det_equal_numpy(self, m, seed, scale, offset, zeros):
+        # the mean sums the rows in order, as mean(axis=0) does, bit for bit;
+        # a share of the coordinates is -0.0 (all of them in the example)
+        rng = np.random.default_rng(seed)
+        points = rng.normal(size=(m, 3)) * scale + offset * rng.uniform(-1.0, 1.0, 3)
+        points[rng.random((m, 3)) < zeros] = -0.0
+        s = GaussianSummary.from_points(points)
+        assert s.mean.tobytes() == points.mean(axis=0).tobytes()
+        assert s.det == float(np.linalg.det(s.covariance))
 
 
 class TestDifferentialEntropy:
@@ -215,14 +236,14 @@ class TestMixtureWeights:
 
     def test_pure_uniform(self):
         area = 60.0 * 40.0
-        inside = mixture_weights(np.array([[130.0, 170.0]]), self.BBOX, 0.0, 1.0)
-        outside = mixture_weights(np.array([[99.0, 170.0]]), self.BBOX, 0.0, 1.0)
+        inside = mixture_weights(np.array([130.0]), np.array([170.0]), self.BBOX, 0.0, 1.0)
+        outside = mixture_weights(np.array([99.0]), np.array([170.0]), self.BBOX, 0.0, 1.0)
         assert inside[0] == pytest.approx(1.0 / area, abs=1e-15)
         assert outside[0] == 0.0
 
     def test_pure_gaussian_peak(self):
         su, sv = 30.0, 20.0
-        peak = mixture_weights(np.array([[130.0, 170.0]]), self.BBOX, 1.0, 0.0)
+        peak = mixture_weights(np.array([130.0]), np.array([170.0]), self.BBOX, 1.0, 0.0)
         assert peak[0] == pytest.approx(1.0 / (2.0 * np.pi * su * sv), rel=1e-12)
 
     def test_mixture_integrates_to_one(self):
@@ -235,8 +256,7 @@ class TestMixtureWeights:
         du = us[1] - us[0]
         dv = vs[1] - vs[0]
         uu, vv = np.meshgrid(us, vs)
-        grid = np.column_stack([uu.ravel(), vv.ravel()])
-        total = mixture_weights(grid, self.BBOX, 0.5, 0.5).sum() * du * dv
+        total = mixture_weights(uu.ravel(), vv.ravel(), self.BBOX, 0.5, 0.5).sum() * du * dv
         assert total == pytest.approx(1.0, abs=1e-3)
 
 
@@ -288,7 +308,90 @@ class TestSystematicResample:
         assert abs((idx == 0).sum() - 50) <= 1
 
 
+def pixel_pair_weights(points, bbox, rotation, translation, k, cfg, rng):
+    """update_points up to its resampling, in the (n, 2)-pixel form it had
+    before it worked on contiguous rows: the oracle of TestUpdatePoints.
+    Returns the perturbed points and their weights."""
+    perturbed = points + np.sqrt(cfg.update_noise_var) * rng.standard_normal(points.shape)
+    pc = rotation @ perturbed.T + translation[:, None]
+    depths = pc[2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        uv = np.column_stack([k.fx * pc[0] / depths + k.cx, k.fy * pc[1] / depths + k.cy])
+    b = np.asarray(bbox, dtype=float)
+    su, sv = (b[2] - b[0]) / 2.0, (b[3] - b[1]) / 2.0
+    zu = (uv[:, 0] - (b[0] + b[2]) / 2.0) / su
+    zv = (uv[:, 1] - (b[1] + b[3]) / 2.0) / sv
+    gauss = np.exp(-0.5 * (zu * zu + zv * zv)) / (2.0 * np.pi * su * sv)
+    inside = (uv[:, 0] >= b[0]) & (uv[:, 0] <= b[2]) & (uv[:, 1] >= b[1]) & (uv[:, 1] <= b[3])
+    weights = cfg.w_gauss * gauss + cfg.w_uniform * (inside / (4.0 * su * sv))
+    off_image = (depths <= 0) | (uv[:, 0] < 0) | (uv[:, 0] > k.width) | (uv[:, 1] < 0) \
+        | (uv[:, 1] > k.height)
+    weights[off_image] = 0.0
+    return perturbed, weights
+
+
 class TestUpdatePoints:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 400),
+        yaw=st.floats(-np.pi, np.pi),
+        noise_var=st.sampled_from([1e-300, 1e-4, 0.01, 1.0]),
+        w_gauss=st.sampled_from([0.0, 0.3, 1.0]),
+    )
+    @settings(max_examples=150, deadline=None)
+    @example(seed=1, n=300, yaw=0.0, noise_var=1e-300, w_gauss=0.3)
+    def test_equals_pixel_pair_oracle(self, seed, n, yaw, noise_var, w_gauss):
+        # bit-equal weights and points on random clouds. Under a yaw the
+        # camera-frame z is world z + 4 exactly, so at noise 1e-300 (too
+        # small to move a coordinate) points at z = -4 lie at depth 0 and
+        # points below it behind the camera; at yaw 0 the camera frame is
+        # exact too, and points at camera (+-8, 0, 15) and (0, +-6, 15)
+        # project onto the image's edges. The box's edges are pixels of
+        # points in the image, which lie on them
+        rng = np.random.default_rng(seed)
+        cfg = FilterConfig(m=n, update_noise_var=noise_var, w_gauss=w_gauss,
+                           w_uniform=1.0 - w_gauss)
+        rotation, translation = yaw_rotation(yaw), np.array([1.5, -2.0, 4.0])
+        points = np.column_stack([rng.uniform(-8.0, 8.0, (n, 2)), rng.uniform(-6.0, 20.0, n)])
+        kind = rng.integers(0, 5, n)  # 0, 1: as drawn; 2: at depth 0; 3: behind; 4: image edge
+        points[kind == 2, 2] = -4.0
+        points[kind == 3, 2] = -4.0 - rng.uniform(0.0, 3.0, (kind == 3).sum())
+        edge = np.array([[8.0, 0.0, 15.0], [-8.0, 0.0, 15.0], [0.0, 6.0, 15.0], [0.0, -6.0, 15.0]])
+        points[kind == 4] = (edge[rng.integers(0, 4, (kind == 4).sum())] - translation) @ rotation
+        bbox = np.array([100.0, 100.0, 300.0, 300.0])
+        pc = rotation @ points.T + translation[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u, v = K.fx * pc[0] / pc[2] + K.cx, K.fy * pc[1] / pc[2] + K.cy
+        seen = (pc[2] > 0) & (u >= 0) & (u <= K.width) & (v >= 0) & (v <= K.height)
+        if seen.sum() >= 2:
+            us, vs, q = np.sort(u[seen]), np.sort(v[seen]), seen.sum() // 4
+            edges = np.array([us[q], vs[q], us[-1 - q], vs[-1 - q]])
+            if edges[0] < edges[2] and edges[1] < edges[3]:
+                bbox = edges
+        resampled = []
+        resample = points_filter.systematic_resample
+
+        def recorded(w, rng):
+            resampled.append(w.copy())
+            return resample(w, rng)
+
+        with mock.patch.object(points_filter, "systematic_resample", recorded):
+            try:
+                got = update_points(points, bbox, rotation, translation, K, cfg,
+                                    np.random.default_rng(seed))
+            except AllZeroWeights:
+                got = None
+        oracle_rng = np.random.default_rng(seed)
+        perturbed, weights = pixel_pair_weights(points, bbox, rotation, translation, K, cfg,
+                                                oracle_rng)
+        assert resampled[0].tobytes() == weights.tobytes()
+        try:
+            want = perturbed[systematic_resample(weights, oracle_rng)]
+        except AllZeroWeights:
+            assert got is None
+        else:
+            assert got.tobytes() == want.tobytes()
+
     def test_same_box_tiny_noise_keeps_support(self):
         rng = np.random.default_rng(3)
         cfg = FilterConfig(
@@ -576,6 +679,9 @@ class TestProjectionCounts:
             assert costs[0, 0] == 0 and costs[0, 1] > 0
             rotated.append(right._rotated[1])
         assert len(projected) == 2 and rotated[0] is rotated[1]
+        # the kept rows are the rotated points still: pixel_rows, which
+        # writes into its input, projected a translated copy of them
+        assert rotated[1].tobytes() == (view[0] @ right.points.T).tobytes()
         right.set_points(right.points)
         assert right._rotated is None
 
