@@ -21,13 +21,15 @@ set_points, kl_divergence and differential_entropy), at survey5's 1,000
 and clutter1's 4,000 points. The flight
 block is one block of survey5's lawnmower (kinematics, camera poses and
 cull), from its fifth waypoint along a lane that sees one target in over
-half its views. The assignment case solves one matrix of each of
+half its views; the idle scoring case scores that block's 256 frames as
+the run does a frame with no detection, track or event, with the block's
+rows of true boxes and scored targets. The assignment case solves one matrix of each of
 survey5's shapes: 1x2 to 1x5, 2x1 and 2x2. The tracker's busy frames are
 a fixed 32-frame sequence with survey5's mix of (detections, tracks) per
 frame: mostly (1, 1) and (0, 1), then (1, 2), (1, 0) and (0, 2). The
 trace replay reads and checks every record of the nominal scenario's
 trace, 1,860 frame lines, 88 % of which repeat the line before's targets
-block.
+block; the record check alone checks those records, decoded beforehand.
 """
 
 import itertools
@@ -224,31 +226,37 @@ def test_tracker_busy_frames(benchmark):
     assert mix == {(1, 1): 13, (0, 1): 12, (1, 2): 4, (1, 0): 2, (0, 2): 1}
 
 
-def frame_line(entries, targets, uav, mission):
+def frame_line(entries, flt, uav, mission):
     """The run loop's per-frame record and trace line."""
-    live = entries.update(targets)
+    live = entries.update(flt)
     record = harness._make_record(
         0.1, 1, uav, uav.position, [Detection(BOXES[0], 1.0)], [TrackedBox(1, BOXES[0], 5, 0)],
         live, mission, [Event("spawned", 4, bbox=tuple(BOXES[1].tolist()))],
     )
-    return harness._frame_line(record, entries.texts())
+    return harness._frame_line(record, entries.text())
 
 
 def test_frame_line(benchmark, clouds):
     entries = harness._TargetEntries()
     uav = UavState.at_rest([10.0, 20.0, 30.0])
-    args = (clouds[:3], uav, SimpleNamespace(mode=MissionMode.SEARCH))
+    flt = SimpleNamespace(targets=clouds[:3], changes=0)  # a filter that counted no change
+    args = (flt, uav, SimpleNamespace(mode=MissionMode.SEARCH))
     frame_line(entries, *args)  # the targets' entries are built before the timed frames
     record = json.loads(benchmark(frame_line, entries, *args))["record"]
     assert [e["n_points"] for e in record["targets"]] == [4000] * 3
     assert [len(record[key]) for key in ("detections", "tracks", "events")] == [1, 1, 1]
 
 
-def test_flight_block(benchmark, monkeypatch):
+def survey5_block():
+    """survey5, its lawnmower plan and the start of the flight block from its fifth waypoint."""
     scenario = harness.load_scenario(SCENARIOS / "five_targets_noisy.json")
     p = scenario.planner
     plan = lawnmower(p.survey_polygon, p.lane_spacing, p.search_altitude)
-    start = UavState.at_rest(plan[4].position, plan[4].yaw)
+    return scenario, plan, UavState.at_rest(plan[4].position, plan[4].yaw)
+
+
+def test_flight_block(benchmark, monkeypatch):
+    scenario, plan, start = survey5_block()
     mission = SimpleNamespace(plan=plan, cursor=4)
     # a new generator's first frame flies the block
     benchmark(lambda: next(harness._true_frames(scenario, mission, start)))
@@ -265,8 +273,33 @@ def test_flight_block(benchmark, monkeypatch):
         block.append(row)
         mission.cursor += row[1]  # a reach moves the cursor on, as the mission does
     assert views == [harness.FLIGHT_BLOCK]
-    assert all(boxes.shape == (5, 4) for _, _, boxes, _, _ in block)
-    assert sum(visible.sum() for *_, visible, _ in block) > harness.FLIGHT_BLOCK // 2
+    assert all(boxes.shape == (5, 4) and len(scored) == 5 for _, _, boxes, _, scored, _ in block)
+    assert sum(visible.sum() for _, _, _, visible, _, _ in block) > harness.FLIGHT_BLOCK // 2
+
+
+def test_idle_block_scoring(benchmark):
+    scenario, plan, start = survey5_block()
+    mission = SimpleNamespace(plan=plan, cursor=4)
+    rows = []
+    frames = harness._true_frames(scenario, mission, start)
+    for row in itertools.islice(frames, harness.FLIGHT_BLOCK):
+        rows.append(row)
+        mission.cursor += row[1]
+    search = SimpleNamespace(mode=MissionMode.SEARCH)
+    records = [
+        harness._make_record(0.1 * f, f, state, state.position, [], [], [], search, [])
+        for f, (state, *_) in enumerate(rows, 1)
+    ]
+
+    def score():
+        scores = harness._Scores(scenario)
+        for record, (_, _, boxes, _, scored, _) in zip(records, rows):
+            scores.add(record, boxes, scored)
+        return scores.counts["detection"]
+
+    tp, fp, fn = benchmark(score)
+    assert len(records) == harness.FLIGHT_BLOCK
+    assert tp == fp == 0 and fn == sum(sum(row[4]) for row in rows) > 0
 
 
 @pytest.fixture(scope="module")
@@ -281,3 +314,10 @@ def test_read_trace(benchmark, nominal_trace):
         return sum(1 for _ in records)
 
     assert benchmark(replay) == 1860
+
+
+def test_check_record(benchmark, nominal_trace):
+    lines = nominal_trace.read_text().splitlines()[1:-1]
+    records = [json.loads(line)["record"] for line in lines]
+    checked = benchmark(lambda: [harness._check_record(record) for record in records])
+    assert len(checked) == 1860 and sum(bool(r["detections"]) for r in checked) > 100

@@ -23,6 +23,7 @@ from .harness import (
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_INCOMPLETE = 3
+LOG_LEVELS = ("CRITICAL", "FATAL", "ERROR", "WARNING", "WARN", "INFO", "DEBUG", "NOTSET")
 
 
 def _print_metrics(metrics: dict) -> None:
@@ -83,8 +84,8 @@ def _cmd_replay_metrics(args) -> int:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("TARGETSIM_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    level = os.environ.get("TARGETSIM_LOG", "WARNING").upper()  # a level name, or WARNING
+    logging.basicConfig(level=getattr(logging, level) if level in LOG_LEVELS else logging.WARNING)
 
     parser = argparse.ArgumentParser(
         prog="targetsim",

@@ -37,6 +37,8 @@ DETECTION_IOU_MIN = 0.5
 # The most survey lanes a scenario may plan, on any machine: lawnmower builds two
 # waypoints a lane before the first frame, ~7 MB and ~1.5 s at this bound.
 MAX_SURVEY_LANES = 10_000
+_FLOAT_MAX = sys.float_info.max
+_MODES = frozenset(mode.value for mode in MissionMode)
 
 
 class ScenarioInvalid(ValueError):
@@ -120,12 +122,16 @@ def _coordinates(values, name: str, n: int | None = None) -> tuple:
     a bool is not a number, and NaN, an infinity or an integer too large
     for a float is not finite."""
     values = tuple(values)
+    if (n is None or len(values) == n) and all(
+        type(c) is float and -_FLOAT_MAX <= c <= _FLOAT_MAX for c in values
+    ):
+        return values  # finite floats already: one pass
     if n is not None and len(values) != n:
         raise ValueError(f"{name} must hold {n} numbers, got {len(values)}")
     for c in values:
         if isinstance(c, bool) or not isinstance(c, (int, float)):
             raise TypeError(f"{name} must hold numbers, got {type(c).__name__}")
-        if not abs(c) <= sys.float_info.max:  # false for NaN; an int compares exactly
+        if not abs(c) <= _FLOAT_MAX:  # false for NaN; an int compares exactly
             raise ValueError(f"{name} must hold finite numbers")
     return tuple(map(float, values))
 
@@ -238,25 +244,28 @@ def load_scenario(path) -> Scenario:
 
 
 class _TargetEntries:
-    """Each live filter target's trace entry, built once per change, and
-    that entry's JSON text, encoded once when a trace line first needs it:
-    records share an entry until its target changes, so callers must not
-    mutate it."""
+    """A filter's live targets' trace entries, in a list that records share
+    until the filter counts a change, and that list's JSON text, encoded
+    when a trace line first needs it. An entry is kept until its target
+    changes, so callers must not mutate entries or the list."""
 
     def __init__(self):
-        self._by_id: dict[int, list] = {}  # id -> [summary, entry, text or None]
+        self._by_id: dict[int, list] = {}  # id -> [summary, state, entry, text or None]
+        self._changes = self._text = None  # the filter's change count at the last rebuild; its text
+        self._entries: list[dict] = []
 
-    def update(self, targets) -> list[dict]:
-        """The entries of `targets`, in order; a target is rebuilt when
-        set_points refit its summary or its state changed. Its entropy, KL
-        and point count change only together with a new summary. Targets no
-        longer live are dropped."""
+    def update(self, flt: PointsFilter) -> list[dict]:
+        """The entries of flt.targets, in order, rebuilt when flt counted a
+        change: an entry when set_points refit its target's summary (with its
+        entropy, KL and point count) or its state changed."""
+        if flt.changes == self._changes:
+            return self._entries
         by_id = {}
-        for tgt in targets:
+        for tgt in flt.targets:
             kept = self._by_id.get(tgt.target_id)
-            if kept is None or kept[0] is not tgt.summary or kept[1]["state"] != tgt.state.value:
+            if kept is None or kept[0] is not tgt.summary or kept[1] is not tgt.state:
                 summary = tgt.summary
-                kept = [summary, {
+                kept = [summary, tgt.state, {
                     "id": tgt.target_id,
                     "state": tgt.state.value,
                     "mean": summary.mean.tolist(),
@@ -266,15 +275,17 @@ class _TargetEntries:
                     "n_points": len(tgt.points),
                 }, None]
             by_id[tgt.target_id] = kept
-        self._by_id = by_id
-        return [entry for _, entry, _ in by_id.values()]
+        self._by_id, self._changes, self._text = by_id, flt.changes, None
+        self._entries = [kept[2] for kept in by_id.values()]
+        return self._entries
 
-    def texts(self) -> list[str]:
-        """The JSON texts of the last update's entries, in order."""
-        for kept in self._by_id.values():
-            if kept[2] is None:
-                kept[2] = _json_line(kept[1])
-        return [text for _, _, text in self._by_id.values()]
+    def text(self) -> str:
+        """The JSON text of the last update's entries, comma-separated."""
+        if self._text is None:
+            for kept in self._by_id.values():
+                kept[3] = kept[3] or _json_line(kept[2])
+            self._text = ",".join(kept[3] for kept in self._by_id.values())
+        return self._text
 
 
 def _make_record(t, frame, uav, est, detections, boxes, targets, mission, events) -> dict:
@@ -303,9 +314,9 @@ def _floats(*values) -> str:
     return text.replace("nan", "NaN").replace("inf", "Infinity") if "n" in text else text
 
 
-def _frame_line(record: dict, target_texts: list[str]) -> str:
+def _frame_line(record: dict, targets_text: str) -> str:
     """_json_line({"type": "frame", "record": record}) of a record as
-    _make_record builds it, with its targets given as their encoded texts:
+    _make_record builds it, with its targets given as their encoded text:
     each field is written as json.dumps writes it, in sorted key order.
     Events, on about one frame in a thousand, are left to _json_line."""
     est, true, events = record["uav"]["est"], record["uav"]["true"], record["events"]
@@ -319,7 +330,7 @@ def _frame_line(record: dict, target_texts: list[str]) -> str:
     return (
         f'{{"record":{{"detections":[{detections}],"events":{_json_line(events) if events else "[]"},'
         f'"frame":{int.__repr__(record["frame"])},"mode":{encode_basestring_ascii(record["mode"])},'
-        f'"t":{_floats(record["t"])},"targets":[{",".join(target_texts)}],"tracks":[{tracks}],'
+        f'"t":{_floats(record["t"])},"targets":[{targets_text}],"tracks":[{tracks}],'
         f'"uav":{{"est":{{"position":[{_floats(*est["position"])}],"yaw":{_floats(est["yaw"])}}},'
         f'"true":{{"position":[{_floats(*true["position"])}],"yaw":{_floats(true["yaw"])}}}}}'
         '},"type":"frame"}'
@@ -331,36 +342,34 @@ def _frame_line(record: dict, target_texts: list[str]) -> str:
 
 def _true_views(scenario: Scenario, yaws, positions):
     """The true cameras at yaws (F,) and positions (F, 3): their
-    world-from-camera Pose stack, and every true target's box and visibility
-    in each view, as visible_boxes returns them. Two checked Poses."""
+    world-from-camera Pose stack, every true target's box and visibility in
+    each view, as visible_boxes returns them, and the targets each view
+    scores (visible, off the image edge) as rows of bools. Two checked Poses."""
     world_from_cam = camera_pose(yaws, positions, scenario.planner.cam_depression)
     views = world_from_cam.inverse()
-    return world_from_cam, *visible_boxes(
-        scenario.targets, views.rotation, views.translation, scenario.camera
-    )
+    k = scenario.camera
+    boxes, visible = visible_boxes(scenario.targets, views.rotation, views.translation, k)
+    scored = visible & ~on_image_edge(boxes, k, scenario.filter.edge_margin_px)
+    return world_from_cam, boxes, visible, scored.tolist()
 
 
-def _true_boxes_by_id(scenario: Scenario, boxes, visible) -> dict:
-    """One view's row of visible_boxes as the off-edge visible true boxes by target id."""
-    k, margin = scenario.camera, scenario.filter.edge_margin_px
-    return {
-        scenario.targets[i].id: boxes[i]
-        for i, seen in enumerate(visible.tolist())  # 3x faster than flatnonzero on a row
-        if seen and not on_image_edge(boxes[i], k, margin)
-    }
+def _true_boxes_by_id(scenario: Scenario, boxes, scored) -> dict:
+    """One view's scored true boxes by target id, from its rows of _true_views."""
+    return {t.id: box for t, box, seen in zip(scenario.targets, boxes, scored) if seen}
 
 
-def _true_boxes_for_frames(records, scenario: Scenario) -> list[dict]:
-    """_true_boxes_by_id of each record's view from its true camera pose."""
+def _true_boxes_for_frames(records, scenario: Scenario):
+    """The boxes and scored rows of _true_views for each record's true camera pose."""
     yaws = np.array([r["uav"]["true"]["yaw"] for r in records], dtype=float)
     positions = np.array([r["uav"]["true"]["position"] for r in records], dtype=float)
-    _, boxes, visible = _true_views(scenario, yaws, positions.reshape(-1, 3))
-    return [_true_boxes_by_id(scenario, *view) for view in zip(boxes, visible)]
+    _, boxes, _, scored = _true_views(scenario, yaws, positions.reshape(-1, 3))
+    return boxes, scored
 
 
 def _true_boxes_for_frame(record, scenario: Scenario) -> dict:
-    """_true_boxes_for_frames for one record."""
-    return _true_boxes_for_frames([record], scenario)[0]
+    """_true_boxes_by_id of one record's view from its true camera pose."""
+    boxes, scored = _true_boxes_for_frames([record], scenario)
+    return _true_boxes_by_id(scenario, boxes[0], scored[0])
 
 
 def _match_event_target(record, target_id: int, scenario: Scenario) -> str | None:
@@ -397,28 +406,28 @@ class _Scores:
             ev["type"] == "spawned" for ev in record["events"]
         )
 
-    def add(self, record: dict, true_boxes: dict | None) -> None:
-        """Score a record against its view's true boxes by target id (None if not reads_truth)."""
+    def add(self, record: dict, boxes, scored) -> None:
+        """Score a record against its view's boxes and scored rows of
+        _true_views (read only if reads_truth)."""
         s, counts = self.scenario, self.counts
         if record["mode"] != MissionMode.MAPPING:
             k, margin = s.camera, s.filter.edge_margin_px
-            boxes = (d["bbox"] for d in record["detections"])
-            dets = [b for b in boxes if not on_image_edge(b, k, margin)]
-            expected = list(true_boxes.values())
-            tp = 0
+            dets = [b for d in record["detections"] if not on_image_edge(b := d["bbox"], k, margin)]
+            expected, tp = sum(scored), 0
             if dets and expected:
-                m = iou_matrix(dets, expected)
+                m = iou_matrix(dets, [box for box, seen in zip(boxes, scored) if seen])
                 pairs, _, _ = hungarian_assign(m, maximize=True)
                 tp = sum(1 for di, ei in pairs if m[di, ei] > DETECTION_IOU_MIN)
             counts["detection"][0] += tp
             counts["detection"][1] += len(dets) - tp
-            counts["detection"][2] += len(expected) - tp
+            counts["detection"][2] += expected - tp
 
         for ev in record["events"]:
             stage = "generation" if ev["type"] == "spawned" else ev["type"]
             if stage not in self.credited:
                 continue
             if stage == "generation":
+                true_boxes = _true_boxes_by_id(s, boxes, scored)
                 scores = {tid: iou(ev["bbox"], tb) for tid, tb in true_boxes.items()}
                 match = max(scores, key=scores.get, default=None)
                 if match is not None and scores[match] <= DETECTION_IOU_MIN:
@@ -457,9 +466,9 @@ def compute_metrics(records, scenario: Scenario) -> dict:
     records = iter(records)
     while chunk := list(itertools.islice(records, METRICS_CHUNK)):
         reads = [_Scores.reads_truth(r) for r in chunk]
-        boxes = iter(_true_boxes_for_frames([r for r, n in zip(chunk, reads) if n], scenario))
+        views = zip(*_true_boxes_for_frames([r for r, n in zip(chunk, reads) if n], scenario))
         for record, n in zip(chunk, reads):
-            scores.add(record, next(boxes) if n else None)
+            scores.add(record, *(next(views) if n else (None, None)))
     return scores.table()
 
 
@@ -489,8 +498,9 @@ FIRST_BLOCK_AFTER_CUT = 16
 
 def _true_frames(scenario: Scenario, mission, state: UavState):
     """Yield each frame of the vehicle's true flight from state: (true state,
-    whether it reached its waypoint, the true targets' boxes and visibility,
-    the world-from-camera rotation). The vehicle follows mission.plan from
+    whether it reached its waypoint, the view's rows of _true_views: the
+    true targets' boxes, visibility and scored targets, and the
+    world-from-camera rotation). The vehicle follows mission.plan from
     mission.cursor whatever perception does, and the true flight draws
     nothing, so the frames are flown ahead in blocks: each frame steps
     toward plan[cursor] with fly and moves the cursor on as waypoint_reached
@@ -514,12 +524,13 @@ def _true_frames(scenario: Scenario, mission, state: UavState):
             cursors.append(cursor)
             if flying and cursor == len(plan):
                 break  # the mission decides what follows its plan
-        cameras, boxes, visible = _true_views(
+        cameras, boxes, visible, scored = _true_views(
             scenario, [st.yaw for st in states], [st.position for st in states]
         )
         length = min(2 * length, FLIGHT_BLOCK)
         for j, state in enumerate(states):  # state: the last frame's, the next block's start
-            yield state, cursors[j + 1] > cursors[j], boxes[j], visible[j], cameras.rotation[j]
+            yield (state, cursors[j + 1] > cursors[j], boxes[j], visible[j], scored[j],
+                   cameras.rotation[j])
             if mission.plan is not plan or mission.cursor != cursors[j + 1]:
                 if j + 1 < len(states):
                     length = FIRST_BLOCK_AFTER_CUT
@@ -584,7 +595,7 @@ def run(scenario: Scenario, out_dir=None) -> RunResult:
 
     try:
         frames = zip(range(1, scenario.max_frames + 1), _true_frames(scenario, mission, uav))
-        for frame, (uav, reached, true_boxes, visible, rotation) in frames:
+        for frame, (uav, reached, true_boxes, visible, scored, rotation) in frames:
             t = frame * dt
             events: list = []
             if mission.cursor < len(mission.plan):  # a loiter frame draws nothing
@@ -601,13 +612,13 @@ def run(scenario: Scenario, out_dir=None) -> RunResult:
             for ev in events:
                 log.debug("t=%.1f %s", t, ev)
 
-            targets = target_entries.update(flt.targets)
+            targets = target_entries.update(flt)
             record = _make_record(t, frame, uav, est, detections, boxes, targets, mission, events)
-            scores.add(record, _true_boxes_by_id(scenario, true_boxes, visible))
+            scores.add(record, true_boxes, scored)
             if trace_fh is None:
                 records.append(record)
             else:
-                trace_fh.write(_frame_line(record, target_entries.texts()) + "\n")
+                trace_fh.write(_frame_line(record, target_entries.text()) + "\n")
 
             if (all_true_ids and mission.mapped_true_ids >= all_true_ids) or mission.idle():
                 completed = mission.mapped_true_ids >= all_true_ids
@@ -651,7 +662,8 @@ def _check_record(record: dict) -> dict:
             for entry in record["targets"]:
                 if entry["id"] == ev["target"]:
                     _coordinates(entry["mean"], "mean", 3)
-    MissionMode(record["mode"])
+    if type(record["mode"]) is not str or record["mode"] not in _MODES:
+        MissionMode(record["mode"])  # raises for a mode that is not a mission mode
     return record
 
 

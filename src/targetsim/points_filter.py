@@ -47,6 +47,10 @@ class TargetState(str, enum.Enum):
     MAPPED = "mapped"
 
 
+# A target in these states does not count a tick that does not refresh it as a miss
+_AGELESS = (TargetState.CONVERGED, TargetState.MAPPED)
+
+
 @dataclass(frozen=True)
 class GaussianSummary:
     mean: np.ndarray  # (3,)
@@ -163,12 +167,6 @@ class PointTarget:
         rotated = self._rotated[1]
         return translate_rows(rotated, translation, np.empty_like(rotated))
 
-    @property
-    def ages(self) -> bool:
-        """Whether a tick that does not refresh it counts as a miss: it is
-        neither converged nor mapped."""
-        return self.state not in (TargetState.CONVERGED, TargetState.MAPPED)
-
 
 @dataclass(frozen=True)
 class Event:
@@ -214,9 +212,11 @@ def bbox_corners(bbox: np.ndarray) -> np.ndarray:
     )
 
 
-def on_image_edge(bbox: np.ndarray, k: CameraIntrinsics, margin: float) -> bool:
-    u0, v0, u1, v1 = np.asarray(bbox, dtype=float).tolist()
-    return u0 <= margin or v0 <= margin or u1 >= k.width - margin or v1 >= k.height - margin
+def on_image_edge(bbox, k: CameraIntrinsics, margin: float):
+    """Whether a box, or each box of a (..., 4) stack, lies within margin of the image's border."""
+    b = np.asarray(bbox, dtype=float)
+    u0, v0, u1, v1 = b.tolist() if b.ndim == 1 else np.moveaxis(b, -1, 0)
+    return (u0 <= margin) | (v0 <= margin) | (u1 >= k.width - margin) | (v1 >= k.height - margin)
 
 
 def generate_points(
@@ -435,6 +435,7 @@ class PointsFilter:
         self.cfg = cfg or FilterConfig()
         self.targets: list[PointTarget] = []
         self._next_id = 1
+        self.changes = 0  # the calls that may have changed a target's state or cloud, or the set
 
     def get(self, target_id: int) -> PointTarget | None:
         for t in self.targets:
@@ -443,6 +444,7 @@ class PointsFilter:
         return None
 
     def deregister(self, target_id: int) -> Event:
+        self.changes += 1
         self.targets = [t for t in self.targets if t.target_id != target_id]
         return Event("deregistered", target_id)
 
@@ -450,6 +452,7 @@ class PointsFilter:
         target = self.get(target_id)
         if target is None:
             raise KeyError(f"unknown target {target_id}")
+        self.changes += 1
         target.state = TargetState.MAPPED
         cloud = np.asarray(cloud, dtype=float).reshape(-1, 3)
         if cloud.size:
@@ -473,7 +476,7 @@ class PointsFilter:
             np.asarray(b.bbox, dtype=float)
             for b in boxes if not on_image_edge(b.bbox, self.k, cfg.edge_margin_px)
         ]
-        if not gated_boxes and not any(t.ages for t in self.targets):
+        if not gated_boxes and all(t.state in _AGELESS for t in self.targets):
             return [], []  # nothing to associate, spawn or age
         world_from_cam = rotation, translation
         cam_from_world = invert(rotation, translation)
@@ -550,7 +553,7 @@ class PointsFilter:
 
         survivors: list[PointTarget] = []
         for target in self.targets:
-            if target.target_id in refreshed or not target.ages:
+            if target.target_id in refreshed or target.state in _AGELESS:
                 survivors.append(target)
                 continue
             target.miss_counter += 1
@@ -559,4 +562,5 @@ class PointsFilter:
             else:
                 survivors.append(target)
         self.targets = survivors
+        self.changes += bool(events or updated)  # every change is an event or an update
         return events, updated

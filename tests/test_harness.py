@@ -556,6 +556,20 @@ def per_record_true_boxes(record, s) -> dict:
     return boxes
 
 
+def per_record_views(records, s):
+    """per_record_true_boxes of each record as _true_boxes_for_frames gives
+    them: the boxes (F, n, 4), NaN where a target is not scored, and the
+    scored rows."""
+    boxes = np.full((len(records), len(s.targets), 4), np.nan)
+    scored = [[False] * len(s.targets) for _ in records]
+    for f, record in enumerate(records):
+        by_id = per_record_true_boxes(record, s)
+        for i, target in enumerate(s.targets):
+            if target.id in by_id:
+                boxes[f, i], scored[f][i] = by_id[target.id], True
+    return boxes, scored
+
+
 def test_batched_metrics_equal_per_record_fold(monkeypatch):
     s = scenario()
     records = run(s).records
@@ -563,9 +577,9 @@ def test_batched_metrics_equal_per_record_fold(monkeypatch):
     assert len(records) > 2 * harness.METRICS_CHUNK
     chunk = harness.METRICS_CHUNK
     batched = [
-        boxes
+        harness._true_boxes_by_id(s, *view)
         for first in range(0, len(records), chunk)
-        for boxes in harness._true_boxes_for_frames(records[first:first + chunk], s)
+        for view in zip(*harness._true_boxes_for_frames(records[first:first + chunk], s))
     ]
     reference = [per_record_true_boxes(r, s) for r in records]
     assert sum(map(len, reference)) > 100
@@ -573,11 +587,50 @@ def test_batched_metrics_equal_per_record_fold(monkeypatch):
         assert got.keys() == want.keys()
         assert all(np.array_equal(got[tid], want[tid]) for tid in want)
     metrics = compute_metrics(records, s)
-    monkeypatch.setattr(
-        harness, "_true_boxes_for_frames",
-        lambda chunk, scen: [per_record_true_boxes(r, scen) for r in chunk],
-    )
+    monkeypatch.setattr(harness, "_true_boxes_for_frames", per_record_views)
     assert compute_metrics(records, s) == metrics
+
+
+def image_edge(box, k, margin) -> bool:
+    """on_image_edge of one box as a scalar or-chain: the block mask's oracle."""
+    u0, v0, u1, v1 = (float(c) for c in box)
+    return u0 <= margin or v0 <= margin or u1 >= k.width - margin or v1 >= k.height - margin
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_block_scored_mask_equals_per_box_check(data):
+    # _true_views scores a whole block's boxes at once: a view scores a
+    # target that is visible and whose box is off the image edge. Boxes
+    # lie exactly on each bound, at -0.0 and at huge values, and a hidden
+    # target's box is NaN, as visible_boxes gives it
+    margin = data.draw(st.sampled_from([0.0, 1.0, 2.5, 40.0]))
+    s = scenario(filter={"max_depth": 50.0, "edge_margin_px": margin})
+    k = s.camera
+    bounds = [margin, k.width - margin, k.height - margin, float(k.width), float(k.height)]
+    coordinate = st.sampled_from(bounds + [0.0, -0.0, 1e308, -1e308]) | st.floats(
+        -1e3, 1e3, allow_subnormal=True
+    )
+    frames, n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4))
+    visible = np.array(data.draw(st.lists(
+        st.lists(st.booleans(), min_size=n, max_size=n), min_size=frames, max_size=frames
+    )))
+    boxes = np.full((frames, n, 4), np.nan)
+    for f, i in zip(*np.nonzero(visible)):
+        boxes[f, i] = data.draw(st.lists(coordinate, min_size=4, max_size=4))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "visible_boxes", lambda *args: (boxes, visible))
+        positions = np.tile([0.0, 0.0, 30.0], (frames, 1))
+        _, _, _, scored = harness._true_views(s, np.zeros(frames), positions)
+    want = [
+        [bool(seen) and not image_edge(box, k, margin) for box, seen in zip(*row)]
+        for row in zip(boxes, visible)
+    ]
+    assert scored == want
+    # one box at a time, the same four comparisons give a bool
+    assert all(
+        on_image_edge(box, k, margin) is image_edge(box, k, margin) for box in boxes.reshape(-1, 4)
+    )
 
 
 def test_compute_metrics_holds_one_chunk_of_a_stream(monkeypatch):
@@ -591,10 +644,10 @@ def test_compute_metrics_holds_one_chunk_of_a_stream(monkeypatch):
     scored, ahead = 0, []
     add = harness._Scores.add
 
-    def counted_add(self, record, true_boxes):
+    def counted_add(self, record, *view):
         nonlocal scored
         scored += 1
-        add(self, record, true_boxes)
+        add(self, record, *view)
 
     def stream():
         for pulled, record in enumerate(records, 1):
@@ -768,6 +821,25 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("cannot write output: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("value", ["basic_format", "_styles", "info"])
+    def test_log_level_from_the_environment(self, tmp_path, value):
+        # TARGETSIM_LOG names a level; a value that is not one, even a name
+        # the logging module defines, logs at WARNING, as an unset one does
+        data = copy.deepcopy(BASE)
+        data["max_sim_time"] = 1.0
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(data))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "TARGETSIM_LOG": value,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-m", "targetsim.cli", "run", str(path), "--metrics-only"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 3 and "Traceback" not in done.stderr, done.stderr
+        assert "WARNING:targetsim:run unit incomplete" in done.stderr
+        assert ("INFO:targetsim:run unit: 1 targets" in done.stderr) == (value == "info")
+
     def test_replay_missing_file_exit_2(self, tmp_path):
         assert cli_main(["replay-metrics", str(tmp_path / "nope.jsonl")]) == 2
 
@@ -912,7 +984,10 @@ def fly_frames(s, plans, frames, blocks):
     for f in range(1, frames + 1):
         plan, cursor = mission.plan, mission.cursor
         if blocks:
-            uav, reached, true_boxes, visible, rotation = next(flight)
+            uav, reached, true_boxes, visible, scored, rotation = next(flight)
+            margin = s.filter.edge_margin_px  # the block's scored row, against one box at a time
+            assert scored == [v and not on_image_edge(b, s.camera, margin)
+                              for b, v in zip(true_boxes, visible.tolist())]
             if cursor < len(plan):  # a loiter frame draws nothing
                 est = step(uav.position, s.uav, rng)
             # the true camera sits at the true position; the estimated
@@ -1086,18 +1161,73 @@ def test_scored_true_boxes_equal_the_replay_projection(monkeypatch, which):
     scored = []
     add = harness._Scores.add
 
-    def spied(self, record, true_boxes):
-        scored.append(true_boxes)
-        return add(self, record, true_boxes)
+    def spied(self, record, boxes, scored_row):
+        scored.append((harness._true_boxes_by_id(s, boxes, scored_row), scored_row))
+        return add(self, record, boxes, scored_row)
 
     monkeypatch.setattr(harness._Scores, "add", spied)
     result = run(s)
-    projected = harness._true_boxes_for_frames(result.records, s)
+    boxes, scored_rows = harness._true_boxes_for_frames(result.records, s)
+    projected = [harness._true_boxes_by_id(s, *view) for view in zip(boxes, scored_rows)]
     assert len(scored) == len(projected) == result.frames
     assert sum(map(len, projected)) > 100
-    for got, want in zip(scored, projected):
-        assert got.keys() == want.keys()
+    for (got, got_row), want, want_row in zip(scored, projected, scored_rows):
+        assert got_row == want_row and got.keys() == want.keys()
         assert all(np.array_equal(got[tid], want[tid]) for tid in want)
+
+
+def failing_orbit() -> Scenario:
+    """The nominal scenario with a convergence streak longer than any orbit:
+    its target's estimation orbit fails, and the mission deregisters it."""
+    data = json.loads(NOMINAL.read_text())
+    data["filter"]["kld_streak_needed"] = 10_000
+    data["max_sim_time"] = 300.0
+    return scenario_from_dict(data)
+
+
+def test_entries_follow_every_target_change(monkeypatch, tmp_path):
+    # every call that changes a filter target or the set of live targets
+    # counts a change, so the entries that each frame writes, and those
+    # read right after each such call, equal entries built afresh; the two
+    # runs go through every change site: spawns, keyframe updates,
+    # converging and converged, mark_mapped, the tick's deregistrations,
+    # and the mission's after a failed estimation orbit
+    def text(entries):
+        return ",".join(map(harness._json_line, entries))
+
+    def fresh(flt):
+        return text(harness._TargetEntries().update(flt))
+
+    filters, kinds = [], []
+    update, frame_line = harness._TargetEntries.update, harness._frame_line
+
+    def spied_update(self, flt):
+        filters.append(flt)
+        return update(self, flt)
+
+    def spied_frame_line(record, targets_text):
+        assert targets_text == text(record["targets"]) == fresh(filters[-1])
+        kinds.extend(ev["type"] for ev in record["events"])
+        kinds.extend("keyframe" for e in record["targets"] if e["kld"] is not None)
+        return frame_line(record, targets_text)
+
+    def site(original):
+        def wrapper(flt, *args):
+            entries.update(flt)  # current before the call
+            result = original(flt, *args)
+            assert text(entries.update(flt)) == fresh(flt)
+            return result
+        return wrapper
+
+    monkeypatch.setattr(harness._TargetEntries, "update", spied_update)
+    monkeypatch.setattr(harness, "_frame_line", spied_frame_line)
+    for name in ("tick", "deregister", "mark_mapped"):
+        monkeypatch.setattr(PointsFilter, name, site(getattr(PointsFilter, name)))
+    for i, s in enumerate([smoke_clutter(), failing_orbit()]):
+        entries = harness._TargetEntries()  # the site checks' own, one per filter
+        run(s, out_dir=tmp_path / str(i))
+    assert {"spawned", "keyframe", "converging", "converged", "mapped", "deregistered",
+            "estimation_failed"} <= set(kinds)
 
 
 @pytest.fixture(scope="module")
@@ -1209,7 +1339,7 @@ class TestTargetEntries:
         # non-ASCII text and every event kind with and without its keys
         texts = [harness._json_line(t) for t in targets]
         whole = {**record, "targets": [json.loads(text) for text in texts]}
-        line = harness._frame_line(record, texts)
+        line = harness._frame_line(record, ",".join(texts))
         assert line == harness._json_line({"type": "frame", "record": whole})
 
     @pytest.mark.parametrize("which", ["nominal", "smoke_clutter"])
@@ -1229,7 +1359,8 @@ class TestTargetEntries:
 
     def test_entry_rebuilt_on_each_change(self):
         # one target through a spawn, a keyframe update, a tick that is no
-        # keyframe, a mapping with an empty cloud, and leaving the live set
+        # keyframe, a mapping with an empty cloud, leaving the live set and
+        # coming back
         rng = np.random.default_rng(18)
         k = scenario().camera
         flt = PointsFilter(k, FilterConfig(max_depth=50.0))
@@ -1241,9 +1372,11 @@ class TestTargetEntries:
             return flt.tick(box, camera.rotation, camera.translation, rng)
 
         def entry():
-            (one,) = entries.update(flt.targets)
-            (text,) = entries.texts()
-            assert text == harness._json_line(one) and entries.texts() == [text]
+            live = entries.update(flt)
+            (one,) = live
+            text = entries.text()
+            assert text == harness._json_line(one) and entries.text() is text
+            assert entries.update(flt) is live  # no change counted: the same list
             return one
 
         tick(0.0)
@@ -1252,8 +1385,9 @@ class TestTargetEntries:
         assert tick(1.0)[1] == [spawned["id"]]  # a keyframe update
         updated = entry()
         assert updated is not spawned and updated["kld"] is not None
-        assert tick(1.0)[1] == []  # the same pose again: no keyframe
-        assert entry() is updated
+        changes = flt.changes
+        assert tick(1.0) == ([], [])  # the same pose again: no keyframe, no change counted
+        assert flt.changes == changes and entry() is updated
         target = flt.targets[0]
         summary = target.summary
         flt.mark_mapped(target.target_id, np.empty((0, 3)))
@@ -1262,7 +1396,10 @@ class TestTargetEntries:
         assert mapped is not updated and mapped["state"] == TargetState.MAPPED.value
         assert {**mapped, "state": updated["state"]} == updated
         # a target that is no longer live is dropped: back again, it is rebuilt
-        assert entries.update([]) == [] and entries.texts() == []
+        flt.deregister(target.target_id)
+        assert entries.update(flt) == [] and entries.text() == ""
+        flt.targets = [target]
+        flt.mark_mapped(target.target_id, np.empty((0, 3)))
         again = entry()
         assert again == mapped and again is not mapped
 
