@@ -14,7 +14,10 @@ the records of a metrics-only run, where they must equal the run's own.
 A traced run keeps no records, so its records digest is taken from the
 replayed trace; its pin was taken from the records of a metrics-only run
 of the same scenario, so a match shows that the trace holds the run's
-records byte for byte. Prints one line per run and exits 1 on any
+records byte for byte. A traced run's header line is also written as a
+scenario file, and load_scenario of it must give the run's scenario
+("header"), so a header is a valid scenario file by test as well as by
+construction. Prints one line per run and exits 1 on any
 mismatch. A run outputs the same bytes on every machine, so the pins hold
 anywhere; the whole check takes about a minute on a 2-core host.
 """
@@ -32,7 +35,14 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from worker import make_scenario  # noqa: E402
 
-from targetsim.harness import compute_metrics, read_trace, run, scenario_from_dict  # noqa: E402
+from targetsim.harness import (  # noqa: E402
+    compute_metrics,
+    load_scenario,
+    read_trace,
+    run,
+    scenario_from_dict,
+    scenario_to_dict,
+)
 
 
 def sha16(data: bytes) -> str:
@@ -102,7 +112,8 @@ def check(scenario: dict, pinned: dict) -> dict:
     """The run's digests, and "replay": whether compute_metrics of its
     replayed trace equals the summary footer, or of its records (a
     metrics-only run) the run's metrics. The records are hashed as
-    compute_metrics reads them."""
+    compute_metrics reads them. A traced run adds "header": whether its
+    header, written as a scenario file, loads as the run's scenario."""
     sha = hashlib.sha256()
     if "trace" not in pinned:
         scenario = scenario_from_dict(scenario)
@@ -110,10 +121,14 @@ def check(scenario: dict, pinned: dict) -> dict:
         replay = compute_metrics(hashed(result.records, sha), scenario) == result.metrics
         return {"records": sha.hexdigest()[:16], "replay": replay}
     with tempfile.TemporaryDirectory() as out:
-        run(scenario_from_dict(scenario), out_dir=out)
+        scenario = scenario_from_dict(scenario)
+        run(scenario, out_dir=out)
         trace = Path(out) / "trace.jsonl"
         clouds = sorted(Path(out).glob("cloud_*.xyz"))
         data = trace.read_bytes()
+        header = Path(out) / "header.json"
+        header.write_text(json.dumps(json.loads(data.splitlines()[0])["scenario"]))
+        loaded = scenario_to_dict(load_scenario(header)) == scenario_to_dict(scenario)
         replayed, records = read_trace(trace)
         summary = json.loads(data.splitlines()[-1])
         replay = compute_metrics(hashed(records, sha), replayed) == summary["metrics"]
@@ -122,6 +137,7 @@ def check(scenario: dict, pinned: dict) -> dict:
             "clouds": sha16(b"".join(p.read_bytes() for p in clouds)),
             "records": sha.hexdigest()[:16],
             "replay": replay,
+            "header": loaded,
         }
 
 
@@ -129,7 +145,7 @@ def main() -> int:
     failed = 0
     for name, scenario, pinned in pinned_runs():
         got = check(scenario, pinned)
-        expected = {**pinned, "replay": True}
+        expected = {**pinned, "replay": True, **({"header": True} if "trace" in pinned else {})}
         wrong = {k: got[k] for k in expected if got[k] != expected[k]}
         failed += bool(wrong)
         shown = " ".join(f"{k} {got[k]}" for k in expected)

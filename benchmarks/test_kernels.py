@@ -215,7 +215,7 @@ def busy_frames(frames) -> list[tuple[int, int]]:
     tracker = BoxTracker(TrackerConfig(min_hits=3, max_misses=5, iou_min=0.3))
     kinds = []
     for detections in frames:
-        kinds.append((len(detections), tracker.track_count))
+        kinds.append((len(detections), len(tracker._tracks)))
         tracker.step(detections)
     return kinds
 
@@ -227,7 +227,8 @@ def test_tracker_busy_frames(benchmark):
 
 
 def frame_line(entries, flt, uav, mission):
-    """The run loop's per-frame record and trace line."""
+    """The run loop's per-frame record and trace line on a frame with an
+    event, on which the loop updates the entries."""
     live = entries.update(flt)
     record = harness._make_record(
         0.1, 1, uav, uav.position, [Detection(BOXES[0], 1.0)], [TrackedBox(1, BOXES[0], 5, 0)],
@@ -239,7 +240,7 @@ def frame_line(entries, flt, uav, mission):
 def test_frame_line(benchmark, clouds):
     entries = harness._TargetEntries()
     uav = UavState.at_rest([10.0, 20.0, 30.0])
-    flt = SimpleNamespace(targets=clouds[:3], changes=0)  # a filter that counted no change
+    flt = SimpleNamespace(targets=clouds[:3])  # a filter whose targets do not change
     args = (flt, uav, SimpleNamespace(mode=MissionMode.SEARCH))
     frame_line(entries, *args)  # the targets' entries are built before the timed frames
     record = json.loads(benchmark(frame_line, entries, *args))["record"]

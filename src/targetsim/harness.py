@@ -64,8 +64,8 @@ class Scenario:
     def __post_init__(self):
         if self.frame_rate <= 0 or self.max_sim_time <= 0 or self.match_dist <= 0:
             raise ValueError("frame_rate, max_sim_time, and match_dist must be positive")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.seed <= _FLOAT_MAX:  # run --seed reaches it through dataclasses.replace
+            raise ValueError("seed must be >= 0 and fit a float")
         if not math.isclose(self.uav.dt, 1.0 / self.frame_rate, rel_tol=1e-9):
             # one clock: the vehicle moves uav.dt per frame
             raise ValueError(
@@ -103,9 +103,10 @@ _TARGET_KEYS = {"id", "center", "semi_axes", "n_surface"}
 
 def _check_json_types(cls, kwargs: dict) -> None:
     """Raise TypeError for a value whose type its field's (or, for a function,
-    its parameter's) annotation does not allow. An int passes for a float; a
-    bool is not a number. Values are not cast, so the header serialises them
-    as written."""
+    its parameter's) annotation does not allow, and ValueError for a number
+    that is NaN, infinite or an integer too large for a float. An int passes
+    for a float; a bool is not a number. Values are not cast, so the header
+    serialises them as written."""
     hints = typing.get_type_hints(cls)
     for name, value in kwargs.items():
         if name not in hints:
@@ -115,6 +116,8 @@ def _check_json_types(cls, kwargs: dict) -> None:
         if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
             names = " or ".join(t.__name__ for t in expected)
             raise TypeError(f"{name} must be {names}, got {type(value).__name__}")
+        if isinstance(value, (int, float)) and not abs(value) <= _FLOAT_MAX:  # false for NaN
+            raise ValueError(f"{name} must be finite and fit a float")
 
 
 def _coordinates(values, name: str, n: int | None = None) -> tuple:
@@ -214,27 +217,10 @@ def scenario_to_dict(s: Scenario) -> dict:
     }
 
 
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not np.isfinite(value):
-        raise ValueError(f"non-finite number {text}")
-    return value
-
-
-def _finite_int(text: str) -> int:
-    _finite_float(text)  # an integer too large for a float is rejected like 1e999
-    return int(text)
-
-
 def load_scenario(path) -> Scenario:
-    """Parse a scenario file; NaN, Infinity and numbers too large for a float are invalid."""
+    """Parse a scenario file; scenario_from_dict checks every value."""
     try:
-        data = json.loads(
-            Path(path).read_text(),
-            parse_float=_finite_float,
-            parse_int=_finite_int,
-            parse_constant=_finite_float,
-        )
+        data = json.loads(Path(path).read_text())
     except (OSError, ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ScenarioInvalid(f"cannot read scenario: {exc}") from exc
     return scenario_from_dict(data)
@@ -245,21 +231,18 @@ def load_scenario(path) -> Scenario:
 
 class _TargetEntries:
     """A filter's live targets' trace entries, in a list that records share
-    until the filter counts a change, and that list's JSON text, encoded
-    when a trace line first needs it. An entry is kept until its target
-    changes, so callers must not mutate entries or the list."""
+    until the next update, and that list's JSON text, encoded when a trace
+    line first needs it. An entry is kept until its target changes, so
+    callers must not mutate entries or the list."""
 
     def __init__(self):
         self._by_id: dict[int, list] = {}  # id -> [summary, state, entry, text or None]
-        self._changes = self._text = None  # the filter's change count at the last rebuild; its text
-        self._entries: list[dict] = []
+        self._text = None  # the last update's joined text, once encoded
 
     def update(self, flt: PointsFilter) -> list[dict]:
-        """The entries of flt.targets, in order, rebuilt when flt counted a
-        change: an entry when set_points refit its target's summary (with its
-        entropy, KL and point count) or its state changed."""
-        if flt.changes == self._changes:
-            return self._entries
+        """The entries of flt.targets, in order, in a new list: a new entry
+        for a target whose summary (refit with its entropy, KL and point
+        count by set_points) or state changed, the kept one otherwise."""
         by_id = {}
         for tgt in flt.targets:
             kept = self._by_id.get(tgt.target_id)
@@ -275,9 +258,8 @@ class _TargetEntries:
                     "n_points": len(tgt.points),
                 }, None]
             by_id[tgt.target_id] = kept
-        self._by_id, self._changes, self._text = by_id, flt.changes, None
-        self._entries = [kept[2] for kept in by_id.values()]
-        return self._entries
+        self._by_id, self._text = by_id, None
+        return [kept[2] for kept in by_id.values()]
 
     def text(self) -> str:
         """The JSON text of the last update's entries, comma-separated."""
@@ -575,7 +557,7 @@ def run(scenario: Scenario, out_dir=None) -> RunResult:
 
     dt = 1.0 / scenario.frame_rate
     all_true_ids = {t.id for t in scenario.targets}
-    target_entries = _TargetEntries()
+    target_entries, targets = _TargetEntries(), []
     scores = _Scores(scenario)
     records = [] if out_path is None else None  # a traced run writes each record and drops it
     completed = False
@@ -612,7 +594,8 @@ def run(scenario: Scenario, out_dir=None) -> RunResult:
             for ev in events:
                 log.debug("t=%.1f %s", t, ev)
 
-            targets = target_entries.update(flt)
+            if events or updated:  # every change to a target or to the live set is one
+                targets = target_entries.update(flt)
             record = _make_record(t, frame, uav, est, detections, boxes, targets, mission, events)
             scores.add(record, true_boxes, scored)
             if trace_fh is None:

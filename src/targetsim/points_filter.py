@@ -435,7 +435,6 @@ class PointsFilter:
         self.cfg = cfg or FilterConfig()
         self.targets: list[PointTarget] = []
         self._next_id = 1
-        self.changes = 0  # the calls that may have changed a target's state or cloud, or the set
 
     def get(self, target_id: int) -> PointTarget | None:
         for t in self.targets:
@@ -444,7 +443,6 @@ class PointsFilter:
         return None
 
     def deregister(self, target_id: int) -> Event:
-        self.changes += 1
         self.targets = [t for t in self.targets if t.target_id != target_id]
         return Event("deregistered", target_id)
 
@@ -452,7 +450,6 @@ class PointsFilter:
         target = self.get(target_id)
         if target is None:
             raise KeyError(f"unknown target {target_id}")
-        self.changes += 1
         target.state = TargetState.MAPPED
         cloud = np.asarray(cloud, dtype=float).reshape(-1, 3)
         if cloud.size:
@@ -562,5 +559,4 @@ class PointsFilter:
             else:
                 survivors.append(target)
         self.targets = survivors
-        self.changes += bool(events or updated)  # every change is an event or an update
         return events, updated

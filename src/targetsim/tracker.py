@@ -237,10 +237,6 @@ class BoxTracker:
         self._tracks: list[_Track] = []
         self._next_id = 1
 
-    @property
-    def track_count(self) -> int:
-        return len(self._tracks)
-
     def step(self, detections: list[Detection]) -> list[TrackedBox]:
         """Predict, associate, update; returns registered tracks only."""
         if not detections and not self._tracks:

@@ -65,6 +65,11 @@ class PlannerConfig:
             raise EmptyPolygon(f"survey_polygon has {len(self.survey_polygon)} vertices, needs >= 3")
         if any(np.shape(vertex) != (2,) for vertex in self.survey_polygon):
             raise ValueError("each survey_polygon vertex needs 2 coordinates (x, y)")
+        xy = np.asarray(self.survey_polygon, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is what is checked
+            spans = [*(xy.max(axis=0) - xy.min(axis=0)), xy[:, 1].min() + xy[:, 1].max()]
+        if not np.isfinite(spans).all():  # lawnmower's lane arithmetic stays finite
+            raise ValueError("survey_polygon's x or y extent or y midline overflows a float")
 
 
 def _lane_span(polygon: np.ndarray, y: float) -> tuple[float, float] | None:
@@ -105,7 +110,10 @@ def lawnmower(polygon, lane_spacing: float, altitude: float) -> list[Waypoint]:
     """Serpentine lanes over a convex polygon at a fixed altitude.
 
     Lane lines run along x; yaw points along the direction of travel.
-    PlannerConfig ensures >= 3 vertices and a positive lane spacing.
+    PlannerConfig ensures >= 3 vertices, a positive lane spacing and
+    finite extents and midline, so every lane lies within the polygon's
+    y bounds and crosses an edge: rounded subtraction and division are
+    monotone, so that edge's t stays in [0, 1].
     """
     poly = np.asarray(polygon, dtype=float).reshape(-1, 2)
     y_min, y_max = poly[:, 1].min(), poly[:, 1].max()
@@ -117,10 +125,7 @@ def lawnmower(polygon, lane_spacing: float, altitude: float) -> list[Waypoint]:
 
     waypoints: list[Waypoint] = []
     for i, y in enumerate(lane_ys):
-        span = _lane_span(poly, float(y))
-        if span is None:
-            continue
-        x_lo, x_hi = span
+        x_lo, x_hi = _lane_span(poly, float(y))
         if i % 2 == 0:
             x_start, x_end, yaw = x_lo, x_hi, 0.0
         else:

@@ -149,7 +149,7 @@ def test_criterion_3_fp_robustness():
                 assert tracker.step([Detection(jittered, 0.5)]) == []
             for frame in range(short, short + t_missing + 2):
                 assert tracker.step([]) == []
-            assert tracker.track_count == 0
+            assert len(tracker._tracks) == 0
 
             # (b) a persistent FP seen from one viewpoint only: it spawns a
             # cloud, never converges, and deregisters within the grace period

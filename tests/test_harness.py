@@ -85,6 +85,18 @@ def three_coordinate_polygon() -> dict:
     return data
 
 
+def one_lane_polygon_past_float() -> dict:
+    """A polygon from y 1e308 to 1.7e308, lower than its lane spacing: its
+    one lane's midline overflows a float."""
+    data = copy.deepcopy(BASE)
+    data["world"]["targets"] = []
+    data["planner"]["survey_polygon"] = [
+        [0.0, 1e308], [60.0, 1e308], [60.0, 1.7e308], [0.0, 1.7e308]
+    ]
+    data["planner"]["lane_spacing"] = 1e308
+    return data
+
+
 def with_leaf(path, value, data=BASE) -> dict:
     """A copy of data with the value at key path `path` replaced."""
     data = copy.deepcopy(data)
@@ -161,6 +173,8 @@ def bad_scenario_texts() -> dict[str, str]:
         "one_semi_axis": json.dumps(with_leaf(("world", "targets", 0, "semi_axes"), [1.0])),
         # read by lawnmower as a different polygon of six (x, y) vertices
         "three_coordinate_polygon_vertices": json.dumps(three_coordinate_polygon()),
+        # lawnmower skipped its one lane, and run indexed the empty plan
+        "one_lane_polygon_past_float": json.dumps(one_lane_polygon_past_float()),
         "target_top_above_altitude": json.dumps(
             with_leaf(("world", "targets", 0, "center"), [40.0, 28.0, 29.5])
         ),
@@ -347,6 +361,21 @@ JSON_VALUES = st.recursive(
     | st.dictionaries(st.text(max_size=4), inner, max_size=4),
     max_leaves=8,
 )
+
+
+def test_every_number_past_a_float_is_invalid_and_named(tmp_path):
+    # the one number rule, in a file and in a dict built by code alike: a
+    # NaN, an infinity or an integer too large for a float at any leaf is
+    # rejected, and the error names the leaf's field
+    file = tmp_path / "s.json"
+    for path in leaf_paths(BASE):
+        field = [key for key in path if isinstance(key, str)][-1]
+        for value in (float("nan"), float("inf"), -float("inf"), 10**400):
+            data = with_leaf(path, value)
+            file.write_text(json.dumps(data))
+            for load in (lambda: scenario_from_dict(data), lambda: load_scenario(file)):
+                with pytest.raises(ScenarioInvalid, match=field):
+                    load()
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -678,6 +707,11 @@ def on_line(index, edit):
     return edit_lines
 
 
+def set_in_header(*keys, value):
+    """A trace-line edit that sets the header's scenario[keys[0]][keys[1]]... to value."""
+    return lambda header: {**header, "scenario": with_leaf(keys, value, header["scenario"])}
+
+
 def set_in_record(*keys, value):
     """A trace-line edit that sets record[keys[0]][keys[1]]... to value."""
     def edit(frame: dict) -> dict:
@@ -751,6 +785,14 @@ MALFORMED_EDITS = [
         # an integer too large for a float
         set_in_record("uav", "true", "yaw", value=10**400),
     ]),
+    # numbers in the header that a scenario file may not hold: once
+    # replayed as a table (of 0 % from the NaN) or, for fx, a traceback
+    *(on_line(0, set_in_header(*path, value=value)) for path, value in [
+        (("filter", "max_depth"), float("inf")),
+        (("match_dist",), float("nan")),
+        (("seed",), 10**400),
+        (("camera", "fx"), 10**400),
+    ]),
     lambda lines, dumps: [lines[1], lines[0], *lines[2:]],  # a frame line before the header
     # the last frame line, before the summary footer: no table is
     # printed until the fold has read every record
@@ -761,6 +803,8 @@ MALFORMED_IDS = [
     "numeric_string_yaw", "bool_yaw", "string_position", "five_number_bbox",
     "five_number_spawn_bbox", "unknown_mode", "bool_mean", "nan_bbox",
     "infinite_position", "nan_spawn_bbox", "nan_mean", "huge_int_yaw",
+    "infinite_header_max_depth", "nan_header_match_dist", "huge_int_header_seed",
+    "huge_int_header_fx",
     "frame_before_header", "malformed_last_frame",
 ]
 
@@ -810,6 +854,19 @@ class TestCli:
         path.write_text(json.dumps(BASE))
         assert cli_main(["run", str(path), "--out", str(tmp_path / "o"), "--seed", "-1"]) == 2
         assert "seed must be >= 0" in capsys.readouterr().err
+
+    def test_seed_past_a_float_exit_2(self, tmp_path, capsys):
+        # run --seed passes the check that a file's seed does: it once ran
+        # and wrote a header that validate rejects
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(BASE))
+        out = tmp_path / "o"
+        assert cli_main(["run", str(path), "--out", str(out), "--seed", str(10**400)]) == 2
+        assert not out.exists()
+        path.write_text(json.dumps(with_leaf(("seed",), 10**400)))
+        assert cli_main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all("seed must be" in line for line in err)
 
     def test_unwritable_output_exit_2(self, tmp_path, capsys):
         # --out naming an existing file cannot become the output directory
@@ -1186,10 +1243,12 @@ def failing_orbit() -> Scenario:
 
 
 def test_entries_follow_every_target_change(monkeypatch, tmp_path):
-    # every call that changes a filter target or the set of live targets
-    # counts a change, so the entries that each frame writes, and those
-    # read right after each such call, equal entries built afresh; the two
-    # runs go through every change site: spawns, keyframe updates,
+    # the loop updates the entries only on a frame with an event or an
+    # update, so every call that changes a filter target or the set of
+    # live targets must give one: the entries that each frame writes, and
+    # those read right after each such call, equal entries built afresh,
+    # and a tick with no event and no update leaves them as they were; the
+    # two runs go through every change site: spawns, keyframe updates,
     # converging and converged, mark_mapped, the tick's deregistrations,
     # and the mission's after a failed estimation orbit
     def text(entries):
@@ -1213,9 +1272,11 @@ def test_entries_follow_every_target_change(monkeypatch, tmp_path):
 
     def site(original):
         def wrapper(flt, *args):
-            entries.update(flt)  # current before the call
+            before = text(entries.update(flt))  # current before the call
             result = original(flt, *args)
             assert text(entries.update(flt)) == fresh(flt)
+            if result == ([], []):  # a tick that the loop does not follow with an update
+                assert fresh(flt) == before
             return result
         return wrapper
 
@@ -1372,11 +1433,11 @@ class TestTargetEntries:
             return flt.tick(box, camera.rotation, camera.translation, rng)
 
         def entry():
-            live = entries.update(flt)
-            (one,) = live
+            (one,) = entries.update(flt)
             text = entries.text()
             assert text == harness._json_line(one) and entries.text() is text
-            assert entries.update(flt) is live  # no change counted: the same list
+            (again,) = entries.update(flt)  # nothing changed: the entry is kept
+            assert again is one and entries.text() == text
             return one
 
         tick(0.0)
@@ -1385,9 +1446,8 @@ class TestTargetEntries:
         assert tick(1.0)[1] == [spawned["id"]]  # a keyframe update
         updated = entry()
         assert updated is not spawned and updated["kld"] is not None
-        changes = flt.changes
-        assert tick(1.0) == ([], [])  # the same pose again: no keyframe, no change counted
-        assert flt.changes == changes and entry() is updated
+        assert tick(1.0) == ([], [])  # the same pose again: no keyframe, no update
+        assert entry() is updated
         target = flt.targets[0]
         summary = target.summary
         flt.mark_mapped(target.target_id, np.empty((0, 3)))

@@ -213,7 +213,7 @@ class TestBoxTracker:
         assert tracker.step([det(self.BOX)]) == []
         for _ in range(5):
             assert tracker.step([]) == []
-        assert tracker.track_count == 0
+        assert len(tracker._tracks) == 0
 
     def test_track_survives_single_dropped_frame(self):
         # constant-velocity box with one missed detection mid-stream: the
@@ -228,16 +228,16 @@ class TestBoxTracker:
                 out = tracker.step([det([u, 100.0, u + 40.0, 150.0])])
             ids.update(b.track_id for b in out)
         assert ids == {1}  # never re-spawned under a new id
-        assert tracker.track_count == 1
+        assert len(tracker._tracks) == 1
 
     def test_track_deleted_after_max_misses(self):
         tracker = BoxTracker(TrackerConfig(min_hits=1, max_misses=4))
         assert len(tracker.step([det(self.BOX)])) == 1
         for i in range(3):
             tracker.step([])
-            assert tracker.track_count == 1
+            assert len(tracker._tracks) == 1
         tracker.step([])
-        assert tracker.track_count == 0
+        assert len(tracker._tracks) == 0
 
     def test_no_two_tracks_share_a_detection(self):
         tracker = BoxTracker(TrackerConfig(min_hits=1, max_misses=3))
@@ -264,7 +264,7 @@ class TestBoxTracker:
         assert len(tracker.step([det(self.BOX)])) == 1
         out = tracker.step([])  # miss: identity survives, nothing published
         assert out == []
-        assert tracker.track_count == 1
+        assert len(tracker._tracks) == 1
         out = tracker.step([det(self.BOX)])  # re-detected: same id again
         assert len(out) == 1 and out[0].track_id == 1
 

@@ -1,8 +1,10 @@
 """Waypoint generators: survey lanes, refinement orbit, mapping stack."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from targetsim.bounding_cylinder import BoundingCylinder
@@ -92,6 +94,40 @@ class TestLawnmower:
         # within 1e3 and spacings of at least 2 keep it to ~1,000 lanes
         cfg = PlannerConfig(survey_polygon=tuple(polygon), lane_spacing=lane_spacing)
         assert lawnmower(cfg.survey_polygon, cfg.lane_spacing, cfg.search_altitude)
+
+    @given(
+        polygon=st.lists(
+            st.tuples(*[
+                st.sampled_from([0.0, 1.0, 9e307, -9e307, 1e308, 1.7e308, -1.7e308])
+                | st.floats(-1.7e308, 1.7e308)
+            ] * 2),
+            min_size=3, max_size=8,
+        ),
+        lanes=st.integers(1, 20),
+    )
+    # one lane at the midline (1e308 + 1.7e308) / 2, which was inf: it
+    # crossed no edge and the plan was empty; an x extent; a y extent
+    @example(polygon=[(0.0, 1e308), (60.0, 1e308), (60.0, 1.7e308), (0.0, 1.7e308)], lanes=1)
+    @example(polygon=[(-1e308, 0.0), (1e308, 0.0), (0.0, 10.0)], lanes=1)
+    @example(polygon=[(0.0, -1e308), (10.0, 0.0), (0.0, 1e308)], lanes=1)
+    @settings(max_examples=300, deadline=None)
+    @pytest.mark.filterwarnings("ignore:overflow encountered in scalar divide:RuntimeWarning")
+    def test_polygon_to_the_float_range_raises_or_gets_finite_waypoints(self, polygon, lanes):
+        # coordinates up to +-1.7e308 and a lane spacing of about 1 / lanes
+        # of the y extent: PlannerConfig raises exactly when the x or y
+        # extent or the y midline overflows, and otherwise lawnmower plans a
+        # waypoint or more, each finite
+        xs, ys = [x for x, _ in polygon], [y for _, y in polygon]
+        spans = (max(xs) - min(xs), max(ys) - min(ys), min(ys) + max(ys))  # inf on overflow
+        spacing = max(spans[1] / lanes, 5e-324) if math.isfinite(spans[1]) else 1.0
+        if not all(map(math.isfinite, spans)):
+            with pytest.raises(ValueError, match="overflows a float"):
+                PlannerConfig(survey_polygon=tuple(polygon), lane_spacing=spacing)
+            return
+        cfg = PlannerConfig(survey_polygon=tuple(polygon), lane_spacing=spacing)
+        waypoints = lawnmower(cfg.survey_polygon, cfg.lane_spacing, cfg.search_altitude)
+        assert waypoints
+        assert all(np.isfinite(wp.position).all() and np.isfinite(wp.yaw) for wp in waypoints)
 
     def test_footprint_coverage_of_polygon(self):
         # coverage oracle: sweeping the scan annulus along the lane path
