@@ -18,8 +18,13 @@ records byte for byte. A traced run's header line is also written as a
 scenario file, and load_scenario of it must give the run's scenario
 ("header"), so a header is a valid scenario file by test as well as by
 construction. Prints one line per run and exits 1 on any
-mismatch. A run outputs the same bytes on every machine, so the pins hold
-anywhere; the whole check takes about a minute on a 2-core host.
+mismatch. A run outputs the same bytes on every machine with the same
+numeric platform, the OpenBLAS kernel and numpy SIMD level that it runs
+on, so the pins hold only there: they were taken with OpenBLAS's SkylakeX
+kernels and numpy's AVX-512 loops, and with the AVX2 kernels
+(OPENBLAS_CORETYPE=Haswell) or without numpy's AVX-512 loops every trace
+digest differs (ROADMAP item 4). The whole check takes about a minute on a
+2-core host.
 """
 
 from __future__ import annotations

@@ -30,6 +30,11 @@ frame: mostly (1, 1) and (0, 1), then (1, 2), (1, 0) and (0, 2). The
 trace replay reads and checks every record of the nominal scenario's
 trace, 1,860 frame lines, 88 % of which repeat the line before's targets
 block; the record check alone checks those records, decoded beforehand.
+The filter replay pair steps a new PointsFilter, and then the plain
+reference filter of tests/plain_filter.py, through the recorded filter calls
+of clutter1's first 300 frames (seed 7, 4,000-point clouds), each tick with
+the generator state it had in the run: the pair's ratio is the combined
+worth of every special case in the fast filter.
 """
 
 import itertools
@@ -47,6 +52,7 @@ from targetsim.mission import MissionMode
 from targetsim.points_filter import (
     Event,
     FilterConfig,
+    PointsFilter,
     PointTarget,
     TargetState,
     differential_entropy,
@@ -59,6 +65,8 @@ from targetsim.points_filter import (
 from targetsim.tracker import BoxTracker, TrackedBox, TrackerConfig, hungarian_assign
 from targetsim.uav import UavState, camera_pose
 from targetsim.view_planner import lawnmower
+
+from tests.plain_filter import PlainFilter
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 K = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=480)
@@ -181,6 +189,65 @@ def test_projection_count_costs_moved(benchmark, clouds, monkeypatch):
     assert 0 < len(projected) < len(clouds)  # some clouds are culled in every box
     costs = benchmark(projection_count_costs, boxes, clouds, *MOVED_VIEW, K)
     assert costs.shape == (len(boxes), len(clouds)) and costs.any()
+
+
+@pytest.fixture(scope="module")
+def clutter1_calls():
+    """clutter1's scenario cut to 30 s (as perfbench/worker.py builds it, seed
+    7), the filter calls of its run: ("tick", boxes, rotation, translation,
+    generator state), ("mark_mapped", id, cloud) and ("deregister", id), and
+    the events that the calls returned."""
+    data = json.loads((SCENARIOS / "nominal_single_target.json").read_text())
+    data.update(seed=7, max_sim_time=30.0)
+    data["detector"].update(fp_rate=0.3, fn_rate=0.0, pixel_noise_sigma=0.5)
+    data["tracker"]["min_hits"] = 1
+    data["filter"]["m"] = 4000
+    scenario = harness.scenario_from_dict(data)
+    calls, events = [], []
+
+    class Recorded(PointsFilter):
+        def tick(self, boxes, rotation, translation, rng):
+            calls.append(("tick", boxes, rotation, translation, rng.bit_generator.state))
+            ticked = super().tick(boxes, rotation, translation, rng)
+            events.extend(e.to_dict() for e in ticked[0])
+            return ticked
+
+        def mark_mapped(self, target_id, cloud):
+            calls.append(("mark_mapped", target_id, cloud))
+            return super().mark_mapped(target_id, cloud)
+
+        def deregister(self, target_id):
+            calls.append(("deregister", target_id))
+            event = super().deregister(target_id)
+            events.append(event.to_dict())
+            return event
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "PointsFilter", Recorded)
+        harness.run(scenario)
+    return scenario, calls, events
+
+
+def replay(filter_class, scenario, calls) -> list[dict]:
+    """A new filter_class stepped through calls; the events its calls return."""
+    flt, rng, events = filter_class(scenario.camera, scenario.filter), np.random.default_rng(), []
+    for name, *args in calls:
+        if name == "tick":
+            *args, state = args
+            rng.bit_generator.state = state
+            events += [e.to_dict() for e in flt.tick(*args, rng)[0]]
+        elif name == "deregister":
+            events.append(flt.deregister(*args).to_dict())
+        else:
+            flt.mark_mapped(*args)
+    return events
+
+
+@pytest.mark.parametrize("form", [PointsFilter, PlainFilter], ids=["fast", "plain"])
+def test_filter_replay(benchmark, clutter1_calls, form):
+    scenario, calls, events = clutter1_calls
+    assert benchmark(replay, form, scenario, calls) == events
+    assert len(calls) == 300 and sum(e["type"] == "spawned" for e in events) > 20
 
 
 def test_hungarian_assign(benchmark):

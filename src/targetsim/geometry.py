@@ -62,10 +62,9 @@ def transform_rows(rotation: np.ndarray, translation: np.ndarray, points: np.nda
 def translate_rows(rotated: np.ndarray, translation: np.ndarray, out: np.ndarray):
     """rotated + translation into out, for (..., 3, n) rows of rotated
     points: transform_rows's second half, so rows of points rotated once can
-    be moved by many translations. The translation is added along contiguous
-    rows, which costs less than broadcasting it over an inner axis of length
-    3, and one row at a time, which costs less than broadcasting a (..., 3,
-    1) column over the rows."""
+    be moved by many translations. It adds one contiguous row at a time: a
+    trade-off against broadcasting a (..., 3, 1) column, which costs less on
+    (3, 1,000) rows and (10, 3, 400) view stacks but more on (3, 4,000)."""
     for i in range(3):
         np.add(rotated[..., i, :], translation[..., i, None], out=out[..., i, :])
     return out

@@ -380,17 +380,8 @@ class _Scores:
         self.counts = {stage: [0, 0, 0] for stage in STAGES}  # tp, fp, fn
         self.credited = {stage: set() for stage in STAGES[1:]}
 
-    @staticmethod
-    def reads_truth(record) -> bool:
-        """Whether add reads the record's true boxes: outside the mapping
-        mode it scores detections, and a spawn scores generation."""
-        return record["mode"] != MissionMode.MAPPING or any(
-            ev["type"] == "spawned" for ev in record["events"]
-        )
-
     def add(self, record: dict, boxes, scored) -> None:
-        """Score a record against its view's boxes and scored rows of
-        _true_views (read only if reads_truth)."""
+        """Score a record against its view's boxes and scored rows of _true_views."""
         s, counts = self.scenario, self.counts
         if record["mode"] != MissionMode.MAPPING:
             k, margin = s.camera, s.filter.edge_margin_px
@@ -447,10 +438,8 @@ def compute_metrics(records, scenario: Scenario) -> dict:
     scores = _Scores(scenario)
     records = iter(records)
     while chunk := list(itertools.islice(records, METRICS_CHUNK)):
-        reads = [_Scores.reads_truth(r) for r in chunk]
-        views = zip(*_true_boxes_for_frames([r for r, n in zip(chunk, reads) if n], scenario))
-        for record, n in zip(chunk, reads):
-            scores.add(record, *(next(views) if n else (None, None)))
+        for record, view in zip(chunk, zip(*_true_boxes_for_frames(chunk, scenario))):
+            scores.add(record, *view)
     return scores.table()
 
 

@@ -496,7 +496,7 @@ class PointsFilter:
                 new_points = update_points(
                     target.points, gated_boxes[box_idx], *cam_from_world, self.k, cfg, rng
                 )
-            except AllZeroWeights:
+            except (AllZeroWeights, DegenerateBox):  # no supported point, or a zero-area box
                 events.append(Event("update_failed", target.target_id))
                 continue  # counts as a missed update
             old = target.summary

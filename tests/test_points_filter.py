@@ -1,5 +1,9 @@
-"""Sampling filter: generation, weighting, resampling, statistics, lifecycle."""
+"""Sampling filter: generation, weighting, resampling, statistics, lifecycle,
+and the whole filter stepped beside its plain form."""
 
+import collections
+import json
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -8,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
-from targetsim import points_filter
+from targetsim import harness, points_filter
 from targetsim.detector import ellipsoid_target, visible_bbox
 from targetsim.geometry import CameraIntrinsics, Pose, project_points, yaw_rotation
 from targetsim.points_filter import (
@@ -36,9 +40,11 @@ from targetsim.points_filter import (
 from targetsim.tracker import TrackedBox
 from targetsim.uav import camera_pose
 
+from tests.plain_filter import PlainFilter, counts, fit, update_weights
 from tests.test_geometry import IDENTITY, from_yaw, project, rt, transform
 
 K = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=480)
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 DE_IDENTITY = 1.5 + 1.5 * np.log(2.0 * np.pi)  # = 4.2568155996...
 
@@ -308,28 +314,6 @@ class TestSystematicResample:
         assert abs((idx == 0).sum() - 50) <= 1
 
 
-def pixel_pair_weights(points, bbox, rotation, translation, k, cfg, rng):
-    """update_points up to its resampling, in the (n, 2)-pixel form it had
-    before it worked on contiguous rows: the oracle of TestUpdatePoints.
-    Returns the perturbed points and their weights."""
-    perturbed = points + np.sqrt(cfg.update_noise_var) * rng.standard_normal(points.shape)
-    pc = rotation @ perturbed.T + translation[:, None]
-    depths = pc[2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        uv = np.column_stack([k.fx * pc[0] / depths + k.cx, k.fy * pc[1] / depths + k.cy])
-    b = np.asarray(bbox, dtype=float)
-    su, sv = (b[2] - b[0]) / 2.0, (b[3] - b[1]) / 2.0
-    zu = (uv[:, 0] - (b[0] + b[2]) / 2.0) / su
-    zv = (uv[:, 1] - (b[1] + b[3]) / 2.0) / sv
-    gauss = np.exp(-0.5 * (zu * zu + zv * zv)) / (2.0 * np.pi * su * sv)
-    inside = (uv[:, 0] >= b[0]) & (uv[:, 0] <= b[2]) & (uv[:, 1] >= b[1]) & (uv[:, 1] <= b[3])
-    weights = cfg.w_gauss * gauss + cfg.w_uniform * (inside / (4.0 * su * sv))
-    off_image = (depths <= 0) | (uv[:, 0] < 0) | (uv[:, 0] > k.width) | (uv[:, 1] < 0) \
-        | (uv[:, 1] > k.height)
-    weights[off_image] = 0.0
-    return perturbed, weights
-
-
 class TestUpdatePoints:
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -382,8 +366,8 @@ class TestUpdatePoints:
             except AllZeroWeights:
                 got = None
         oracle_rng = np.random.default_rng(seed)
-        perturbed, weights = pixel_pair_weights(points, bbox, rotation, translation, K, cfg,
-                                                oracle_rng)
+        perturbed, weights = update_weights(points, bbox, rotation, translation, K, cfg,
+                                            oracle_rng)
         assert resampled[0].tobytes() == weights.tobytes()
         try:
             want = perturbed[systematic_resample(weights, oracle_rng)]
@@ -544,23 +528,6 @@ class TestAssociate:
         assert sorted(pairs) == [(0, 1), (1, 0)]
 
 
-def per_box_counts(boxes, targets, rotation, translation, k):
-    """projection_count_costs as it was before the vectorised counts: one
-    Python loop over the boxes for each target."""
-    costs = np.zeros((len(boxes), len(targets)))
-    for j, target in enumerate(targets):
-        uv, depths = project_points(target.points, rotation, translation, k)
-        valid = depths > 0
-        for i, b in enumerate(boxes):
-            inside = (
-                valid
-                & (uv[:, 0] >= b[0]) & (uv[:, 0] <= b[2])
-                & (uv[:, 1] >= b[1]) & (uv[:, 1] <= b[3])
-            )
-            costs[i, j] = int(inside.sum())
-    return costs
-
-
 class TestProjectionCounts:
     def test_vectorised_counts_equal_per_box_loop(self):
         # boxes whose edges are projected pixels of the clouds themselves,
@@ -586,7 +553,7 @@ class TestProjectionCounts:
                 a, b = front[rng.choice(len(front), 2, replace=False)]
                 boxes.append(np.array([*np.minimum(a, b), *np.maximum(a, b)]))
             got = projection_count_costs(boxes, targets, *rt(cam_from_world), K)
-            want = per_box_counts(boxes, targets, *rt(cam_from_world), K)
+            want = counts(boxes, [t.points for t in targets], *rt(cam_from_world), K)
             assert np.array_equal(got, want) and got.shape == (len(boxes), len(targets))
             # the two points on the box's edges count
             assert (got[np.arange(len(boxes)), sources] >= 2).all()
@@ -597,12 +564,15 @@ class TestProjectionCounts:
         seed=st.integers(0, 2**32 - 1),
         moved=st.booleans(),
         refit=st.lists(st.booleans(), min_size=1, max_size=4),
+        apex=st.booleans(),
     )
-    @example(seed=3, moved=False, refit=[False, False, False])
+    @example(seed=3, moved=False, refit=[False, False, False], apex=False)
+    @example(seed=0, moved=False, refit=[False], apex=True)  # culled with no cull margin
     @settings(max_examples=60, deadline=None)
-    def test_cull_and_reuse_count_as_brute_force(self, seed, moved, refit):
-        # clouds spawned as tick spawns them (hull: the viewing pyramid) or
-        # refit (hull: the bounding box), some of them with points at depth
+    def test_cull_and_reuse_count_as_brute_force(self, seed, moved, refit, apex):
+        # clouds spawned as tick spawns them (hull: the viewing pyramid), with
+        # or without points within ulps of the pyramid's apex, or refit (hull: the
+        # bounding box), some of them with points at depth
         # 0 and behind the counting camera; counted from a camera moved off
         # the spawn camera or from the spawn camera itself, whose centre is
         # every pyramid's apex; boxes with projected points on their edges
@@ -630,6 +600,10 @@ class TestProjectionCounts:
                 cam_pts[:10] *= -1.0  # behind the counting camera
                 cam_pts[10:15, 2] = 0.0  # at its depth 0
                 target.set_points(transform(camera, cam_pts))
+            elif apex:  # points within ulps of the apex: from there they project anywhere
+                centre = spawn_camera.translation
+                near = centre + (target.points[:4] - centre) * [[0.0], [1e-16], [1e-15], [1e-14]]
+                target.set_points(np.vstack([near, target.points[4:]]), target.hull)
             targets.append(target)
         boxes = []
         for target in targets:
@@ -649,10 +623,10 @@ class TestProjectionCounts:
             boxes.append(np.array([u0, v0, u0 + rng.uniform(8, 200), v0 + rng.uniform(8, 150)]))
         for _ in range(2):
             got = projection_count_costs(boxes, targets, *view, K)
-            assert np.array_equal(got, per_box_counts(boxes, targets, *view, K))
+            assert np.array_equal(got, counts(boxes, [t.points for t in targets], *view, K))
         targets[0].set_points(targets[0].points[::2] + rng.normal(0.0, 0.1, (cfg.m // 2, 3)))
         got = projection_count_costs(boxes, targets, *view, K)
-        assert np.array_equal(got, per_box_counts(boxes, targets, *view, K))
+        assert np.array_equal(got, counts(boxes, [t.points for t in targets], *view, K))
 
     def test_culled_clouds_are_not_projected(self, monkeypatch):
         # seen 3 m further along the lane, a cloud spawned near the left
@@ -821,6 +795,24 @@ class TestTickLifecycle:
         ]
         assert updated == [] and target.miss_counter == 1
 
+    def test_zero_area_box_on_a_target_emits_update_failed(self):
+        # a cloud collapsed onto one point counts every point in the
+        # zero-area box around its pixel; the box weights nothing
+        rng = np.random.default_rng(17)
+        flt = PointsFilter(K, FilterConfig(max_depth=50.0))
+        flt.tick([TrackedBox(1, np.array([280.0, 200.0, 360.0, 280.0]), 5, 0)],
+                 *self.overhead_cam(0.0), rng)
+        target = flt.targets[0]
+        target.set_points(np.tile(target.points[0], (len(target.points), 1)))
+        moved = self.overhead_cam(1.0)
+        uv, _ = project_points(target.points, *rt(Pose(*moved).inverse()), K)
+        u, v = uv[0]
+        events, updated = flt.tick([TrackedBox(1, np.array([u, v, u, v]), 5, 0)], *moved, rng)
+        assert [e.to_dict() for e in events] == [
+            {"type": "update_failed", "target": target.target_id}
+        ]
+        assert updated == [] and target.miss_counter == 1
+
     def test_zero_area_box_emits_spawn_failed(self):
         rng = np.random.default_rng(17)
         flt = PointsFilter(K, FilterConfig(max_depth=50.0))
@@ -907,3 +899,207 @@ class TestHelpers:
         with pytest.raises(ValueError):
             FilterConfig(w_gauss=0.7, w_uniform=0.5)
         assert FilterConfig(m=1000).min_points_in_box == 100
+
+
+class SteppedBeside(PointsFilter):
+    """PointsFilter with tests/plain_filter.py's PlainFilter stepped beside
+    it on a twin of each tick's generator. After every tick, mark_mapped and
+    deregister the two must hold the same events and updated ids, count
+    matrices, generator state and targets: each target's trace entry (id,
+    state, mean, covariance, entropy, KL divergence and point count), miss
+    and streak counters, and cloud, byte for byte."""
+
+    def __init__(self, k, cfg=None):
+        super().__init__(k, cfg)
+        self.plain = PlainFilter(k, self.cfg)
+        self.calls = collections.Counter()
+        self.kinds = set()  # the kinds of event that tick returned
+
+    def tick(self, boxes, rotation, translation, rng):
+        twin = np.random.Generator(np.random.PCG64())
+        twin.bit_generator.state = rng.bit_generator.state
+        costs, kernel = [], points_filter.projection_count_costs
+
+        def recorded(*args):
+            costs.append(kernel(*args))
+            return costs[-1]
+
+        with mock.patch.object(points_filter, "projection_count_costs", recorded):
+            events, updated = super().tick(boxes, rotation, translation, rng)
+        plain_events, plain_updated = self.plain.tick(boxes, rotation, translation, twin)
+        assert [(c.shape, c.tobytes()) for c in costs] == \
+            [(c.shape, c.tobytes()) for c in self.plain.costs]
+        assert rng.bit_generator.state == twin.bit_generator.state
+        self.check("tick", ([e.to_dict() for e in events], updated),
+                   ([e.to_dict() for e in plain_events], plain_updated))
+        self.kinds.update(e.kind for e in events)
+        return events, updated
+
+    def mark_mapped(self, target_id, cloud):
+        super().mark_mapped(target_id, cloud)
+        self.plain.mark_mapped(target_id, cloud)
+        self.check("mark_mapped", None, None)
+
+    def deregister(self, target_id):
+        event = super().deregister(target_id)
+        self.check("deregister", event.to_dict(), self.plain.deregister(target_id).to_dict())
+        return event
+
+    def check(self, call, got, want):
+        self.calls[call] += 1
+        assert json.dumps(got) == json.dumps(want)
+        assert [target_bytes(t, t.summary.mean, t.summary.covariance) for t in self.targets] == \
+            [target_bytes(t, *fit(t.points)) for t in self.plain.targets]
+
+
+def target_bytes(t, mean, cov) -> tuple:
+    return (t.target_id, t.state.value, mean.tobytes(), cov.tobytes(), repr(t.last_entropy),
+            repr(t.last_kld), t.miss_counter, t.kld_streak, t.points.shape, t.points.tobytes())
+
+
+def smoke_mission(which: str):
+    """The nominal mission, or smoke survey5 (seed 12) or smoke clutter1
+    (seed 7) as perfbench/worker.py builds them."""
+    if which == "smoke_survey5":
+        data = json.loads((SCENARIOS / "five_targets_noisy.json").read_text())
+        data["world"]["targets"] = data["world"]["targets"][:1]
+        data["planner"]["survey_polygon"] = [[0, 0], [100, 0], [100, 60], [0, 60]]
+        return harness.scenario_from_dict(data)
+    data = json.loads((SCENARIOS / "nominal_single_target.json").read_text())
+    if which == "smoke_clutter1":
+        data["seed"] = 7
+        data["detector"].update(fp_rate=0.3, fn_rate=0.0, pixel_noise_sigma=0.5)
+        data["tracker"]["min_hits"] = 1
+        data["filter"]["m"] = 400
+    return harness.scenario_from_dict(data)
+
+
+@pytest.mark.parametrize("which", ["nominal", "smoke_survey5", "smoke_clutter1"])
+def test_missions_step_beside_the_plain_filter(which):
+    filters = []
+
+    def beside(k, cfg):
+        filters.append(SteppedBeside(k, cfg))
+        return filters[-1]
+
+    with mock.patch.object(harness, "PointsFilter", beside):
+        result = harness.run(smoke_mission(which))
+    (flt,) = filters
+    assert result.completed and flt.calls["tick"] == result.frames
+    assert flt.calls["mark_mapped"] == len(result.mapped_true_ids) and "converged" in flt.kinds
+
+
+GAMMA = np.deg2rad(60.0)
+CENTRE_BOX = ("free", 280.0, 200.0, 80.0, 80.0)
+# ("tick", (x, yaw), boxes): a tick seen from camera_pose(yaw, (x, 0, 30)); a
+# box is ("cloud", j, q), between the q and 1 - q quantiles of the pixels of
+# live target j's points in front of the camera, ("point", j, i), 2 px
+# around one of those pixels, or ("free", u0, v0, w, h)
+BOXES = st.one_of(
+    st.tuples(st.just("cloud"), st.integers(0, 3), st.sampled_from([0.0, 0.1, 0.3])),
+    st.tuples(st.just("point"), st.integers(0, 3), st.integers(0, 5)),
+    st.tuples(st.just("free"), st.floats(0.0, 600.0), st.floats(0.0, 440.0),
+              st.sampled_from([0.0, 8.0, 60.0, 200.0]), st.sampled_from([0.0, 8.0, 60.0])),
+)
+TICKS = st.tuples(
+    st.just("tick"),
+    st.tuples(st.sampled_from([0.0, 0.3, 1.0, 3.0]), st.sampled_from([0.0, 0.05, 0.3])),
+    st.lists(BOXES, max_size=3),
+)
+CALLS = st.one_of(
+    st.none(), st.none(),
+    st.tuples(st.just("map"), st.integers(0, 3), st.sampled_from(["empty", "half", "moved"])),
+    st.tuples(st.just("drop"), st.integers(0, 3)),
+)
+# ticks, each followed by a mark_mapped, a deregister or no call
+OPS = st.lists(st.tuples(TICKS, CALLS), min_size=3, max_size=12).map(
+    lambda pairs: [op for pair in pairs for op in pair if op is not None]
+)
+CONFIGS = st.fixed_dictionaries({
+    "m": st.sampled_from([20, 200]),
+    "update_noise_var": st.sampled_from([0.01, 1.0, 1e4]),
+    "w_gauss": st.sampled_from([0.0, 0.5, 1.0]),
+    "max_missed_updates": st.integers(1, 4),
+    "kld_streak_needed": st.integers(1, 3),
+    "entropy_converging": st.sampled_from([3.0, 8.0]),
+})
+
+
+def box_of(spec, flt, camera) -> np.ndarray:
+    kind, *args = spec
+    if kind != "free" and flt.targets:
+        points = flt.targets[args[0] % len(flt.targets)].points
+        uv, depths = project_points(points, *rt(camera.inverse()), K)
+        front = uv[depths > 0]
+        if len(front) and kind == "cloud":
+            lo, hi = np.quantile(front, [args[1], 1.0 - args[1]], axis=0)
+            return np.array([*lo, *hi])
+        if len(front):  # a 2 px box around the first, the last or an extreme pixel
+            pixel = front[[0, -1, *np.argmin(front, axis=0), *np.argmax(front, axis=0)][args[1]]]
+            return np.concatenate([pixel - 1.0, pixel + 1.0])
+    _, u0, v0, w, h = spec if kind == "free" else CENTRE_BOX
+    return np.array([u0, v0, u0 + w, v0 + h])
+
+
+def step_sequence(config, seed, ops) -> SteppedBeside:
+    """Step a SteppedBeside through ops: ticks, mark_mapped of live target j
+    (with no points, every other point, or its points moved 1 m) and
+    deregister of live target j."""
+    flt = SteppedBeside(K, FilterConfig(max_depth=50.0, w_uniform=1.0 - config["w_gauss"],
+                                        **config))
+    rng = np.random.default_rng(seed)
+    for op, *args in ops:
+        if op == "tick":
+            (x, yaw), specs = args
+            camera = camera_pose(yaw, [x, 0.0, 30.0], GAMMA)
+            boxes = [TrackedBox(n, box_of(spec, flt, camera), 1, 0) for n, spec in enumerate(specs)]
+            flt.tick(boxes, *rt(camera), rng)
+        elif flt.targets:
+            target = flt.targets[args[0] % len(flt.targets)]
+            if op == "drop":
+                flt.deregister(target.target_id)
+            else:
+                cloud = {"empty": np.empty((0, 3)), "half": target.points[::2],
+                         "moved": target.points + 1.0}[args[1]]
+                flt.mark_mapped(target.target_id, cloud)
+    return flt
+
+
+DEFAULTS = {"m": 200, "update_noise_var": 0.01, "w_gauss": 0.5, "max_missed_updates": 4,
+            "kld_streak_needed": 3, "entropy_converging": 3.0}
+SPAWN = ("tick", (0.0, 0.0), [CENTRE_BOX])
+MOVED = (3.0, 0.0)
+# one sequence for each way a target's life ends, or a call the filter owns
+LIFECYCLE = {
+    "deregistered": ({**DEFAULTS, "max_missed_updates": 2}, 1,
+                     [SPAWN, ("tick", MOVED, []), ("tick", MOVED, [])]),
+    "update_failed": ({**DEFAULTS, "m": 20, "update_noise_var": 1e4, "w_gauss": 0.0}, 2,
+                      [SPAWN, ("tick", MOVED, [("cloud", 0, 0.3)])]),
+    "spawn_failed": (DEFAULTS, 3, [("tick", (0.0, 0.0), [("free", 300.0, 200.0, 0.0, 60.0)])]),
+    "mark_mapped": (DEFAULTS, 4, [SPAWN, ("map", 0, "half"), ("tick", MOVED, [("cloud", 0, 0.1)])]),
+    "deregister": (DEFAULTS, 5, [SPAWN, ("drop", 0), ("tick", MOVED, [CENTRE_BOX])]),
+}
+
+
+@given(config=CONFIGS, seed=st.integers(0, 2**32 - 1), ops=OPS)
+@example(*LIFECYCLE["deregistered"])
+@example(*LIFECYCLE["update_failed"])
+@example(*LIFECYCLE["spawn_failed"])
+@example(*LIFECYCLE["mark_mapped"])
+@example(*LIFECYCLE["deregister"])
+@example(  # an update collapses the cloud to one point, whose zero-area box then matches it
+    {**DEFAULTS, "m": 20, "update_noise_var": 1e4, "max_missed_updates": 1, "kld_streak_needed": 1},
+    7120,
+    [("tick", (0.0, 0.0), [("cloud", 0, 0.0), ("cloud", 0, 0.0)]), ("drop", 0),
+     ("tick", (3.0, 0.0), [("cloud", 0, 0.0)]), ("tick", (0.0, 0.0), [("cloud", 0, 0.0)])],
+)
+@settings(max_examples=60, deadline=None)
+def test_box_sequences_step_beside_the_plain_filter(config, seed, ops):
+    step_sequence(config, seed, ops)  # compares the bytes after every call
+
+
+@pytest.mark.parametrize("end", LIFECYCLE)
+def test_sequences_reach_every_lifecycle_end(end):
+    flt = step_sequence(*LIFECYCLE[end])
+    reached = flt.kinds | {call for call in ("mark_mapped", "deregister") if flt.calls[call]}
+    assert end in reached
