@@ -2,29 +2,32 @@
 
     python3 benchmarks/digests.py
 
-A digest is the first 16 hex characters of a SHA-256: of a run's
-trace.jsonl, of its cloud_*.xyz files concatenated in name order, or of its
-records serialised as the trace's frame lines. The runs are survey5 and
-clutter1 as the benchmark builds them (perfbench/worker.py's
-make_scenario, smoke-size clutter included), the nominal scenario file,
-and the queue scenario that tests/test_acceptance.py pins. Each run's
-metrics are also recomputed by compute_metrics, the replay-metrics path:
-from the replayed trace, where they must equal its summary footer, or from
-the records of a metrics-only run, where they must equal the run's own.
-A traced run keeps no records, so its records digest is taken from the
-replayed trace; its pin was taken from the records of a metrics-only run
-of the same scenario, so a match shows that the trace holds the run's
-records byte for byte. A traced run's header line is also written as a
-scenario file, and load_scenario of it must give the run's scenario
-("header"), so a header is a valid scenario file by test as well as by
-construction. Prints one line per run and exits 1 on any
-mismatch. A run outputs the same bytes on every machine with the same
-numeric platform, the OpenBLAS kernel and numpy SIMD level that it runs
-on, so the pins hold only there: they were taken with OpenBLAS's SkylakeX
-kernels and numpy's AVX-512 loops, and with the AVX2 kernels
-(OPENBLAS_CORETYPE=Haswell) or without numpy's AVX-512 loops every trace
-digest differs (ROADMAP item 4). The whole check takes about a minute on a
-2-core host.
+Runs each of the 12 rows of tests/missions.py's PINS, the one table of
+pins: survey5 seeds 12, 0, 5, 13 and 39, the nominal file and clutter1
+seeds 7, 1007 and 2007 (as perfbench/worker.py builds them), smoke
+clutter, and both queue runs. Tier-1 (tests/test_acceptance.py) checks the
+rows it can afford: nominal, survey5 seed 12, smoke clutter and both queue
+runs, plus the nominal records of a metrics-only run.
+
+A row pinned by "trace" runs traced: its trace and clouds are hashed, and
+its records digest is taken from the replayed trace, so a match shows
+that the trace holds the run's records byte for byte. Any other row runs
+metrics-only. compute_metrics, the replay-metrics path, must give the
+trace's summary footer or the run's own metrics ("replay"), and a traced
+run's header, written as a scenario file, must load as the run's scenario
+("header"). Prints one line per row and exits 1 on any mismatch; about a
+minute on a 2-core host.
+
+The pins hold only on the numeric platform they were taken on, the
+OpenBLAS kernel and numpy SIMD level: OpenBLAS's SkylakeX kernels and
+numpy's AVX-512 loops. With the AVX2 kernels (OPENBLAS_CORETYPE=Haswell)
+or without numpy's AVX-512 loops every trace digest differs (ROADMAP item
+4).
+
+To re-baseline after a change that moves digests on purpose: copy the
+digests this script prints into their rows of PINS; copy survey5 seed
+12's and clutter1 seed 7's into perfbench/worker.py's PINNED, which
+tier-1 checks against PINS; say in CHANGES.md what moved and why.
 """
 
 from __future__ import annotations
@@ -36,121 +39,46 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-
-from worker import make_scenario  # noqa: E402
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from targetsim.harness import (  # noqa: E402
-    compute_metrics,
-    load_scenario,
-    read_trace,
-    run,
-    scenario_from_dict,
-    scenario_to_dict,
+    compute_metrics, load_scenario, read_trace, run, scenario_to_dict,
 )
 
-
-def sha16(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()[:16]
+from tests.missions import PINS, hashed, output_digests, scenario  # noqa: E402
 
 
-def hashed(records, sha):
-    """Yield each record once its frame line has been added to sha."""
-    for r in records:
-        line = json.dumps({"type": "frame", "record": r}, sort_keys=True, separators=(",", ":"))
-        sha.update((line + "\n").encode())
-        yield r
-
-
-def nominal_scenario() -> dict:
-    return json.loads((ROOT / "scenarios" / "nominal_single_target.json").read_text())
-
-
-def queue_scenario(serve: bool) -> dict:
-    """Three targets 8-14 m apart under clutter, which converge while the
-    vehicle orbits another and wait in the mission's queues."""
-    data = nominal_scenario()
-    data["seed"] = 0
-    data["world"]["targets"] = [
-        {"id": target_id, "center": center, "semi_axes": [1.0, 1.0, 1.0], "n_surface": 400}
-        for target_id, center in (
-            ("a", [20.0, 28.0, 1.0]), ("b", [28.0, 28.0, 1.0]), ("c", [40.0, 36.0, 1.0])
-        )
-    ]
-    data["detector"].update(fp_rate=0.2, fn_rate=0.1, pixel_noise_sigma=0.5)
-    data["filter"]["m"] = 400
-    data["mission"]["serve_queued_converging"] = serve
-    return data
-
-
-def pinned_runs() -> list[tuple[str, dict, dict]]:
-    """(name, scenario, pinned digests): a run pinned by "trace" writes its
-    trace and clouds, and its "records" are those of its replayed trace;
-    any other run is metrics-only."""
-    return [
-        ("survey5 seed 12", make_scenario("survey5", 12, False),
-         {"trace": "f8192b854177f057", "clouds": "18816b25abd2654d",
-          "records": "9b4ac6fbffffe403"}),
-        ("survey5 seed 0", make_scenario("survey5", 0, False),
-         {"trace": "99a8601617a7b216", "records": "f3d77547a90c2119"}),
-        ("survey5 seed 5", make_scenario("survey5", 5, False),
-         {"trace": "ab0bae59c8811ca7", "records": "07ff7512dd6c8a0b"}),
-        ("survey5 seed 13", make_scenario("survey5", 13, False),
-         {"trace": "5ceb37f3323183b2", "clouds": "24e9e541d3d8d016",
-          "records": "422b0b9068366ba5"}),
-        ("survey5 seed 39", make_scenario("survey5", 39, False),
-         {"trace": "d632a0c545798252", "records": "d579c251837b7b7f"}),
-        ("nominal", nominal_scenario(),
-         {"trace": "3384f4105341b8dd", "records": "e839ecceb3ff8d65"}),
-        ("clutter1 seed 7", make_scenario("clutter1", 7, False), {"records": "b97d8f2aa210cd1e"}),
-        ("clutter1 seed 1007", make_scenario("clutter1", 1007, False),
-         {"records": "2ec3c974480d24ef"}),
-        ("clutter1 seed 2007", make_scenario("clutter1", 2007, False),
-         {"records": "6e270219417065d5"}),
-        ("smoke clutter", make_scenario("clutter1", 7, True), {"records": "2b959012fcc80bbf"}),
-        ("queue, served on re-detection", queue_scenario(False), {"records": "9bf598d004941d45"}),
-        ("queue, served from the queue", queue_scenario(True), {"records": "1cfbbe69ac617dcc"}),
-    ]
-
-
-def check(scenario: dict, pinned: dict) -> dict:
-    """The run's digests, and "replay": whether compute_metrics of its
-    replayed trace equals the summary footer, or of its records (a
-    metrics-only run) the run's metrics. The records are hashed as
-    compute_metrics reads them. A traced run adds "header": whether its
-    header, written as a scenario file, loads as the run's scenario."""
+def check(name: str) -> dict:
+    """The digests and frame count of PINS row name's run, and its "replay"
+    and, if traced, "header" checks; the records are hashed as
+    compute_metrics reads them."""
     sha = hashlib.sha256()
-    if "trace" not in pinned:
-        scenario = scenario_from_dict(scenario)
-        result = run(scenario)
-        replay = compute_metrics(hashed(result.records, sha), scenario) == result.metrics
-        return {"records": sha.hexdigest()[:16], "replay": replay}
+    s = scenario(name)
+    if "trace" not in PINS[name].pins:
+        result = run(s)
+        replay = compute_metrics(hashed(result.records, sha), s) == result.metrics
+        return {"records": sha.hexdigest()[:16], "frames": result.frames, "replay": replay}
     with tempfile.TemporaryDirectory() as out:
-        scenario = scenario_from_dict(scenario)
-        run(scenario, out_dir=out)
-        trace = Path(out) / "trace.jsonl"
-        clouds = sorted(Path(out).glob("cloud_*.xyz"))
-        data = trace.read_bytes()
+        result = run(s, out_dir=out)
+        lines = result.trace_path.read_bytes().splitlines()
         header = Path(out) / "header.json"
-        header.write_text(json.dumps(json.loads(data.splitlines()[0])["scenario"]))
-        loaded = scenario_to_dict(load_scenario(header)) == scenario_to_dict(scenario)
-        replayed, records = read_trace(trace)
-        summary = json.loads(data.splitlines()[-1])
-        replay = compute_metrics(hashed(records, sha), replayed) == summary["metrics"]
+        header.write_text(json.dumps(json.loads(lines[0])["scenario"]))
+        replayed, records = read_trace(result.trace_path)
+        replay = compute_metrics(hashed(records, sha), replayed) == json.loads(lines[-1])["metrics"]
         return {
-            "trace": sha16(data),
-            "clouds": sha16(b"".join(p.read_bytes() for p in clouds)),
+            **output_digests(Path(out)),
             "records": sha.hexdigest()[:16],
+            "frames": result.frames,
             "replay": replay,
-            "header": loaded,
+            "header": scenario_to_dict(load_scenario(header)) == scenario_to_dict(s),
         }
 
 
 def main() -> int:
     failed = 0
-    for name, scenario, pinned in pinned_runs():
-        got = check(scenario, pinned)
-        expected = {**pinned, "replay": True, **({"header": True} if "trace" in pinned else {})}
+    for name, row in PINS.items():
+        got = check(name)
+        expected = {**row.pins, "replay": True, **({"header": True} if "trace" in row.pins else {})}
         wrong = {k: got[k] for k in expected if got[k] != expected[k]}
         failed += bool(wrong)
         shown = " ".join(f"{k} {got[k]}" for k in expected)

@@ -39,7 +39,6 @@ worth of every special case in the fast filter.
 
 import itertools
 import json
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -66,9 +65,9 @@ from targetsim.tracker import BoxTracker, TrackedBox, TrackerConfig, hungarian_a
 from targetsim.uav import UavState, camera_pose
 from targetsim.view_planner import lawnmower
 
+from tests import missions
 from tests.plain_filter import PlainFilter
 
-SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 K = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=480)
 DEPRESSION = np.deg2rad(60.0)
 WORLD_FROM_CAM = camera_pose(0.0, [0.0, 0.0, 30.0], DEPRESSION)
@@ -97,13 +96,7 @@ def targets():
 def survey5():
     """survey5's five true targets and 1,024 cam-from-world poses flown over
     its 200 m square at the search altitude, each along a lane (yaw 0 or pi)."""
-    targets = [
-        ellipsoid_target("rock_a", [45.0, 32.0, 1.0], [1.0, 1.0, 1.0]),
-        ellipsoid_target("rock_b", [150.0, 55.0, 1.2], [1.2, 1.0, 1.2]),
-        ellipsoid_target("rock_c", [80.0, 105.0, 0.9], [0.9, 1.1, 0.9]),
-        ellipsoid_target("rock_d", [170.0, 148.0, 1.0], [1.0, 0.9, 1.0]),
-        ellipsoid_target("rock_e", [60.0, 178.0, 1.1], [1.1, 1.1, 1.1]),
-    ]
+    targets = missions.scenario("survey5 seed 12").targets
     rng = np.random.default_rng(2)
     n = 1024
     positions = np.column_stack([rng.uniform(0.0, 200.0, (n, 2)), np.full(n, 30.0)])
@@ -193,16 +186,11 @@ def test_projection_count_costs_moved(benchmark, clouds, monkeypatch):
 
 @pytest.fixture(scope="module")
 def clutter1_calls():
-    """clutter1's scenario cut to 30 s (as perfbench/worker.py builds it, seed
-    7), the filter calls of its run: ("tick", boxes, rotation, translation,
-    generator state), ("mark_mapped", id, cloud) and ("deregister", id), and
-    the events that the calls returned."""
-    data = json.loads((SCENARIOS / "nominal_single_target.json").read_text())
-    data.update(seed=7, max_sim_time=30.0)
-    data["detector"].update(fp_rate=0.3, fn_rate=0.0, pixel_noise_sigma=0.5)
-    data["tracker"]["min_hits"] = 1
-    data["filter"]["m"] = 4000
-    scenario = harness.scenario_from_dict(data)
+    """clutter1's scenario (seed 7) cut to 30 s, the filter calls of its
+    run: ("tick", boxes, rotation, translation, generator state),
+    ("mark_mapped", id, cloud) and ("deregister", id), and the events that
+    the calls returned."""
+    scenario = harness.scenario_from_dict({**missions.clutter1(7), "max_sim_time": 30.0})
     calls, events = [], []
 
     class Recorded(PointsFilter):
@@ -317,7 +305,7 @@ def test_frame_line(benchmark, clouds):
 
 def survey5_block():
     """survey5, its lawnmower plan and the start of the flight block from its fifth waypoint."""
-    scenario = harness.load_scenario(SCENARIOS / "five_targets_noisy.json")
+    scenario = missions.scenario("survey5 seed 12")
     p = scenario.planner
     plan = lawnmower(p.survey_polygon, p.lane_spacing, p.search_altitude)
     return scenario, plan, UavState.at_rest(plan[4].position, plan[4].yaw)
@@ -372,8 +360,8 @@ def test_idle_block_scoring(benchmark):
 
 @pytest.fixture(scope="module")
 def nominal_trace(tmp_path_factory):
-    scenario = harness.load_scenario(SCENARIOS / "nominal_single_target.json")
-    return harness.run(scenario, out_dir=tmp_path_factory.mktemp("nominal")).trace_path
+    out = tmp_path_factory.mktemp("nominal")
+    return harness.run(missions.scenario("nominal"), out_dir=out).trace_path
 
 
 def test_read_trace(benchmark, nominal_trace):

@@ -45,6 +45,10 @@ class MissionConfig:
     voxel_size: float = 0.1  # downsample spacing of mapped clouds (m)
     mapping_range_margin: float = 2.0  # cylinder slack when gathering mapped surfaces (m)
 
+    def __post_init__(self):
+        if self.voxel_size <= 0 or self.mapping_range_margin < 0:
+            raise ValueError("voxel_size must be > 0 and mapping_range_margin >= 0")
+
 
 def scan_wedge_mask(
     points: np.ndarray, waypoint: Waypoint, cam_depression: float, scan_fov: float

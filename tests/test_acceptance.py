@@ -4,10 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the verdict lines
 alongside the pytest report.
 """
 
-import hashlib
 import itertools
-import json
-import time
 from contextlib import contextmanager
 
 import numpy as np
@@ -16,7 +13,7 @@ import pytest
 from targetsim.bounding_cylinder import BoundingCylinder, fit_bounding_cylinder
 from targetsim.detector import Detection
 from targetsim.geometry import CameraIntrinsics, project_points
-from targetsim.harness import load_scenario, read_trace, run, scenario_from_dict
+from targetsim.harness import read_trace, run
 from targetsim.points_filter import (
     FilterConfig,
     GaussianSummary,
@@ -29,33 +26,11 @@ from targetsim.tracker import BoxTracker, TrackerConfig, hungarian_assign
 from targetsim.uav import camera_pose
 from targetsim.view_planner import PlannerConfig, mapping_circles
 
+from tests import missions
 from tests.test_geometry import random_pose, rt
 from tests.test_view_planner import in_some_wedge, wall_points
 
 K = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=480)
-
-# sha256 (first 16 hex) of the nominal scenario's trace.jsonl. A change that
-# moves it on purpose re-baselines it here and says why.
-NOMINAL_TRACE_DIGEST = "3384f4105341b8dd"
-# The same for the five-target scenario (seed 12): its trace, and its
-# cloud files sorted by name and concatenated.
-NOISY_TRACE_DIGEST = "f8192b854177f057"
-NOISY_CLOUDS_DIGEST = "18816b25abd2654d"
-# The same for the smoke-size clutter scenario's records, serialised as the
-# trace's frame lines: the nominal scenario at seed 7 with 30 % false
-# positives, no misses and 400-point clouds, 1,997 frames that load the
-# filter's spawn, update and deregistration paths.
-SMOKE_CLUTTER_RECORDS_DIGEST = "2b959012fcc80bbf"
-# The same for the queue scenario, by whether queued converging targets are
-# served from the queue: (digest, frames). Three targets 8-14 m apart under
-# clutter, so that targets converge while the vehicle orbits another and
-# wait in the mission's queues.
-QUEUE_RECORDS_DIGESTS = {False: ("9bf598d004941d45", 4500), True: ("1cfbbe69ac617dcc", 4588)}
-# The same for the records of the nominal and five-target scenarios, taken
-# from metrics-only runs: a traced run keeps no records, and its trace
-# replays to exactly these.
-NOMINAL_RECORDS_DIGEST = "e839ecceb3ff8d65"
-NOISY_RECORDS_DIGEST = "9b4ac6fbffffe403"
 
 
 @contextmanager
@@ -68,22 +43,16 @@ def verdict(n, label):
     print(f"ACCEPTANCE {n}: PASS - {label}")
 
 
-def timed_run(scenario_path, out):
-    scenario = load_scenario(scenario_path)
-    start = time.perf_counter()
-    result = run(scenario, out_dir=out)
-    result.wall_time = time.perf_counter() - start
-    return scenario, result
+@pytest.fixture(scope="module")
+def nominal_result(shared_run):
+    scenario = missions.scenario("nominal")
+    return scenario, shared_run(scenario, traced=True)
 
 
 @pytest.fixture(scope="module")
-def nominal_result(tmp_path_factory):
-    return timed_run("scenarios/nominal_single_target.json", tmp_path_factory.mktemp("nominal"))
-
-
-@pytest.fixture(scope="module")
-def noisy_result(tmp_path_factory):
-    return timed_run("scenarios/five_targets_noisy.json", tmp_path_factory.mktemp("noisy_a"))
+def noisy_result(shared_run):
+    scenario = missions.scenario("survey5 seed 12")
+    return scenario, shared_run(scenario, traced=True)
 
 
 def event_error(result, kind, scenario):
@@ -326,74 +295,64 @@ def test_criterion_9_determinism(noisy_result, tmp_path):
             assert cloud.read_bytes() == other.read_bytes()
 
 
-def sha16(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()[:16]
+def check_row(name, shared_run):
+    """Run PINS row name as the table says, traced or metrics-only, and
+    check its pins. A traced run keeps no records: its trace replays to
+    the pinned records."""
+    pins = missions.PINS[name].pins
+    result = shared_run(missions.scenario(name), traced="trace" in pins)
+    got = {"frames": result.frames}
+    if result.trace_path is None:
+        got["records"] = missions.records_digest(result.records)
+    else:
+        assert result.records is None
+        got.update(missions.output_digests(result.trace_path.parent))
+        got["records"] = missions.records_digest(read_trace(result.trace_path)[1])
+    assert result.completed
+    assert {key: got[key] for key in pins} == pins
 
 
-def test_nominal_trace_digest_pinned(nominal_result):
-    _, result = nominal_result
-    assert sha16(result.trace_path.read_bytes()) == NOMINAL_TRACE_DIGEST
+def test_nominal_trace_digest_pinned(shared_run):
+    check_row("nominal", shared_run)
 
 
-def test_noisy_trace_and_clouds_digests_pinned(noisy_result):
-    _, result = noisy_result
-    clouds = sorted(result.trace_path.parent.glob("cloud_*.xyz"))
-    assert sha16(result.trace_path.read_bytes()) == NOISY_TRACE_DIGEST
-    assert sha16(b"".join(p.read_bytes() for p in clouds)) == NOISY_CLOUDS_DIGEST
+def test_noisy_trace_and_clouds_digests_pinned(shared_run):
+    check_row("survey5 seed 12", shared_run)
 
 
-def records_digest(records) -> str:
-    """sha16 of the records serialised as the trace's frame lines."""
-    lines = "".join(
-        json.dumps({"type": "frame", "record": r}, sort_keys=True, separators=(",", ":")) + "\n"
-        for r in records
-    )
-    return sha16(lines.encode())
-
-
-def test_smoke_clutter_records_digest_pinned():
-    with open("scenarios/nominal_single_target.json") as fh:
-        data = json.load(fh)
-    data["seed"] = 7
-    data["detector"].update(fp_rate=0.3, fn_rate=0.0, pixel_noise_sigma=0.5)
-    data["tracker"]["min_hits"] = 1
-    data["filter"]["m"] = 400
-    result = run(scenario_from_dict(data))
-    assert result.frames == 1997
-    assert records_digest(result.records) == SMOKE_CLUTTER_RECORDS_DIGEST
+def test_smoke_clutter_records_digest_pinned(shared_run):
+    check_row("smoke clutter", shared_run)
 
 
 @pytest.mark.parametrize(
     "which, digest",
-    [("nominal_result", NOMINAL_RECORDS_DIGEST), ("noisy_result", NOISY_RECORDS_DIGEST)],
+    [("nominal_result", missions.PINS["nominal"].pins["records"]),
+     ("noisy_result", missions.PINS["survey5 seed 12"].pins["records"])],
 )
 def test_trace_holds_the_records_of_its_run(request, which, digest):
     _, result = request.getfixturevalue(which)
     assert result.records is None
-    assert records_digest(read_trace(result.trace_path)[1]) == digest
-
-
-def test_metrics_only_nominal_records_digest_pinned():
-    result = run(load_scenario("scenarios/nominal_single_target.json"))
-    assert records_digest(result.records) == NOMINAL_RECORDS_DIGEST
+    assert missions.records_digest(read_trace(result.trace_path)[1]) == digest
 
 
 @pytest.mark.parametrize("serve", [False, True])
-def test_queue_records_digest_pinned(serve):
+def test_queue_records_digest_pinned(shared_run, serve):
     # the benchmark workloads never queue a target; this run does, with
     # either way of serving a queued converging target
-    with open("scenarios/nominal_single_target.json") as fh:
-        data = json.load(fh)
-    data["seed"] = 0
-    data["world"]["targets"] = [
-        {"id": target_id, "center": center, "semi_axes": [1.0, 1.0, 1.0], "n_surface": 400}
-        for target_id, center in (
-            ("a", [20.0, 28.0, 1.0]), ("b", [28.0, 28.0, 1.0]), ("c", [40.0, 36.0, 1.0])
-        )
-    ]
-    data["detector"].update(fp_rate=0.2, fn_rate=0.1, pixel_noise_sigma=0.5)
-    data["filter"]["m"] = 400
-    data["mission"]["serve_queued_converging"] = serve
-    result = run(scenario_from_dict(data))
-    assert result.completed
-    assert (records_digest(result.records), result.frames) == QUEUE_RECORDS_DIGESTS[serve]
+    check_row("queue, served from the queue" if serve else "queue, served on re-detection",
+              shared_run)
+
+
+def test_metrics_only_nominal_records_digest_pinned(shared_run):
+    result = shared_run(missions.scenario("nominal"))
+    assert missions.records_digest(result.records) == missions.PINS["nominal"].pins["records"]
+
+
+def test_benchmark_pins_agree_with_the_table():
+    # perfbench/worker.py keeps its own copy of its workloads' pins, which a
+    # re-baseline of the table must move too
+    assert missions.WORKER.PINNED
+    for (workload, seed), pinned in missions.WORKER.PINNED.items():
+        row = missions.PINS[f"{workload} seed {seed}"]
+        assert row.scenario() == missions.WORKER.make_scenario(workload, seed, False)
+        assert {key: row.pins[key] for key in pinned} == pinned, (workload, seed)

@@ -189,6 +189,26 @@ class TestCullRows:
                 clear = np.abs(pixel - edge) > 1e-6
                 assert np.array_equal(row[clear], (sign * (pixel - edge) < 0)[clear])
 
+    def test_no_point_on_an_edge_is_culled(self):
+        # the margin's job: n . p and the projection round apart, so on an
+        # edge line a row without margin goes negative at points that
+        # project into the box; with it, a point that a row culls projects
+        # out of the box as project_points computes it
+        rng = np.random.default_rng(12)
+        n = 4000
+        box = np.array([rng.uniform(0.0, 300.0), rng.uniform(0.0, 200.0), 0.0, 0.0])
+        box[2:] = box[:2] + rng.uniform(10.0, 300.0, 2)
+        pixels = rng.uniform(box[:2], box[2:], (n, 2))
+        axis, side = rng.integers(0, 2, (2, n))
+        pixels[np.arange(n), axis] = box[axis + 2 * side]  # snapped onto an edge
+        z = rng.uniform(1.0, 50.0, n)
+        points = np.column_stack([(pixels - [K.cx, K.cy]) * z[:, None] / [K.fx, K.fy], z])
+        culled = (cull_rows([box], K) @ points.T < 0).any(axis=0)
+        uv, _ = project_points(points, np.eye(3), np.zeros(3), K)
+        inside = ((uv >= box[:2]) & (uv <= box[2:])).all(axis=1)
+        assert 0.2 * n < inside.sum() < n  # the edges are hit from both sides
+        assert not (culled & inside).any()
+
 
 class TestKernelLayout:
     @given(

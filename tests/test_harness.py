@@ -41,6 +41,8 @@ from targetsim.tracker import TrackedBox
 from targetsim.uav import UavState, camera_pose, fly, step, waypoint_reached
 from targetsim.view_planner import MAX_ORBIT_SEGMENTS, Waypoint, lane_count, lawnmower
 
+from tests import missions
+
 BASE = {
     "name": "unit",
     "seed": 3,
@@ -209,6 +211,12 @@ def bad_scenario_texts() -> dict[str, str]:
         "bool_start_position": json.dumps(
             with_leaf(("uav", "start_position"), [True, 10.0, 30.0])
         ),
+        # a negative margin gathered no surface: run wrote an empty cloud and
+        # scored the mapped stage 100 %; a negative voxel size mapped unthinned
+        "negative_mapping_range_margin": json.dumps(
+            with_leaf(("mission", "mapping_range_margin"), -100)
+        ),
+        "negative_voxel_size": json.dumps(with_leaf(("mission", "voxel_size"), -1)),
     }
 
 
@@ -390,19 +398,15 @@ def test_any_leaf_value_loads_or_raises_scenario_invalid(path, value):
 
 class TestRun:
     def test_zero_targets_completes_with_na_metrics(self):
-        data = copy.deepcopy(BASE)
-        data["world"]["targets"] = []
-        data["max_sim_time"] = 400.0
-        s = scenario_from_dict(data)
-        result = run(s)
+        result = run(scenario(world={"targets": []}, max_sim_time=400.0))
         assert result.completed
         m = result.metrics
         for stage in ("generation", "converging", "converged", "mapped"):
             assert m[stage]["precision"] is None
             assert m[stage]["recall"] is None
 
-    def test_nominal_run_maps_target(self):
-        result = run(scenario())
+    def test_nominal_run_maps_target(self, shared_run):
+        result = shared_run(scenario())
         assert result.completed
         assert result.mapped_true_ids == {"rock"}
         m = result.metrics
@@ -411,14 +415,11 @@ class TestRun:
             assert m[stage]["recall"] == 1.0
 
     def test_timeout_reports_incomplete(self):
-        data = copy.deepcopy(BASE)
-        data["max_sim_time"] = 5.0  # far too short to find anything
-        result = run(scenario_from_dict(data))
+        result = run(scenario(max_sim_time=5.0))  # far too short to find anything
         assert not result.completed
 
-    def test_trace_written_and_replayable(self, tmp_path):
-        s = scenario()
-        result = run(s, out_dir=tmp_path)
+    def test_trace_written_and_replayable(self, shared_run):
+        result = shared_run(scenario(), traced=True)
         assert result.trace_path is not None and result.trace_path.exists()
         assert result.records is None  # the trace holds them
         replay_scenario, replay_records = read_trace(result.trace_path)
@@ -429,11 +430,11 @@ class TestRun:
         # metrics recomputed from the persisted trace equal the online ones
         replay_metrics = compute_metrics(replay_records, replay_scenario)
         assert replay_metrics == result.metrics == summary["metrics"]
-        clouds = list(tmp_path.glob("cloud_*.xyz"))
+        clouds = list(result.trace_path.parent.glob("cloud_*.xyz"))
         assert len(clouds) == 1
 
-    def test_mode_transitions_are_legal(self):
-        result = run(scenario())
+    def test_mode_transitions_are_legal(self, shared_run):
+        result = shared_run(scenario())
         legal = {
             ("search", "estimation"), ("search", "mapping"),
             ("estimation", "mapping"), ("estimation", "search"),
@@ -444,8 +445,8 @@ class TestRun:
             if prev != cur:
                 assert (prev, cur) in legal
 
-    def test_lifecycle_order_per_target(self):
-        result = run(scenario())
+    def test_lifecycle_order_per_target(self, shared_run):
+        result = shared_run(scenario())
         seen: dict[int, list[str]] = {}
         for rec in result.records:
             for ev in rec["events"]:
@@ -455,16 +456,11 @@ class TestRun:
             if "mapped" in kinds:
                 assert kinds == ["spawned", "converging", "converged", "mapped"]
 
-    def test_determinism_byte_identical_traces(self, tmp_path):
-        s = scenario()
-        run(s, out_dir=tmp_path / "a")
-        run(s, out_dir=tmp_path / "b")
-        assert (tmp_path / "a" / "trace.jsonl").read_bytes() == (
-            tmp_path / "b" / "trace.jsonl"
-        ).read_bytes()
-        assert (tmp_path / "a" / "cloud_1.xyz").read_bytes() == (
-            tmp_path / "b" / "cloud_1.xyz"
-        ).read_bytes()
+    def test_determinism_byte_identical_traces(self, shared_run, tmp_path):
+        first = shared_run(scenario(), traced=True).trace_path.parent
+        run(scenario(), out_dir=tmp_path)
+        for name in ("trace.jsonl", "cloud_1.xyz"):
+            assert (first / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -599,9 +595,9 @@ def per_record_views(records, s):
     return boxes, scored
 
 
-def test_batched_metrics_equal_per_record_fold(monkeypatch):
+def test_batched_metrics_equal_per_record_fold(monkeypatch, shared_run):
     s = scenario()
-    records = run(s).records
+    records = shared_run(s).records
     assert {r["mode"] for r in records} >= {"search", "estimation", "mapping"}
     assert len(records) > 2 * harness.METRICS_CHUNK
     chunk = harness.METRICS_CHUNK
@@ -662,11 +658,11 @@ def test_block_scored_mask_equals_per_box_check(data):
     )
 
 
-def test_compute_metrics_holds_one_chunk_of_a_stream(monkeypatch):
+def test_compute_metrics_holds_one_chunk_of_a_stream(monkeypatch, shared_run):
     # the replay fold pulls at most METRICS_CHUNK records ahead of those it
     # has scored, so a streamed trace is held one chunk at a time
     s = scenario()
-    records = run(s).records
+    records = shared_run(s).records
     chunk = harness.METRICS_CHUNK
     assert len(records) > 2 * chunk
     table = compute_metrics(records, s)
@@ -809,6 +805,12 @@ MALFORMED_IDS = [
 ]
 
 
+@pytest.fixture(scope="module")
+def short_trace(shared_run) -> Path:
+    """The trace of a 5 s run, too short to find anything."""
+    return shared_run(scenario(max_sim_time=5.0), traced=True).trace_path
+
+
 class TestCli:
     def test_validate_ok(self, tmp_path, capsys):
         path = tmp_path / "s.json"
@@ -901,17 +903,15 @@ class TestCli:
         assert cli_main(["replay-metrics", str(tmp_path / "nope.jsonl")]) == 2
 
     @pytest.mark.parametrize("edit", MALFORMED_EDITS, ids=MALFORMED_IDS)
-    def test_replay_malformed_trace_exit_2(self, tmp_path, capsys, edit):
-        run(scenario(max_sim_time=5.0), out_dir=tmp_path)
-        lines = edit((tmp_path / "trace.jsonl").read_text().splitlines(), json.dumps)
+    def test_replay_malformed_trace_exit_2(self, tmp_path, capsys, short_trace, edit):
+        lines = edit(short_trace.read_text().splitlines(), json.dumps)
         replay_exits_2(tmp_path / "trace.jsonl", lines, capsys)
 
     @pytest.mark.parametrize("edit", MALFORMED_EDITS, ids=MALFORMED_IDS)
-    def test_replay_malformed_run_layout_exit_2(self, tmp_path, capsys, edit):
+    def test_replay_malformed_run_layout_exit_2(self, tmp_path, capsys, short_trace, edit):
         # the same edits written as run writes a line, which replay decodes
         # on its own path (_frame_record)
-        run(scenario(max_sim_time=5.0), out_dir=tmp_path)
-        lines = edit((tmp_path / "trace.jsonl").read_text().splitlines(), harness._json_line)
+        lines = edit(short_trace.read_text().splitlines(), harness._json_line)
         replay_exits_2(tmp_path / "trace.jsonl", lines, capsys)
 
     @pytest.mark.parametrize(
@@ -946,13 +946,11 @@ class TestCli:
         lines[n] = edit(lines[n], targets_block(lines[n]))
         replay_exits_2(tmp_path / "trace.jsonl", lines, capsys)
 
-    def test_replay_deep_nesting_exit_2(self, tmp_path, capsys):
+    def test_replay_deep_nesting_exit_2(self, tmp_path, capsys, short_trace):
         # a line nested too deep for the JSON decoder
-        run(scenario(max_sim_time=5.0), out_dir=tmp_path)
-        trace = tmp_path / "trace.jsonl"
-        lines = trace.read_text().splitlines()
+        lines = short_trace.read_text().splitlines()
         lines[1] = "[" * 100_000
-        replay_exits_2(trace, lines, capsys)
+        replay_exits_2(tmp_path / "trace.jsonl", lines, capsys)
 
     def test_seed_override_changes_run(self, tmp_path):
         data = copy.deepcopy(BASE)
@@ -984,8 +982,7 @@ def test_two_checked_poses_per_flight_block(monkeypatch):
     # block, in one _true_views call, and scores each frame with its block's
     # row, so no _true_views call comes after the last frame's record; every
     # Pose runs check_rotations
-    path = Path(__file__).resolve().parents[1] / "scenarios" / "nominal_single_target.json"
-    data = json.loads(path.read_text())
+    data = missions.nominal()
     data["max_sim_time"] = 100.0  # 1,000 frames: the first spawn and its keyframe updates
     s = scenario_from_dict(data)
     counts = {"poses": 0, "checks": 0, "records": 0, "metrics": 0}
@@ -1154,8 +1151,7 @@ def test_one_fit_per_cloud_change(monkeypatch):
     # a target's cached summary is the only Gaussian fit of its cloud: one
     # per spawn, keyframe update and mapping. The whole nominal run (1,860
     # frames) is taken so that its one mapping is counted too.
-    path = Path(__file__).resolve().parents[1] / "scenarios" / "nominal_single_target.json"
-    s = scenario_from_dict(json.loads(path.read_text()))
+    s = missions.scenario("nominal")
     counts = {"fits": 0, "updates": 0}
     fit, tick = points_filter.GaussianSummary.from_points.__func__, points_filter.PointsFilter.tick
 
@@ -1176,45 +1172,11 @@ def test_one_fit_per_cloud_change(monkeypatch):
     assert counts["fits"] == events.count("spawned") + counts["updates"] + events.count("mapped")
 
 
-NOMINAL = Path(__file__).resolve().parents[1] / "scenarios" / "nominal_single_target.json"
-
-
-def smoke_clutter() -> Scenario:
-    """The nominal scenario at seed 7 with 30 % false positives and
-    400-point clouds: spawns, updates and deregistrations every few frames."""
-    data = json.loads(NOMINAL.read_text())
-    data["seed"] = 7
-    data["detector"].update(fp_rate=0.3, fn_rate=0.0, pixel_noise_sigma=0.5)
-    data["tracker"]["min_hits"] = 1
-    data["filter"]["m"] = 400
-    return scenario_from_dict(data)
-
-
-def queue_scenario() -> Scenario:
-    """The nominal scenario at seed 0 with three targets 8-14 m apart under
-    clutter, which converge while the vehicle orbits another and wait in the
-    mission's queues (its records are pinned in tests/test_acceptance.py)."""
-    data = json.loads(NOMINAL.read_text())
-    data["seed"] = 0
-    data["world"]["targets"] = [
-        {"id": target_id, "center": center, "semi_axes": [1.0, 1.0, 1.0], "n_surface": 400}
-        for target_id, center in (
-            ("a", [20.0, 28.0, 1.0]), ("b", [28.0, 28.0, 1.0]), ("c", [40.0, 36.0, 1.0])
-        )
-    ]
-    data["detector"].update(fp_rate=0.2, fn_rate=0.1, pixel_noise_sigma=0.5)
-    data["filter"]["m"] = 400
-    return scenario_from_dict(data)
-
-
 @pytest.mark.parametrize("which", ["nominal", "queue"])
 def test_scored_true_boxes_equal_the_replay_projection(monkeypatch, which):
     # the run scores each frame with its flight block's row of true boxes;
     # replay-metrics projects them again from each record's true pose
-    if which == "nominal":
-        s = scenario_from_dict(json.loads(NOMINAL.read_text()))
-    else:
-        s = queue_scenario()
+    s = missions.scenario("nominal" if which == "nominal" else "queue, served on re-detection")
     scored = []
     add = harness._Scores.add
 
@@ -1236,7 +1198,7 @@ def test_scored_true_boxes_equal_the_replay_projection(monkeypatch, which):
 def failing_orbit() -> Scenario:
     """The nominal scenario with a convergence streak longer than any orbit:
     its target's estimation orbit fails, and the mission deregisters it."""
-    data = json.loads(NOMINAL.read_text())
+    data = missions.nominal()
     data["filter"]["kld_streak_needed"] = 10_000
     data["max_sim_time"] = 300.0
     return scenario_from_dict(data)
@@ -1284,7 +1246,7 @@ def test_entries_follow_every_target_change(monkeypatch, tmp_path):
     monkeypatch.setattr(harness, "_frame_line", spied_frame_line)
     for name in ("tick", "deregister", "mark_mapped"):
         monkeypatch.setattr(PointsFilter, name, site(getattr(PointsFilter, name)))
-    for i, s in enumerate([smoke_clutter(), failing_orbit()]):
+    for i, s in enumerate([missions.scenario("smoke clutter"), failing_orbit()]):
         entries = harness._TargetEntries()  # the site checks' own, one per filter
         run(s, out_dir=tmp_path / str(i))
     assert {"spawned", "keyframe", "converging", "converged", "mapped", "deregistered",
@@ -1315,7 +1277,7 @@ def counted_smoke_clutter():
         mp.setattr(harness, "_json_line", encode)
         mp.setattr(points_filter, "projection_count_costs", count_costs)
         mp.setattr(points_filter, "pixel_rows", project)
-        result = run(smoke_clutter())
+        result = run(missions.scenario("smoke clutter"))
     return result, counts
 
 
@@ -1333,16 +1295,15 @@ def test_association_culls_clouds(counted_smoke_clutter):
 
 
 @pytest.fixture(scope="module")
-def nominal_run():
+def nominal_run(shared_run):
     """The nominal scenario's metrics-only run, which keeps its records."""
-    return run(scenario_from_dict(json.loads(NOMINAL.read_text())))
+    return shared_run(missions.scenario("nominal"))
 
 
 @pytest.fixture(scope="module")
-def nominal_traced(tmp_path_factory):
+def nominal_traced(shared_run):
     """The nominal scenario's run with its trace, which keeps no records."""
-    return run(scenario_from_dict(json.loads(NOMINAL.read_text())),
-               out_dir=tmp_path_factory.mktemp("nominal"))
+    return shared_run(missions.scenario("nominal"), traced=True)
 
 
 EVENT_KINDS = ("spawned", "spawn_failed", "update_failed", "converging", "converged",
@@ -1404,14 +1365,10 @@ class TestTargetEntries:
         assert line == harness._json_line({"type": "frame", "record": whole})
 
     @pytest.mark.parametrize("which", ["nominal", "smoke_clutter"])
-    def test_frame_lines_equal_whole_record_encoding(self, which, request, tmp_path):
+    def test_frame_lines_equal_whole_record_encoding(self, which, shared_run):
         # a traced run's frame lines against its metrics-only twin's records
-        if which == "nominal":
-            traced = request.getfixturevalue("nominal_traced")
-            twin = request.getfixturevalue("nominal_run")
-        else:
-            traced = run(smoke_clutter(), out_dir=tmp_path)
-            twin, _ = request.getfixturevalue("counted_smoke_clutter")
+        s = missions.scenario("nominal" if which == "nominal" else "smoke clutter")
+        traced, twin = shared_run(s, traced=True), shared_run(s)
         lines = traced.trace_path.read_text().splitlines()[1:-1]
         assert len(lines) == len(twin.records) == traced.frames == twin.frames
         assert any(r["targets"] for r in twin.records)

@@ -3,7 +3,7 @@ and the whole filter stepped beside its plain form."""
 
 import collections
 import json
-from pathlib import Path
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -40,11 +40,11 @@ from targetsim.points_filter import (
 from targetsim.tracker import TrackedBox
 from targetsim.uav import camera_pose
 
+from tests import missions
 from tests.plain_filter import PlainFilter, counts, fit, update_weights
 from tests.test_geometry import IDENTITY, from_yaw, project, rt, transform
 
 K = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=480)
-SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 DE_IDENTITY = 1.5 + 1.5 * np.log(2.0 * np.pi)  # = 4.2568155996...
 
@@ -957,25 +957,11 @@ def target_bytes(t, mean, cov) -> tuple:
             repr(t.last_kld), t.miss_counter, t.kld_streak, t.points.shape, t.points.tobytes())
 
 
-def smoke_mission(which: str):
-    """The nominal mission, or smoke survey5 (seed 12) or smoke clutter1
-    (seed 7) as perfbench/worker.py builds them."""
-    if which == "smoke_survey5":
-        data = json.loads((SCENARIOS / "five_targets_noisy.json").read_text())
-        data["world"]["targets"] = data["world"]["targets"][:1]
-        data["planner"]["survey_polygon"] = [[0, 0], [100, 0], [100, 60], [0, 60]]
-        return harness.scenario_from_dict(data)
-    data = json.loads((SCENARIOS / "nominal_single_target.json").read_text())
-    if which == "smoke_clutter1":
-        data["seed"] = 7
-        data["detector"].update(fp_rate=0.3, fn_rate=0.0, pixel_noise_sigma=0.5)
-        data["tracker"]["min_hits"] = 1
-        data["filter"]["m"] = 400
-    return harness.scenario_from_dict(data)
-
-
-@pytest.mark.parametrize("which", ["nominal", "smoke_survey5", "smoke_clutter1"])
-def test_missions_step_beside_the_plain_filter(which):
+@pytest.mark.parametrize("mission", [
+    missions.nominal, partial(missions.survey5, 12, smoke=True),
+    partial(missions.clutter1, 7, smoke=True),
+], ids=["nominal", "smoke_survey5", "smoke_clutter1"])
+def test_missions_step_beside_the_plain_filter(mission):
     filters = []
 
     def beside(k, cfg):
@@ -983,7 +969,7 @@ def test_missions_step_beside_the_plain_filter(which):
         return filters[-1]
 
     with mock.patch.object(harness, "PointsFilter", beside):
-        result = harness.run(smoke_mission(which))
+        result = harness.run(harness.scenario_from_dict(mission()))
     (flt,) = filters
     assert result.completed and flt.calls["tick"] == result.frames
     assert flt.calls["mark_mapped"] == len(result.mapped_true_ids) and "converged" in flt.kinds

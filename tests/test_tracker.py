@@ -3,7 +3,6 @@ Kalman filter against its 7x7 matrix form."""
 
 import importlib.util
 import itertools
-import json
 import math
 from pathlib import Path
 
@@ -15,8 +14,10 @@ from scipy.optimize import linear_sum_assignment  # the oracle the port must mat
 
 from targetsim import tracker
 from targetsim.detector import Detection
-from targetsim.harness import run, scenario_from_dict
+from targetsim.harness import run
 from targetsim.tracker import BoxTracker, TrackerConfig, hungarian_assign, iou, iou_matrix
+
+from tests import missions
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -406,8 +407,7 @@ class TestKalmanAgainstMatrixForm:
             return filters[-1]
 
         monkeypatch.setattr(tracker, "_KalmanBoxState", beside)
-        data = json.loads((ROOT / "scenarios" / "nominal_single_target.json").read_text())
-        result = run(scenario_from_dict(data))
+        result = run(missions.scenario("nominal"))
         assert result.frames == 1860 and len(filters) > 1
         assert sum(kf.steps for kf in filters) > 1860
 
