@@ -32,7 +32,6 @@ tier-1 checks against PINS; say in CHANGES.md what moved and why.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import sys
 import tempfile
@@ -41,36 +40,28 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-from targetsim.harness import (  # noqa: E402
-    compute_metrics, load_scenario, read_trace, run, scenario_to_dict,
-)
+from targetsim.harness import compute_metrics, load_scenario, run, scenario_to_dict  # noqa: E402
 
-from tests.missions import PINS, hashed, output_digests, scenario  # noqa: E402
+from tests.missions import PINS, row_outputs, scenario  # noqa: E402
 
 
 def check(name: str) -> dict:
-    """The digests and frame count of PINS row name's run, and its "replay"
-    and, if traced, "header" checks; the records are hashed as
-    compute_metrics reads them."""
-    sha = hashlib.sha256()
-    s = scenario(name)
-    if "trace" not in PINS[name].pins:
-        result = run(s)
-        replay = compute_metrics(hashed(result.records, sha), s) == result.metrics
-        return {"records": sha.hexdigest()[:16], "frames": result.frames, "replay": replay}
+    """The outputs of PINS row name's run (row_outputs), and its "replay"
+    and, if traced, "header" checks; compute_metrics reads the records as
+    they are hashed."""
     with tempfile.TemporaryDirectory() as out:
-        result = run(s, out_dir=out)
+        result, got, metrics = row_outputs(
+            name, lambda s, traced: run(s, out_dir=out if traced else None), compute_metrics
+        )
+        if result.trace_path is None:
+            return {**got, "replay": metrics == result.metrics}
         lines = result.trace_path.read_bytes().splitlines()
         header = Path(out) / "header.json"
         header.write_text(json.dumps(json.loads(lines[0])["scenario"]))
-        replayed, records = read_trace(result.trace_path)
-        replay = compute_metrics(hashed(records, sha), replayed) == json.loads(lines[-1])["metrics"]
         return {
-            **output_digests(Path(out)),
-            "records": sha.hexdigest()[:16],
-            "frames": result.frames,
-            "replay": replay,
-            "header": scenario_to_dict(load_scenario(header)) == scenario_to_dict(s),
+            **got,
+            "replay": metrics == json.loads(lines[-1])["metrics"],
+            "header": scenario_to_dict(load_scenario(header)) == scenario_to_dict(scenario(name)),
         }
 
 

@@ -186,56 +186,22 @@ def test_projection_count_costs_moved(benchmark, clouds, monkeypatch):
 
 @pytest.fixture(scope="module")
 def clutter1_calls():
-    """clutter1's scenario (seed 7) cut to 30 s, the filter calls of its
-    run: ("tick", boxes, rotation, translation, generator state),
-    ("mark_mapped", id, cloud) and ("deregister", id), and the events that
-    the calls returned."""
+    """clutter1's scenario (seed 7) cut to 30 s, and the filter calls of its
+    run as missions.recorded() records them."""
     scenario = harness.scenario_from_dict({**missions.clutter1(7), "max_sim_time": 30.0})
-    calls, events = [], []
-
-    class Recorded(PointsFilter):
-        def tick(self, boxes, rotation, translation, rng):
-            calls.append(("tick", boxes, rotation, translation, rng.bit_generator.state))
-            ticked = super().tick(boxes, rotation, translation, rng)
-            events.extend(e.to_dict() for e in ticked[0])
-            return ticked
-
-        def mark_mapped(self, target_id, cloud):
-            calls.append(("mark_mapped", target_id, cloud))
-            return super().mark_mapped(target_id, cloud)
-
-        def deregister(self, target_id):
-            calls.append(("deregister", target_id))
-            event = super().deregister(target_id)
-            events.append(event.to_dict())
-            return event
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "PointsFilter", Recorded)
+    with missions.recorded() as recording:
         harness.run(scenario)
-    return scenario, calls, events
-
-
-def replay(filter_class, scenario, calls) -> list[dict]:
-    """A new filter_class stepped through calls; the events its calls return."""
-    flt, rng, events = filter_class(scenario.camera, scenario.filter), np.random.default_rng(), []
-    for name, *args in calls:
-        if name == "tick":
-            *args, state = args
-            rng.bit_generator.state = state
-            events += [e.to_dict() for e in flt.tick(*args, rng)[0]]
-        elif name == "deregister":
-            events.append(flt.deregister(*args).to_dict())
-        else:
-            flt.mark_mapped(*args)
-    return events
+    return scenario, recording.calls
 
 
 @pytest.mark.parametrize("form", [PointsFilter, PlainFilter], ids=["fast", "plain"])
 def test_filter_replay(benchmark, clutter1_calls, form):
-    scenario, calls, events = clutter1_calls
-    assert benchmark(replay, form, scenario, calls) == events
-    assert len(calls) == 300 and sum(e["type"] == "spawned" for e in events) > 20
+    # the replay checks each call's events and updated ids against the run's
+    scenario, calls = clutter1_calls
+    benchmark(missions.replay, form, scenario, calls)
+    spawned = [e for name, *_, returned in calls if name == "tick"
+               for e in returned[0] if e["type"] == "spawned"]
+    assert len(calls) == 300 and len(spawned) > 20
 
 
 def test_hungarian_assign(benchmark):
@@ -286,7 +252,7 @@ def frame_line(entries, flt, uav, mission):
     event, on which the loop updates the entries."""
     live = entries.update(flt)
     record = harness._make_record(
-        0.1, 1, uav, uav.position, [Detection(BOXES[0], 1.0)], [TrackedBox(1, BOXES[0], 5, 0)],
+        0.1, 1, uav, uav.position, [Detection(BOXES[0], 1.0)], [TrackedBox(1, BOXES[0])],
         live, mission, [Event("spawned", 4, bbox=tuple(BOXES[1].tolist()))],
     )
     return harness._frame_line(record, entries.text())

@@ -143,6 +143,7 @@ def visible_boxes(
     return boxes, visible
 
 
+# only perfbench/tracer.py reaches visible_bbox: it stays while the tracer wraps it
 def visible_bbox(
     target: TargetModel, cam_from_world: Pose, k: CameraIntrinsics
 ) -> np.ndarray | None:

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .detector import DetectorConfig, detect, ellipsoid_target, visible_boxes
-from .detector import visible_bbox  # noqa: F401  perfbench/tracer.py wraps harness.visible_bbox
+from .detector import visible_bbox  # noqa: F401  only perfbench/tracer.py reaches it
 from .geometry import CameraIntrinsics
 from .mission import MissionConfig, MissionExecutive, MissionMode
 from .points_filter import FilterConfig, PointsFilter, on_image_edge
@@ -348,6 +348,7 @@ def _true_boxes_for_frames(records, scenario: Scenario):
     return boxes, scored
 
 
+# only perfbench/tracer.py reaches this: it stays while the tracer wraps it
 def _true_boxes_for_frame(record, scenario: Scenario) -> dict:
     """_true_boxes_by_id of one record's view from its true camera pose."""
     boxes, scored = _true_boxes_for_frames([record], scenario)

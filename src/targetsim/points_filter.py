@@ -19,7 +19,7 @@ import numpy as np
 
 from .geometry import (
     CameraIntrinsics, cull_rows, invert, norm, pixel_rows, transform_points, transform_rows,
-    translate_rows, project_points,  # noqa: F401  perfbench/tracer.py wraps project_points here
+    translate_rows, project_points,  # noqa: F401  only perfbench/tracer.py reaches it
 )
 from .tracker import TrackedBox, hungarian_assign
 

@@ -148,8 +148,6 @@ class TrackedBox:
 
     track_id: int
     bbox: np.ndarray
-    hit_streak: int
-    miss_streak: int
 
 
 def _bbox_to_z(bbox: np.ndarray) -> tuple:
@@ -221,12 +219,7 @@ class _Track:
         self.registered = False
 
     def snapshot(self) -> TrackedBox:
-        return TrackedBox(
-            track_id=self.track_id,
-            bbox=np.array(self.kf.bbox()),
-            hit_streak=self.hit_streak,
-            miss_streak=self.miss_streak,
-        )
+        return TrackedBox(self.track_id, np.array(self.kf.bbox()))
 
 
 class BoxTracker:

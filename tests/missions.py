@@ -7,20 +7,31 @@ pinned digest, and the frame counts that tier-1 pins. A digest is the
 first 16 hex characters of a SHA-256: of a run's trace.jsonl, of its
 cloud_*.xyz files concatenated in name order, or of its records written as
 the trace's frame lines (hashed). The pins hold on one numeric platform
-only (benchmarks/digests.py).
+only (benchmarks/digests.py). row_outputs runs a row and computes what it
+pins. recorded() records a run's component calls, and replay steps a
+filter through them: the component oracles check the filter on a run's
+recorded calls, not in a run of their own.
 """
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import importlib.util
 import json
 import sys
+from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
+from unittest import mock
 
-from targetsim.harness import Scenario, scenario_from_dict
+import numpy as np
+
+from targetsim import harness
+from targetsim.harness import Scenario, read_trace, scenario_from_dict
+from targetsim.points_filter import PointsFilter
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -114,12 +125,6 @@ def sha16(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def output_digests(out: Path) -> dict:
-    """The "trace" and "clouds" digests of a traced run's output directory."""
-    clouds = b"".join(p.read_bytes() for p in sorted(out.glob("cloud_*.xyz")))
-    return {"trace": sha16((out / "trace.jsonl").read_bytes()), "clouds": sha16(clouds)}
-
-
 def hashed(records, sha):
     """Yield each record once its frame line has been added to sha."""
     for r in records:
@@ -130,6 +135,85 @@ def hashed(records, sha):
 
 def records_digest(records) -> str:
     sha = hashlib.sha256()
-    for _ in hashed(records, sha):
-        pass
+    collections.deque(hashed(records, sha), 0)
     return sha.hexdigest()[:16]
+
+
+def row_outputs(name: str, run_row, read=lambda records, scenario: collections.deque(records, 0)):
+    """Run PINS row name with run_row(scenario, traced), traced when the row
+    pins "trace", and return its result, its outputs (frame count and
+    digests) and read(records, scenario) of its records as they are hashed.
+    A traced run's records and scenario are replayed from its trace, so its
+    "records" digest shows that the trace holds the run's records."""
+    s = scenario(name)
+    result = run_row(s, "trace" in PINS[name].pins)
+    got, records = {"frames": result.frames}, result.records
+    if result.trace_path is not None:
+        clouds = sorted(result.trace_path.parent.glob("cloud_*.xyz"))
+        got["clouds"] = sha16(b"".join(p.read_bytes() for p in clouds))
+        got["trace"] = sha16(result.trace_path.read_bytes())
+        s, records = read_trace(result.trace_path)
+    sha = hashlib.sha256()
+    value = read(hashed(records, sha), s)
+    return result, {**got, "records": sha.hexdigest()[:16]}, value
+
+
+@contextmanager
+def recorded():
+    """The component calls of the runs made in the block, as they were
+    made: calls holds the filter's, each with what it returned (events as
+    their dicts): ("tick", boxes, rotation, translation, the generator's
+    state before the call, (events, updated ids)), ("mark_mapped", id,
+    cloud, None) and ("deregister", id, event); views holds each
+    _Scores.add's (boxes, scored row), and encodes counts _json_line calls."""
+    rec = SimpleNamespace(calls=[], views=[], encodes=0)
+    add, json_line = harness._Scores.add, harness._json_line
+
+    class Recorded(PointsFilter):
+        def tick(self, boxes, rotation, translation, rng):
+            state = rng.bit_generator.state
+            events, updated = super().tick(boxes, rotation, translation, rng)
+            returned = ([e.to_dict() for e in events], list(updated))
+            rec.calls.append(("tick", boxes, rotation, translation, state, returned))
+            return events, updated
+
+        def mark_mapped(self, target_id, cloud):
+            returned = super().mark_mapped(target_id, cloud)
+            rec.calls.append(("mark_mapped", target_id, cloud, returned))
+            return returned
+
+        def deregister(self, target_id):
+            event = super().deregister(target_id)
+            rec.calls.append(("deregister", target_id, event.to_dict()))
+            return event
+
+    def scored(self, record, boxes, scored_row):
+        rec.views.append((boxes, scored_row))
+        return add(self, record, boxes, scored_row)
+
+    def encode(obj):
+        rec.encodes += 1
+        return json_line(obj)
+
+    with mock.patch.object(harness, "PointsFilter", Recorded), \
+            mock.patch.object(harness._Scores, "add", scored), \
+            mock.patch.object(harness, "_json_line", encode):
+        yield rec
+
+
+def replay(filter_class, scenario: Scenario, calls):
+    """A new filter_class stepped through recorded calls, each tick with its
+    recorded generator state; each call must return what the run's did.
+    Returns the filter."""
+    flt, rng = filter_class(scenario.camera, scenario.filter), np.random.default_rng()
+    for name, *args, returned in calls:
+        if name == "tick":
+            *args, rng.bit_generator.state = args  # the last argument is the state
+            events, updated = flt.tick(*args, rng)
+            got = ([e.to_dict() for e in events], updated)
+        elif name == "deregister":
+            got = flt.deregister(*args).to_dict()
+        else:
+            got = flt.mark_mapped(*args)
+        assert got == returned, (name, got, returned)
+    return flt

@@ -300,15 +300,8 @@ def check_row(name, shared_run):
     check its pins. A traced run keeps no records: its trace replays to
     the pinned records."""
     pins = missions.PINS[name].pins
-    result = shared_run(missions.scenario(name), traced="trace" in pins)
-    got = {"frames": result.frames}
-    if result.trace_path is None:
-        got["records"] = missions.records_digest(result.records)
-    else:
-        assert result.records is None
-        got.update(missions.output_digests(result.trace_path.parent))
-        got["records"] = missions.records_digest(read_trace(result.trace_path)[1])
-    assert result.completed
+    result, got, _ = missions.row_outputs(name, shared_run)
+    assert result.completed and (result.records is None) == ("trace" in pins)
     assert {key: got[key] for key in pins} == pins
 
 
@@ -322,17 +315,6 @@ def test_noisy_trace_and_clouds_digests_pinned(shared_run):
 
 def test_smoke_clutter_records_digest_pinned(shared_run):
     check_row("smoke clutter", shared_run)
-
-
-@pytest.mark.parametrize(
-    "which, digest",
-    [("nominal_result", missions.PINS["nominal"].pins["records"]),
-     ("noisy_result", missions.PINS["survey5 seed 12"].pins["records"])],
-)
-def test_trace_holds_the_records_of_its_run(request, which, digest):
-    _, result = request.getfixturevalue(which)
-    assert result.records is None
-    assert missions.records_digest(read_trace(result.trace_path)[1]) == digest
 
 
 @pytest.mark.parametrize("serve", [False, True])

@@ -8,7 +8,6 @@ from targetsim.detector import (
     DetectorConfig,
     detect,
     ellipsoid_target,
-    visible_bbox,
     visible_boxes,
 )
 from targetsim.geometry import CULL_MARGIN_PX, CameraIntrinsics, Pose, cull_rows, project_points
@@ -88,7 +87,7 @@ def test_partially_visible_target_not_detected():
     cam_from_world = down_cam_from_world(30.0)
     for x in np.linspace(0.0, 40.0, 60):
         target = ellipsoid_target("t", [x, 0.0, 1.0], [1.0, 1.0, 1.0])
-        bbox = visible_bbox(target, cam_from_world, K)
+        bbox = box_alone(target, cam_from_world, K)
         rng = np.random.default_rng(0)
         dets = detect(*view([target], *rt(cam_from_world)), K, DetectorConfig(), rng)
         if bbox is None:
@@ -97,12 +96,12 @@ def test_partially_visible_target_not_detected():
             assert len(dets) == 1
     # far enough to clip: must be invisible
     far = ellipsoid_target("t", [40.0, 0.0, 1.0], [1.0, 1.0, 1.0])
-    assert visible_bbox(far, cam_from_world, K) is None
+    assert not view([far], *rt(cam_from_world))[1].any()
 
 
 def test_behind_camera_target_not_detected():
     target = ellipsoid_target("t", [0.0, 0.0, 50.0], [1.0, 1.0, 1.0])
-    assert visible_bbox(target, down_cam_from_world(30.0), K) is None
+    assert not view([target], *DOWN_30)[1].any()
 
 
 def test_noisy_box_contains_projected_center():
@@ -155,8 +154,10 @@ def test_fp_fn_rates_match_config():
         assert abs(observed - n * rate) <= 3.0 * sigma
 
 
-def reference_bbox(target, cam_from_world, k):
-    """One target in one view: its own projection and its own min/max."""
+def box_alone(target, cam_from_world, k):
+    """One target projected alone in one view, with its own min/max: its
+    box, or None when any point is behind the camera or off the image. The
+    tests' oracle of a true box."""
     uv, depths = project_points(
         target.surface_points, cam_from_world.rotation, cam_from_world.translation, k
     )
@@ -179,34 +180,40 @@ def view_kind(target, cam_from_world, k) -> str:
     return "visible" if inside.all() else "partial" if inside.any() else "off_image"
 
 
+# unequal n_surface; random views put them behind the camera, across the
+# image edge, off the image and fully in view
+UNEQUAL_TARGETS = [
+    ellipsoid_target("a", [0.0, 0.0, 1.0], [1.0, 1.0, 1.0], n_surface=1),
+    ellipsoid_target("b", [4.0, -3.0, 1.0], [1.2, 0.8, 1.0], n_surface=37),
+    ellipsoid_target("c", [-6.0, 5.0, 0.5], [0.5, 2.0, 0.7], n_surface=400),
+    ellipsoid_target("d", [15.0, 0.0, 1.0], [1.0, 1.0, 1.0], n_surface=123),
+    ellipsoid_target("e", [0.0, 0.0, 45.0], [3.0, 3.0, 3.0], n_surface=50),
+]
+
+
+def random_view(rng) -> Pose:
+    """A cam-from-world pose at a random yaw, position and pitch."""
+    yaw = rng.uniform(-np.pi, np.pi)
+    body = from_yaw(yaw, [*rng.uniform(-25.0, 25.0, 2), rng.uniform(2.0, 60.0)])
+    pitch = rng.uniform(0.2, np.pi / 2.0)
+    s, c = np.sin(pitch), np.cos(pitch)
+    mount = np.array([[0.0, -s, c], [-1.0, 0.0, 0.0], [0.0, -c, -s]])
+    return Pose(body.rotation @ mount, body.translation).inverse()
+
+
 def test_stacked_boxes_equal_per_target_loop():
-    # unequal n_surface; random poses put targets behind the camera,
-    # across the image edge, off the image and fully in view
-    targets = [
-        ellipsoid_target("a", [0.0, 0.0, 1.0], [1.0, 1.0, 1.0], n_surface=1),
-        ellipsoid_target("b", [4.0, -3.0, 1.0], [1.2, 0.8, 1.0], n_surface=37),
-        ellipsoid_target("c", [-6.0, 5.0, 0.5], [0.5, 2.0, 0.7], n_surface=400),
-        ellipsoid_target("d", [15.0, 0.0, 1.0], [1.0, 1.0, 1.0], n_surface=123),
-        ellipsoid_target("e", [0.0, 0.0, 45.0], [3.0, 3.0, 3.0], n_surface=50),
-    ]
+    targets = UNEQUAL_TARGETS
     rng = np.random.default_rng(5)
     kinds = Counter()
     for _ in range(300):
-        body = from_yaw(
-            rng.uniform(-np.pi, np.pi), [*rng.uniform(-25.0, 25.0, 2), rng.uniform(2.0, 60.0)]
-        )
-        pitch = rng.uniform(0.2, np.pi / 2.0)
-        s, c = np.sin(pitch), np.cos(pitch)
-        mount = np.array([[0.0, -s, c], [-1.0, 0.0, 0.0], [0.0, -c, -s]])
-        cam_from_world = Pose(body.rotation @ mount, body.translation).inverse()
+        cam_from_world = random_view(rng)
         boxes, visible = view(targets, *rt(cam_from_world))
         assert boxes.shape == (len(targets), 4)
         for target, box, seen in zip(targets, boxes, visible):
             kinds[view_kind(target, cam_from_world, K)] += 1
-            want = reference_bbox(target, cam_from_world, K)
+            want = box_alone(target, cam_from_world, K)
             assert seen == (want is not None)
-            for got in (box if seen else None, visible_bbox(target, cam_from_world, K)):
-                assert got is None if want is None else np.array_equal(got, want)
+            assert want is None or np.array_equal(box, want)
     assert min(kinds[k] for k in ("behind", "partial", "off_image", "visible")) >= 20, kinds
     boxes, visible = view([], *DOWN_30)
     assert boxes.shape == (0, 4) and visible.shape == (0,)
@@ -223,23 +230,11 @@ def test_batched_boxes_equal_per_pose_loop():
     # F random poses in one call, plus poses that pin one target's first
     # point around the cull's 1 px margin and the image edge on all four
     # sides, and around depth 0
-    targets = [
-        ellipsoid_target("a", [0.0, 0.0, 1.0], [1.0, 1.0, 1.0], n_surface=1),
-        ellipsoid_target("b", [4.0, -3.0, 1.0], [1.2, 0.8, 1.0], n_surface=37),
-        ellipsoid_target("c", [-6.0, 5.0, 0.5], [0.5, 2.0, 0.7], n_surface=400),
-        ellipsoid_target("d", [15.0, 0.0, 1.0], [1.0, 1.0, 1.0], n_surface=123),
-        ellipsoid_target("e", [0.0, 0.0, 45.0], [3.0, 3.0, 3.0], n_surface=50),
-    ]
+    targets = UNEQUAL_TARGETS
     rng = np.random.default_rng(6)
     poses = []
     for _ in range(200):
-        body = from_yaw(
-            rng.uniform(-np.pi, np.pi), [*rng.uniform(-25.0, 25.0, 2), rng.uniform(2.0, 60.0)]
-        )
-        pitch = rng.uniform(0.2, np.pi / 2.0)
-        s, c = np.sin(pitch), np.cos(pitch)
-        mount = np.array([[0.0, -s, c], [-1.0, 0.0, 0.0], [0.0, -c, -s]])
-        poses.append(Pose(body.rotation @ mount, body.translation).inverse())
+        poses.append(random_view(rng))
     offsets = (-1.5, -1.0 - 1e-9, -1.0 + 1e-9, -0.5, -1e-9, 0.0, 1e-9, 0.5)
     pinned = []
     for target in targets:
@@ -263,7 +258,7 @@ def test_batched_boxes_equal_per_pose_loop():
     for f, cam_from_world in enumerate(poses):
         for i, target in enumerate(targets):
             kinds[view_kind(target, cam_from_world, K)] += 1
-            want = reference_bbox(target, cam_from_world, K)
+            want = box_alone(target, cam_from_world, K)
             assert visible[f, i] == (want is not None)
             if want is None:
                 assert np.isnan(boxes[f, i]).all()

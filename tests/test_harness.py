@@ -42,6 +42,7 @@ from targetsim.uav import UavState, camera_pose, fly, step, waypoint_reached
 from targetsim.view_planner import MAX_ORBIT_SEGMENTS, Waypoint, lane_count, lawnmower
 
 from tests import missions
+from tests.test_detector import box_alone
 
 BASE = {
     "name": "unit",
@@ -500,10 +501,7 @@ class TestMetricsCounting:
         }
 
     def true_box(self, s, cam_x):
-        from targetsim.harness import _true_boxes_for_frame
-
-        rec = self.make_record(s, cam_x, [])
-        boxes = _true_boxes_for_frame(rec, s)
+        boxes = per_record_true_boxes(self.make_record(s, cam_x, []), s)
         assert "rock" in boxes
         return boxes["rock"]
 
@@ -563,22 +561,14 @@ class TestMetricsCounting:
 
 
 def per_record_true_boxes(record, s) -> dict:
-    """Each true target projected on its own from the record's true pose,
-    one record at a time, as compute_metrics once did."""
+    """Each true target projected alone (box_alone) from the record's true
+    pose, one record at a time, as compute_metrics once did; a box on the
+    image edge is not scored."""
     true = record["uav"]["true"]
     cam_from_world = camera_pose(true["yaw"], true["position"], s.planner.cam_depression).inverse()
-    boxes = {}
-    for target in s.targets:
-        pc = target.surface_points @ cam_from_world.rotation.T + cam_from_world.translation
-        if (pc[:, 2] <= 0).any():
-            continue
-        k = s.camera
-        uv = [k.fx, k.fy] * pc[:, :2] / pc[:, 2:] + [k.cx, k.cy]
-        box = np.concatenate([uv.min(axis=0), uv.max(axis=0)])
-        inside = box[0] >= 0 and box[1] >= 0 and box[2] <= k.width and box[3] <= k.height
-        if inside and not on_image_edge(box, k, s.filter.edge_margin_px):
-            boxes[target.id] = box
-    return boxes
+    boxes = {t.id: box_alone(t, cam_from_world, s.camera) for t in s.targets}
+    return {tid: box for tid, box in boxes.items()
+            if box is not None and not on_image_edge(box, s.camera, s.filter.edge_margin_px)}
 
 
 def per_record_views(records, s):
@@ -1147,50 +1137,39 @@ def test_run_loiter_frames_keep_the_estimate(monkeypatch):
     assert all((b["est"] == a["est"]) == still for a, b, still in zip(uav, uav[1:], loiter))
 
 
-def test_one_fit_per_cloud_change(monkeypatch):
+def test_one_fit_per_cloud_change(monkeypatch, nominal_run):
     # a target's cached summary is the only Gaussian fit of its cloud: one
-    # per spawn, keyframe update and mapping. The whole nominal run (1,860
-    # frames) is taken so that its one mapping is counted too.
-    s = missions.scenario("nominal")
-    counts = {"fits": 0, "updates": 0}
-    fit, tick = points_filter.GaussianSummary.from_points.__func__, points_filter.PointsFilter.tick
+    # per spawn, keyframe update and mapping. The fits are counted in a
+    # replay of the whole nominal run's filter calls (1,860 frames), so that
+    # its one mapping is counted too; only the filter fits a cloud.
+    counts = {"fits": 0}
+    fit = points_filter.GaussianSummary.from_points.__func__
 
     def counted_fit(cls, points):
         counts["fits"] += 1
         return fit(cls, points)
 
-    def counted_tick(self, *args):
-        events, updated = tick(self, *args)
-        counts["updates"] += len(updated)
-        return events, updated
-
+    calls = nominal_run.recording.calls
     monkeypatch.setattr(points_filter.GaussianSummary, "from_points", classmethod(counted_fit))
-    monkeypatch.setattr(points_filter.PointsFilter, "tick", counted_tick)
-    result = run(s)
-    events = [ev["type"] for r in result.records for ev in r["events"]]
-    assert result.completed and counts["updates"] > 0
-    assert counts["fits"] == events.count("spawned") + counts["updates"] + events.count("mapped")
+    missions.replay(PointsFilter, missions.scenario("nominal"), calls)
+    updates = sum(len(returned[1]) for name, *_, returned in calls if name == "tick")
+    events = [ev["type"] for r in nominal_run.records for ev in r["events"]]
+    assert nominal_run.completed and updates > 0
+    assert counts["fits"] == events.count("spawned") + updates + events.count("mapped")
 
 
 @pytest.mark.parametrize("which", ["nominal", "queue"])
-def test_scored_true_boxes_equal_the_replay_projection(monkeypatch, which):
+def test_scored_true_boxes_equal_the_replay_projection(shared_run, which):
     # the run scores each frame with its flight block's row of true boxes;
     # replay-metrics projects them again from each record's true pose
     s = missions.scenario("nominal" if which == "nominal" else "queue, served on re-detection")
-    scored = []
-    add = harness._Scores.add
-
-    def spied(self, record, boxes, scored_row):
-        scored.append((harness._true_boxes_by_id(s, boxes, scored_row), scored_row))
-        return add(self, record, boxes, scored_row)
-
-    monkeypatch.setattr(harness._Scores, "add", spied)
-    result = run(s)
+    result = shared_run(s)
     boxes, scored_rows = harness._true_boxes_for_frames(result.records, s)
     projected = [harness._true_boxes_by_id(s, *view) for view in zip(boxes, scored_rows)]
-    assert len(scored) == len(projected) == result.frames
+    assert len(result.recording.views) == len(projected) == result.frames
     assert sum(map(len, projected)) > 100
-    for (got, got_row), want, want_row in zip(scored, projected, scored_rows):
+    for (got_boxes, got_row), want, want_row in zip(result.recording.views, projected, scored_rows):
+        got = harness._true_boxes_by_id(s, got_boxes, got_row)
         assert got_row == want_row and got.keys() == want.keys()
         assert all(np.array_equal(got[tid], want[tid]) for tid in want)
 
@@ -1253,17 +1232,21 @@ def test_entries_follow_every_target_change(monkeypatch, tmp_path):
             "estimation_failed"} <= set(kinds)
 
 
-@pytest.fixture(scope="module")
-def counted_smoke_clutter():
-    """A metrics-only smoke clutter run, with its JSON encodes, the clouds
-    handed to the count kernel and the clouds that it projected counted."""
-    counts = {"encodes": 0, "clouds": 0, "projected": 0}
-    json_line, costs = harness._json_line, points_filter.projection_count_costs
-    pixel_rows = points_filter.pixel_rows
+def test_metrics_only_run_encodes_nothing(shared_run):
+    # entry texts are encoded only when a trace line needs them
+    result = shared_run(missions.scenario("smoke clutter"))
+    assert any(r["targets"] for r in result.records) and result.recording.encodes == 0
 
-    def encode(obj):
-        counts["encodes"] += 1
-        return json_line(obj)
+
+def test_association_culls_clouds(monkeypatch, shared_run):
+    # the count kernel skips clouds whose hull no box can see: a hull that
+    # stopped culling would project every cloud again; the clouds handed to
+    # it and those it projected are counted in a replay of smoke clutter's
+    # filter calls
+    s = missions.scenario("smoke clutter")
+    calls = shared_run(s).recording.calls
+    counts = {"clouds": 0, "projected": 0}
+    costs, pixel_rows = points_filter.projection_count_costs, points_filter.pixel_rows
 
     def count_costs(boxes, targets, *args):
         counts["clouds"] += len(targets)
@@ -1273,24 +1256,9 @@ def counted_smoke_clutter():
         counts["projected"] += 1
         return pixel_rows(pc, k)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "_json_line", encode)
-        mp.setattr(points_filter, "projection_count_costs", count_costs)
-        mp.setattr(points_filter, "pixel_rows", project)
-        result = run(missions.scenario("smoke clutter"))
-    return result, counts
-
-
-def test_metrics_only_run_encodes_nothing(counted_smoke_clutter):
-    # entry texts are encoded only when a trace line needs them
-    result, counts = counted_smoke_clutter
-    assert any(r["targets"] for r in result.records) and counts["encodes"] == 0
-
-
-def test_association_culls_clouds(counted_smoke_clutter):
-    # the count kernel skips clouds whose hull no box can see: a hull that
-    # stopped culling would project every cloud again
-    _, counts = counted_smoke_clutter
+    monkeypatch.setattr(points_filter, "projection_count_costs", count_costs)
+    monkeypatch.setattr(points_filter, "pixel_rows", project)
+    missions.replay(PointsFilter, s, calls)
     assert 0 < counts["projected"] < 0.8 * counts["clouds"]
 
 
@@ -1382,7 +1350,7 @@ class TestTargetEntries:
         rng = np.random.default_rng(18)
         k = scenario().camera
         flt = PointsFilter(k, FilterConfig(max_depth=50.0))
-        box = [TrackedBox(1, np.array([280.0, 200.0, 360.0, 280.0]), 5, 0)]
+        box = [TrackedBox(1, np.array([280.0, 200.0, 360.0, 280.0]))]
         entries = harness._TargetEntries()
 
         def tick(x):

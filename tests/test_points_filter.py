@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
 from targetsim import harness, points_filter
-from targetsim.detector import ellipsoid_target, visible_bbox
+from targetsim.detector import ellipsoid_target
 from targetsim.geometry import CameraIntrinsics, Pose, project_points, yaw_rotation
 from targetsim.points_filter import (
     AllZeroWeights,
@@ -42,6 +42,7 @@ from targetsim.uav import camera_pose
 
 from tests import missions
 from tests.plain_filter import PlainFilter, counts, fit, update_weights
+from tests.test_detector import box_alone
 from tests.test_geometry import IDENTITY, from_yaw, project, rt, transform
 
 K = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=480)
@@ -433,10 +434,10 @@ class TestUpdatePoints:
             )
             pos[2] = alt
             yaw = np.arctan2(true_center[1] - pos[1], true_center[0] - pos[0])
-            bbox = visible_bbox(target, camera_pose(yaw, pos, np.deg2rad(60.0)).inverse(), K)
+            bbox = box_alone(target, camera_pose(yaw, pos, np.deg2rad(60.0)).inverse(), K)
             assert bbox is not None
             camera = rt(camera_pose(yaw, pos, np.deg2rad(60.0)))
-            events, _ = flt.tick([TrackedBox(1, bbox, 5, 0)], *camera, rng)
+            events, _ = flt.tick([TrackedBox(1, bbox)], *camera, rng)
             kinds += [e.kind for e in events]
             assert flt.targets[0].points.shape == (flt.cfg.m, 3)
         assert kinds[:2] == ["spawned", "converging"]
@@ -464,8 +465,8 @@ def test_entropy_does_not_rise_under_consistent_boxes(seed):
         pos = center + [radius * np.cos(theta), radius * np.sin(theta), 29.0]
         yaw = np.arctan2(center[1] - pos[1], center[0] - pos[0])
         camera = camera_pose(yaw, pos, np.deg2rad(60.0))
-        bbox = visible_bbox(target, camera.inverse(), K)
-        _, updated = flt.tick([TrackedBox(1, bbox, 5, 0)], *rt(camera), rng)
+        bbox = box_alone(target, camera.inverse(), K)
+        _, updated = flt.tick([TrackedBox(1, bbox)], *rt(camera), rng)
         assert len(flt.targets) == 1 and updated == ([] if i == 0 else [1])
         entropies.append(flt.targets[0].last_entropy)
     above = [(a, b) for a, b in zip(entropies, entropies[1:]) if a >= 2.0]
@@ -671,9 +672,9 @@ class TestTickLifecycle:
         cfg = FilterConfig(max_depth=50.0, max_missed_updates=10)
         flt = PointsFilter(K, cfg)
         bbox = np.array([300.0, 220.0, 330.0, 250.0])
-        events, _ = flt.tick([TrackedBox(1, bbox, 5, 0)], *self.overhead_cam(0.0), rng)
+        events, _ = flt.tick([TrackedBox(1, bbox)], *self.overhead_cam(0.0), rng)
         assert [e.kind for e in events] == ["spawned"]
-        events, _ = flt.tick([TrackedBox(1, bbox, 5, 0)], *self.overhead_cam(1.0), rng)
+        events, _ = flt.tick([TrackedBox(1, bbox)], *self.overhead_cam(1.0), rng)
         kinds = []
         for _ in range(10):
             events, _ = flt.tick([], *self.overhead_cam(2.0), rng)
@@ -706,10 +707,10 @@ class TestTickLifecycle:
         ):
             rng = np.random.default_rng(18)
             flt = PointsFilter(K, FilterConfig(max_depth=50.0))
-            spawned, _ = flt.tick([TrackedBox(1, bbox, 5, 0)], *camera_at(0.0), rng)
+            spawned, _ = flt.tick([TrackedBox(1, bbox)], *camera_at(0.0), rng)
             spawn_points = flt.targets[0].points.copy()
             rotation, translation = camera_at(1.0)
-            events, updated = flt.tick([TrackedBox(1, bbox, 5, 0)], rotation, translation, rng)
+            events, updated = flt.tick([TrackedBox(1, bbox)], rotation, translation, rng)
             target = flt.targets[0]
             assert [e.kind for e in spawned] == ["spawned"] and updated == [target.target_id]
             assert target.last_keyframe[0] is rotation and target.last_keyframe[1] is translation
@@ -727,12 +728,12 @@ class TestTickLifecycle:
         flt = PointsFilter(K, cfg)
         cam = self.overhead_cam()
         bbox = np.array([280.0, 200.0, 360.0, 280.0])
-        flt.tick([TrackedBox(1, bbox, 5, 0)], *cam, rng)
+        flt.tick([TrackedBox(1, bbox)], *cam, rng)
         target = flt.targets[0]
         flt.mark_mapped(target.target_id, target.points)
         before = target.points.copy()
         for x in (1.0, 2.0, 3.0):
-            events, updated = flt.tick([TrackedBox(1, bbox, 5, 0)], *self.overhead_cam(x), rng)
+            events, updated = flt.tick([TrackedBox(1, bbox)], *self.overhead_cam(x), rng)
             assert events == [] and updated == []
         assert target.state is TargetState.MAPPED
         np.testing.assert_array_equal(target.points, before)
@@ -744,8 +745,8 @@ class TestTickLifecycle:
         cam = self.overhead_cam()
         a = np.array([100.0, 100.0, 160.0, 160.0])
         b = np.array([480.0, 300.0, 540.0, 360.0])
-        flt.tick([TrackedBox(1, a, 5, 0)], *cam, rng)
-        events, _ = flt.tick([TrackedBox(1, a, 5, 0), TrackedBox(2, b, 5, 0)], *cam, rng)
+        flt.tick([TrackedBox(1, a)], *cam, rng)
+        events, _ = flt.tick([TrackedBox(1, a), TrackedBox(2, b)], *cam, rng)
         spawned = [e for e in events if e.kind == "spawned"]
         assert len(spawned) == 1
         assert len(flt.targets) == 2
@@ -754,7 +755,7 @@ class TestTickLifecycle:
         rng = np.random.default_rng(13)
         flt = PointsFilter(K, FilterConfig(max_depth=50.0))
         edge_box = np.array([0.0, 100.0, 60.0, 160.0])
-        events, _ = flt.tick([TrackedBox(1, edge_box, 5, 0)], *self.overhead_cam(), rng)
+        events, _ = flt.tick([TrackedBox(1, edge_box)], *self.overhead_cam(), rng)
         assert events == [] and flt.targets == []
 
     def test_entropy_direction_flag(self):
@@ -764,8 +765,8 @@ class TestTickLifecycle:
         cfg = FilterConfig(max_depth=50.0, entropy_below=False, entropy_converging=3.0)
         flt = PointsFilter(K, cfg)
         bbox = np.array([280.0, 200.0, 360.0, 280.0])
-        flt.tick([TrackedBox(1, bbox, 5, 0)], *self.overhead_cam(0.0), rng)
-        events, _ = flt.tick([TrackedBox(1, bbox, 5, 0)], *self.overhead_cam(1.0), rng)
+        flt.tick([TrackedBox(1, bbox)], *self.overhead_cam(0.0), rng)
+        events, _ = flt.tick([TrackedBox(1, bbox)], *self.overhead_cam(1.0), rng)
         assert [e.kind for e in events] == ["converging"]
 
     def test_keyframe_gate_blocks_stationary_updates(self):
@@ -773,9 +774,9 @@ class TestTickLifecycle:
         flt = PointsFilter(K, FilterConfig(max_depth=50.0))
         cam = self.overhead_cam()
         bbox = np.array([280.0, 200.0, 360.0, 280.0])
-        flt.tick([TrackedBox(1, bbox, 5, 0)], *cam, rng)
+        flt.tick([TrackedBox(1, bbox)], *cam, rng)
         for _ in range(5):  # same pose: no keyframe, counts as missed
-            _, updated = flt.tick([TrackedBox(1, bbox, 5, 0)], *cam, rng)
+            _, updated = flt.tick([TrackedBox(1, bbox)], *cam, rng)
             assert updated == []
         assert flt.targets[0].miss_counter == 5
 
@@ -786,10 +787,10 @@ class TestTickLifecycle:
         rng = np.random.default_rng(16)
         flt = PointsFilter(K, FilterConfig(max_depth=50.0))
         bbox = np.array([280.0, 200.0, 360.0, 280.0])
-        flt.tick([TrackedBox(1, bbox, 5, 0)], *self.overhead_cam(0.0), rng)
+        flt.tick([TrackedBox(1, bbox)], *self.overhead_cam(0.0), rng)
         target = flt.targets[0]
         monkeypatch.setattr(points_filter, "update_points", no_support)
-        events, updated = flt.tick([TrackedBox(1, bbox, 5, 0)], *self.overhead_cam(1.0), rng)
+        events, updated = flt.tick([TrackedBox(1, bbox)], *self.overhead_cam(1.0), rng)
         assert [e.to_dict() for e in events] == [
             {"type": "update_failed", "target": target.target_id}
         ]
@@ -800,14 +801,14 @@ class TestTickLifecycle:
         # zero-area box around its pixel; the box weights nothing
         rng = np.random.default_rng(17)
         flt = PointsFilter(K, FilterConfig(max_depth=50.0))
-        flt.tick([TrackedBox(1, np.array([280.0, 200.0, 360.0, 280.0]), 5, 0)],
+        flt.tick([TrackedBox(1, np.array([280.0, 200.0, 360.0, 280.0]))],
                  *self.overhead_cam(0.0), rng)
         target = flt.targets[0]
         target.set_points(np.tile(target.points[0], (len(target.points), 1)))
         moved = self.overhead_cam(1.0)
         uv, _ = project_points(target.points, *rt(Pose(*moved).inverse()), K)
         u, v = uv[0]
-        events, updated = flt.tick([TrackedBox(1, np.array([u, v, u, v]), 5, 0)], *moved, rng)
+        events, updated = flt.tick([TrackedBox(1, np.array([u, v, u, v]))], *moved, rng)
         assert [e.to_dict() for e in events] == [
             {"type": "update_failed", "target": target.target_id}
         ]
@@ -817,7 +818,7 @@ class TestTickLifecycle:
         rng = np.random.default_rng(17)
         flt = PointsFilter(K, FilterConfig(max_depth=50.0))
         flat = np.array([300.0, 200.0, 300.0, 260.0])
-        events, _ = flt.tick([TrackedBox(1, flat, 5, 0)], *self.overhead_cam(), rng)
+        events, _ = flt.tick([TrackedBox(1, flat)], *self.overhead_cam(), rng)
         assert [e.to_dict() for e in events] == [
             {"type": "spawn_failed", "bbox": [300.0, 200.0, 300.0, 260.0]}
         ]
@@ -834,11 +835,11 @@ class TestTickLifecycle:
         rng = np.random.default_rng(15)
         flt = PointsFilter(K, FilterConfig(max_depth=50.0))
         bbox = np.array([280.0, 200.0, 360.0, 280.0])
-        flt.tick([TrackedBox(1, bbox, 5, 0)], *self.overhead_cam(0.0), rng)
+        flt.tick([TrackedBox(1, bbox)], *self.overhead_cam(0.0), rng)
         target = flt.targets[0]
         assert_fresh(target)
         spawned = target.points
-        _, updated = flt.tick([TrackedBox(1, bbox, 5, 0)], *self.overhead_cam(1.0), rng)
+        _, updated = flt.tick([TrackedBox(1, bbox)], *self.overhead_cam(1.0), rng)
         assert updated == [target.target_id] and target.points is not spawned
         assert_fresh(target)
         cloud = rng.normal(size=(50, 3))
@@ -853,11 +854,11 @@ class TestTickLifecycle:
         cfg = FilterConfig(max_depth=50.0)
         flt = PointsFilter(K, cfg)
         bbox = np.array([280.0, 200.0, 360.0, 280.0])
-        flt.tick([TrackedBox(1, bbox, 5, 0)], *self.overhead_cam(0.0), rng)
+        flt.tick([TrackedBox(1, bbox)], *self.overhead_cam(0.0), rng)
         target = flt.targets[0]
         for x in (1.0, 2.0, 3.0):
             old = target.summary
-            _, updated = flt.tick([TrackedBox(1, bbox, 5, 0)], *self.overhead_cam(x), rng)
+            _, updated = flt.tick([TrackedBox(1, bbox)], *self.overhead_cam(x), rng)
             assert updated == [target.target_id] and target.summary is not old
             assert target.last_kld == kl_divergence(target.summary, old)
         assert 0.0 < target.last_kld < float("inf")
@@ -961,16 +962,11 @@ def target_bytes(t, mean, cov) -> tuple:
     missions.nominal, partial(missions.survey5, 12, smoke=True),
     partial(missions.clutter1, 7, smoke=True),
 ], ids=["nominal", "smoke_survey5", "smoke_clutter1"])
-def test_missions_step_beside_the_plain_filter(mission):
-    filters = []
-
-    def beside(k, cfg):
-        filters.append(SteppedBeside(k, cfg))
-        return filters[-1]
-
-    with mock.patch.object(harness, "PointsFilter", beside):
-        result = harness.run(harness.scenario_from_dict(mission()))
-    (flt,) = filters
+def test_missions_step_beside_the_plain_filter(shared_run, mission):
+    # the shared run's filter calls replayed, each tick from its recorded generator state
+    s = harness.scenario_from_dict(mission())
+    result = shared_run(s)
+    flt = missions.replay(SteppedBeside, s, result.recording.calls)
     assert result.completed and flt.calls["tick"] == result.frames
     assert flt.calls["mark_mapped"] == len(result.mapped_true_ids) and "converged" in flt.kinds
 
@@ -1038,7 +1034,7 @@ def step_sequence(config, seed, ops) -> SteppedBeside:
         if op == "tick":
             (x, yaw), specs = args
             camera = camera_pose(yaw, [x, 0.0, 30.0], GAMMA)
-            boxes = [TrackedBox(n, box_of(spec, flt, camera), 1, 0) for n, spec in enumerate(specs)]
+            boxes = [TrackedBox(n, box_of(spec, flt, camera)) for n, spec in enumerate(specs)]
             flt.tick(boxes, *rt(camera), rng)
         elif flt.targets:
             target = flt.targets[args[0] % len(flt.targets)]

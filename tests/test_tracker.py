@@ -14,7 +14,6 @@ from scipy.optimize import linear_sum_assignment  # the oracle the port must mat
 
 from targetsim import tracker
 from targetsim.detector import Detection
-from targetsim.harness import run
 from targetsim.tracker import BoxTracker, TrackerConfig, hungarian_assign, iou, iou_matrix
 
 from tests import missions
@@ -207,7 +206,7 @@ class TestBoxTracker:
         assert tracker.step([det(self.BOX)]) == []  # frame 2
         out = tracker.step([det(self.BOX)])  # frame 3
         assert len(out) == 1
-        assert out[0].hit_streak == 3
+        assert tracker._tracks[0].hit_streak == 3
 
     def test_single_frame_fp_never_registers_and_dies(self):
         tracker = BoxTracker(TrackerConfig(min_hits=3, max_misses=5))
@@ -247,7 +246,7 @@ class TestBoxTracker:
         tracker.step([det(a), det(b)])
         out = tracker.step([det(a), det(b)])
         assert len(out) == 2
-        streaks = sorted(t.hit_streak for t in out)
+        streaks = sorted(t.hit_streak for t in tracker._tracks)
         assert streaks == [2, 2]  # each detection fed exactly one track
 
     def test_track_ids_never_reused(self):
@@ -399,7 +398,10 @@ class TestKalmanAgainstMatrixForm:
         kf = step_beside(SHRINKING[0][1], (0.5, 2.0), SHRINKING[1:])
         assert kf.oracle.guarded > 0 and kf.dx[2] == 0.0
 
-    def test_nominal_mission_steps_equal_the_matrix_form(self, monkeypatch):
+    def test_nominal_mission_steps_equal_the_matrix_form(self, monkeypatch, shared_run):
+        # a new tracker stepped through the nominal run's detections publishes its tracks
+        s = missions.scenario("nominal")
+        records = shared_run(s).records
         filters = []
 
         def beside(bbox, cfg):
@@ -407,8 +409,13 @@ class TestKalmanAgainstMatrixForm:
             return filters[-1]
 
         monkeypatch.setattr(tracker, "_KalmanBoxState", beside)
-        result = run(missions.scenario("nominal"))
-        assert result.frames == 1860 and len(filters) > 1
+        boxes = BoxTracker(s.tracker)
+        for record in records:
+            detections = [Detection(np.array(d["bbox"]), d["score"]) for d in record["detections"]]
+            published = boxes.step(detections)
+            tracks = [{"id": b.track_id, "bbox": b.bbox.tolist()} for b in published]
+            assert tracks == record["tracks"], record["frame"]
+        assert len(records) == 1860 and len(filters) > 1
         assert sum(kf.steps for kf in filters) > 1860
 
     def test_tracker_calls_no_inverse(self, monkeypatch):
