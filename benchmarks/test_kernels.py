@@ -77,9 +77,9 @@ MOVED = camera_pose(0.0, [3.0, 0.0, 30.0], DEPRESSION).inverse()  # 3 m along th
 MOVED_VIEW = (MOVED.rotation, MOVED.translation)
 CFG = FilterConfig(m=4000, max_depth=50.0)
 BOXES = [
-    np.array([280.0, 200.0, 360.0, 280.0]),
-    np.array([100.0, 100.0, 160.0, 160.0]),
-    np.array([480.0, 300.0, 540.0, 360.0]),
+    (280.0, 200.0, 360.0, 280.0),
+    (100.0, 100.0, 160.0, 160.0),
+    (480.0, 300.0, 540.0, 360.0),
 ]
 
 
@@ -174,7 +174,7 @@ def test_projection_count_costs_moved(benchmark, clouds, monkeypatch):
     for _ in range(2):
         w, h = rng.uniform(FP_BOX_MIN_PX, K.width / 3.0), rng.uniform(FP_BOX_MIN_PX, K.height / 3.0)
         u0, v0 = rng.uniform(0.0, K.width - w), rng.uniform(0.0, K.height - h)
-        boxes.append(np.array([u0, v0, u0 + w, v0 + h]))
+        boxes.append((u0, v0, u0 + w, v0 + h))
     projected, pixel_rows = [], points_filter.pixel_rows
     with monkeypatch.context() as spy:
         spy.setattr(points_filter, "pixel_rows", lambda *a: projected.append(1) or pixel_rows(*a))
@@ -224,8 +224,9 @@ def tracker_frames() -> list[list[Detection]]:
     a_seen = "A" + "A_AA_A_AA_A_A_A_" + "B" + "AA_AA" + "AAA" + "_____" + "A"
     frames = []
     for i, seen in enumerate(a_seen):
-        a = np.array([300.0 + i, 220.0, 334.0 + i, 254.0]) + rng.normal(0.0, 0.5, 4)
-        b = np.array([500.0, 60.0, 560.0, 100.0])
+        noise = rng.normal(0.0, 0.5, 4).tolist()
+        a = tuple(x + n for x, n in zip((300.0 + i, 220.0, 334.0 + i, 254.0), noise))
+        b = (500.0, 60.0, 560.0, 100.0)
         frames.append({"A": [Detection(a, 1.0)], "B": [Detection(b, 0.7)], "_": []}[seen])
     return frames
 
@@ -253,7 +254,7 @@ def frame_line(entries, flt, uav, mission):
     live = entries.update(flt)
     record = harness._make_record(
         0.1, 1, uav, uav.position, [Detection(BOXES[0], 1.0)], [TrackedBox(1, BOXES[0])],
-        live, mission, [Event("spawned", 4, bbox=tuple(BOXES[1].tolist()))],
+        live, mission, [Event("spawned", 4, bbox=BOXES[1])],
     )
     return harness._frame_line(record, entries.text())
 

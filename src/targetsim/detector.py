@@ -71,12 +71,12 @@ def ellipsoid_target(target_id: str, center, semi_axes, n_surface: int = 400) ->
 
 @dataclass(frozen=True)
 class Detection:
-    bbox: np.ndarray  # (u_min, v_min, u_max, v_max)
+    bbox: tuple  # (u_min, v_min, u_max, v_max) floats
     score: float
 
     def __post_init__(self):
-        b = np.asarray(self.bbox, dtype=float).reshape(4)
-        if not (b[0] < b[2] and b[1] < b[3]):
+        b = tuple(map(float, self.bbox))
+        if len(b) != 4 or not (b[0] < b[2] and b[1] < b[3]):
             raise ValueError(f"degenerate bbox {b}")
         object.__setattr__(self, "bbox", b)
 
@@ -165,13 +165,13 @@ def detect(
     row of visible_boxes: every true target's box (n_targets, 4) and which
     targets are in full view (n_targets,). It only draws the faults."""
     detections: list[Detection] = []
-    for i in [i for i, seen in enumerate(visible.tolist()) if seen]:
-        bbox = boxes[i]
-        if cfg.fn_rate > 0 and rng.random() < cfg.fn_rate:
+    for seen, bbox in zip(visible.tolist(), boxes.tolist()):
+        if not seen or (cfg.fn_rate > 0 and rng.random() < cfg.fn_rate):
             continue
         if cfg.pixel_noise_sigma > 0:
-            bbox = bbox + rng.normal(0.0, cfg.pixel_noise_sigma, size=4)
-        b0, b1, b2, b3 = bbox.tolist()
+            noise = rng.normal(0.0, cfg.pixel_noise_sigma, size=4).tolist()
+            bbox = [b + n for b, n in zip(bbox, noise)]
+        b0, b1, b2, b3 = bbox
         u_lo, u_hi = sorted((b0, b2))
         v_lo, v_hi = sorted((b1, b3))
         # clipped as np.clip does: max(0.0, x) keeps 0.0 for a -0.0
@@ -179,12 +179,12 @@ def detect(
         v_lo, v_hi = (min(float(k.height), max(0.0, v)) for v in (v_lo, v_hi))
         if u_lo >= u_hi or v_lo >= v_hi:
             continue
-        detections.append(Detection(np.array([u_lo, v_lo, u_hi, v_hi]), 1.0))
+        detections.append(Detection((u_lo, v_lo, u_hi, v_hi), 1.0))
     if cfg.fp_rate > 0 and rng.random() < cfg.fp_rate:
         w = rng.uniform(FP_BOX_MIN_PX, k.width / 3.0)
         h = rng.uniform(FP_BOX_MIN_PX, k.height / 3.0)
         u0 = rng.uniform(0.0, k.width - w)
         v0 = rng.uniform(0.0, k.height - h)
         score = rng.uniform(0.3, 0.9)
-        detections.append(Detection(np.array([u0, v0, u0 + w, v0 + h]), score))
+        detections.append(Detection((u0, v0, u0 + w, v0 + h), score))
     return detections

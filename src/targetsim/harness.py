@@ -23,7 +23,7 @@ import numpy as np
 
 from .detector import DetectorConfig, detect, ellipsoid_target, visible_boxes
 from .detector import visible_bbox  # noqa: F401  only perfbench/tracer.py reaches it
-from .geometry import CameraIntrinsics
+from .geometry import CameraIntrinsics, norm
 from .mission import MissionConfig, MissionExecutive, MissionMode
 from .points_filter import FilterConfig, PointsFilter, on_image_edge
 from .tracker import BoxTracker, TrackerConfig, hungarian_assign, iou, iou_matrix
@@ -280,10 +280,8 @@ def _make_record(t, frame, uav, est, detections, boxes, targets, mission, events
             "true": {"position": uav.position.tolist(), "yaw": uav.yaw},
             "est": {"position": est.tolist(), "yaw": uav.yaw},
         },
-        "detections": [
-            {"bbox": d.bbox.tolist(), "score": d.score} for d in detections
-        ],
-        "tracks": [{"id": b.track_id, "bbox": b.bbox.tolist()} for b in boxes],
+        "detections": [{"bbox": list(d.bbox), "score": d.score} for d in detections],
+        "tracks": [{"id": b.track_id, "bbox": list(b.bbox)} for b in boxes],
         "targets": targets,
         "mode": mission.mode.value,
         "events": [e.to_dict() for e in events],
@@ -362,7 +360,7 @@ def _match_event_target(record, target_id: int, scenario: Scenario) -> str | Non
             mean = np.asarray(entry["mean"])
             best, best_d = None, float("inf")
             for true_target in scenario.targets:
-                d = float(np.linalg.norm(mean - true_target.center))
+                d = norm(mean - true_target.center)
                 if d < best_d:
                     best, best_d = true_target.id, d
             return best if best_d <= scenario.match_dist else None

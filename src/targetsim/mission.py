@@ -18,6 +18,7 @@ import numpy as np
 
 from .bounding_cylinder import BoundingCylinder, fit_bounding_cylinder
 from .detector import TargetModel
+from .geometry import norm
 from .points_filter import Event, PointsFilter, PointTarget, TargetState, check_already_mapped
 from .view_planner import (
     PlannerConfig,
@@ -107,7 +108,7 @@ def synthesize_mapped_cloud(
     dense_parts = []
     contributing: set[str] = set()
     for target in world:
-        axis_dist = float(np.linalg.norm(target.center[:2] - cyl.center[:2]))
+        axis_dist = norm(target.center[:2] - cyl.center[:2])
         if axis_dist > cyl.radius + range_margin:
             continue
         visible = np.zeros(target.surface_points.shape[0], dtype=bool)

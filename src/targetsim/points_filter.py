@@ -190,26 +190,20 @@ class Event:
         return out
 
 
-def enlarge_bbox(bbox: np.ndarray, frac: float, k: CameraIntrinsics) -> np.ndarray:
+def enlarge_bbox(bbox: tuple, frac: float, k: CameraIntrinsics) -> tuple:
     """Grow width/height by frac symmetrically, clipped to image bounds."""
-    b = np.asarray(bbox, dtype=float)
-    du = frac * (b[2] - b[0]) / 2.0
-    dv = frac * (b[3] - b[1]) / 2.0
-    return np.array(
-        [
-            max(b[0] - du, 0.0),
-            max(b[1] - dv, 0.0),
-            min(b[2] + du, float(k.width)),
-            min(b[3] + dv, float(k.height)),
-        ]
+    u0, v0, u1, v1 = bbox
+    du = frac * (u1 - u0) / 2.0
+    dv = frac * (v1 - v0) / 2.0
+    return (
+        max(u0 - du, 0.0), max(v0 - dv, 0.0),
+        min(u1 + du, float(k.width)), min(v1 + dv, float(k.height)),
     )
 
 
-def bbox_corners(bbox: np.ndarray) -> np.ndarray:
-    b = np.asarray(bbox, dtype=float)
-    return np.array(
-        [[b[0], b[1]], [b[2], b[1]], [b[2], b[3]], [b[0], b[3]]]
-    )
+def bbox_corners(bbox: tuple) -> np.ndarray:
+    u0, v0, u1, v1 = bbox
+    return np.array([[u0, v0], [u1, v0], [u1, v1], [u0, v1]])
 
 
 def on_image_edge(bbox, k: CameraIntrinsics, margin: float):
@@ -220,7 +214,7 @@ def on_image_edge(bbox, k: CameraIntrinsics, margin: float):
 
 
 def generate_points(
-    bbox: np.ndarray,
+    bbox: tuple,
     rotation: np.ndarray,
     translation: np.ndarray,
     k: CameraIntrinsics,
@@ -235,19 +229,19 @@ def generate_points(
     uniform in (0, max_depth]. So every point is a convex combination of
     viewing_pyramid's vertices, up to rounding.
     """
-    b = np.asarray(bbox, dtype=float)
-    if b[2] - b[0] <= 0 or b[3] - b[1] <= 0:
-        raise DegenerateBox(f"box {b} has no area")
+    u0, v0, u1, v1 = bbox
+    if u1 - u0 <= 0 or v1 - v0 <= 0:
+        raise DegenerateBox(f"box {bbox} has no area")
     a = rng.uniform(size=(4, cfg.m))
     a_bar = a / a.sum(axis=0)
-    corner_rays = k.unit_rays(bbox_corners(b)).T  # (3, 4)
+    corner_rays = k.unit_rays(bbox_corners(bbox)).T  # (3, 4)
     delta = cfg.max_depth * rng.uniform(size=cfg.m)
     points_cam = (corner_rays @ a_bar) * delta
     return transform_points(rotation, translation, points_cam.T)
 
 
 def viewing_pyramid(
-    bbox: np.ndarray, rotation: np.ndarray, translation: np.ndarray, k: CameraIntrinsics,
+    bbox: tuple, rotation: np.ndarray, translation: np.ndarray, k: CameraIntrinsics,
     max_depth: float,
 ) -> np.ndarray:
     """The (5, 3) world vertices of the pyramid that generate_points samples
@@ -257,7 +251,7 @@ def viewing_pyramid(
 
 
 def mixture_weights(
-    u: np.ndarray, v: np.ndarray, bbox: np.ndarray, w_gauss: float, w_uniform: float
+    u: np.ndarray, v: np.ndarray, bbox: tuple, w_gauss: float, w_uniform: float
 ) -> np.ndarray:
     """Per-pixel importance of pixels (u, v), rows (n,): Gaussian centered
     on the box + uniform in it.
@@ -265,16 +259,16 @@ def mixture_weights(
     Gaussian sigmas are the box half-extents; the uniform density is
     1/area inside the closed box and 0 outside.
     """
-    b = np.asarray(bbox, dtype=float)
-    su = (b[2] - b[0]) / 2.0
-    sv = (b[3] - b[1]) / 2.0
+    u0, v0, u1, v1 = bbox
+    su = (u1 - u0) / 2.0
+    sv = (v1 - v0) / 2.0
     if su <= 0 or sv <= 0:
-        raise DegenerateBox(f"box {b} has no area")
-    cu, cv = (b[0] + b[2]) / 2.0, (b[1] + b[3]) / 2.0
+        raise DegenerateBox(f"box {bbox} has no area")
+    cu, cv = (u0 + u1) / 2.0, (v0 + v1) / 2.0
     zu = (u - cu) / su
     zv = (v - cv) / sv
     gauss = np.exp(-0.5 * (zu * zu + zv * zv)) / (2.0 * np.pi * su * sv)
-    inside = (u >= b[0]) & (u <= b[2]) & (v >= b[1]) & (v <= b[3])
+    inside = (u >= u0) & (u <= u1) & (v >= v0) & (v <= v1)
     uniform = inside / (4.0 * su * sv)
     return w_gauss * gauss + w_uniform * uniform
 
@@ -292,7 +286,7 @@ def systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.nda
 
 
 def projection_count_costs(
-    boxes: list[np.ndarray],
+    boxes: list[tuple],
     targets: list[PointTarget],
     rotation: np.ndarray,
     translation: np.ndarray,
@@ -318,18 +312,17 @@ def projection_count_costs(
     every row, while points next to the apex project anywhere. The rows'
     pixel margin then covers the rounding of each point's projection.
     """
-    bounds = [box.tolist() for box in boxes]  # scalar compares beat broadcasting
     costs = np.zeros((len(boxes), len(targets)))
-    if not bounds or not targets:
+    if not boxes or not targets:
         return costs
-    rows = cull_rows(bounds, k)  # (5 * boxes, 3)
+    rows = cull_rows(boxes, k)  # (5 * boxes, 3)
     hulls = [t.hull for t in targets]
     starts = list(itertools.accumulate([len(h) for h in hulls[:-1]], initial=0))
     # n . (R v + t) < -margin |n|_1 is (n R) . v < -margin |n|_1 - n . t
     reach = (rows @ rotation) @ np.concatenate(hulls).T  # (5 * boxes, vertices)
     limits = -_CULL_MARGIN_M * np.abs(rows).sum(axis=1) - rows @ translation
     culled = np.maximum.reduceat(reach, starts, axis=1) < limits[:, None]
-    seen = ~culled.reshape(len(bounds), 5, len(targets)).any(axis=1)
+    seen = ~culled.reshape(len(boxes), 5, len(targets)).any(axis=1)
     key = rotation.tobytes(), rotation.strides
     with np.errstate(divide="ignore", invalid="ignore"):
         for j, target_seen in enumerate(seen.T.tolist()):
@@ -338,7 +331,7 @@ def projection_count_costs(
             u, v, depths = pixel_rows(targets[j].camera_rows(rotation, translation, key), k)
             front = depths > 0
             inside, term = np.empty_like(front), np.empty_like(front)  # filled per box
-            for i, (u_lo, v_lo, u_hi, v_hi) in enumerate(bounds):
+            for i, (u_lo, v_lo, u_hi, v_hi) in enumerate(boxes):
                 if not target_seen[i]:
                     continue
                 np.greater_equal(u, u_lo, out=inside)
@@ -351,7 +344,7 @@ def projection_count_costs(
 
 
 def associate(
-    boxes: list[np.ndarray],
+    boxes: list[tuple],
     targets: list[PointTarget],
     rotation: np.ndarray,
     translation: np.ndarray,
@@ -389,7 +382,7 @@ def pose_delta(a: tuple, b: tuple) -> tuple[float, float]:
 
 def update_points(
     points: np.ndarray,
-    bbox: np.ndarray,
+    bbox: tuple,
     rotation: np.ndarray,
     translation: np.ndarray,
     k: CameraIntrinsics,
@@ -422,7 +415,7 @@ def check_already_mapped(
     any previously mapped center."""
     c = np.asarray(candidate_center, dtype=float)
     for center in mapped_centers:
-        if np.linalg.norm(c - np.asarray(center, dtype=float)) < dist_threshold:
+        if norm(c - np.asarray(center, dtype=float)) < dist_threshold:
             return True
     return False
 
@@ -430,9 +423,9 @@ def check_already_mapped(
 class PointsFilter:
     """Owns the point targets; call tick() once per perception cycle."""
 
-    def __init__(self, k: CameraIntrinsics, cfg: FilterConfig | None = None):
+    def __init__(self, k: CameraIntrinsics, cfg: FilterConfig):
         self.k = k
-        self.cfg = cfg or FilterConfig()
+        self.cfg = cfg
         self.targets: list[PointTarget] = []
         self._next_id = 1
 
@@ -470,8 +463,7 @@ class PointsFilter:
         """
         cfg = self.cfg
         gated_boxes = [
-            np.asarray(b.bbox, dtype=float)
-            for b in boxes if not on_image_edge(b.bbox, self.k, cfg.edge_margin_px)
+            b.bbox for b in boxes if not on_image_edge(b.bbox, self.k, cfg.edge_margin_px)
         ]
         if not gated_boxes and all(t.state in _AGELESS for t in self.targets):
             return [], []  # nothing to associate, spawn or age
@@ -531,7 +523,7 @@ class PointsFilter:
             try:
                 points = generate_points(enlarged, *world_from_cam, self.k, cfg, rng)
             except DegenerateBox:
-                events.append(Event("spawn_failed", bbox=tuple(bbox.tolist())))
+                events.append(Event("spawn_failed", bbox=bbox))
                 continue
             target = PointTarget(
                 target_id=self._next_id,
@@ -544,9 +536,7 @@ class PointsFilter:
             self._next_id += 1
             self.targets.append(target)
             refreshed.add(target.target_id)
-            events.append(
-                Event("spawned", target.target_id, bbox=tuple(bbox.tolist()))
-            )
+            events.append(Event("spawned", target.target_id, bbox=bbox))
 
         survivors: list[PointTarget] = []
         for target in self.targets:

@@ -147,11 +147,11 @@ class TrackedBox:
     """Immutable snapshot of a registered track."""
 
     track_id: int
-    bbox: np.ndarray
+    bbox: tuple  # (u_min, v_min, u_max, v_max) floats
 
 
-def _bbox_to_z(bbox: np.ndarray) -> tuple:
-    u0, v0, u1, v1 = bbox.tolist()  # float arithmetic rounds as numpy's and costs less
+def _bbox_to_z(bbox: tuple) -> tuple:
+    u0, v0, u1, v1 = bbox
     w = u1 - u0
     h = v1 - v0
     return u0 + w / 2.0, v0 + h / 2.0, w * h, w / h
@@ -168,7 +168,7 @@ class _KalmanBoxState:
     order. So every entry rounds as in the matrix form, which the tests step
     beside this one. b and c are both kept, since updates round them apart."""
 
-    def __init__(self, bbox: np.ndarray, cfg: TrackerConfig):
+    def __init__(self, bbox: tuple, cfg: TrackerConfig):
         q, m = cfg.process_noise_scale, cfg.measurement_noise_scale
         *self.x, self.r = _bbox_to_z(bbox)  # u, v, s and r
         self.dx = [0.0, 0.0, 0.0]
@@ -188,7 +188,7 @@ class _KalmanBoxState:
             p[i] = ((a + c) + (b + d)) + q, (b + d) + 0.0, (c + d) + 0.0, d + q_dx
         self.p_r += self.q_r
 
-    def update(self, bbox: np.ndarray):
+    def update(self, bbox: tuple):
         *z, r = _bbox_to_z(bbox)
         x, dx, p = self.x, self.dx, self.P
         for i, noise in enumerate(self.noise):
@@ -211,7 +211,7 @@ class _KalmanBoxState:
 
 
 class _Track:
-    def __init__(self, track_id: int, bbox: np.ndarray, cfg: TrackerConfig):
+    def __init__(self, track_id: int, bbox: tuple, cfg: TrackerConfig):
         self.track_id = track_id
         self.kf = _KalmanBoxState(bbox, cfg)
         self.hit_streak = 1
@@ -219,14 +219,14 @@ class _Track:
         self.registered = False
 
     def snapshot(self) -> TrackedBox:
-        return TrackedBox(self.track_id, np.array(self.kf.bbox()))
+        return TrackedBox(self.track_id, self.kf.bbox())
 
 
 class BoxTracker:
     """Stateful per-frame tracker; call step() once per frame in order."""
 
-    def __init__(self, cfg: TrackerConfig | None = None):
-        self.cfg = cfg or TrackerConfig()
+    def __init__(self, cfg: TrackerConfig):
+        self.cfg = cfg
         self._tracks: list[_Track] = []
         self._next_id = 1
 

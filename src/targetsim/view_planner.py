@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounding_cylinder import BoundingCylinder
+from .geometry import norm
 
 # The most segments an orbit may have: ~60 us and ~490 bytes a waypoint to plan
 MAX_ORBIT_SEGMENTS = 3_600
@@ -166,7 +167,7 @@ def _start_angle(center, position) -> float:
     if position is None:
         return 0.0
     offset = np.asarray(position, dtype=float)[:2] - center[:2]
-    return float(np.arctan2(offset[1], offset[0])) if np.linalg.norm(offset) > 1e-9 else 0.0
+    return float(np.arctan2(offset[1], offset[0])) if norm(offset) > 1e-9 else 0.0
 
 
 def estimation_circle(

@@ -1,5 +1,6 @@
 """Simulated detector behavior: visibility, noise injection, determinism."""
 
+import struct
 from collections import Counter
 
 import numpy as np
@@ -127,7 +128,7 @@ def test_determinism_byte_for_byte():
         out = []
         for frame in range(100):
             for d in detect(*view([target], *rt(cam_from_world)), K, cfg, rng):
-                out.append((frame, d.bbox.tobytes(), d.score))
+                out.append((frame, struct.pack("4d", *d.bbox), d.score))
         return out
 
     assert run(42) == run(42)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from targetsim import geometry, harness, points_filter
 from targetsim.cli import main as cli_main
-from targetsim.detector import MAX_SURFACE_POINTS, ellipsoid_target, visible_boxes
+from targetsim.detector import MAX_SURFACE_POINTS, Detection, ellipsoid_target, visible_boxes
 from targetsim.harness import (
     Scenario,
     ScenarioInvalid,
@@ -37,7 +37,7 @@ from targetsim.points_filter import (
     TargetState,
     on_image_edge,
 )
-from targetsim.tracker import TrackedBox
+from targetsim.tracker import BoxTracker, TrackedBox
 from targetsim.uav import UavState, camera_pose, fly, step, waypoint_reached
 from targetsim.view_planner import MAX_ORBIT_SEGMENTS, Waypoint, lane_count, lawnmower
 
@@ -1005,6 +1005,37 @@ def test_two_checked_poses_per_flight_block(monkeypatch):
     assert counts["metrics"] == 0 and max(records_before_views) < result.frames
     assert counts["poses"] == 2 * blocks and counts["checks"] == counts["poses"]
     assert -(-result.frames // harness.FLIGHT_BLOCK) <= blocks <= result.frames // 20
+
+
+def test_one_box_form_from_the_detector_to_the_filter(monkeypatch):
+    # a single box is a tuple of four Python floats wherever it travels:
+    # every detection (noisy and false positive), published track and
+    # spawned event of 30 s of smoke clutter
+    data = missions.clutter1(7, smoke=True)
+    data["max_sim_time"] = 30.0
+    boxes = {"detections": [], "tracks": [], "spawned": []}
+
+    def spy(owner, name, stage, boxes_of):
+        original = getattr(owner, name)
+
+        def wrapper(*args):
+            out = original(*args)
+            boxes[stage] += boxes_of(out)
+            return out
+        monkeypatch.setattr(owner, name, wrapper)
+
+    spy(harness, "detect", "detections", lambda out: [d.bbox for d in out])
+    spy(BoxTracker, "step", "tracks", lambda out: [b.bbox for b in out])
+    spy(PointsFilter, "tick", "spawned", lambda out: [e.bbox for e in out[0] if e.kind == "spawned"])
+    run(scenario_from_dict(data))
+    for stage, found in boxes.items():
+        assert found, stage
+        assert all(
+            type(b) is tuple and len(b) == 4 and all(type(x) is float for x in b) for b in found
+        ), stage
+    for bad in [(1.0, 2.0, 3.0), (30.0, 2.0, 10.0, 40.0), (1.0, 40.0, 30.0, 2.0)]:
+        with pytest.raises(ValueError):
+            Detection(bad, 1.0)
 
 
 def fly_frames(s, plans, frames, blocks):

@@ -910,9 +910,9 @@ class SteppedBeside(PointsFilter):
     state, mean, covariance, entropy, KL divergence and point count), miss
     and streak counters, and cloud, byte for byte."""
 
-    def __init__(self, k, cfg=None):
+    def __init__(self, k, cfg):
         super().__init__(k, cfg)
-        self.plain = PlainFilter(k, self.cfg)
+        self.plain = PlainFilter(k, cfg)
         self.calls = collections.Counter()
         self.kinds = set()  # the kinds of event that tick returned
 

@@ -413,7 +413,7 @@ class TestKalmanAgainstMatrixForm:
         for record in records:
             detections = [Detection(np.array(d["bbox"]), d["score"]) for d in record["detections"]]
             published = boxes.step(detections)
-            tracks = [{"id": b.track_id, "bbox": b.bbox.tolist()} for b in published]
+            tracks = [{"id": b.track_id, "bbox": list(b.bbox)} for b in published]
             assert tracks == record["tracks"], record["frame"]
         assert len(records) == 1860 and len(filters) > 1
         assert sum(kf.steps for kf in filters) > 1860
