@@ -125,10 +125,6 @@ def _coordinates(values, name: str, n: int | None = None) -> tuple:
     a bool is not a number, and NaN, an infinity or an integer too large
     for a float is not finite."""
     values = tuple(values)
-    if (n is None or len(values) == n) and all(
-        type(c) is float and -_FLOAT_MAX <= c <= _FLOAT_MAX for c in values
-    ):
-        return values  # finite floats already: one pass
     if n is not None and len(values) != n:
         raise ValueError(f"{name} must hold {n} numbers, got {len(values)}")
     for c in values:
@@ -387,7 +383,7 @@ class _Scores:
             dets = [b for d in record["detections"] if not on_image_edge(b := d["bbox"], k, margin)]
             expected, tp = sum(scored), 0
             if dets and expected:
-                m = iou_matrix(dets, [box for box, seen in zip(boxes, scored) if seen])
+                m = iou_matrix(dets, [box for box, seen in zip(boxes.tolist(), scored) if seen])
                 pairs, _, _ = hungarian_assign(m, maximize=True)
                 tp = sum(1 for di, ei in pairs if m[di, ei] > DETECTION_IOU_MIN)
             counts["detection"][0] += tp
@@ -459,11 +455,8 @@ class RunResult:
     trace_path: Path | None = None
 
 
-# frames of the true flight flown, imaged and culled at a time: a block
-# after a replan cut the last one short flies FIRST_BLOCK_AFTER_CUT, and
-# each next one twice the last, up to FLIGHT_BLOCK
+# frames of the true flight flown, imaged and culled at a time
 FLIGHT_BLOCK = 256
-FIRST_BLOCK_AFTER_CUT = 16
 
 
 def _true_frames(scenario: Scenario, mission, state: UavState):
@@ -478,13 +471,11 @@ def _true_frames(scenario: Scenario, mission, state: UavState):
     block ends after the frame that reaches the plan's last waypoint. A
     block makes one _true_views call. A new block is flown from the last
     frame's state when the mission's plan (by identity) or cursor (by value)
-    is no longer the block's. Replans come in bursts, so the block after a
-    cut is short, and the blocks after it double back up to FLIGHT_BLOCK."""
-    length = FLIGHT_BLOCK
+    is no longer the block's."""
     while True:
         plan, cursor = mission.plan, mission.cursor
         states, cursors = [], [cursor]  # cursors[j + 1]: the cursor after frame j
-        for _ in range(length):
+        for _ in range(FLIGHT_BLOCK):
             flying = cursor < len(plan)
             if flying:
                 state = fly(state, plan[cursor], scenario.uav)
@@ -497,13 +488,10 @@ def _true_frames(scenario: Scenario, mission, state: UavState):
         cameras, boxes, visible, scored = _true_views(
             scenario, [st.yaw for st in states], [st.position for st in states]
         )
-        length = min(2 * length, FLIGHT_BLOCK)
         for j, state in enumerate(states):  # state: the last frame's, the next block's start
             yield (state, cursors[j + 1] > cursors[j], boxes[j], visible[j], scored[j],
                    cameras.rotation[j])
             if mission.plan is not plan or mission.cursor != cursors[j + 1]:
-                if j + 1 < len(states):
-                    length = FIRST_BLOCK_AFTER_CUT
                 break
 
 
@@ -621,14 +609,15 @@ def _check_record(record: dict) -> dict:
     true yaw and position, each detection's and spawn's box and the mean of
     each target entry that a converging, converged or mapped event names
     hold only finite numbers, as many as run writes, and the mode is a
-    mission mode."""
+    mission mode. Each box is made a list of floats, so it is scored in
+    float arithmetic."""
     true = record["uav"]["true"]
     _coordinates([true["yaw"], *true["position"]], "the true yaw and position", 4)
     for detection in record["detections"]:
-        _coordinates(detection["bbox"], "bbox", 4)
+        detection["bbox"] = list(_coordinates(detection["bbox"], "bbox", 4))
     for ev in record["events"]:
         if ev["type"] == "spawned":
-            _coordinates(ev["bbox"], "bbox", 4)
+            ev["bbox"] = list(_coordinates(ev["bbox"], "bbox", 4))
         elif ev["type"] in STAGES[2:]:  # scored by the named target's mean
             for entry in record["targets"]:
                 if entry["id"] == ev["target"]:

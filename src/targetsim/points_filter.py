@@ -207,9 +207,9 @@ def bbox_corners(bbox: tuple) -> np.ndarray:
 
 
 def on_image_edge(bbox, k: CameraIntrinsics, margin: float):
-    """Whether a box, or each box of a (..., 4) stack, lies within margin of the image's border."""
-    b = np.asarray(bbox, dtype=float)
-    u0, v0, u1, v1 = b.tolist() if b.ndim == 1 else np.moveaxis(b, -1, 0)
+    """Whether a box of four floats, or each box of a (..., 4) array, lies
+    within margin of the image's border."""
+    u0, v0, u1, v1 = np.moveaxis(bbox, -1, 0) if isinstance(bbox, np.ndarray) else bbox
     return (u0 <= margin) | (v0 <= margin) | (u1 >= k.width - margin) | (v1 >= k.height - margin)
 
 

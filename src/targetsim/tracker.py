@@ -19,12 +19,11 @@ from .detector import Detection
 
 def iou_matrix(rows, cols) -> np.ndarray:
     """The intersection over union of each (u_min, v_min, u_max, v_max) box
-    in rows with each in cols, (len(rows), len(cols)) even if empty. Each box
-    is converted to floats once; float arithmetic rounds as numpy's. NaN for
-    a zero union, as numpy's 0 / 0 (a zero union has a zero intersection)."""
-    cols = [np.asarray(c, dtype=float).tolist() for c in cols]
+    in rows with each in cols, (len(rows), len(cols)) even if empty. A box is
+    four floats, Python's or numpy's, which round alike. NaN for a zero
+    union, as numpy's 0 / 0 (a zero union has a zero intersection)."""
     ious = np.zeros((len(rows), len(cols)))
-    for i, (a0, a1, a2, a3) in enumerate(np.asarray(r, dtype=float).tolist() for r in rows):
+    for i, (a0, a1, a2, a3) in enumerate(rows):
         for j, (b0, b1, b2, b3) in enumerate(cols):
             iw = min(a2, b2) - max(a0, b0)
             ih = min(a3, b3) - max(a1, b1)

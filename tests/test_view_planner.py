@@ -291,3 +291,8 @@ class TestMappingCircles:
     def test_invalid_scan_geometry_blocked_by_config(self):
         with pytest.raises(ValueError):
             PlannerConfig(cam_depression=np.deg2rad(20.0), scan_fov=np.deg2rad(40.0))
+
+    def test_level_camera_rejected_by_its_own_check(self):
+        # scan_fov's bound would reject it too; the error names cam_depression
+        with pytest.raises(ValueError, match="cam_depression must be in"):
+            PlannerConfig(cam_depression=0.0)
