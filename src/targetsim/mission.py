@@ -69,10 +69,8 @@ _NEIGHBOUR_CELLS = tuple(itertools.product((-1, 0, 1), repeat=3))
 
 
 def min_distance_downsample(points: np.ndarray, radius: float) -> np.ndarray:
-    """Greedy thinning: keep a point only if no kept point is within radius."""
+    """Greedy thinning: keep a point only if no kept point is within radius > 0."""
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    if pts.shape[0] == 0 or radius <= 0:
-        return pts.copy()
     grid: dict[tuple, list[int]] = {}
     kept: list[int] = []
     cells = np.floor(pts / radius).astype(np.int64)

@@ -162,10 +162,8 @@ def _circle_loop(
 
 
 def _start_angle(center, position) -> float:
-    """Bearing of `position` from `center` in the xy-plane; 0 when it is
-    unknown or on the center."""
-    if position is None:
-        return 0.0
+    """Bearing of `position` from `center` in the xy-plane; 0 when it is on
+    the center."""
     offset = np.asarray(position, dtype=float)[:2] - center[:2]
     return float(np.arctan2(offset[1], offset[0])) if norm(offset) > 1e-9 else 0.0
 
@@ -194,7 +192,7 @@ def estimation_circle(
 def mapping_circles(
     cyl: BoundingCylinder,
     cfg: PlannerConfig,
-    current_position: np.ndarray | None = None,
+    current_position: np.ndarray,
 ) -> list[Waypoint]:
     """Circle stack around the cylinder covering the wall bottom-up.
 

@@ -247,7 +247,7 @@ def test_criterion_7_bounding_cylinder():
         assert abs(cyl.height - 1.0) <= 1e-9
         rng = np.random.default_rng(7)
         for _ in range(1000):
-            pts = rng.normal(size=(int(rng.integers(4, 60)), 3)) * rng.uniform(0.2, 4.0, 3)
+            pts = rng.normal(size=(int(rng.integers(4, 60)), 3)) * rng.uniform(0.1, 5.0, 3)
             c = fit_bounding_cylinder(pts)
             centroid = pts.mean(axis=0)
             sigma = pts.std(axis=0)
@@ -255,7 +255,7 @@ def test_criterion_7_bounding_cylinder():
             h1 = pts[:, 2].max() - pts[:, 2].min()
             assert abs(c.radius - min(r1, 3 * max(sigma[0], sigma[1]))) <= 1e-12
             assert abs(c.height - min(h1, 6 * sigma[2])) <= 1e-12
-            shift = rng.uniform(-50, 50, 3)
+            shift = rng.uniform(-100, 100, 3)
             moved = fit_bounding_cylinder(pts + shift)
             assert np.allclose(moved.center, c.center + shift, atol=1e-9)
             assert abs(moved.radius - c.radius) <= 1e-12
@@ -275,7 +275,7 @@ def test_criterion_8_mapping_coverage():
                 radius=rng.uniform(0.5, 3.0),
                 height=rng.uniform(1.0, 6.0),
             )
-            wps = mapping_circles(cyl, cfg)
+            wps = mapping_circles(cyl, cfg, cyl.center)
             covered = in_some_wedge(
                 wall_points(cyl, n_angle=72, n_height=24), wps,
                 cfg.cam_depression, cfg.scan_fov,

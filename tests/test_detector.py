@@ -1,6 +1,6 @@
-"""Simulated detector behavior: visibility, noise injection, determinism."""
+"""Simulated detector behavior: visibility and noise injection (a run's
+determinism, detections included, is acceptance criterion 9)."""
 
-import struct
 from collections import Counter
 
 import numpy as np
@@ -116,23 +116,6 @@ def test_noisy_box_contains_projected_center():
         (det,) = dets
         assert det.bbox[0] <= center_px[0] <= det.bbox[2]
         assert det.bbox[1] <= center_px[1] <= det.bbox[3]
-
-
-def test_determinism_byte_for_byte():
-    target = ellipsoid_target("t", [0.0, 0.0, 1.0], [1.0, 1.0, 1.0])
-    cfg = DetectorConfig(fp_rate=0.3, fn_rate=0.3, pixel_noise_sigma=2.0)
-    cam_from_world = down_cam_from_world(30.0)
-
-    def run(seed):
-        rng = np.random.default_rng(seed)
-        out = []
-        for frame in range(100):
-            for d in detect(*view([target], *rt(cam_from_world)), K, cfg, rng):
-                out.append((frame, struct.pack("4d", *d.bbox), d.score))
-        return out
-
-    assert run(42) == run(42)
-    assert run(42) != run(43)
 
 
 def test_fp_fn_rates_match_config():

@@ -340,6 +340,10 @@ class TestPose:
             transform(pose, [1.0, 0.0, 0.0]), [1.0, 3.0, 3.0], atol=1e-12
         )
 
+    def test_arrays_are_read_only(self):
+        pose = from_yaw(0.3, [1.0, 2.0, 3.0])
+        assert not pose.rotation.flags.writeable and not pose.translation.flags.writeable
+
     def test_check_rotations_rejects_one_bad_matrix_in_a_stack(self):
         rng = np.random.default_rng(23)
         stack = np.stack([random_rotation(rng) for _ in range(8)])

@@ -6,7 +6,7 @@ import json
 import os
 import subprocess
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -176,6 +176,8 @@ def bad_scenario_texts() -> dict[str, str]:
         "deep_nesting": "[" * 100_000,
         # one value broadcast over three axes, then the top check indexed [2]
         "one_semi_axis": json.dumps(with_leaf(("world", "targets", 0, "semi_axes"), [1.0])),
+        # ellipsoid_target's positive semi-axes check, which no other row reached
+        "zero_semi_axis": json.dumps(with_leaf(("world", "targets", 0, "semi_axes"), [1.0, 0.0, 1.0])),
         # read by lawnmower as a different polygon of six (x, y) vertices
         "three_coordinate_polygon_vertices": json.dumps(three_coordinate_polygon()),
         # lawnmower skipped its one lane, and run indexed the empty plan
@@ -220,6 +222,10 @@ def bad_scenario_texts() -> dict[str, str]:
             with_leaf(("mission", "mapping_range_margin"), -100)
         ),
         "negative_voxel_size": json.dumps(with_leaf(("mission", "voxel_size"), -1)),
+        # one row for each config check that no other row reached
+        "zero_max_depth": json.dumps(with_leaf(("filter", "max_depth"), 0)),
+        "zero_kld_threshold": json.dumps(with_leaf(("filter", "kld_threshold"), 0)),
+        "zero_min_hits": json.dumps(with_leaf(("tracker", "min_hits"), 0)),
     }
 
 
@@ -273,6 +279,14 @@ class TestScenarioSchema:
         data["max_sim_time"] = -1.0
         with pytest.raises(ScenarioInvalid):
             scenario_from_dict(data)
+
+    def test_frame_rate_and_uav_dt_default_to_one_clock(self):
+        # and an omitted survey polygon is the 100 m square
+        data = copy.deepcopy(BASE)
+        del data["frame_rate"], data["planner"]["survey_polygon"]
+        s = scenario_from_dict(data)
+        assert (s.frame_rate, s.uav.dt) == (10.0, 0.1)
+        assert s.planner.survey_polygon == ((0.0, 0.0), (100.0, 0.0), (100.0, 100.0), (0.0, 100.0))
 
     def test_uav_dt_is_one_frame(self):
         # one clock: the vehicle moves uav.dt per frame, so it must equal
@@ -459,12 +473,6 @@ class TestRun:
             if "mapped" in kinds:
                 assert kinds == ["spawned", "converging", "converged", "mapped"]
 
-    def test_determinism_byte_identical_traces(self, shared_run, tmp_path):
-        first = shared_run(scenario(), traced=True).trace_path.parent
-        run(scenario(), out_dir=tmp_path)
-        for name in ("trace.jsonl", "cloud_1.xyz"):
-            assert (first / name).read_bytes() == (tmp_path / name).read_bytes()
-
 
 @pytest.mark.parametrize(
     "event, expected",
@@ -589,6 +597,11 @@ def image_edge(box, k, margin) -> bool:
     return u0 <= margin or v0 <= margin or u1 >= k.width - margin or v1 >= k.height - margin
 
 
+@cache
+def edge_margin_scenario(margin):
+    return scenario(filter={"max_depth": 50.0, "edge_margin_px": margin})
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_block_scored_mask_equals_per_box_check(data):
@@ -597,7 +610,7 @@ def test_block_scored_mask_equals_per_box_check(data):
     # lie exactly on each bound, at -0.0 and at huge values, and a hidden
     # target's box is NaN, as visible_boxes gives it
     margin = data.draw(st.sampled_from([0.0, 1.0, 2.5, 40.0]))
-    s = scenario(filter={"max_depth": 50.0, "edge_margin_px": margin})
+    s = edge_margin_scenario(margin)
     k = s.camera
     bounds = [margin, k.width - margin, k.height - margin, float(k.width), float(k.height)]
     coordinate = st.sampled_from(bounds + [0.0, -0.0, 1e308, -1e308]) | st.floats(
@@ -756,6 +769,7 @@ MALFORMED_EDITS = [
         (("camera", "fx"), 10**400),
     ]),
     lambda lines, dumps: [lines[1], lines[0], *lines[2:]],  # a frame line before the header
+    lambda lines, dumps: [],  # no line at all
     # the last frame line, before the summary footer: no table is
     # printed until the fold has read every record
     on_line(-2, set_in_record("mode", value="bogus")),
@@ -767,7 +781,7 @@ MALFORMED_IDS = [
     "infinite_position", "nan_spawn_bbox", "nan_mean", "huge_int_yaw",
     "infinite_header_max_depth", "nan_header_match_dist", "huge_int_header_seed",
     "huge_int_header_fx",
-    "frame_before_header", "malformed_last_frame",
+    "frame_before_header", "empty_trace", "malformed_last_frame",
 ]
 
 
@@ -1024,7 +1038,8 @@ def test_one_box_form_from_the_detector_to_the_filter(monkeypatch):
         assert all(
             type(b) is tuple and len(b) == 4 and all(type(x) is float for x in b) for b in found
         ), stage
-    for bad in [(1.0, 2.0, 3.0), (30.0, 2.0, 10.0, 40.0), (1.0, 40.0, 30.0, 2.0)]:
+    for bad in [(1.0, 2.0, 3.0), (30.0, 2.0, 10.0, 40.0), (1.0, 40.0, 30.0, 2.0), (1.0, 2.0, 1.0, 40.0),
+                (1.0, 2.0, 30.0, 2.0)]:
         with pytest.raises(ValueError):
             Detection(bad, 1.0)
 
@@ -1387,9 +1402,13 @@ class TestTargetEntries:
         assert len({id(e) for e in entries}) == changes < len(entries)
 
 
-def test_replay_walks_the_record_keys_of_run(nominal_run):
-    # _frame_record reads a frame line's values in this order
+def test_replay_walks_the_record_keys_of_run(nominal_run, nominal_event_lines):
+    # _frame_record reads a frame line's values in this order, so it reads
+    # each frame line that run writes, not json.loads
     assert all(tuple(sorted(r)) == harness._RECORD_KEYS for r in nominal_run.records)
+    block = [None, None]
+    for line in list(nominal_event_lines.values())[1:]:
+        assert harness._frame_record(line, block) == json.loads(line)["record"]
 
 
 # One-leaf values for trace records: JSON_VALUES and the numbers that

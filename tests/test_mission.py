@@ -342,7 +342,7 @@ class TestMappedCloudSynthesis:
 
     def synth(self, targets, voxel=0.1):
         cfg = PlannerConfig()
-        wps = mapping_circles(self.CYL, cfg)
+        wps = mapping_circles(self.CYL, cfg, self.CYL.center)
         return synthesize_mapped_cloud(
             self.CYL, wps, targets, cfg.cam_depression, cfg.scan_fov, 2.0, voxel
         )
@@ -367,7 +367,15 @@ class TestMappedCloudSynthesis:
     def test_out_of_range_target_not_mapped(self):
         far = ellipsoid_target("far", [40.0, 0.0, 1.0], [1.0, 1.0, 1.0])
         dense, down, ids = self.synth([far])
-        assert ids == set() and len(dense) == 0 and len(down) == 0
+        assert ids == set() and dense.shape == down.shape == (0, 3)
+
+    def test_two_targets_in_range_both_mapped(self):
+        targets = [ellipsoid_target(i, [x, 0.0, 1.0], [0.5, 0.5, 0.5], n_surface=300)
+                   for i, x in (("a", -1.0), ("b", 1.5))]
+        dense, _, ids = self.synth(targets)
+        assert ids == {"a", "b"}
+        for t in targets:
+            assert (np.abs(np.linalg.norm(dense - t.center, axis=1) - 0.5) < 1e-9).sum() > 20
 
     def test_downsample_min_spacing(self):
         target = ellipsoid_target("s", [0.0, 0.0, 1.0], [1.0, 1.0, 1.0], n_surface=2000)

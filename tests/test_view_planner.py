@@ -232,7 +232,7 @@ class TestMappingCircles:
 
     def test_radius_is_cylinder_radius_plus_standoff(self):
         cyl = BoundingCylinder(center=[10.0, 20.0, 1.5], radius=1.0, height=3.0)
-        wps = mapping_circles(cyl, self.CFG)
+        wps = mapping_circles(cyl, self.CFG, cyl.center)
         for wp in wps:
             r = np.linalg.norm(wp.position[:2] - cyl.center[:2])
             assert r == pytest.approx(1.0 + 4.0, abs=1e-9)
@@ -241,7 +241,7 @@ class TestMappingCircles:
         # gamma=60, beta=40: lower ray at 80 deg; z1 = z_bottom + 4*tan(80)
         # and the upper ray already covers the top => exactly one circle
         cyl = BoundingCylinder(center=[0.0, 0.0, 1.5], radius=1.0, height=3.0)
-        wps = mapping_circles(cyl, self.CFG)
+        wps = mapping_circles(cyl, self.CFG, cyl.center)
         z1 = cyl.z_bottom + 4.0 * np.tan(np.deg2rad(80.0))
         assert wps[0].position[2] == pytest.approx(z1, abs=1e-9)
         assert z1 == pytest.approx(22.69, abs=0.01)
@@ -253,7 +253,7 @@ class TestMappingCircles:
     def test_tall_cylinder_needs_multiple_circles(self):
         cfg = PlannerConfig(cam_depression=np.deg2rad(45.0), scan_fov=np.deg2rad(30.0))
         cyl = BoundingCylinder(center=[0.0, 0.0, 10.0], radius=2.0, height=20.0)
-        wps = mapping_circles(cyl, cfg)
+        wps = mapping_circles(cyl, cfg, cyl.center)
         zs = sorted({round(wp.position[2], 9) for wp in wps})
         assert len(zs) > 1
         gamma_l = cfg.cam_depression + cfg.scan_fov / 2.0
@@ -267,7 +267,7 @@ class TestMappingCircles:
 
     def test_yaw_faces_axis(self):
         cyl = BoundingCylinder(center=[-5.0, 7.0, 1.0], radius=1.5, height=2.0)
-        for wp in mapping_circles(cyl, self.CFG):
+        for wp in mapping_circles(cyl, self.CFG, cyl.center):
             expected = np.arctan2(
                 cyl.center[1] - wp.position[1], cyl.center[0] - wp.position[0]
             )
@@ -282,7 +282,7 @@ class TestMappingCircles:
                 radius=rng.uniform(0.5, 3.0),
                 height=rng.uniform(1.0, 6.0),
             )
-            wps = mapping_circles(cyl, self.CFG)
+            wps = mapping_circles(cyl, self.CFG, cyl.center)
             covered = in_some_wedge(
                 wall_points(cyl), wps, self.CFG.cam_depression, self.CFG.scan_fov
             )
@@ -291,6 +291,10 @@ class TestMappingCircles:
     def test_invalid_scan_geometry_blocked_by_config(self):
         with pytest.raises(ValueError):
             PlannerConfig(cam_depression=np.deg2rad(20.0), scan_fov=np.deg2rad(40.0))
+
+    def test_nadir_camera_accepted(self):
+        # cam_depression's range is closed at pi / 2: straight down
+        assert PlannerConfig(cam_depression=np.pi / 2.0).cam_depression == np.pi / 2.0
 
     def test_level_camera_rejected_by_its_own_check(self):
         # scan_fov's bound would reject it too; the error names cam_depression
