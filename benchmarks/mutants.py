@@ -1,42 +1,39 @@
 """Mutation testing of tier-1: which tests catch which faults of src/targetsim/.
 
-    python3 benchmarks/mutants.py --list [--seed 0] [--count 150]
-    python3 benchmarks/mutants.py --sweep [--seed 0] [--count 150] [--workers 2]
-    python3 benchmarks/mutants.py --reapply [--first-kill]
+    python3 benchmarks/mutants.py --list [--root REPO]
+    python3 benchmarks/mutants.py --sweep [--root REPO]
+    python3 benchmarks/mutants.py --reapply [--root REPO]
 
---list prints the seeded sample of mutants, one JSON object a line, and
-runs nothing. A mutant is one small edit of one module of src/targetsim/:
-a comparison's boundary flipped (< and <=, > and >=, == and !=), + and -
-or * and / swapped (also in += and the like), a number n made n + 1, or a
-statement of a function body replaced by `pass`. Every candidate edit is
-enumerated in source order, the list is shuffled by the seed, and the
-first `count` that compile are the sample.
+--list prints the sample of mutants of --root (default: this repo), one
+JSON object a line, and runs nothing. A mutant is one small edit of one
+module of src/targetsim/: a comparison's boundary flipped (< and <=, >
+and >=, == and !=), + and - or * and / swapped (also in += and the
+like), a number n made n + 1, or a statement of a function body replaced
+by `pass`. Every candidate edit is enumerated in source order, the list
+is shuffled by SEED, and the first COUNT that compile are the sample.
 
 --sweep runs the whole tier-1 suite once on a clean copy, then once on
 each mutant, each in its own copy of the repo under a temporary directory,
-with at most --workers suites at a time. Each suite runs with
-OPENBLAS_NUM_THREADS=1, a fixed --hypothesis-seed, a wall timeout of 3x
-the clean suite and an address-space limit. A timeout counts as a kill,
-and so does a crash: a suite that fails with no failing test, as when a
-MemoryError stops pytest itself. The failures are read from pytest's
---junitxml. A test kills a mutant when it passed on the clean copy and
-fails on the mutant. The kill
-matrix goes to --out (benchmarks/mutants.json): the test ids, each once,
+WORKERS suites at a time. Each suite runs with OPENBLAS_NUM_THREADS=1, a
+fixed --hypothesis-seed, a wall timeout of 3x the clean suite and an
+address-space limit. A timeout counts as a kill, and so does a crash: a
+suite that fails with no failing test, as when a MemoryError stops pytest
+itself. The failures are read from pytest's --junitxml. A test kills a
+mutant when it passed on the clean copy and fails on the mutant. The kill
+matrix goes to OUT (benchmarks/mutants.json): the test ids, each once,
 and for each mutant its file, line, original and mutated text, outcome and
 killing tests (as indices into the ids). About 90 minutes for 150 mutants
-on a 2-core host, with 2 workers.
+on a 2-core host.
 
---reapply re-applies the mutants recorded in --out to this tree and runs
-the suite on each again, under "reapplied". A mutant whose original text
-is no longer in its file is reported as deleted. With --first-kill each
-suite stops at its first failure (pytest -x), which is enough to compare
-outcomes (about 25 minutes). Exits 1 if a mutant that the recorded sweep
-killed survives. --resume keeps the outcomes already recorded, to finish
-an interrupted run.
+--reapply re-applies the mutants recorded in OUT to --root and runs the
+suite on each again, under "reapplied". A mutant whose original text is
+no longer in its file is reported as deleted. Each suite stops at its
+first failure (pytest -x), which is enough to compare outcomes (about 25
+minutes). Exits 1 if a mutant that the recorded sweep killed survives.
 
 Each survivor of the sweep carries a "verdict": the test that now kills
 it, the deletion of the code it showed unreachable, or why it is
-equivalent. --sweep and --reapply keep the verdicts of --out.
+equivalent. --sweep keeps the verdicts of the mutants it samples again.
 """
 
 from __future__ import annotations
@@ -62,6 +59,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = "src/targetsim"
+OUT = ROOT / "benchmarks" / "mutants.json"
+SEED = 0
+COUNT = 150
+WORKERS = 2
 HYPOTHESIS_SEED = 0
 ADDRESS_SPACE = 3 << 30
 COPY_IGNORE = shutil.ignore_patterns(
@@ -204,13 +205,13 @@ def apply(text: str, mutant: dict) -> str | None:
     return text[:start] + mutant["mutated"] + text[end:]
 
 
-def sample(root: Path, seed: int, count: int) -> list[dict]:
-    """The first `count` candidates, in the order the seed shuffles them,
+def sample(root: Path) -> list[dict]:
+    """The first COUNT candidates, in the order SEED shuffles them,
     that compile (a module compiles when each of its top-level statements
     does); sorted by place."""
     texts = {f"{SRC}/{p.name}": p.read_text() for p in sorted((root / SRC).glob("*.py"))}
     pool = [e for path, text in texts.items() for e in candidates(path, text)]
-    random.Random(seed).shuffle(pool)
+    random.Random(SEED).shuffle(pool)
     chosen = []
     for edit in pool:
         text = texts[edit["file"]]
@@ -220,7 +221,7 @@ def sample(root: Path, seed: int, count: int) -> list[dict]:
         except SyntaxError:
             continue
         chosen.append(mutant_record(Source(text), edit))
-        if len(chosen) == count:
+        if len(chosen) == COUNT:
             break
     return sorted(chosen, key=lambda m: (m["file"], m["line"], m["col"], m["operator"]))
 
@@ -302,43 +303,41 @@ def write(path: Path, data: dict) -> None:
     path.write_text(head[:-2] + ',\n "mutants": [\n' + body + "\n ]\n}\n")
 
 
-def sweep(root: Path, out: Path, run_name: str, mutants: list[dict], data: dict, workers: int,
-          first_kill: bool) -> None:
-    """Runs the clean suite and then every mutant on root, and records each
-    outcome and its killing tests under mutant[run_name]; saves out after
-    each mutant."""
+def sweep(root: Path, run_name: str, data: dict) -> None:
+    """Runs the clean suite and then every mutant of data on root, and
+    records each outcome and its killing tests under mutant[run_name];
+    saves OUT after each mutant. A "reapplied" run stops each suite at its
+    first failure."""
+    first_kill = run_name == "reapplied"
     clean = run_copy(root, None, None)
     if clean["outcome"] != "ran" or clean["code"] != 0:
         sys.exit(f"the clean suite fails: {sorted(clean['failed'])}")
     timeout = 3 * clean["s"]
-    tests = set(data.get("tests", [])) | clean["passed"]
-    data["tests"] = sorted(tests)
+    old = data.get("tests", [])
+    data["tests"] = sorted(set(old) | clean["passed"])
     data.setdefault("runs", {})[run_name] = {
         "tree": _tree_label(root), "clean_s": round(clean["s"], 1), "timeout_s": round(timeout, 1),
         "tests": len(clean["passed"]), "first_kill": first_kill, "hypothesis_seed": HYPOTHESIS_SEED}
     index = {t: i for i, t in enumerate(data["tests"])}
-    for m in data["mutants"]:  # the union of ids may have renumbered earlier runs' kills
-        for name, res in m.items():
-            if isinstance(res, dict) and "killed_by_ids" in res:
-                res["killed_by"] = [index[t] for t in res.pop("killed_by_ids")]
+    for m in data["mutants"]:  # the sweep's kills, renumbered into the union of ids
+        if "sweep" in m:
+            m["sweep"]["killed_by"] = [index[old[i]] for i in m["sweep"]["killed_by"]]
     lock = threading.Lock()
 
     def one(i: int, mutant: dict) -> None:
-        if run_name in mutant:  # carried over by --resume
-            return
         result = run_copy(root, mutant, timeout, first_kill)
         kills = _kills(result, clean["passed"])
         outcome = result["outcome"] if result["outcome"] != "ran" else "killed" if kills else \
             "survived" if result["code"] == 0 else "crashed"  # a failing suite with no test failed
         with lock:
             mutant[run_name] = {"outcome": outcome, "killed_by": [index[t] for t in kills], "s": round(result["s"], 1)}
-            write(out, data)
-            print(f"{i + 1}/{len(mutants)} {mutant['file']}:{mutant['line']} {mutant['operator']} "
+            write(OUT, data)
+            print(f"{i + 1}/{len(data['mutants'])} {mutant['file']}:{mutant['line']} {mutant['operator']} "
                   f"{mutant['original']!r:.50} -> {mutant['mutated']!r:.50}: {outcome} ({len(kills)} tests, "
                   f"{result['s']:.0f} s)", flush=True)
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for f in [pool.submit(one, i, m) for i, m in enumerate(mutants)]:
+    with ThreadPoolExecutor(max_workers=WORKERS) as pool:
+        for f in [pool.submit(one, i, m) for i, m in enumerate(data["mutants"])]:
             f.result()
 
 
@@ -351,40 +350,26 @@ def main(argv: list[str] | None = None) -> int:
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--list", action="store_true", help="print the sample and run nothing")
     mode.add_argument("--sweep", action="store_true", help="run the suite on every mutant of the sample")
-    mode.add_argument("--reapply", action="store_true", help="re-run the mutants recorded in --out on this tree")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--count", type=int, default=150)
-    parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument("--first-kill", action="store_true", help="stop each suite at its first failure")
-    parser.add_argument("--resume", action="store_true", help="keep the outcomes already in --out")
+    mode.add_argument("--reapply", action="store_true", help="re-run the mutants recorded in OUT on --root")
     parser.add_argument("--root", type=Path, default=ROOT, help="the repo to mutate (default: this one)")
-    parser.add_argument("--out", type=Path, default=ROOT / "benchmarks" / "mutants.json")
     args = parser.parse_args(argv)
     if args.list:
-        for m in sample(args.root, args.seed, args.count):
+        for m in sample(args.root):
             print(json.dumps(m, ensure_ascii=False))
         return 0
-    if args.workers < 1 or args.workers > 2:
-        parser.error("--workers must be 1 or 2")
     if args.sweep:
-        old = json.loads(args.out.read_text()) if args.out.is_file() else {}
-        kept = ("verdict", "sweep") if args.resume else ("verdict",)
-        olds = {_key(m): m for m in old.get("mutants", [])}
-        mutants = sample(args.root, args.seed, args.count)
+        verdicts = {_key(m): m["verdict"] for m in json.loads(OUT.read_text())["mutants"]
+                    if "verdict" in m} if OUT.is_file() else {}
+        mutants = sample(args.root)
         for m in mutants:
-            m.update({k: v for k, v in olds.get(_key(m), {}).items() if k in kept})
-            if "sweep" in m:
-                m["sweep"]["killed_by_ids"] = [old["tests"][i] for i in m["sweep"].pop("killed_by")]
-        data = {"seed": args.seed, "count": args.count, "mutants": mutants}
-        sweep(args.root, args.out, "sweep", mutants, data, args.workers, args.first_kill)
+            if _key(m) in verdicts:
+                m["verdict"] = verdicts[_key(m)]
+        sweep(args.root, "sweep", {"seed": SEED, "count": COUNT, "mutants": mutants})
         return 0
-    data = json.loads(args.out.read_text())
+    data = json.loads(OUT.read_text())
     for m in data["mutants"]:
-        if not args.resume:
-            m.pop("reapplied", None)
-        for res in (v for v in m.values() if isinstance(v, dict)):
-            res["killed_by_ids"] = [data["tests"][i] for i in res.pop("killed_by")]
-    sweep(args.root, args.out, "reapplied", data["mutants"], data, args.workers, args.first_kill)
+        m.pop("reapplied", None)
+    sweep(args.root, "reapplied", data)
     lost = [m for m in data["mutants"]
             if m["sweep"]["outcome"] in KILLS and m["reapplied"]["outcome"] not in KILLS + ("deleted",)]
     for m in lost:

@@ -11,6 +11,7 @@ from targetsim.bounding_cylinder import (
     fit_bounding_cylinder,
 )
 
+
 def reference_fit(points):
     """Direct evaluation of the two-candidate definition (formula oracle)."""
     centroid = points.mean(axis=0)

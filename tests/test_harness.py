@@ -1402,12 +1402,12 @@ class TestTargetEntries:
         assert len({id(e) for e in entries}) == changes < len(entries)
 
 
-def test_replay_walks_the_record_keys_of_run(nominal_run, nominal_event_lines):
+def test_replay_walks_the_record_keys_of_run(nominal_run, nominal_traced):
     # _frame_record reads a frame line's values in this order, so it reads
-    # each frame line that run writes, not json.loads
+    # each frame line of the nominal trace in turn, not json.loads
     assert all(tuple(sorted(r)) == harness._RECORD_KEYS for r in nominal_run.records)
     block = [None, None]
-    for line in list(nominal_event_lines.values())[1:]:
+    for line in nominal_traced.trace_path.read_text().splitlines()[1:-1]:
         assert harness._frame_record(line, block) == json.loads(line)["record"]
 
 
