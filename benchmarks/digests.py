@@ -40,7 +40,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-from targetsim.harness import compute_metrics, load_scenario, run, scenario_to_dict  # noqa: E402
+from targetsim.harness import compute_metrics, run  # noqa: E402
+from targetsim.scenario import load_scenario, scenario_to_dict  # noqa: E402
 
 from tests.missions import PINS, row_outputs, scenario  # noqa: E402
 

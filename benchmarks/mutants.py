@@ -15,7 +15,9 @@ is shuffled by SEED, and the first COUNT that compile are the sample.
 --sweep runs the whole tier-1 suite once on a clean copy, then once on
 each mutant, each in its own copy of the repo under a temporary directory,
 WORKERS suites at a time. Each suite runs with OPENBLAS_NUM_THREADS=1, a
-fixed --hypothesis-seed, a wall timeout of 3x the clean suite and an
+fixed --hypothesis-seed, the hypothesis profile of tests/conftest.py
+that skips shrinking (a failing example fails its test as it is found,
+without the time that shrinking it takes), a wall timeout of 3x the clean suite and an
 address-space limit. A timeout counts as a kill, and so does a crash: a
 suite that fails with no failing test, as when a MemoryError stops pytest
 itself. The failures are read from pytest's --junitxml. A test kills a
@@ -26,8 +28,12 @@ killing tests (as indices into the ids). About 90 minutes for 150 mutants
 on a 2-core host.
 
 --reapply re-applies the mutants recorded in OUT to --root and runs the
-suite on each again, under "reapplied". A mutant whose original text is
-no longer in its file is reported as deleted. Each suite stops at its
+suite on each again, under "reapplied". A mutant whose lines are no
+longer in its file follows code that moved: it is applied where its lines
+occur exactly once among the other modules of src/targetsim/, and that
+file is recorded under "reapplied". It is reported as deleted only when
+no module holds its lines, and as ambiguous when they occur more than
+once. Each suite stops at its
 first failure (pytest -x), which is enough to compare outcomes (about 25
 minutes). Exits 1 if a mutant that the recorded sweep killed survives.
 
@@ -64,6 +70,7 @@ SEED = 0
 COUNT = 150
 WORKERS = 2
 HYPOTHESIS_SEED = 0
+HYPOTHESIS_PROFILE = "mutants"  # tests/conftest.py's profile without the shrink phase
 ADDRESS_SPACE = 3 << 30
 COPY_IGNORE = shutil.ignore_patterns(
     ".git", "__pycache__", ".pytest_cache", ".hypothesis", "*.egg-info", ".benchmarks", ".perfbench_out"
@@ -187,17 +194,24 @@ def mutant_record(src: Source, edit: dict) -> dict:
             "context": "".join(src.lines[line - 1:end_line]).rstrip("\n")}
 
 
-def apply(text: str, mutant: dict) -> str | None:
-    """text with mutant applied where its recorded lines still stand (the
-    occurrence nearest its recorded line), or None if they are gone."""
-    src = Source(text)
+def places(text: str, mutant: dict) -> list[int]:
+    """The 0-based first line of each place where mutant's recorded lines stand in text."""
+    lines = [line.rstrip("\n") for line in text.splitlines(keepends=True)]
     context = mutant["context"].split("\n")
     n = len(context)
-    found = [i for i in range(len(src.lines) - n + 1)
-             if [l.rstrip("\n") for l in src.lines[i:i + n]] == context]
+    return [i for i in range(len(lines) - n + 1) if lines[i:i + n] == context]
+
+
+def apply(text: str, mutant: dict, first: int | None = None) -> str | None:
+    """text with mutant applied where its recorded lines stand from line
+    index first (by default the place nearest its recorded line), or None
+    if they are gone."""
+    src = Source(text)
+    found = places(text, mutant)
     if not found:
         return None
-    first = min(found, key=lambda i: abs(i + 1 - mutant["line"]))
+    if first is None:
+        first = min(found, key=lambda i: abs(i + 1 - mutant["line"]))
     start = src.starts[first] + mutant["col"]
     end = src.starts[first + mutant["end_line"] - mutant["line"]] + mutant["end_col"]
     if text[start:end] != mutant["original"]:
@@ -242,7 +256,8 @@ def run_suite(tree: Path, timeout: float | None, first_kill: bool = False) -> di
     seconds."""
     junit = tree / "junit.xml"
     cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors",
-           f"--hypothesis-seed={HYPOTHESIS_SEED}", f"--junitxml={junit}", f"--basetemp={tree / 'pytest-tmp'}"]
+           f"--hypothesis-seed={HYPOTHESIS_SEED}", f"--hypothesis-profile={HYPOTHESIS_PROFILE}",
+           f"--junitxml={junit}", f"--basetemp={tree / 'pytest-tmp'}"]
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OPENBLAS_NUM_THREADS": "1"}
     start = time.perf_counter()
     child = subprocess.Popen(cmd + (["-x"] if first_kill else []), cwd=tree, env=env,
@@ -265,19 +280,36 @@ def run_suite(tree: Path, timeout: float | None, first_kill: bool = False) -> di
     return {"outcome": "ran", "code": code, "passed": passed, "failed": failed, "s": seconds}
 
 
+def locate(tree: Path, mutant: dict) -> tuple[str, str] | str:
+    """(file, mutated text) of mutant in tree: in its recorded file where
+    its lines still stand, or else, for code that moved, in the one other
+    module of SRC where they stand exactly once. Otherwise the outcome:
+    "deleted" when no module holds them, "ambiguous" when several places do."""
+    path = tree / mutant["file"]
+    if path.is_file() and (mutated := apply(path.read_text(), mutant)) is not None:
+        return mutant["file"], mutated
+    found = [(p, i) for p in sorted((tree / SRC).glob("*.py")) if p != path
+             for i in places(p.read_text(), mutant)]
+    if len(found) != 1:
+        return "ambiguous" if found else "deleted"
+    [(moved, first)] = found
+    return f"{SRC}/{moved.name}", apply(moved.read_text(), mutant, first)
+
+
 def run_copy(root: Path, mutant: dict | None, timeout: float | None, first_kill: bool = False) -> dict:
     """run_suite on a copy of root under a temporary directory, with mutant
-    applied; outcome "deleted" if its lines are gone from root."""
+    applied where locate finds it, and the file it was applied to; or
+    locate's outcome if it finds no one place."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         tree = Path(tmp) / "repo"
         shutil.copytree(root, tree, ignore=COPY_IGNORE)
-        if mutant is not None:
-            path = tree / mutant["file"]
-            mutated = apply(path.read_text(), mutant) if path.is_file() else None
-            if mutated is None:
-                return {"outcome": "deleted", "passed": set(), "failed": set(), "s": 0.0}
-            path.write_text(mutated)
-        return run_suite(tree, timeout, first_kill)
+        if mutant is None:
+            return run_suite(tree, timeout, first_kill)
+        found = locate(tree, mutant)
+        if isinstance(found, str):
+            return {"outcome": found, "passed": set(), "failed": set(), "s": 0.0}
+        (tree / found[0]).write_text(found[1])
+        return {**run_suite(tree, timeout, first_kill), "file": found[0]}
 
 
 def _kills(result: dict, clean: set[str]) -> list[str]:
@@ -317,7 +349,8 @@ def sweep(root: Path, run_name: str, data: dict) -> None:
     data["tests"] = sorted(set(old) | clean["passed"])
     data.setdefault("runs", {})[run_name] = {
         "tree": _tree_label(root), "clean_s": round(clean["s"], 1), "timeout_s": round(timeout, 1),
-        "tests": len(clean["passed"]), "first_kill": first_kill, "hypothesis_seed": HYPOTHESIS_SEED}
+        "tests": len(clean["passed"]), "first_kill": first_kill, "hypothesis_seed": HYPOTHESIS_SEED,
+        "hypothesis_profile": HYPOTHESIS_PROFILE}
     index = {t: i for i, t in enumerate(data["tests"])}
     for m in data["mutants"]:  # the sweep's kills, renumbered into the union of ids
         if "sweep" in m:
@@ -331,6 +364,8 @@ def sweep(root: Path, run_name: str, data: dict) -> None:
             "survived" if result["code"] == 0 else "crashed"  # a failing suite with no test failed
         with lock:
             mutant[run_name] = {"outcome": outcome, "killed_by": [index[t] for t in kills], "s": round(result["s"], 1)}
+            if result.get("file", mutant["file"]) != mutant["file"]:  # the code moved there
+                mutant[run_name]["file"] = result["file"]
             write(OUT, data)
             print(f"{i + 1}/{len(data['mutants'])} {mutant['file']}:{mutant['line']} {mutant['operator']} "
                   f"{mutant['original']!r:.50} -> {mutant['mutated']!r:.50}: {outcome} ({len(kills)} tests, "

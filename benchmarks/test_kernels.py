@@ -44,7 +44,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from targetsim import harness, points_filter
+from targetsim import harness, points_filter, trace
 from targetsim.detector import FP_BOX_MIN_PX, Detection, ellipsoid_target, visible_boxes
 from targetsim.geometry import CameraIntrinsics, project_points
 from targetsim.mission import MissionMode
@@ -61,6 +61,7 @@ from targetsim.points_filter import (
     update_points,
     viewing_pyramid,
 )
+from targetsim.scenario import scenario_from_dict
 from targetsim.tracker import BoxTracker, TrackedBox, TrackerConfig, hungarian_assign
 from targetsim.uav import UavState, camera_pose
 from targetsim.view_planner import lawnmower
@@ -188,7 +189,7 @@ def test_projection_count_costs_moved(benchmark, clouds, monkeypatch):
 def clutter1_calls():
     """clutter1's scenario (seed 7) cut to 30 s, and the filter calls of its
     run as missions.recorded() records them."""
-    scenario = harness.scenario_from_dict({**missions.clutter1(7), "max_sim_time": 30.0})
+    scenario = scenario_from_dict({**missions.clutter1(7), "max_sim_time": 30.0})
     with missions.recorded() as recording:
         harness.run(scenario)
     return scenario, recording.calls
@@ -252,15 +253,15 @@ def frame_line(entries, flt, uav, mission):
     """The run loop's per-frame record and trace line on a frame with an
     event, on which the loop updates the entries."""
     live = entries.update(flt)
-    record = harness._make_record(
+    record = trace._make_record(
         0.1, 1, uav, uav.position, [Detection(BOXES[0], 1.0)], [TrackedBox(1, BOXES[0])],
         live, mission, [Event("spawned", 4, bbox=BOXES[1])],
     )
-    return harness._frame_line(record, entries.text())
+    return trace._frame_line(record, entries.text())
 
 
 def test_frame_line(benchmark, clouds):
-    entries = harness._TargetEntries()
+    entries = trace._TargetEntries()
     uav = UavState.at_rest([10.0, 20.0, 30.0])
     flt = SimpleNamespace(targets=clouds[:3])  # a filter whose targets do not change
     args = (flt, uav, SimpleNamespace(mode=MissionMode.SEARCH))
@@ -310,7 +311,7 @@ def test_idle_block_scoring(benchmark):
         mission.cursor += row[1]
     search = SimpleNamespace(mode=MissionMode.SEARCH)
     records = [
-        harness._make_record(0.1 * f, f, state, state.position, [], [], [], search, [])
+        trace._make_record(0.1 * f, f, state, state.position, [], [], [], search, [])
         for f, (state, *_) in enumerate(rows, 1)
     ]
 
@@ -333,7 +334,7 @@ def nominal_trace(tmp_path_factory):
 
 def test_read_trace(benchmark, nominal_trace):
     def replay():
-        _, records = harness.read_trace(nominal_trace)
+        _, records = trace.read_trace(nominal_trace)
         return sum(1 for _ in records)
 
     assert benchmark(replay) == 1860
@@ -342,5 +343,5 @@ def test_read_trace(benchmark, nominal_trace):
 def test_check_record(benchmark, nominal_trace):
     lines = nominal_trace.read_text().splitlines()[1:-1]
     records = [json.loads(line)["record"] for line in lines]
-    checked = benchmark(lambda: [harness._check_record(record) for record in records])
+    checked = benchmark(lambda: [trace._check_record(record) for record in records])
     assert len(checked) == 1860 and sum(bool(r["detections"]) for r in checked) > 100

@@ -12,13 +12,9 @@ import logging
 import os
 import sys
 
-from .harness import (
-    ScenarioInvalid,
-    compute_metrics,
-    load_scenario,
-    read_trace,
-    run,
-)
+from .harness import compute_metrics, run
+from .scenario import ScenarioInvalid, load_scenario
+from .trace import read_trace
 
 EXIT_OK = 0
 EXIT_INVALID = 2

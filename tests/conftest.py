@@ -5,10 +5,16 @@ import json
 import time
 
 import pytest
+from hypothesis import Phase, settings
 
-from targetsim.harness import run, scenario_to_dict
+from targetsim.harness import run
+from targetsim.scenario import scenario_to_dict
 
 from tests import missions
+
+# benchmarks/mutants.py runs each suite under this profile: a failing example
+# fails its test as it is found, without the time that shrinking it takes.
+settings.register_profile("mutants", phases=[p for p in Phase if p is not Phase.shrink])
 
 
 @pytest.fixture(scope="session")

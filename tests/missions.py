@@ -29,9 +29,10 @@ from unittest import mock
 
 import numpy as np
 
-from targetsim import harness
-from targetsim.harness import Scenario, read_trace, scenario_from_dict
+from targetsim import harness, trace
 from targetsim.points_filter import PointsFilter
+from targetsim.scenario import Scenario, scenario_from_dict
+from targetsim.trace import read_trace
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -167,7 +168,7 @@ def recorded():
     cloud, None) and ("deregister", id, event); views holds each
     _Scores.add's (boxes, scored row), and encodes counts _json_line calls."""
     rec = SimpleNamespace(calls=[], views=[], encodes=0)
-    add, json_line = harness._Scores.add, harness._json_line
+    add, json_line = harness._Scores.add, trace._json_line
 
     class Recorded(PointsFilter):
         def tick(self, boxes, rotation, translation, rng):
@@ -197,7 +198,7 @@ def recorded():
 
     with mock.patch.object(harness, "PointsFilter", Recorded), \
             mock.patch.object(harness._Scores, "add", scored), \
-            mock.patch.object(harness, "_json_line", encode):
+            mock.patch.object(trace, "_json_line", encode):
         yield rec
 
 

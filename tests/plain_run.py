@@ -28,21 +28,17 @@ if __name__ == "__main__":  # the package and tests/ of this checkout
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from targetsim.detector import detect  # noqa: E402
-from targetsim.harness import (  # noqa: E402
+from targetsim.harness import _Scores, _true_views, compute_metrics, run  # noqa: E402
+from targetsim.mission import MissionExecutive  # noqa: E402
+from targetsim.points_filter import PointsFilter  # noqa: E402
+from targetsim.scenario import scenario_from_dict, scenario_to_dict  # noqa: E402
+from targetsim.trace import (  # noqa: E402
     _check_record,
     _json_line,
     _make_record,
-    _Scores,
-    _true_views,
-    compute_metrics,
     read_trace,
-    run,
-    scenario_from_dict,
-    scenario_to_dict,
     write_cloud,
 )
-from targetsim.mission import MissionExecutive  # noqa: E402
-from targetsim.points_filter import PointsFilter  # noqa: E402
 from targetsim.tracker import BoxTracker  # noqa: E402
 from targetsim.uav import UavState, fly, step, waypoint_reached  # noqa: E402
 

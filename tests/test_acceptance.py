@@ -13,7 +13,7 @@ import pytest
 from targetsim.bounding_cylinder import BoundingCylinder, fit_bounding_cylinder
 from targetsim.detector import Detection
 from targetsim.geometry import CameraIntrinsics, project_points
-from targetsim.harness import read_trace, run
+from targetsim.harness import run
 from targetsim.points_filter import (
     FilterConfig,
     GaussianSummary,
@@ -22,6 +22,7 @@ from targetsim.points_filter import (
     generate_points,
     kl_divergence,
 )
+from targetsim.trace import read_trace
 from targetsim.tracker import BoxTracker, TrackerConfig, hungarian_assign
 from targetsim.uav import camera_pose
 from targetsim.view_planner import PlannerConfig, mapping_circles

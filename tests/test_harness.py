@@ -1,5 +1,6 @@
 """Scenario schema, simulation loop, metrics, trace replay, CLI."""
 
+import ast
 import copy
 import importlib.util
 import json
@@ -18,17 +19,7 @@ from hypothesis import strategies as st
 from targetsim import geometry, harness, points_filter
 from targetsim.cli import main as cli_main
 from targetsim.detector import MAX_SURFACE_POINTS, Detection, ellipsoid_target, visible_boxes
-from targetsim.harness import (
-    Scenario,
-    ScenarioInvalid,
-    compute_metrics,
-    load_scenario,
-    read_trace,
-    run,
-    scenario_from_dict,
-    scenario_to_dict,
-    write_cloud,
-)
+from targetsim.harness import compute_metrics, run
 from targetsim.mission import MissionMode
 from targetsim.points_filter import (
     MAX_CLOUD_POINTS,
@@ -37,6 +28,24 @@ from targetsim.points_filter import (
     PointsFilter,
     TargetState,
     on_image_edge,
+)
+from targetsim.scenario import (
+    MAX_SURVEY_LANES,
+    Scenario,
+    ScenarioInvalid,
+    load_scenario,
+    scenario_from_dict,
+    scenario_to_dict,
+)
+from targetsim.trace import (
+    _RECORD_KEYS,
+    _check_record,
+    _frame_line,
+    _frame_record,
+    _json_line,
+    _TargetEntries,
+    read_trace,
+    write_cloud,
 )
 from targetsim.tracker import BoxTracker, TrackedBox
 from targetsim.uav import UavState, camera_pose, fly, step, waypoint_reached
@@ -329,7 +338,7 @@ class TestScenarioSchema:
             polygon = [[0.0, 0.0], [60.0, 0.0], [60.0, height], [0.0, height]]
             data = with_leaf(("planner", "survey_polygon"), polygon)
             data["planner"]["lane_spacing"], data["max_sim_time"] = 1.0, 3600.0
-            assert lane_count(polygon, 1.0) == harness.MAX_SURVEY_LANES + (not loads)
+            assert lane_count(polygon, 1.0) == MAX_SURVEY_LANES + (not loads)
             if loads:
                 assert scenario_from_dict(data).planner.lane_spacing == 1.0
             else:
@@ -891,7 +900,7 @@ class TestCli:
     def test_replay_malformed_run_layout_exit_2(self, tmp_path, capsys, short_trace, edit):
         # the same edits written as run writes a line, which replay decodes
         # on its own path (_frame_record)
-        lines = edit(short_trace.read_text().splitlines(), harness._json_line)
+        lines = edit(short_trace.read_text().splitlines(), _json_line)
         replay_exits_2(tmp_path / "trace.jsonl", lines, capsys)
 
     @pytest.mark.parametrize(
@@ -970,6 +979,24 @@ def test_cli_starts_without_scipy():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_modules_import_down_one_chain():
+    # scenario <- trace <- harness <- cli: no module imports one after it in
+    # the chain, inside a function or out, and each imports the one before
+    package = Path(__file__).resolve().parents[1] / "src" / "targetsim"
+    chain = ("scenario", "trace", "harness", "cli")
+    for i, module in enumerate(chain[:-1]):
+        names = set()
+        for node in ast.walk(ast.parse((package / f"{module}.py").read_text())):
+            if isinstance(node, ast.Import):
+                names |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                base = "targetsim" + (f".{node.module}" if node.module else "") if node.level else node.module
+                names |= {base, *(f"{base}.{alias.name}" for alias in node.names)}
+        imported = {name.split(".")[1] for name in names if name.startswith("targetsim.")}
+        assert not imported & set(chain[i + 1:]), module
+        assert i == 0 or chain[i - 1] in imported  # the walk reads relative imports
 
 
 def test_two_checked_poses_per_flight_block(monkeypatch):
@@ -1341,10 +1368,10 @@ class TestTargetEntries:
         # field by field, the line json.dumps writes of the whole record,
         # on every kind of float json spells, large ints, empty lists,
         # non-ASCII text and every event kind with and without its keys
-        texts = [harness._json_line(t) for t in targets]
+        texts = [_json_line(t) for t in targets]
         whole = {**record, "targets": [json.loads(text) for text in texts]}
-        line = harness._frame_line(record, ",".join(texts))
-        assert line == harness._json_line({"type": "frame", "record": whole})
+        line = _frame_line(record, ",".join(texts))
+        assert line == _json_line({"type": "frame", "record": whole})
 
     def test_entry_rebuilt_on_each_change(self):
         # one target through a spawn, a keyframe update, a tick that is no
@@ -1354,7 +1381,7 @@ class TestTargetEntries:
         k = scenario().camera
         flt = PointsFilter(k, FilterConfig(max_depth=50.0))
         box = [TrackedBox(1, np.array([280.0, 200.0, 360.0, 280.0]))]
-        entries = harness._TargetEntries()
+        entries = _TargetEntries()
 
         def tick(x):
             camera = camera_pose(0.0, [x, 0.0, 30.0], np.deg2rad(60.0))
@@ -1363,7 +1390,7 @@ class TestTargetEntries:
         def entry():
             (one,) = entries.update(flt)
             text = entries.text()
-            assert text == harness._json_line(one) and entries.text() is text
+            assert text == _json_line(one) and entries.text() is text
             (again,) = entries.update(flt)  # nothing changed: the entry is kept
             assert again is one and entries.text() == text
             return one
@@ -1405,10 +1432,10 @@ class TestTargetEntries:
 def test_replay_walks_the_record_keys_of_run(nominal_run, nominal_traced):
     # _frame_record reads a frame line's values in this order, so it reads
     # each frame line of the nominal trace in turn, not json.loads
-    assert all(tuple(sorted(r)) == harness._RECORD_KEYS for r in nominal_run.records)
+    assert all(tuple(sorted(r)) == _RECORD_KEYS for r in nominal_run.records)
     block = [None, None]
     for line in nominal_traced.trace_path.read_text().splitlines()[1:-1]:
-        assert harness._frame_record(line, block) == json.loads(line)["record"]
+        assert _frame_record(line, block) == json.loads(line)["record"]
 
 
 # One-leaf values for trace records: JSON_VALUES and the numbers that
@@ -1441,8 +1468,8 @@ def test_read_trace_equals_json_loads_on_one_leaf_edits(
     assert targets_block(a).text != targets_block(b).text
     record = json.loads(data.draw(st.sampled_from([a, b, first["spawned"]])))["record"]
     path = data.draw(st.sampled_from(leaf_paths(record)))
-    edited = harness._json_line({"record": with_leaf(path, data.draw(RECORD_VALUES), record),
-                                 "type": "frame"})
+    edited = _json_line({"record": with_leaf(path, data.draw(RECORD_VALUES), record),
+                         "type": "frame"})
     frames = [a, b, a, edited, b]
     trace = tmp_path_factory.getbasetemp() / "one_leaf_edit.jsonl"
     trace.write_text("\n".join([first["scenario"], *frames]) + "\n")
@@ -1450,7 +1477,7 @@ def test_read_trace_equals_json_loads_on_one_leaf_edits(
     want, want_error = [], None
     try:
         for line in frames:
-            want.append(harness._check_record(json.loads(line)["record"]))
+            want.append(_check_record(json.loads(line)["record"]))
     except (LookupError, TypeError, ValueError) as exc:  # exit 2 in replay-metrics
         want_error = exc
     got, got_error = [], None

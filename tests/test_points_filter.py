@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
-from targetsim import harness, points_filter
+from targetsim import points_filter
 from targetsim.detector import ellipsoid_target
 from targetsim.geometry import CameraIntrinsics, Pose, project_points, yaw_rotation
 from targetsim.points_filter import (
@@ -37,6 +37,7 @@ from targetsim.points_filter import (
     update_points,
     viewing_pyramid,
 )
+from targetsim.scenario import scenario_from_dict
 from targetsim.tracker import TrackedBox
 from targetsim.uav import camera_pose
 
@@ -964,7 +965,7 @@ def target_bytes(t, mean, cov) -> tuple:
 ], ids=["nominal", "smoke_survey5", "smoke_clutter1"])
 def test_missions_step_beside_the_plain_filter(shared_run, mission):
     # the shared run's filter calls replayed, each tick from its recorded generator state
-    s = harness.scenario_from_dict(mission())
+    s = scenario_from_dict(mission())
     result = shared_run(s)
     flt = missions.replay(SteppedBeside, s, result.recording.calls)
     assert result.completed and flt.calls["tick"] == result.frames
