@@ -17,8 +17,8 @@ each mutant, each in its own copy of the repo under a temporary directory,
 WORKERS suites at a time. Each suite runs with OPENBLAS_NUM_THREADS=1, a
 fixed --hypothesis-seed, the hypothesis profile of tests/conftest.py
 that skips shrinking (a failing example fails its test as it is found,
-without the time that shrinking it takes), a wall timeout of 3x the clean suite and an
-address-space limit. A timeout counts as a kill, and so does a crash: a
+without the time that shrinking it takes), a wall timeout of 3x the
+clean suite and an address-space limit. A timeout counts as a kill, and so does a crash: a
 suite that fails with no failing test, as when a MemoryError stops pytest
 itself. The failures are read from pytest's --junitxml. A test kills a
 mutant when it passed on the clean copy and fails on the mutant. The kill
@@ -33,9 +33,9 @@ longer in its file follows code that moved: it is applied where its lines
 occur exactly once among the other modules of src/targetsim/, and that
 file is recorded under "reapplied". It is reported as deleted only when
 no module holds its lines, and as ambiguous when they occur more than
-once. Each suite stops at its
-first failure (pytest -x), which is enough to compare outcomes (about 25
-minutes). Exits 1 if a mutant that the recorded sweep killed survives.
+once. Each suite stops at its first failure (pytest -x), which is enough
+to compare outcomes (about 25 minutes). Exits 1 if a mutant that the
+recorded sweep killed is neither killed again nor deleted.
 
 Each survivor of the sweep carries a "verdict": the test that now kills
 it, the deletion of the code it showed unreachable, or why it is
