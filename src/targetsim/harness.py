@@ -16,9 +16,9 @@ from .geometry import norm
 from .mission import MissionExecutive, MissionMode
 from .points_filter import PointsFilter, on_image_edge
 from .scenario import Scenario
-from .trace import STAGES, _frame_line, _header_line, _make_record, _summary_line, _TargetEntries
+from .trace import STAGE_OF, STAGES, _frame_line, _header_line, _make_record, _summary_line
 from .trace import _json_line  # noqa: F401  only perfbench/tracer.py reaches it
-from .trace import write_cloud
+from .trace import _TargetEntries, write_cloud
 from .tracker import BoxTracker, hungarian_assign, iou, iou_matrix
 from .uav import UavState, camera_pose, fly, step, waypoint_reached
 
@@ -61,16 +61,15 @@ def _true_boxes_for_frame(record, scenario: Scenario) -> dict:
 
 def _match_event_target(record, target_id: int, scenario: Scenario) -> str | None:
     """True-target id whose center is nearest the filter target's mean."""
-    for entry in record["targets"]:
-        if entry["id"] == target_id:
-            mean = np.asarray(entry["mean"])
-            best, best_d = None, float("inf")
-            for true_target in scenario.targets:
-                d = norm(mean - true_target.center)
-                if d < best_d:
-                    best, best_d = true_target.id, d
-            return best if best_d <= scenario.match_dist else None
-    return None
+    means = [entry["mean"] for entry in record["targets"] if entry["id"] == target_id]
+    if not means:  # the record's events end the target; read_trace checks that a live one has one
+        return None
+    best, best_d = None, float("inf")
+    for true_target in scenario.targets:
+        d = norm(np.asarray(means[0]) - true_target.center)
+        if d < best_d:
+            best, best_d = true_target.id, d
+    return best if best_d <= scenario.match_dist else None
 
 
 class _Scores:
@@ -101,8 +100,7 @@ class _Scores:
             counts["detection"][2] += expected - tp
 
         for ev in record["events"]:
-            stage = "generation" if ev["type"] == "spawned" else ev["type"]
-            if stage not in self.credited:
+            if (stage := STAGE_OF.get(ev["type"])) is None:
                 continue
             if stage == "generation":
                 true_boxes = _true_boxes_by_id(s, boxes, scored)
@@ -200,7 +198,6 @@ def _true_frames(scenario: Scenario, mission, state: UavState):
                    cameras.rotation[j])
             if mission.plan is not plan or mission.cursor != cursors[j + 1]:
                 break
-
 
 
 def run(scenario: Scenario, out_dir=None) -> RunResult:

@@ -19,7 +19,8 @@ import numpy as np
 from .bounding_cylinder import BoundingCylinder, fit_bounding_cylinder
 from .detector import TargetModel
 from .geometry import norm
-from .points_filter import Event, PointsFilter, PointTarget, TargetState, check_already_mapped
+from .points_filter import Event, EventKind, PointsFilter, PointTarget, TargetState
+from .points_filter import check_already_mapped
 from .view_planner import (
     PlannerConfig,
     TargetAboveSearchPlane,
@@ -201,20 +202,20 @@ class MissionExecutive:
         out: list = []
         for ev in events:
             target = self.filter.get(ev.target_id)
-            if ev.kind in ("converging", "converged") and target is None:
+            if ev.kind in (EventKind.CONVERGING, EventKind.CONVERGED) and target is None:
                 raise UnknownTarget(ev.target_id)
             orbiting = self.mode is MissionMode.ESTIMATION and self.active_target == ev.target_id
-            if ev.kind == "converging":
+            if ev.kind == EventKind.CONVERGING:
                 if self.mode is MissionMode.SEARCH:
                     out += self._start_estimation(target, uav_position)
                 elif ev.target_id not in self.converging_queue:
                     self.converging_queue.append(ev.target_id)
-            elif ev.kind == "converged":
+            elif ev.kind == EventKind.CONVERGED:
                 if ev.target_id not in self.converged_queue:
                     self.converged_queue.append(ev.target_id)
                 if self.mode is MissionMode.SEARCH or orbiting:
                     out += self._choose_next(uav_position)
-            elif ev.kind == "deregistered" and orbiting:  # the orbited target was lost
+            elif ev.kind == EventKind.DEREGISTERED and orbiting:  # the orbited target was lost
                 out += self._choose_next(uav_position)
 
         if self.mode is MissionMode.SEARCH:  # a converging target waits to be re-detected
@@ -243,10 +244,10 @@ class MissionExecutive:
     ) -> list:
         """Fly plan from cursor in mode; the one mode_change event."""
         self.mode, self.active_target, self._plan, self._cursor = mode, target_id, plan, cursor
-        return [Event("mode_change", target_id, mode.value)]
+        return [Event(EventKind.MODE_CHANGE, target_id, mode.value)]
 
     def _fail_verification(self, target_id: int, uav_position: np.ndarray) -> list:
-        events = [self.filter.deregister(target_id), Event("estimation_failed", target_id)]
+        events = [self.filter.deregister(target_id), Event(EventKind.ESTIMATION_FAILED, target_id)]
         return events + self._choose_next(uav_position)
 
     def _start_estimation(self, target: PointTarget, uav_position: np.ndarray) -> list:
@@ -282,7 +283,7 @@ class MissionExecutive:
             ):
                 return events + self._start_mapping(target, uav_position)
             events.append(self.filter.deregister(target.target_id))
-            events.append(Event("duplicate_dropped", target.target_id))
+            events.append(Event(EventKind.DUPLICATE_DROPPED, target.target_id))
         if self.cfg.serve_queued_converging:
             target = self._pop(self.converging_queue, TargetState.CONVERGING)
             if target is not None:
@@ -306,4 +307,4 @@ class MissionExecutive:
         self.filter.mark_mapped(target_id, down)
         self.mapped_centers.append(self._cylinder.center)
         self.mapped_true_ids |= true_ids
-        return [Event("mapped", target_id, self.mode.value)]
+        return [Event(EventKind.MAPPED, target_id, self.mode.value)]

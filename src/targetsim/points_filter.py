@@ -47,6 +47,35 @@ class TargetState(str, enum.Enum):
     MAPPED = "mapped"
 
 
+class EventKind(str, enum.Enum):
+    SPAWNED = "spawned"
+    SPAWN_FAILED = "spawn_failed"
+    UPDATE_FAILED = "update_failed"
+    CONVERGING = TargetState.CONVERGING.value
+    CONVERGED = TargetState.CONVERGED.value
+    DEREGISTERED = "deregistered"
+    MODE_CHANGE = "mode_change"
+    MAPPED = TargetState.MAPPED.value
+    ESTIMATION_FAILED = "estimation_failed"
+    DUPLICATE_DROPPED = "duplicate_dropped"
+
+
+# A target id's story: for each state (None before its spawn, GONE once deregistered), the
+# kinds of event that may name it and the state each leads to. NO_TARGET's: events naming none.
+_S, _K, GONE, NO_TARGET = TargetState, EventKind, EventKind.DEREGISTERED, "no target"
+LIFECYCLE = {
+    None: {_K.SPAWNED: _S.TRACKING},
+    _S.TRACKING: {_K.UPDATE_FAILED: _S.TRACKING, _K.CONVERGING: _S.CONVERGING, GONE: GONE},
+    _S.CONVERGING: {_K.UPDATE_FAILED: _S.CONVERGING, _K.MODE_CHANGE: _S.CONVERGING,
+                    _K.CONVERGED: _S.CONVERGED, GONE: GONE},
+    _S.CONVERGED: {_K.UPDATE_FAILED: _S.CONVERGED, _K.MODE_CHANGE: _S.CONVERGED,
+                   _K.MAPPED: _S.MAPPED, GONE: GONE},
+    _S.MAPPED: {},
+    GONE: {_K.ESTIMATION_FAILED: GONE, _K.DUPLICATE_DROPPED: GONE},
+    NO_TARGET: {_K.SPAWN_FAILED: NO_TARGET, _K.MODE_CHANGE: NO_TARGET},
+}
+
+
 # A target in these states does not count a tick that does not refresh it as a miss
 _AGELESS = (TargetState.CONVERGED, TargetState.MAPPED)
 
@@ -170,24 +199,16 @@ class PointTarget:
 
 @dataclass(frozen=True)
 class Event:
-    """A filter (spawned | spawn_failed | update_failed | converging |
-    converged | deregistered) or mission (mode_change | mapped |
-    estimation_failed | duplicate_dropped) event."""
+    """A filter or mission event, one step of its target's LIFECYCLE."""
 
-    kind: str
+    kind: EventKind
     target_id: int | None = None
     mode: str | None = None
     bbox: tuple | None = None  # tracked box that triggered a spawn
 
     def to_dict(self) -> dict:
-        out = {"type": self.kind}
-        if self.target_id is not None:
-            out["target"] = self.target_id
-        if self.mode is not None:
-            out["mode"] = self.mode
-        if self.bbox is not None:
-            out["bbox"] = list(self.bbox)
-        return out
+        out = {"type": self.kind, "target": self.target_id, "mode": self.mode, "bbox": self.bbox}
+        return {k: list(v) if k == "bbox" else v for k, v in out.items() if v is not None}
 
 
 def enlarge_bbox(bbox: tuple, frac: float, k: CameraIntrinsics) -> tuple:
@@ -414,10 +435,7 @@ def check_already_mapped(
     """True when the candidate sits strictly within the dedup distance of
     any previously mapped center."""
     c = np.asarray(candidate_center, dtype=float)
-    for center in mapped_centers:
-        if norm(c - np.asarray(center, dtype=float)) < dist_threshold:
-            return True
-    return False
+    return any(norm(c - np.asarray(m, dtype=float)) < dist_threshold for m in mapped_centers)
 
 
 class PointsFilter:
@@ -430,14 +448,11 @@ class PointsFilter:
         self._next_id = 1
 
     def get(self, target_id: int) -> PointTarget | None:
-        for t in self.targets:
-            if t.target_id == target_id:
-                return t
-        return None
+        return next((t for t in self.targets if t.target_id == target_id), None)
 
     def deregister(self, target_id: int) -> Event:
         self.targets = [t for t in self.targets if t.target_id != target_id]
-        return Event("deregistered", target_id)
+        return Event(EventKind.DEREGISTERED, target_id)
 
     def mark_mapped(self, target_id: int, cloud: np.ndarray) -> None:
         target = self.get(target_id)
@@ -489,7 +504,7 @@ class PointsFilter:
                     target.points, gated_boxes[box_idx], *cam_from_world, self.k, cfg, rng
                 )
             except (AllZeroWeights, DegenerateBox):  # no supported point, or a zero-area box
-                events.append(Event("update_failed", target.target_id))
+                events.append(Event(EventKind.UPDATE_FAILED, target.target_id))
                 continue  # counts as a missed update
             old = target.summary
             target.set_points(new_points)
@@ -509,13 +524,13 @@ class PointsFilter:
                     # the convergence streak counts only converging-state
                     # updates, so the refinement orbit must confirm it
                     target.kld_streak = 0
-                    events.append(Event("converging", target.target_id))
+                    events.append(Event(EventKind.CONVERGING, target.target_id))
             if (
                 target.state is TargetState.CONVERGING
                 and target.kld_streak >= cfg.kld_streak_needed
             ):
                 target.state = TargetState.CONVERGED
-                events.append(Event("converged", target.target_id))
+                events.append(Event(EventKind.CONVERGED, target.target_id))
 
         for box_idx in unmatched:
             bbox = gated_boxes[box_idx]
@@ -523,7 +538,7 @@ class PointsFilter:
             try:
                 points = generate_points(enlarged, *world_from_cam, self.k, cfg, rng)
             except DegenerateBox:
-                events.append(Event("spawn_failed", bbox=bbox))
+                events.append(Event(EventKind.SPAWN_FAILED, bbox=bbox))
                 continue
             target = PointTarget(
                 target_id=self._next_id,
@@ -536,17 +551,15 @@ class PointsFilter:
             self._next_id += 1
             self.targets.append(target)
             refreshed.add(target.target_id)
-            events.append(Event("spawned", target.target_id, bbox=bbox))
+            events.append(Event(EventKind.SPAWNED, target.target_id, bbox=bbox))
 
         survivors: list[PointTarget] = []
         for target in self.targets:
-            if target.target_id in refreshed or target.state in _AGELESS:
-                survivors.append(target)
-                continue
-            target.miss_counter += 1
-            if target.miss_counter >= cfg.max_missed_updates:
-                events.append(Event("deregistered", target.target_id))
-            else:
-                survivors.append(target)
+            if target.target_id not in refreshed and target.state not in _AGELESS:
+                target.miss_counter += 1
+                if target.miss_counter >= cfg.max_missed_updates:
+                    events.append(Event(EventKind.DEREGISTERED, target.target_id))
+                    continue
+            survivors.append(target)
         self.targets = survivors
         return events, updated

@@ -10,10 +10,12 @@ from pathlib import Path
 import numpy as np
 
 from .mission import MissionMode
-from .points_filter import PointsFilter
+from .points_filter import GONE, LIFECYCLE, NO_TARGET, EventKind, PointsFilter, TargetState
 from .scenario import Scenario, ScenarioInvalid, _coordinates, scenario_from_dict, scenario_to_dict
 
-STAGES = ("detection", "generation", "converging", "converged", "mapped")
+STAGE_OF = {kind: "generation" if state is None else new.value for state, moves in LIFECYCLE.items()
+            for kind, new in moves.items() if isinstance(new, TargetState) and new != state}
+STAGES = ("detection", *STAGE_OF.values())
 _MODES = frozenset(mode.value for mode in MissionMode)
 _SCENARIO, _FRAME, _SUMMARY = "scenario", "frame", "summary"  # each trace line's "type"
 # A frame line as run writes it, _json_line's sorted keys and no spaces:
@@ -135,24 +137,31 @@ def write_cloud(path: Path, points: np.ndarray) -> None:
             fh.write(f"{x:.6f} {y:.6f} {z:.6f}\n")
 
 
-def _check_record(record: dict) -> dict:
+def _check_record(record: dict, states: dict) -> dict:
     """record, once the fields that scoring reads are as run writes them: the
     true yaw and position, each detection's and spawn's box and the mean of
     each target entry that a converging, converged or mapped event names
     hold only finite numbers, as many as run writes, and the mode is a
-    mission mode. Each box is made a list of floats, so it is scored in
-    float arithmetic."""
+    mission mode; each event is one that LIFECYCLE allows from its target's
+    state in states, which it moves on. Boxes become float lists, scored in float arithmetic."""
     true = record["uav"]["true"]
     _coordinates([true["yaw"], *true["position"]], "the true yaw and position", 4)
     for detection in record["detections"]:
         detection["bbox"] = list(_coordinates(detection["bbox"], "bbox", 4))
     for ev in record["events"]:
-        if ev["type"] == "spawned":
+        kind, target = EventKind(ev["type"]), ev.get("target")  # raises for an unknown kind
+        state = NO_TARGET if target is None else states.get(target)
+        if kind not in LIFECYCLE[state]:
+            raise ValueError(f"target {target!r} in state {state} cannot have a {kind.value} event")
+        states[target] = LIFECYCLE[state][kind]
+        if kind is EventKind.SPAWNED:
             ev["bbox"] = list(_coordinates(ev["bbox"], "bbox", 4))
-        elif ev["type"] in STAGES[2:]:  # scored by the named target's mean
-            for entry in record["targets"]:
-                if entry["id"] == ev["target"]:
-                    _coordinates(entry["mean"], "mean", 3)
+        elif kind in STAGE_OF:  # scored by its target's entry, which it lacks only if it ends here
+            means = [entry["mean"] for entry in record["targets"] if entry["id"] == target]
+            if not means and {"target": target, "type": GONE} not in record["events"]:
+                raise ValueError(f"target {target!r} of a {kind.value} event has no entry")
+            for mean in means:
+                _coordinates(mean, "mean", 3)
     if type(record["mode"]) is not str or record["mode"] not in _MODES:
         MissionMode(record["mode"])  # raises for a mode that is not a mission mode
     return record
@@ -187,7 +196,7 @@ def _trace_lines(path):
     """Yield a trace's scenario, from its first line, then each frame's
     checked record as its line is read; the summary footer is skipped. A
     line in run's layout is read by _frame_record, any other by json.loads."""
-    scenario = None
+    scenario, states = None, {}  # states: each target's state in LIFECYCLE
     block = [None, None]  # the last targets value's text and value
     with open(path) as fh:
         for n, line in enumerate(fh, 1):
@@ -195,7 +204,7 @@ def _trace_lines(path):
             if not line:
                 continue
             if scenario is not None and (record := _frame_record(line, block)) is not None:
-                yield _check_record(record)
+                yield _check_record(record, states)
                 continue
             try:
                 obj = json.loads(line)
@@ -210,7 +219,7 @@ def _trace_lines(path):
                 scenario = scenario_from_dict(obj[_SCENARIO])
                 yield scenario
             elif kind == _FRAME:
-                yield _check_record(obj["record"])
+                yield _check_record(obj["record"], states)
             elif kind != _SUMMARY:  # a line of unknown type, or a second scenario header
                 raise ValueError(f"line {n}: unexpected line of type {kind!r}")
     if scenario is None:

@@ -111,11 +111,11 @@ def plain_replay(trace: Path) -> dict:
     """compute_metrics(*read_trace(trace)), one line and one view at a time."""
     with open(trace) as fh:
         s = scenario_from_dict(json.loads(fh.readline())["scenario"])
-        scores = _Scores(s)
+        scores, states = _Scores(s), {}  # states: each target's state in LIFECYCLE
         for line in fh:
             obj = json.loads(line)
             if obj["type"] == "frame":
-                record = _check_record(obj["record"])
+                record = _check_record(obj["record"], states)
                 true = record["uav"]["true"]
                 _, boxes, _, scored = _true_views(s, [true["yaw"]], [true["position"]])
                 scores.add(record, boxes[0], scored[0])

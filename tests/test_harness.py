@@ -1,8 +1,11 @@
 """Scenario schema, simulation loop, metrics, trace replay, CLI."""
 
 import ast
+import collections
+import contextlib
 import copy
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -16,14 +19,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import targetsim
 from targetsim import geometry, harness, points_filter
+from targetsim.cli import _print_metrics
 from targetsim.cli import main as cli_main
 from targetsim.detector import MAX_SURFACE_POINTS, Detection, ellipsoid_target, visible_boxes
 from targetsim.harness import compute_metrics, run
 from targetsim.mission import MissionMode
 from targetsim.points_filter import (
+    LIFECYCLE,
     MAX_CLOUD_POINTS,
+    NO_TARGET,
     Event,
+    EventKind,
     FilterConfig,
     PointsFilter,
     TargetState,
@@ -725,6 +733,12 @@ def replay_exits_2(trace: Path, lines: list[str], capsys) -> None:
     assert err.startswith("invalid trace: ") and err.count("\n") == 1
 
 
+def story(*kinds) -> list[dict]:
+    """A record's events that spawn target 1 and then name it with kinds."""
+    spawn = {"type": "spawned", "target": 1, "bbox": [300.0, 220.0, 340.0, 260.0]}
+    return [spawn, *({"type": kind, "target": 1} for kind in kinds)]
+
+
 # Trace edits that replay must reject with exit 2, each a function of the
 # trace's list of lines and the json.dumps that writes an edited line back.
 MALFORMED_EDITS = [
@@ -747,7 +761,7 @@ MALFORMED_EDITS = [
         set_in_record("events", value=[{"type": "spawned", "target": 1, "bbox": [0.0] * 5}]),
         set_in_record("mode", value="bogus"),
         # the mean of the target entry that a converged event names
-        lambda frame: set_in_record("events", value=[{"type": "converged", "target": 1}])(
+        lambda frame: set_in_record("events", value=story("converging", "converged"))(
             set_in_record("targets", value=[{"id": 1, "mean": [True, True, True]}])(frame)
         ),
         # non-finite numbers where scoring reads them, in read_trace: a
@@ -761,13 +775,20 @@ MALFORMED_EDITS = [
             "events",
             value=[{"type": "spawned", "target": 1, "bbox": [0.0, 0.0, float("nan"), 1.0]}],
         ),
-        lambda frame: set_in_record("events", value=[{"type": "mapped", "target": 1}])(
+        lambda frame: set_in_record("events", value=story("converging", "converged", "mapped"))(
             set_in_record("targets", value=[{"id": 1, "mean": [float("nan"), 28.0, 1.0]}])(
                 frame
             )
         ),
         # an integer too large for a float
         set_in_record("uav", "true", "yaw", value=10**400),
+        # stories that LIFECYCLE forbids: an unknown kind, a target mapped
+        # before it converges, a scored event that names no target, and a
+        # live target that a scored event names with no entry
+        set_in_record("events", value=[{"type": "convergd", "target": 1}]),
+        set_in_record("events", value=story("mapped")),
+        set_in_record("events", value=[{"type": "converging"}]),
+        set_in_record("events", value=story("converging")),
     ]),
     # numbers in the header that a scenario file may not hold: once
     # replayed as a table (of 0 % from the NaN) or, for fx, a traceback
@@ -788,6 +809,8 @@ MALFORMED_IDS = [
     "numeric_string_yaw", "bool_yaw", "string_position", "five_number_bbox",
     "five_number_spawn_bbox", "unknown_mode", "bool_mean", "nan_bbox",
     "infinite_position", "nan_spawn_bbox", "nan_mean", "huge_int_yaw",
+    "unknown_event_type", "mapped_while_tracking", "converging_of_no_target",
+    "converging_without_its_entry",
     "infinite_header_max_depth", "nan_header_match_dist", "huge_int_header_seed",
     "huge_int_header_fx",
     "frame_before_header", "empty_trace", "malformed_last_frame",
@@ -935,22 +958,42 @@ class TestCli:
         lines[n] = edit(lines[n], targets_block(lines[n]))
         replay_exits_2(tmp_path / "trace.jsonl", lines, capsys)
 
+    @pytest.mark.parametrize("old, new", [
+        ('{"target":1,"type":"converging"}', '{"target":1,"type":"mapped"}'),
+        ('{"target":1,"type":"converged"}', '{"target":1,"type":"convergd"}'),
+        ('{"target":1,"type":"converged"}', '{"target":999,"type":"converged"}'),
+        ('"type":"converged"}', None),
+    ], ids=["converging_as_mapped", "converged_misspelt", "converged_of_unspawned_target",
+            "converged_without_its_entry"])
+    def test_replay_impossible_story_exit_2(self, tmp_path, capsys, nominal_traced, old, new):
+        # edits of the nominal trace's first line with old: each was once
+        # replayed with exit 0 and a table of 0 % converging or converged
+        # recall or precision; None deletes that line's target entries
+        lines = nominal_traced.trace_path.read_text().splitlines()
+        n = next(n for n, line in enumerate(lines) if old in line)
+        if new is None:
+            lines[n] = _json_line(set_in_record("targets", value=[])(json.loads(lines[n])))
+        else:
+            lines[n] = lines[n].replace(old, new, 1)
+        replay_exits_2(tmp_path / "trace.jsonl", lines, capsys)
+
     def test_replay_deep_nesting_exit_2(self, tmp_path, capsys, short_trace):
         # a line nested too deep for the JSON decoder
         lines = short_trace.read_text().splitlines()
         lines[1] = "[" * 100_000
         replay_exits_2(tmp_path / "trace.jsonl", lines, capsys)
 
-    def test_replay_scores_integer_boxes_as_floats(self, tmp_path, capsys, nominal_event_lines):
+    def test_replay_scores_integer_boxes_as_floats(self, tmp_path, capsys, nominal_lines):
         # a spawn's box of integers is scored as the floats it rounds to, as
         # every box that run writes: squared in float arithmetic, 10**300 is inf
-        frame = json.loads(nominal_event_lines["spawned"])
+        header, frame = nominal_lines.lines[0], nominal_lines.lines[nominal_lines.first["spawned"]]
+        frame = json.loads(frame)
         (spawn,) = (ev for ev in frame["record"]["events"] if ev["type"] == "spawned")
         tables = []
         for big in (10**300, 1e300):
             spawn["bbox"] = [0, 0, big, big]
             trace = tmp_path / "trace.jsonl"
-            trace.write_text(f"{nominal_event_lines['scenario']}\n{json.dumps(frame)}\n")
+            trace.write_text(f"{header}\n{json.dumps(frame)}\n")
             capsys.readouterr()
             assert cli_main(["replay-metrics", str(trace)]) == 0
             tables.append(capsys.readouterr().out)
@@ -1315,8 +1358,6 @@ def nominal_traced(shared_run):
     return shared_run(missions.scenario("nominal"), traced=True)
 
 
-EVENT_KINDS = ("spawned", "spawn_failed", "update_failed", "converging", "converged",
-               "deregistered", "mode_change", "mapped", "estimation_failed", "duplicate_dropped")
 # every float json spells its own way, and the ends of the float range
 JSON_FLOATS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
@@ -1342,14 +1383,13 @@ FRAME_RECORDS = st.fixed_dictionaries({
     ),
     "tracks": st.lists(st.fixed_dictionaries({"id": JSON_INTS, "bbox": floats_of(4)}), max_size=3),
     "mode": st.sampled_from([m.value for m in MissionMode]) | st.text(max_size=8),
+    # the writer writes any text as a kind, so events are built as dicts
     "events": st.lists(
-        st.builds(
-            lambda kind, target, mode, bbox: Event(kind, target, mode, bbox).to_dict(),
-            st.sampled_from(EVENT_KINDS) | st.text(max_size=8),
-            st.none() | JSON_INTS,
-            st.none() | st.sampled_from([m.value for m in MissionMode]) | st.text(max_size=8),
-            st.none() | floats_of(4).map(tuple),
-        ),
+        st.fixed_dictionaries({"type": st.sampled_from(EventKind) | st.text(max_size=8)}, optional={
+            "target": JSON_INTS,
+            "mode": st.sampled_from([m.value for m in MissionMode]) | st.text(max_size=8),
+            "bbox": floats_of(4),
+        }),
         max_size=4,
     ),
 })
@@ -1444,40 +1484,53 @@ RECORD_VALUES = JSON_VALUES | st.sampled_from([float("nan"), float("-inf"), 10**
 
 
 @pytest.fixture(scope="module")
-def nominal_event_lines(nominal_traced) -> dict:
-    """The nominal trace's header line, and its first frame line with each event type."""
-    header, *frames = nominal_traced.trace_path.read_text().splitlines()[:-1]
-    first = {"scenario": header}
-    for line in frames:
-        for ev in json.loads(line)["record"]["events"]:
-            first.setdefault(ev["type"], line)
-    return first
+def nominal_lines(nominal_traced) -> SimpleNamespace:
+    """The nominal trace's lines, the index of the first frame line with each
+    event type and the indices of the frame lines with events."""
+    lines = nominal_traced.trace_path.read_text().splitlines()
+    first, events = {}, []
+    for n, line in enumerate(lines[1:-1], 1):
+        kinds = [ev["type"] for ev in json.loads(line)["record"]["events"]]
+        for kind in kinds:
+            first.setdefault(kind, n)
+        if kinds:
+            events.append(n)
+    return SimpleNamespace(lines=lines, first=first, events=events)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(data=st.data())
-def test_read_trace_equals_json_loads_on_one_leaf_edits(
-    nominal_event_lines, tmp_path_factory, data
-):
+def test_read_trace_equals_json_loads_on_one_leaf_edits(nominal_lines, tmp_path_factory, data):
     # replay decodes run's own layout on a path of its own (_frame_record),
     # which reuses the last targets block: it must yield what json.loads
-    # and the record check give, or raise their error, on a block sequence
-    # A, B, A, then a one-leaf edit of a record in run's layout, then B
-    first = nominal_event_lines
-    a, b = first["converged"], first["converging"]
-    assert targets_block(a).text != targets_block(b).text
-    record = json.loads(data.draw(st.sampled_from([a, b, first["spawned"]])))["record"]
+    # and the record check give, or raise their error. The check carries
+    # each target's state in LIFECYCLE from record to record, so the lines
+    # tell a legal story: the nominal target's spawned, converging,
+    # converged and mapped frames, each but the last after the frame that
+    # follows it, which has no event and the same targets block. One of the
+    # four gets a one-leaf edit in run's layout, read after a block that
+    # equals its own and before one that does not.
+    lines, first = nominal_lines.lines, nominal_lines.first
+    story = [first[kind] for kind in ("spawned", "converging", "converged", "mapped")]
+    frames = []
+    for n in story[:-1]:
+        assert targets_block(lines[n + 1]).text == targets_block(lines[n]).text
+        assert json.loads(lines[n + 1])["record"]["events"] == []
+        frames += [lines[n + 1], lines[n]]
+    frames.append(lines[story[-1]])
+    assert len({targets_block(lines[n]).text for n in story}) == len(story)
+    at = data.draw(st.sampled_from([1, 3, 5, 6]))  # a line of the story
+    record = json.loads(frames[at])["record"]
     path = data.draw(st.sampled_from(leaf_paths(record)))
-    edited = _json_line({"record": with_leaf(path, data.draw(RECORD_VALUES), record),
-                         "type": "frame"})
-    frames = [a, b, a, edited, b]
+    frames[at] = _json_line({"record": with_leaf(path, data.draw(RECORD_VALUES), record),
+                             "type": "frame"})
     trace = tmp_path_factory.getbasetemp() / "one_leaf_edit.jsonl"
-    trace.write_text("\n".join([first["scenario"], *frames]) + "\n")
+    trace.write_text("\n".join([lines[0], *frames]) + "\n")
 
-    want, want_error = [], None
+    want, want_error, states = [], None, {}
     try:
         for line in frames:
-            want.append(_check_record(json.loads(line)["record"]))
+            want.append(_check_record(json.loads(line)["record"], states))
     except (LookupError, TypeError, ValueError) as exc:  # exit 2 in replay-metrics
         want_error = exc
     got, got_error = [], None
@@ -1487,6 +1540,95 @@ def test_read_trace_equals_json_loads_on_one_leaf_edits(
         got_error = exc
     assert repr(got_error) == repr(want_error)
     assert [json.dumps(r) for r in got] == [json.dumps(r) for r in want]
+
+
+def lifecycle_allows(story) -> bool:
+    """Whether LIFECYCLE allows each event of story, in order, from its
+    target's state: None before the target's first event, NO_TARGET for an
+    event that names none."""
+    states = {}
+    for ev in story:
+        target = ev.get("target")
+        moves = LIFECYCLE[NO_TARGET if target is None else states.get(target)]
+        if ev["type"] not in moves:
+            return False
+        states[target] = moves[ev["type"]]
+    return True
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_replay_exits_2_exactly_on_a_story_lifecycle_forbids(
+    nominal_lines, tmp_path_factory, data
+):
+    # one event of the nominal trace moved to another frame, or given
+    # another type or target: replay-metrics exits 2 exactly when LIFECYCLE
+    # forbids the trace's story, and otherwise prints the table of
+    # tests/plain_run.py's replay
+    lines = list(nominal_lines.lines)
+    records = {n: json.loads(lines[n])["record"] for n in nominal_lines.events}
+    n = data.draw(st.sampled_from(nominal_lines.events))
+    events = records[n]["events"]
+    i = data.draw(st.integers(0, len(events) - 1))
+    change = data.draw(st.sampled_from(["move", "type", "target"]))
+    if change == "move":
+        to = data.draw(st.integers(1, len(lines) - 2).filter(lambda m: m != n))
+        records.setdefault(to, json.loads(lines[to])["record"])
+        moved_to = records[to]["events"]
+        moved_to.insert(data.draw(st.integers(0, len(moved_to))), events.pop(i))
+    elif change == "type":  # another kind, or one misspelt
+        kinds = [kind.value for kind in EventKind if kind != events[i]["type"]] + ["convergd"]
+        events[i]["type"] = data.draw(st.sampled_from(kinds))
+    else:  # another target, or none
+        targets = [t for t in (None, 1, 2, 999) if t != events[i].get("target")]
+        events[i]["target"] = data.draw(st.sampled_from(targets))
+        if events[i]["target"] is None:
+            del events[i]["target"]
+    for m, record in records.items():
+        lines[m] = _json_line({"record": record, "type": "frame"})
+    trace = tmp_path_factory.getbasetemp() / "one_event_edit.jsonl"
+    trace.write_text("\n".join(lines) + "\n")
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(["replay-metrics", str(trace)])
+    if not lifecycle_allows(ev for m in sorted(records) for ev in records[m]["events"]):
+        assert (code, out.getvalue()) == (2, "")
+        assert err.getvalue().startswith("invalid trace: ") and err.getvalue().count("\n") == 1
+        return
+    assert (code, err.getvalue()) == (0, "")
+    want = io.StringIO()
+    with contextlib.redirect_stdout(want):
+        _print_metrics(plain_replay(trace))
+    assert out.getvalue() == want.getvalue()
+
+
+def test_scored_event_may_name_a_target_that_its_record_ends(short_trace):
+    # a duplicate converges and is dropped in one frame, so its record holds
+    # no entry for it; a live target must have one
+    record = json.loads(short_trace.read_text().splitlines()[1])["record"]
+    assert record["targets"] == []
+    record["events"] = story("converging", "converged")
+    with pytest.raises(ValueError, match="has no entry"):
+        _check_record(copy.deepcopy(record), {})
+    record["events"] += [{"type": "deregistered", "target": 1},
+                         {"type": "duplicate_dropped", "target": 1}]
+    states = {}
+    assert _check_record(copy.deepcopy(record), states)["events"] == record["events"]
+    assert states == {1: EventKind.DEREGISTERED}
+
+
+def test_each_event_kind_is_spelled_once_in_src():
+    # every event kind is named through EventKind, so a misspelt kind in
+    # src/ fails at import or here, not silently in a comparison
+    kinds = {kind.value for kind in EventKind}
+    spelled = collections.Counter(
+        node.value
+        for path in Path(targetsim.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant) and node.value in kinds
+    )
+    assert spelled == dict.fromkeys(kinds, 1)
 
 
 def test_tracer_finds_every_entry_point():
