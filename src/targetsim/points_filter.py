@@ -207,8 +207,14 @@ class Event:
     bbox: tuple | None = None  # tracked box that triggered a spawn
 
     def to_dict(self) -> dict:
-        out = {"type": self.kind, "target": self.target_id, "mode": self.mode, "bbox": self.bbox}
-        return {k: list(v) if k == "bbox" else v for k, v in out.items() if v is not None}
+        out = {"type": self.kind}
+        if self.target_id is not None:
+            out["target"] = self.target_id
+        if self.mode is not None:
+            out["mode"] = self.mode
+        if self.bbox is not None:
+            out["bbox"] = list(self.bbox)
+        return out
 
 
 def enlarge_bbox(bbox: tuple, frac: float, k: CameraIntrinsics) -> tuple:
@@ -435,7 +441,10 @@ def check_already_mapped(
     """True when the candidate sits strictly within the dedup distance of
     any previously mapped center."""
     c = np.asarray(candidate_center, dtype=float)
-    return any(norm(c - np.asarray(m, dtype=float)) < dist_threshold for m in mapped_centers)
+    for center in mapped_centers:
+        if norm(c - np.asarray(center, dtype=float)) < dist_threshold:
+            return True
+    return False
 
 
 class PointsFilter:
@@ -448,7 +457,10 @@ class PointsFilter:
         self._next_id = 1
 
     def get(self, target_id: int) -> PointTarget | None:
-        return next((t for t in self.targets if t.target_id == target_id), None)
+        for t in self.targets:
+            if t.target_id == target_id:
+                return t
+        return None
 
     def deregister(self, target_id: int) -> Event:
         self.targets = [t for t in self.targets if t.target_id != target_id]
@@ -555,11 +567,13 @@ class PointsFilter:
 
         survivors: list[PointTarget] = []
         for target in self.targets:
-            if target.target_id not in refreshed and target.state not in _AGELESS:
-                target.miss_counter += 1
-                if target.miss_counter >= cfg.max_missed_updates:
-                    events.append(Event(EventKind.DEREGISTERED, target.target_id))
-                    continue
-            survivors.append(target)
+            if target.target_id in refreshed or target.state in _AGELESS:
+                survivors.append(target)
+                continue
+            target.miss_counter += 1
+            if target.miss_counter >= cfg.max_missed_updates:
+                events.append(Event(EventKind.DEREGISTERED, target.target_id))
+            else:
+                survivors.append(target)
         self.targets = survivors
         return events, updated
