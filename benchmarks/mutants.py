@@ -28,8 +28,11 @@ killing tests (as indices into the ids). About 90 minutes for 150 mutants
 on a 2-core host.
 
 --reapply re-applies the mutants recorded in OUT to --root and runs the
-suite on each again, under "reapplied". A mutant whose lines are no
-longer in its file follows code that moved: it is applied where its lines
+suite on each again, under "reapplied". A mutant's recorded lines match
+at their recorded indentation or, where they stand at none, at any common
+indentation, with its text re-indented with them, so a statement moved
+to another depth keeps its mutant. A mutant whose lines
+are no longer in its file follows code that moved: it is applied where its lines
 occur exactly once among the other modules of src/targetsim/, and that
 file is recorded under "reapplied". It is reported as deleted only when
 no module holds its lines, and as ambiguous when they occur more than
@@ -57,6 +60,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import textwrap
 import threading
 import time
 import xml.etree.ElementTree as ET
@@ -194,29 +198,48 @@ def mutant_record(src: Source, edit: dict) -> dict:
             "context": "".join(src.lines[line - 1:end_line]).rstrip("\n")}
 
 
+def _margin(lines: list[str]) -> int:
+    """The common indentation of the non-blank lines, in columns."""
+    return min((len(line) - len(line.lstrip(" ")) for line in lines if line.strip()), default=0)
+
+
+def _reindent(text: str, shift: int) -> str:
+    """text with each non-blank line after its first moved shift columns (left if negative)."""
+    head, *rest = text.split("\n")
+    moved = [(" " * shift + line if shift >= 0 else line[-shift:]) if line.strip() else line for line in rest]
+    return "\n".join([head, *moved])
+
+
 def places(text: str, mutant: dict) -> list[int]:
-    """The 0-based first line of each place where mutant's recorded lines stand in text."""
+    """The 0-based first line of each place where mutant's recorded lines
+    stand in text at their recorded indentation or, where none does, at
+    any common indentation."""
     lines = [line.rstrip("\n") for line in text.splitlines(keepends=True)]
     context = mutant["context"].split("\n")
-    n = len(context)
-    return [i for i in range(len(lines) - n + 1) if lines[i:i + n] == context]
+    n, want = len(context), textwrap.dedent(mutant["context"])
+    exact = [i for i in range(len(lines) - n + 1) if lines[i:i + n] == context]
+    return exact or [i for i in range(len(lines) - n + 1)
+                     if lines[i].strip() == context[0].strip() and textwrap.dedent("\n".join(lines[i:i + n])) == want]
 
 
 def apply(text: str, mutant: dict, first: int | None = None) -> str | None:
     """text with mutant applied where its recorded lines stand from line
-    index first (by default the place nearest its recorded line), or None
-    if they are gone."""
+    index first (by default the place nearest its recorded line), its
+    original and mutated text re-indented as those lines are, or None if
+    they are gone."""
     src = Source(text)
     found = places(text, mutant)
     if not found:
         return None
     if first is None:
         first = min(found, key=lambda i: abs(i + 1 - mutant["line"]))
-    start = src.starts[first] + mutant["col"]
-    end = src.starts[first + mutant["end_line"] - mutant["line"]] + mutant["end_col"]
-    if text[start:end] != mutant["original"]:
+    n = mutant["end_line"] - mutant["line"]
+    shift = _margin(src.lines[first:first + n + 1]) - _margin(mutant["context"].split("\n"))
+    start = src.starts[first] + mutant["col"] + shift
+    end = src.starts[first + n] + mutant["end_col"] + shift
+    if text[start:end] != _reindent(mutant["original"], shift):
         return None
-    return text[:start] + mutant["mutated"] + text[end:]
+    return text[:start] + _reindent(mutant["mutated"], shift) + text[end:]
 
 
 def sample(root: Path) -> list[dict]:

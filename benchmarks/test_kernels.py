@@ -250,14 +250,15 @@ def test_tracker_busy_frames(benchmark):
 
 
 def frame_line(entries, flt, uav, mission):
-    """The run loop's per-frame record and trace line on a frame with an
-    event, on which the loop updates the entries."""
+    """The run loop's per-frame record and the writer's trace line on a
+    frame with an event, on which the loop updates the entries and the
+    writer encodes the new list."""
     live = entries.update(flt)
     record = trace._make_record(
         0.1, 1, uav, uav.position, [Detection(BOXES[0], 1.0)], [TrackedBox(1, BOXES[0])],
         live, mission, [Event("spawned", 4, bbox=BOXES[1])],
     )
-    return trace._frame_line(record, entries.text())
+    return trace._frame_line(record, ",".join(map(trace._json_line, live)))
 
 
 def test_frame_line(benchmark, clouds):

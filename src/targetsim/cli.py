@@ -41,7 +41,7 @@ def _cmd_run(args) -> int:
         return EXIT_INVALID
     try:
         result = run(scenario, out_dir=None if args.metrics_only else args.out)
-    except OSError as exc:  # the output directory, trace or a cloud file
+    except OSError as exc:  # the output directory, a cloud file, or the trace writer
         print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_INVALID
     print(

@@ -1,10 +1,15 @@
-"""The simulation loop and its stage metrics: run scores each frame as it
-is made, and compute_metrics is the same fold over a trace's records."""
+"""The simulation loop and its stage metrics: a metrics-only run scores each
+frame as it is made, and a traced run's forked writer process writes the trace
+and scores its records with compute_metrics, the replay's own fold."""
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import logging
+import os
+import pickle
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -16,14 +21,14 @@ from .geometry import norm
 from .mission import MissionExecutive, MissionMode
 from .points_filter import PointsFilter, on_image_edge
 from .scenario import Scenario
-from .trace import STAGE_OF, STAGES, _frame_line, _header_line, _make_record, _summary_line
+from .trace import STAGE_OF, STAGES, _make_record, _TargetEntries, _write_trace, write_cloud
 from .trace import _json_line  # noqa: F401  only perfbench/tracer.py reaches it
-from .trace import _TargetEntries, write_cloud
 from .tracker import BoxTracker, hungarian_assign, iou, iou_matrix
 from .uav import UavState, camera_pose, fly, step, waypoint_reached
 
 log = logging.getLogger("targetsim")
 DETECTION_IOU_MIN = 0.5
+_MAPPING = MissionMode.MAPPING  # bound once: every record compares it
 
 
 def _true_views(scenario: Scenario, yaws, positions):
@@ -87,7 +92,7 @@ class _Scores:
     def add(self, record: dict, boxes, scored) -> None:
         """Score a record against its view's boxes and scored rows of _true_views."""
         s, counts = self.scenario, self.counts
-        if record["mode"] != MissionMode.MAPPING:
+        if record["mode"] != _MAPPING:
             k, margin = s.camera, s.filter.edge_margin_px
             dets = [b for d in record["detections"] if not on_image_edge(b := d["bbox"], k, margin)]
             expected, tp = sum(scored), 0
@@ -144,6 +149,56 @@ def compute_metrics(records, scenario: Scenario) -> dict:
         for record, view in zip(chunk, zip(*_true_boxes_for_frames(chunk, scenario))):
             scores.add(record, *view)
     return scores.table()
+
+
+class _TraceWriter:
+    """A forked process that writes a traced run's trace and scores it
+    (trace._write_trace with compute_metrics), sent BATCH records at a time;
+    it replies with its table, or with the exception that ended it."""
+
+    BATCH = 256
+
+    def __init__(self, path: Path, scenario: Scenario):
+        trace = open(path, "w")  # an unwritable trace fails before the fork
+        sys.stdout.flush(), sys.stderr.flush()
+        (down, down_w), (up_r, up) = os.pipe(), os.pipe()
+        self.pid, self.batch = os.fork(), []
+        if self.pid == 0:  # the child, which ends after its reply
+            try:
+                os.close(down_w), os.close(up_r)
+                try:
+                    with trace, open(down, "rb") as pipe:
+                        reply = _write_trace(trace, scenario, lambda: pickle.load(pipe), compute_metrics)
+                except BaseException as exc:
+                    reply = exc
+                with open(up, "wb") as pipe:
+                    pickle.dump(reply, pipe)
+            finally:
+                os._exit(0)
+        os.close(down), os.close(up), trace.close()
+        self.pipe, self.replies = open(down_w, "wb"), open(up_r, "rb")
+
+    def send(self, summary: dict | None = None) -> None:
+        """Pickle the batch and summary down the pipe; start a new batch."""
+        pickle.dump((self.batch, summary), self.pipe, pickle.HIGHEST_PROTOCOL)
+        self.pipe.flush()
+        self.batch = []
+
+    def close(self, summary: dict | None) -> dict | None:
+        """Send the batch and summary and reap the child: its table, or None with
+        no summary (a failed run). Raises the child's error, OSError if it died."""
+        try:
+            with contextlib.suppress(BrokenPipeError), self.pipe:  # the child's reply says why
+                self.send(summary)
+            reply = pickle.load(self.replies) if self.replies.peek(1) else OSError("the trace writer died")
+        finally:
+            self.replies.close()
+            os.waitpid(self.pid, 0)
+        if summary is None and isinstance(reply, EOFError):
+            return None
+        if isinstance(reply, BaseException):
+            raise reply
+        return reply
 
 
 @dataclass
@@ -230,22 +285,18 @@ def run(scenario: Scenario, out_dir=None) -> RunResult:
     all_true_ids = {t.id for t in scenario.targets}
     target_entries, targets = _TargetEntries(), []
     scores = _Scores(scenario)
-    records = [] if out_path is None else None  # a traced run writes each record and drops it
+    records = [] if out_path is None else None  # a traced run sends each record and drops it
     completed = False
     frame = 0
-
-    trace_fh = None
-    trace_path = None
-    if out_path is not None:
-        trace_path = out_path / "trace.jsonl"
-        trace_fh = open(trace_path, "w")
-        trace_fh.write(_header_line(scenario) + "\n")
 
     log.info(
         "run %s: %d targets, seed %d, %d search waypoints",
         scenario.name, len(scenario.targets), scenario.seed, len(mission.search_waypoints),
     )
 
+    trace_path = None if out_path is None else out_path / "trace.jsonl"
+    writer = None if trace_path is None else _TraceWriter(trace_path, scenario)
+    summary = None  # the result less its metrics, records and trace path, once the run ends
     try:
         frames = zip(range(1, scenario.max_frames + 1), _true_frames(scenario, mission, uav))
         for frame, (uav, reached, true_boxes, visible, scored, rotation) in frames:
@@ -268,11 +319,13 @@ def run(scenario: Scenario, out_dir=None) -> RunResult:
             if events or updated:  # every change to a target or to the live set is one
                 targets = target_entries.update(flt)
             record = _make_record(t, frame, uav, est, detections, boxes, targets, mission, events)
-            scores.add(record, true_boxes, scored)
-            if trace_fh is None:
+            if writer is None:
+                scores.add(record, true_boxes, scored)
                 records.append(record)
             else:
-                trace_fh.write(_frame_line(record, target_entries.text()) + "\n")
+                writer.batch.append(record)
+                if len(writer.batch) == writer.BATCH:
+                    writer.send()
 
             if (all_true_ids and mission.mapped_true_ids >= all_true_ids) or mission.idle():
                 completed = mission.mapped_true_ids >= all_true_ids
@@ -283,18 +336,13 @@ def run(scenario: Scenario, out_dir=None) -> RunResult:
                 "run %s incomplete after %.1fs: mapped %s",
                 scenario.name, sim_time, sorted(mission.mapped_true_ids),
             )
-        summary = {  # the result less its records and trace path
+        summary = {
             "completed": completed,
             "frames": frame,
             "sim_time": sim_time,
             "mapped_true_ids": sorted(mission.mapped_true_ids),
-            "metrics": scores.table(),
         }
-        if trace_fh is not None:
-            trace_fh.write(_summary_line(summary) + "\n")
-        mapped = {"mapped_true_ids": set(mission.mapped_true_ids)}
-        return RunResult(**{**summary, **mapped}, records=records, trace_path=trace_path)
-    finally:
-        if trace_fh is not None:
-            trace_fh.close()
-
+    finally:  # a failed run sends no summary: its trace keeps the frames made
+        metrics = scores.table() if writer is None else writer.close(summary)
+    mapped = {"mapped_true_ids": set(mission.mapped_true_ids)}
+    return RunResult(**{**summary, **mapped}, metrics=metrics, records=records, trace_path=trace_path)

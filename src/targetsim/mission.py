@@ -41,6 +41,9 @@ class MissionMode(str, enum.Enum):
     MAPPING = "mapping"
 
 
+_SEARCH, _MAPPED = MissionMode.SEARCH, TargetState.MAPPED  # bound once: every frame compares them
+
+
 @dataclass(frozen=True)
 class MissionConfig:
     serve_queued_converging: bool = False  # start orbits from the queue, not on re-detection
@@ -177,9 +180,9 @@ class MissionExecutive:
         """True when search is exhausted and every live target is mapped; the
         converged queue is then empty, as each id in it names a live target."""
         return (
-            self.mode is MissionMode.SEARCH
+            self.mode is _SEARCH
             and self.search_cursor >= len(self.search_waypoints)
-            and all(t.state is TargetState.MAPPED for t in self.filter.targets)
+            and all(t.state is _MAPPED for t in self.filter.targets)
         )
 
     def on_waypoint_reached(self, uav_position: np.ndarray) -> list:
@@ -218,7 +221,7 @@ class MissionExecutive:
             elif ev.kind == EventKind.DEREGISTERED and orbiting:  # the orbited target was lost
                 out += self._choose_next(uav_position)
 
-        if self.mode is MissionMode.SEARCH:  # a converging target waits to be re-detected
+        if self.mode is _SEARCH:  # a converging target waits to be re-detected
             target = self._pop(self.converging_queue, TargetState.CONVERGING, updated_ids)
             if target is not None:
                 out += self._start_estimation(target, uav_position)

@@ -32,23 +32,14 @@ def _json_line(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _header_line(scenario: Scenario) -> str:
-    return _json_line({"type": _SCENARIO, _SCENARIO: scenario_to_dict(scenario)})
-
-
-def _summary_line(summary: dict) -> str:
-    return _json_line({"type": _SUMMARY, **summary})
-
-
 class _TargetEntries:
     """A filter's live targets' trace entries, in a list that records share
-    until the next update, and that list's JSON text, encoded when a trace
-    line first needs it. An entry is kept until its target changes, so
-    callers must not mutate entries or the list."""
+    until the next update; a traced run's writer process encodes each list
+    once for the records that share it. An entry is kept until its target
+    changes, so callers must not mutate entries or the list."""
 
     def __init__(self):
-        self._by_id: dict[int, list] = {}  # id -> [summary, state, entry, text or None]
-        self._text = None  # the last update's joined text, once encoded
+        self._by_id: dict[int, list] = {}  # id -> [summary, state, entry]
 
     def update(self, flt: PointsFilter) -> list[dict]:
         """The entries of flt.targets, in order, in a new list: a new entry
@@ -67,18 +58,10 @@ class _TargetEntries:
                     "entropy": tgt.last_entropy,
                     "kld": tgt.last_kld,
                     "n_points": len(tgt.points),
-                }, None]
+                }]
             by_id[tgt.target_id] = kept
-        self._by_id, self._text = by_id, None
+        self._by_id = by_id
         return [kept[2] for kept in by_id.values()]
-
-    def text(self) -> str:
-        """The JSON text of the last update's entries, comma-separated."""
-        if self._text is None:
-            for kept in self._by_id.values():
-                kept[3] = kept[3] or _json_line(kept[2])
-            self._text = ",".join(kept[3] for kept in self._by_id.values())
-        return self._text
 
 
 def _make_record(t, frame, uav, est, detections, boxes, targets, mission, events) -> dict:
@@ -129,6 +112,30 @@ def _frame_line(record: dict, targets_text: str) -> str:
         "uav": f'{{"est":{{"position":[{_floats(*est["position"])}],"yaw":{_floats(est["yaw"])}}},'
                f'"true":{{"position":[{_floats(*true["position"])}],"yaw":{_floats(true["yaw"])}}}}}',
     }
+
+
+def _write_trace(fh, scenario: Scenario, receive, score) -> dict:
+    """Write a run's trace to fh as its records arrive: the scenario header,
+    the frame line of each record of the (records, summary) pairs that
+    receive() returns, as score(records, scenario) pulls them to score, then
+    the first summary given, with score's table, which it returns."""
+    fh.write(_json_line({"type": _SCENARIO, _SCENARIO: scenario_to_dict(scenario)}) + "\n")
+    summary = {}
+
+    def records():
+        targets = text = None  # a targets list is encoded once for the records sharing it
+        while not summary:
+            batch, end = receive()
+            for record in batch:
+                if record["targets"] is not targets:
+                    targets, text = record["targets"], ",".join(map(_json_line, record["targets"]))
+                fh.write(_frame_line(record, text) + "\n")
+                yield record
+            summary.update(end or {})
+
+    summary["metrics"] = score(records(), scenario)
+    fh.write(_json_line({"type": _SUMMARY, **summary}) + "\n")
+    return summary["metrics"]
 
 
 def write_cloud(path: Path, points: np.ndarray) -> None:

@@ -2,6 +2,7 @@
 
 import contextlib
 import json
+import os
 import time
 
 import pytest
@@ -22,8 +23,9 @@ def shared_run(tmp_path_factory):
     """shared_run(scenario, traced=False): run(scenario), traced into a
     directory of its own or metrics-only, once per session, with its wall
     seconds as `wall_time`; a metrics-only run keeps its missions.recorded()
-    calls as `recording`. Readers share its records, files and recording and
-    must not change them; a test that instruments a run makes its own."""
+    calls as `recording`, and a traced run must leave no child process.
+    Readers share its records, files and recording and must not change
+    them; a test that instruments a run makes its own."""
     results = {}
 
     def shared(scenario, traced=False):
@@ -34,6 +36,9 @@ def shared_run(tmp_path_factory):
                 start = time.perf_counter()
                 result = run(scenario, out_dir=out)
                 result.wall_time = time.perf_counter() - start
+            if traced:  # its writer process has ended and been reaped
+                with pytest.raises(ChildProcessError):
+                    os.waitpid(-1, os.WNOHANG)
             result.recording = recording
             results[key] = result
         return results[key]

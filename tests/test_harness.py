@@ -25,7 +25,7 @@ from targetsim.cli import _print_metrics
 from targetsim.cli import main as cli_main
 from targetsim.detector import MAX_SURFACE_POINTS, Detection, ellipsoid_target, visible_boxes
 from targetsim.harness import compute_metrics, run
-from targetsim.mission import MissionMode
+from targetsim.mission import MissionExecutive, MissionMode
 from targetsim.points_filter import (
     LIFECYCLE,
     MAX_CLOUD_POINTS,
@@ -1011,6 +1011,73 @@ class TestCli:
         assert a[1] != b[1]  # different seeds diverge from the first frame
 
 
+def no_child_left():
+    """True when this process has no child process, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+def disk_full(record, text):
+    raise OSError(28, "No space left on device")
+
+
+def writer_dies(record, text):
+    os._exit(1)
+
+
+class TestTraceWriter:
+    # a traced run's trace is written and scored in a forked writer process
+
+    @pytest.mark.parametrize("fault, message", [
+        (disk_full, "[Errno 28] No space left on device"), (writer_dies, "the trace writer died"),
+    ], ids=["write_error", "writer_died"])
+    def test_writer_failure_exits_2(self, tmp_path, capsys, monkeypatch, fault, message):
+        # the writer inherits the fault, patched before the run, and meets
+        # it at its first frame line: the CLI prints the writer's own error
+        monkeypatch.setattr("targetsim.trace._frame_line", fault)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(BASE))
+        assert cli_main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"cannot write output: {message}\n"
+        assert no_child_left()
+
+    def test_run_sends_its_records_a_batch_at_a_time(self, tmp_path, monkeypatch):
+        # the run holds at most BATCH records: it sends each batch once it
+        # is full, and the rest with the summary
+        sent, send = [], harness._TraceWriter.send
+
+        def counted(self, summary=None):
+            sent.append((len(self.batch), summary is not None))
+            send(self, summary)
+
+        monkeypatch.setattr(harness._TraceWriter, "send", counted)
+        result = run(missions.scenario("nominal"), out_dir=tmp_path)
+        full, rest = divmod(result.frames, harness._TraceWriter.BATCH)
+        assert sent == [(harness._TraceWriter.BATCH, False)] * full + [(rest, True)]
+        assert no_child_left()
+
+    @pytest.mark.parametrize("n", [1, 300])
+    def test_mission_error_keeps_the_frames_before_it(self, tmp_path, monkeypatch, nominal_traced, n):
+        # an exception in the mission at frame n reaches the caller, and the
+        # trace holds the header and the n - 1 frame lines of the whole run
+        # made before it (300: past the first batch sent)
+        on_perception, calls = MissionExecutive.on_perception, []
+
+        def failing(self, *args):
+            calls.append(1)
+            if len(calls) == n:
+                raise RuntimeError("injected")
+            return on_perception(self, *args)
+
+        monkeypatch.setattr(MissionExecutive, "on_perception", failing)
+        with pytest.raises(RuntimeError, match="injected"):
+            run(missions.scenario("nominal"), out_dir=tmp_path)
+        lines = nominal_traced.trace_path.read_text().splitlines()
+        assert (tmp_path / "trace.jsonl").read_text().splitlines() == lines[:n]
+        assert no_child_left()
+
+
 def test_cli_starts_without_scipy():
     # assignment is solved in Python, so no CLI process pays scipy's import
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -1429,10 +1496,8 @@ class TestTargetEntries:
 
         def entry():
             (one,) = entries.update(flt)
-            text = entries.text()
-            assert text == _json_line(one) and entries.text() is text
             (again,) = entries.update(flt)  # nothing changed: the entry is kept
-            assert again is one and entries.text() == text
+            assert again is one
             return one
 
         tick(0.0)
@@ -1452,7 +1517,7 @@ class TestTargetEntries:
         assert {**mapped, "state": updated["state"]} == updated
         # a target that is no longer live is dropped: back again, it is rebuilt
         flt.deregister(target.target_id)
-        assert entries.update(flt) == [] and entries.text() == ""
+        assert entries.update(flt) == []
         flt.targets = [target]
         flt.mark_mapped(target.target_id, np.empty((0, 3)))
         again = entry()
